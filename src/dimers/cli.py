@@ -34,11 +34,7 @@ from .explore import (
     twist_census,
 )
 from .sample import ChainConfig, histogram_csv, histogram_svg, twist_distribution
-from .slab import (
-    enumerate_slab_tilings,
-    read_slab_tilings,
-    triple_twist,
-)
+from .slab import read_slab_tilings, slab_flip_components, triple_twist
 
 EXIT_USAGE = 2
 EXIT_GUARD = 3
@@ -252,26 +248,15 @@ def _cmd_sample(args) -> dict:
 def _cmd_slab(args) -> dict:
     region = _region_from_args(args) if (args.box or args.disk) else None
     if args.slab_command == "census":
-        from .slab import list_slab_flips, apply_slab_flip
-        from .explore import UnionFind
-
-        tilings = list(enumerate_slab_tilings(region, args.cap))
-        index = {t.slabs: i for i, t in enumerate(tilings)}
-        uf = UnionFind(len(tilings))
-        for i, t in enumerate(tilings):
-            for move in list_slab_flips(t):
-                uf.union(i, index[apply_slab_flip(t, move).slabs])
-        sizes: dict[int, int] = {}
-        for i in range(len(tilings)):
-            root = uf.find(i)
-            sizes[root] = sizes.get(root, 0) + 1
-        triples = sorted(set(triple_twist(tilings[r]) for r in sizes))
-        print(f"slab tilings: {len(tilings)}")
-        print(f"flip components: {len(sizes)}")
+        components = slab_flip_components(region, args.cap)
+        total = sum(map(len, components))
+        triples = sorted(set(triple_twist(c[0]) for c in components))
+        print(f"slab tilings: {total}")
+        print(f"flip components: {len(components)}")
         print("triple twists: " + "; ".join(map(str, triples)))
         return {
-            "slab_tilings": len(tilings),
-            "components": len(sizes),
+            "slab_tilings": total,
+            "components": len(components),
             "region": region_to_record(region),
         }
     # slab twist --tiling FILE
@@ -410,6 +395,8 @@ def _apply_config(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
+    if at + 1 == len(argv):
+        raise DimersError("--config needs a file path")
     path = argv[at + 1]
     extra = []
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
@@ -431,14 +418,8 @@ def _apply_config(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    started = time.time()
-    try:
+        args = build_parser().parse_args(_apply_config(argv))
+        started = time.time()
         extra = _HANDLERS[args.command](args)
         _write_manifest(args, args.command, extra, started)
     except (CapExceeded, WidthGuardExceeded) as exc:
@@ -447,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     except CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION
-    except DimersError as exc:
+    except (DimersError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return 0

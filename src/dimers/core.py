@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -70,6 +70,41 @@ class Region:
             rows.append(tuple(row))
         return tuple(rows)
 
+    @cached_property
+    def flip_windows(self) -> dict[tuple[int, tuple[int, int]], tuple[int, ...]]:
+        """(corner index, (a, b)) -> cell indices (i00, i10, i01, i11) of
+        each 2x2 window inside the region, i10 one step along +a from the
+        corner and i01 one step along +b.  Ordered by corner, then axes."""
+        table = self.neighbor_table
+        out = {}
+        for i, row in enumerate(table):
+            for a, b in combinations(range(self.d), 2):
+                i10, i01 = row[2 * a], row[2 * b]
+                if i10 >= 0 and i01 >= 0 and table[i10][2 * b] >= 0:
+                    out[(i, (a, b))] = (i, i10, i01, table[i10][2 * b])
+        return out
+
+    @cached_property
+    def trit_windows(self) -> dict[tuple[int, tuple[int, int, int]], tuple]:
+        """(corner index, axes) -> (ids, swaps) for each 2x2x2 window inside
+        the region, ordered like flip_windows.  ids are the eight cell
+        indices, sorted.  swaps maps each matching of six of them with one
+        domino per axis, as sorted index pairs, to the only other one."""
+        table = self.neighbor_table
+        out = {}
+        for i in range(len(table)):
+            for axes in combinations(range(self.d), 3):
+                cube = {}
+                for deltas in product((0, 1), repeat=3):
+                    j = i
+                    for axis, delta in zip(axes, deltas):
+                        if delta and j >= 0:
+                            j = table[j][2 * axis]
+                    cube[deltas] = j
+                if min(cube.values()) >= 0:
+                    out[(i, axes)] = (tuple(sorted(cube.values())), _trit_swaps(cube))
+        return out
+
     @property
     def n_cells(self) -> int:
         return len(self.cells)
@@ -96,6 +131,24 @@ class Region:
         lo = tuple(min(c[a] for c in self.cells) for a in range(self.d))
         hi = tuple(max(c[a] for c in self.cells) for a in range(self.d))
         return lo, hi
+
+
+# A 2x2x2 cube minus a cell `far` and its opposite cell is a hexagon: the
+# cells far xor _HEXAGON[k], k = 0..5, go round it, one coordinate changing
+# per step.  Its even edges and its odd edges are its two perfect matchings,
+# and each has one domino per axis.  No other six cells of the cube have
+# such a matching, so every one of them has exactly one partner.
+_HEXAGON = ((1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1), (1, 0, 1))
+
+
+def _trit_swaps(cube: dict[tuple[int, int, int], int]) -> dict[tuple, tuple]:
+    swaps = {}
+    for far in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)):
+        ring = [cube[tuple(f ^ m for f, m in zip(far, mask))] for mask in _HEXAGON]
+        edges = [tuple(sorted((ring[k], ring[(k + 1) % 6]))) for k in range(6)]
+        first, second = tuple(sorted(edges[0::2])), tuple(sorted(edges[1::2]))
+        swaps[first], swaps[second] = second, first
+    return swaps
 
 
 def make_region(cells: Iterable[Cell], d: int | None = None) -> Region:
@@ -190,6 +243,11 @@ def domino_orientation(domino: Domino) -> int:
     return 1 if color_sign(domino.low) == WHITE else -1
 
 
+def pair_domino(region: Region, i: int, j: int) -> Domino:
+    """The domino on adjacent cells i < j of the region."""
+    return Domino(region.cells[i], region.neighbor_table[i].index(j) // 2)
+
+
 @dataclass(frozen=True)
 class Tiling:
     """Perfect matching of a region, as an involution on cell indices."""
@@ -201,14 +259,8 @@ class Tiling:
         return self.region.cells[self.partner[self.region.index[cell]]]
 
     def dominoes(self) -> list[Domino]:
-        cells = self.region.cells
-        out = []
-        for i, j in enumerate(self.partner):
-            if i < j:
-                low, high = cells[i], cells[j]
-                axis = next(a for a in range(self.region.d) if low[a] != high[a])
-                out.append(Domino(low, axis))
-        return out
+        region = self.region
+        return [pair_domino(region, i, j) for i, j in enumerate(self.partner) if i < j]
 
     @property
     def n_dominoes(self) -> int:
@@ -349,7 +401,8 @@ def add_vertical_floors(tiling: Tiling, extra: int) -> Tiling:
 #
 # Three bits per cell, cells in lexicographic order, little-endian bit
 # packing.  The code of a cell is 2*axis + (0 if the partner sits at +axis
-# else 1), which caps the supported dimension at 4.
+# else 1), the partner's position in the cell's neighbor_table row, which
+# caps the supported dimension at 4.
 
 _MAX_ENCODE_D = 4
 
@@ -358,15 +411,11 @@ def encode(tiling: Tiling) -> bytes:
     region = tiling.region
     if region.d > _MAX_ENCODE_D:
         raise InvalidRegion("canonical encoding supports d <= 4")
-    cells = region.cells
+    table = region.neighbor_table
     acc = 0
     for i, j in enumerate(tiling.partner):
-        a, b = cells[i], cells[j]
-        axis = next(k for k in range(region.d) if a[k] != b[k])
-        code = 2 * axis + (0 if b[axis] > a[axis] else 1)
-        acc |= code << (3 * i)
-    n = len(cells)
-    return acc.to_bytes((3 * n + 7) // 8, "little")
+        acc |= table[i].index(j) << (3 * i)
+    return acc.to_bytes((3 * len(table) + 7) // 8, "little")
 
 
 def decode(data: bytes, region: Region) -> Tiling:
@@ -405,12 +454,6 @@ def decode(data: bytes, region: Region) -> Tiling:
 _GLYPHS = "><^vUD"
 
 
-def _direction_code(region: Region, i: int, j: int) -> int:
-    a, b = region.cells[i], region.cells[j]
-    axis = next(k for k in range(region.d) if a[k] != b[k])
-    return 2 * axis + (0 if b[axis] > a[axis] else 1)
-
-
 def render_floors(tiling: Tiling) -> str:
     """Text diagram of a 2D or 3D tiling, floor by floor."""
     region = tiling.region
@@ -429,7 +472,8 @@ def render_floors(tiling: Tiling) -> str:
                 cell = (x, y, z)[: region.d]
                 if cell in idx:
                     i = idx[cell]
-                    row.append(_GLYPHS[_direction_code(region, i, tiling.partner[i])])
+                    code = region.neighbor_table[i].index(tiling.partner[i])
+                    row.append(_GLYPHS[code])
                 else:
                     row.append(".")
             lines.append("".join(row))

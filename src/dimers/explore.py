@@ -2,8 +2,10 @@
 
 Enumeration backtracks on the lexicographically first uncovered cell,
 trying +axis partners in axis order, so runs are deterministic and
-restartable.  Censuses hash canonical encodings; the extended path for
-billion-tiling regions spills its visited set to a SQLite file.
+restartable.  In-memory censuses key tilings by their partner tuples and
+walk the moves of the region's window tables; canonical encodings name
+component representatives, and key the SQLite visited set that the
+extended path for billion-tiling regions spills to disk.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Iterator
 from .core import Region, Tiling, decode, encode
 from .counting import count_region
 from .errors import CapExceeded
-from .moves import apply_flip, list_flips, list_trits, _apply_trit_structural
+from .moves import flip_neighbors, list_flips, trit_neighbors
 
 DEFAULT_CAP = 10_000_000
 
@@ -109,29 +111,34 @@ class ComponentCensus:
         return decode(self.components[component_id][1], self.region)
 
 
-def _enumerate_encoded(region: Region, cap: int | None) -> tuple[list[Tiling], dict[bytes, int]]:
+def _flip_census(region: Region, cap: int | None):
+    """Every tiling, a partner-tuple index into them, and the flip
+    components as (size, smallest encoding, member ids), largest first."""
     tilings = list(enumerate_tilings(region, cap))
-    return tilings, {encode(t): i for i, t in enumerate(tilings)}
+    index = {t.partner: i for i, t in enumerate(tilings)}
+    uf = UnionFind(len(tilings))
+    for i, t in enumerate(tilings):
+        for after in flip_neighbors(region, t.partner):
+            uf.union(i, index[after])
+    members: dict[int, list[int]] = {}
+    for i in range(len(tilings)):
+        members.setdefault(uf.find(i), []).append(i)
+    components = sorted(
+        (
+            (len(ids), min(encode(tilings[i]) for i in ids), ids)
+            for ids in members.values()
+        ),
+        key=lambda triple: (-triple[0], triple[1]),
+    )
+    return tilings, index, components
 
 
 def flip_components(region: Region, cap: int | None = DEFAULT_CAP) -> ComponentCensus:
     """Union-find census over the flip edges of the full tiling set."""
-    tilings, index = _enumerate_encoded(region, cap)
-    uf = UnionFind(len(tilings))
-    for i, t in enumerate(tilings):
-        for move in list_flips(t):
-            uf.union(i, index[encode(apply_flip(t, move))])
-    groups: dict[int, list[int]] = {}
-    for i in range(len(tilings)):
-        groups.setdefault(uf.find(i), []).append(i)
-    components = sorted(
-        (
-            (len(members), min(encode(tilings[i]) for i in members))
-            for members in groups.values()
-        ),
-        key=lambda pair: (-pair[0], pair[1]),
+    _, _, components = _flip_census(region, cap)
+    return ComponentCensus(
+        region=region, components=[(size, rep) for size, rep, _ in components]
     )
-    return ComponentCensus(region=region, components=components)
 
 
 def flip_free_tilings(region: Region, cap: int | None = DEFAULT_CAP) -> list[Tiling]:
@@ -177,30 +184,15 @@ class ComponentTritGraph:
 def component_trit_graph(region: Region, cap: int | None = DEFAULT_CAP) -> ComponentTritGraph:
     from .twist import twist as _twist_of
 
-    tilings, index = _enumerate_encoded(region, cap)
-    uf = UnionFind(len(tilings))
-    for i, t in enumerate(tilings):
-        for move in list_flips(t):
-            uf.union(i, index[encode(apply_flip(t, move))])
-    roots: dict[int, int] = {}
-    members: dict[int, list[int]] = {}
-    for i in range(len(tilings)):
-        members.setdefault(uf.find(i), []).append(i)
-    components = sorted(
-        (
-            (len(ids), min(encode(tilings[i]) for i in ids), ids)
-            for ids in members.values()
-        ),
-        key=lambda triple: (-triple[0], triple[1]),
-    )
+    tilings, index, components = _flip_census(region, cap)
+    comp_of = [0] * len(tilings)
     for comp_id, (_, _, ids) in enumerate(components):
         for i in ids:
-            roots[i] = comp_id
+            comp_of[i] = comp_id
     edges: set[tuple[int, int]] = set()
     for i, t in enumerate(tilings):
-        for move in list_trits(t):
-            j = index[encode(_apply_trit_structural(t, move))]
-            a, b = roots[i], roots[j]
+        for after, _, _ in trit_neighbors(region, t.partner):
+            a, b = comp_of[i], comp_of[index[after]]
             if a != b:
                 edges.add((min(a, b), max(a, b)))
     twists = [_twist_of(tilings[ids[0]]) for _, _, ids in components]
@@ -441,13 +433,12 @@ def flip_components_extended(region: Region, scratch_dir) -> ComponentCensus:
                 continue
             size = 1
             smallest = key
-            frontier = [t]
+            frontier = [t.partner]
             while frontier:
                 nxt = []
                 for cur in frontier:
-                    for move in list_flips(cur):
-                        neighbor = apply_flip(cur, move)
-                        nkey = encode(neighbor)
+                    for neighbor in flip_neighbors(region, cur):
+                        nkey = encode(Tiling(region, neighbor))
                         if visited.add(nkey):
                             size += 1
                             if nkey < smallest:

@@ -53,18 +53,13 @@ def flip_ideal_generators(region: Region) -> list[Binomial]:
     putting the a-pair in the positive monomial.
     """
     index = edge_index(region)
-    idx = region.index
+    cells = region.cells
     out = []
-    for corner in region.cells:
-        for a, b in combinations(range(region.d), 2):
-            ea = corner[:a] + (corner[a] + 1,) + corner[a + 1 :]
-            eb = corner[:b] + (corner[b] + 1,) + corner[b + 1 :]
-            far = ea[:b] + (ea[b] + 1,) + ea[b + 1 :]
-            if not (ea in idx and eb in idx and far in idx):
-                continue
-            pos = tuple(sorted((index[(corner, a)], index[(eb, a)])))
-            neg = tuple(sorted((index[(corner, b)], index[(ea, b)])))
-            out.append(Binomial(pos, neg))
+    for (_, (a, b)), (i00, i10, i01, _) in region.flip_windows.items():
+        corner, ea, eb = cells[i00], cells[i10], cells[i01]
+        pos = tuple(sorted((index[(corner, a)], index[(eb, a)])))
+        neg = tuple(sorted((index[(corner, b)], index[(ea, b)])))
+        out.append(Binomial(pos, neg))
     return out
 
 
@@ -93,40 +88,32 @@ def containment_certificate(t0: Tiling, t1: Tiling) -> list[tuple[tuple[int, ...
     """
     from collections import deque
 
-    from .core import encode
-    from .moves import apply_flip, list_flips
+    from .moves import flip_neighbors
 
     if t0.region != t1.region:
         raise RegionMismatch("certificate needs a common region")
-    index = edge_index(t0.region)
-    target = encode(t1)
-    start = encode(t0)
-    parents: dict[bytes, tuple[bytes, Tiling] | None] = {start: None}
-    states = {start: t0}
-    queue = deque([t0])
-    found = start == target
+    region = t0.region
+    index = edge_index(region)
+    target = t1.partner
+    parents: dict[tuple[int, ...], tuple[int, ...] | None] = {t0.partner: None}
+    queue = deque([t0.partner])
+    found = t0.partner == target
     while queue and not found:
         current = queue.popleft()
-        key = encode(current)
-        for move in list_flips(current):
-            nxt = apply_flip(current, move)
-            nkey = encode(nxt)
-            if nkey in parents:
+        for nxt in flip_neighbors(region, current):
+            if nxt in parents:
                 continue
-            parents[nkey] = (key, current)
-            states[nkey] = nxt
-            if nkey == target:
+            parents[nxt] = current
+            if nxt == target:
                 found = True
                 break
             queue.append(nxt)
     if not found:
         raise DecodeError("tilings are not flip connected; no certificate")
-    path = [states[target]]
-    key = target
-    while parents[key] is not None:
-        key, previous = parents[key]
-        path.append(previous)
-    path.reverse()  # t0 .. t1
+    path = [target]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    path = [Tiling(region, partner) for partner in reversed(path)]  # t0 .. t1
     terms = []
     for first, second in zip(path, path[1:]):
         m0 = _tiling_monomial(first, index)

@@ -2,18 +2,20 @@
 
 A flip rotates two parallel dominoes inside a 2x2x1 window; a trit permutes
 three pairwise-orthogonal dominoes inside a 2x2x2 window and carries a sign
-(the twist steps by that sign).  Moves are listed in deterministic order:
-window corner lexicographic, then axes.
+(the twist steps by that sign).  Every move lives in one of the
+region's precomputed windows (`Region.flip_windows`, `Region.trit_windows`)
+and moves are listed in table order: window corner lexicographic, then
+axes.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
 from typing import Iterable
 
-from .core import Cell, Domino, Tiling, domino_cells
+from .core import Cell, Domino, Region, Tiling, pair_domino
 from .errors import MoveNotApplicable, RegionMismatch
+from .twist import trit_sign
 
 
 @dataclass(frozen=True)
@@ -41,176 +43,117 @@ class TritMove:
     removed: tuple[Domino, Domino, Domino]
 
 
-def _shift(cell: Cell, axis: int, delta: int = 1) -> Cell:
-    return cell[:axis] + (cell[axis] + delta,) + cell[axis + 1 :]
+def _window(table: dict, region: Region, corner: Cell, axes):
+    """The window of a Region table at (corner, axes), or None when it
+    leaves the region."""
+    return table.get((region.index.get(corner), tuple(sorted(axes))))
 
 
-def _flip_window(tiling: Tiling, corner: Cell, a: int, b: int):
-    """The four window cell indices, or None if the window leaves the region."""
-    idx = tiling.region.index
-    c00 = corner
-    c10 = _shift(corner, a)
-    c01 = _shift(corner, b)
-    c11 = _shift(c10, b)
-    try:
-        return idx[c00], idx[c10], idx[c01], idx[c11]
-    except KeyError:
-        return None
+def _flipped(partner, window) -> tuple[int, ...] | None:
+    """partner with the window's parallel pair rotated, or None when the
+    window holds no parallel pair."""
+    i00, i10, i01, i11 = window
+    if partner[i00] == i10 and partner[i01] == i11:
+        return _swapped(partner, ((i00, i01), (i10, i11)))
+    if partner[i00] == i01 and partner[i10] == i11:
+        return _swapped(partner, ((i00, i10), (i01, i11)))
+    return None
+
+
+def _held(partner, ids) -> tuple[tuple[int, int], ...]:
+    """Index pairs of the dominoes inside a trit window, sorted like the
+    keys of its swap map because the window's ids are sorted."""
+    return tuple((i, partner[i]) for i in ids if i < partner[i] and partner[i] in ids)
+
+
+def _swapped(partner, added) -> tuple[int, ...]:
+    new = list(partner)
+    for i, j in added:
+        new[i], new[j] = j, i
+    return tuple(new)
+
+
+def flip_neighbors(region: Region, partner) -> list[tuple[int, ...]]:
+    """Partner tuples one flip away, in list_flips order."""
+    out = []
+    for window in region.flip_windows.values():
+        after = _flipped(partner, window)
+        if after is not None:
+            out.append(after)
+    return out
+
+
+def trit_neighbors(region: Region, partner) -> list[tuple]:
+    """(partner after, removed pairs, added pairs) for every trit, in
+    list_trits order."""
+    out = []
+    for ids, swaps in region.trit_windows.values():
+        removed = _held(partner, ids)
+        added = swaps.get(removed)
+        if added is not None:
+            out.append((_swapped(partner, added), removed, added))
+    return out
 
 
 def list_flips(tiling: Tiling) -> list[FlipMove]:
     """Every applicable flip, duplicate-free, in deterministic order."""
-    region = tiling.region
+    cells = tiling.region.cells
     partner = tiling.partner
     out = []
-    for corner in region.cells:
-        for a, b in combinations(range(region.d), 2):
-            window = _flip_window(tiling, corner, a, b)
-            if window is None:
-                continue
-            i00, i10, i01, i11 = window
-            if partner[i00] == i10 and partner[i01] == i11:
-                out.append(FlipMove(corner, (a, b), a))
-            elif partner[i00] == i01 and partner[i10] == i11:
-                out.append(FlipMove(corner, (a, b), b))
+    for (corner, axes), (i00, i10, i01, i11) in tiling.region.flip_windows.items():
+        if partner[i00] == i10 and partner[i01] == i11:
+            out.append(FlipMove(cells[corner], axes, axes[0]))
+        elif partner[i00] == i01 and partner[i10] == i11:
+            out.append(FlipMove(cells[corner], axes, axes[1]))
     return out
 
 
 def apply_flip(tiling: Tiling, move: FlipMove) -> Tiling:
     """Rotate the window's dominoes; involutive via the reverse move."""
-    a, b = move.axes
-    window = _flip_window(tiling, move.corner, a, b)
+    a, b = sorted(move.axes)
+    window = _window(tiling.region.flip_windows, tiling.region, move.corner, (a, b))
     if window is None:
         raise MoveNotApplicable(f"flip window {move.corner} leaves the region")
-    i00, i10, i01, i11 = window
-    partner = list(tiling.partner)
-    if move.before_axis == a and partner[i00] == i10 and partner[i01] == i11:
-        partner[i00], partner[i01] = i01, i00
-        partner[i10], partner[i11] = i11, i10
-    elif move.before_axis == b and partner[i00] == i01 and partner[i10] == i11:
-        partner[i00], partner[i10] = i10, i00
-        partner[i01], partner[i11] = i11, i01
-    else:
+    axis = a if tiling.partner[window[0]] == window[1] else b
+    after = _flipped(tiling.partner, window) if axis == move.before_axis else None
+    if after is None:
         raise MoveNotApplicable(f"no parallel pair along axis {move.before_axis}")
-    return Tiling(tiling.region, tuple(partner))
+    return Tiling(tiling.region, after)
 
 
-def _window_dominoes(tiling: Tiling, cell_ids: set[int]) -> list[Domino]:
-    """Dominoes of the tiling lying entirely inside the given cell set."""
-    region = tiling.region
-    cells = region.cells
-    out = []
-    for i in cell_ids:
-        j = tiling.partner[i]
-        if j in cell_ids and i < j:
-            low, high = cells[i], cells[j]
-            axis = next(k for k in range(region.d) if low[k] != high[k])
-            out.append(Domino(low, axis))
-    return out
-
-
-def _trit_window_ids(tiling: Tiling, corner: Cell, axes: tuple[int, int, int]):
-    idx = tiling.region.index
-    ids = set()
-    for deltas in product((0, 1), repeat=3):
-        cell = corner
-        for axis, delta in zip(axes, deltas):
-            if delta:
-                cell = _shift(cell, axis)
-        i = idx.get(cell)
-        if i is None:
-            return None
-        ids.add(i)
-    return ids
-
-
-def _orthogonal_matchings(
-    covered: list[Cell], axes: tuple[int, int, int]
-) -> list[tuple[Domino, Domino, Domino]]:
-    """All ways to match the six covered cells with one domino per axis.
-
-    Brute force over the at most 15 pairings; the covered cells already
-    lie inside the window, so any domino between them does too.
-    """
-    cells = list(covered)
-    results = []
-
-    def rec(remaining: list[Cell], acc: list[Domino], used_axes: set[int]):
-        if not remaining:
-            results.append(tuple(sorted(acc)))
-            return
-        head = remaining[0]
-        for other in remaining[1:]:
-            diffs = [i for i in range(len(head)) if head[i] != other[i]]
-            if len(diffs) != 1:
-                continue
-            axis = diffs[0]
-            if axis not in axes or axis in used_axes:
-                continue
-            if abs(head[axis] - other[axis]) != 1:
-                continue
-            low = head if head[axis] < other[axis] else other
-            rec(
-                [c for c in remaining[1:] if c is not other],
-                acc + [Domino(low, axis)],
-                used_axes | {axis},
-            )
-
-    rec(cells, [], set())
-    return sorted(set(results))
+def _dominoes(region: Region, pairs) -> tuple[Domino, ...]:
+    return tuple(sorted(pair_domino(region, i, j) for i, j in pairs))
 
 
 def list_trits(tiling: Tiling) -> list[TritMove]:
     """Every 2x2x2 window holding three pairwise-orthogonal dominoes of the
     tiling.  Empty in 2D so generic pipelines run unchanged."""
     region = tiling.region
-    if region.d < 3:
-        return []
     out = []
-    for corner in region.cells:
-        for axes in combinations(range(region.d), 3):
-            ids = _trit_window_ids(tiling, corner, axes)
-            if ids is None:
-                continue
-            inside = _window_dominoes(tiling, ids)
-            if len(inside) != 3:
-                continue
-            if {d.axis for d in inside} != set(axes):
-                continue
-            out.append(TritMove(corner, axes, tuple(sorted(inside))))
+    for (corner, axes), (ids, swaps) in region.trit_windows.items():
+        held = _held(tiling.partner, ids)
+        if held in swaps:
+            out.append(TritMove(region.cells[corner], axes, _dominoes(region, held)))
     return out
 
 
-def _trit_replacement(tiling: Tiling, move: TritMove) -> tuple[Domino, ...]:
-    """The unique other matching of the trit's six cells, one per axis."""
-    ids = _trit_window_ids(tiling, move.corner, move.axes)
-    if ids is None:
+def _trit_pairs(tiling: Tiling, move: TritMove):
+    """Index pairs of the trit's three dominoes and of their replacement."""
+    region = tiling.region
+    window = _window(region.trit_windows, region, move.corner, move.axes)
+    if window is None:
         raise MoveNotApplicable(f"trit window {move.corner} leaves the region")
-    inside = _window_dominoes(tiling, ids)
-    if tuple(sorted(inside)) != move.removed or {d.axis for d in inside} != set(
-        move.axes
-    ):
+    ids, swaps = window
+    removed = _held(tiling.partner, ids)
+    if removed not in swaps or _dominoes(region, removed) != move.removed:
         raise MoveNotApplicable("tiling does not hold the trit's three dominoes")
-    covered = [c for d in inside for c in domino_cells(d)]
-    matchings = _orthogonal_matchings(covered, move.axes)
-    others = [m for m in matchings if m != move.removed]
-    if len(matchings) != 2 or len(others) != 1:
-        raise MoveNotApplicable(
-            f"trit window admits {len(matchings)} matchings, expected 2"
-        )
-    return others[0]
+    return removed, swaps[removed]
 
 
 def _apply_trit_structural(tiling: Tiling, move: TritMove) -> Tiling:
     """Apply the rearrangement without computing its sign."""
-    added = _trit_replacement(tiling, move)
-    idx = tiling.region.index
-    partner = list(tiling.partner)
-    for dom in added:
-        low, high = domino_cells(dom)
-        i, j = idx[low], idx[high]
-        partner[i], partner[j] = j, i
-    return Tiling(tiling.region, tuple(partner))
+    _, added = _trit_pairs(tiling, move)
+    return Tiling(tiling.region, _swapped(tiling.partner, added))
 
 
 def apply_trit(tiling: Tiling, move: TritMove) -> tuple[Tiling, int]:
@@ -220,14 +163,9 @@ def apply_trit(tiling: Tiling, move: TritMove) -> tuple[Tiling, int]:
     inverse move.  In dimension 4 and up the twist lives in Z/2, every
     trit flips it, and the sign is reported as +1.
     """
-    # late import: the twist module calibrates itself using trits
-    from .twist import trit_sign
-
-    after = _apply_trit_structural(tiling, move)
-    if tiling.region.d >= 4:
-        return after, 1
-    sign = trit_sign(tiling, after, move)
-    return after, sign
+    removed, added = _trit_pairs(tiling, move)
+    after = Tiling(tiling.region, _swapped(tiling.partner, added))
+    return after, trit_sign(tiling.region, tiling.partner, removed, added)
 
 
 def difference_cycles(t0: Tiling, t1: Tiling) -> list[list[Cell]]:
@@ -283,11 +221,11 @@ def move_from_record(rec: dict, tiling: Tiling) -> FlipMove | TritMove:
         a, b, before = rec["axes"]
         return FlipMove(corner, (a, b), before)
     axes = tuple(rec["axes"])
-    ids = _trit_window_ids(tiling, corner, axes)
-    if ids is None:
+    region = tiling.region
+    window = _window(region.trit_windows, region, corner, axes)
+    if window is None:
         raise MoveNotApplicable(f"trit window {corner} leaves the region")
-    inside = _window_dominoes(tiling, ids)
-    return TritMove(corner, axes, tuple(sorted(inside)))
+    return TritMove(corner, axes, _dominoes(region, _held(tiling.partner, window[0])))
 
 
 def write_move_log(path, records: Iterable[dict]) -> None:

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, product
 
-from .core import Domino, Region, Tiling, validate
+from .core import Region, Tiling, validate
 from .errors import InvalidRegion, InvalidTiling
+from .moves import _held
+from .twist import trit_sign
 
 RNG_FAMILY = "mt19937"
 
@@ -39,84 +40,6 @@ class ChainConfig:
             raise InvalidRegion("need steps >= burn_in >= 0")
 
 
-def _flip_windows(region: Region) -> list[tuple[int, int, int, int]]:
-    idx = region.index
-    out = []
-    for corner in region.cells:
-        for a, b in combinations(range(region.d), 2):
-            try:
-                ids = (
-                    idx[corner],
-                    idx[corner[:a] + (corner[a] + 1,) + corner[a + 1 :]],
-                    idx[corner[:b] + (corner[b] + 1,) + corner[b + 1 :]],
-                )
-                far = list(corner)
-                far[a] += 1
-                far[b] += 1
-                out.append(ids + (idx[tuple(far)],))
-            except KeyError:
-                continue
-    return out
-
-
-def _trit_windows(region: Region):
-    """Per 2x2x2 window: its twelve potential dominoes and, for each
-    admissible triple, the replacement triple."""
-    if region.d < 3:
-        return []
-    idx = region.index
-    out = []
-    for corner in region.cells:
-        for axes in combinations(range(region.d), 3):
-            cells = {}
-            ok = True
-            for deltas in product((0, 1), repeat=3):
-                cell = list(corner)
-                for axis, delta in zip(axes, deltas):
-                    cell[axis] += delta
-                cell = tuple(cell)
-                if cell not in idx:
-                    ok = False
-                    break
-                cells[deltas] = idx[cell]
-            if not ok:
-                continue
-            edges = []
-            for deltas, i in cells.items():
-                for pos in range(3):
-                    if deltas[pos] == 0:
-                        other = list(deltas)
-                        other[pos] = 1
-                        j = cells[tuple(other)]
-                        edges.append((min(i, j), max(i, j), axes[pos]))
-            swaps = _matching_swaps(edges)
-            out.append((tuple(sorted(cells.values())), swaps))
-    return out
-
-
-def _matching_swaps(edges):
-    """Map each one-domino-per-axis matching of six window cells to the
-    only other such matching of the same cells."""
-    matchings = []
-    for triple in combinations(edges, 3):
-        used = [i for e in triple for i in e[:2]]
-        if len(set(used)) != 6:
-            continue
-        if len({axis for _, _, axis in triple}) != 3:
-            continue
-        matchings.append(tuple(sorted((i, j) for i, j, _ in triple)))
-    swaps = {}
-    by_cells = {}
-    for m in matchings:
-        key = tuple(sorted(i for pair in m for i in pair))
-        by_cells.setdefault(key, []).append(m)
-    for group in by_cells.values():
-        if len(group) == 2:
-            swaps[group[0]] = group[1]
-            swaps[group[1]] = group[0]
-    return swaps
-
-
 class _Chain:
     """Mutable chain state; tracks the twist incrementally in 3D."""
 
@@ -129,10 +52,10 @@ class _Chain:
         self.region = region
         self.partner = list(start.partner)
         self.rng = random.Random(config.seed)
-        self.windows: list = [("flip", w) for w in _flip_windows(region)]
+        self.windows: list = [("flip", w) for w in region.flip_windows.values()]
         self.with_trits = config.moves == "flips+trits"
         if self.with_trits:
-            self.windows += [("trit", w) for w in _trit_windows(region)]
+            self.windows += [("trit", w) for w in region.trit_windows.values()]
         if not self.windows:
             raise InvalidRegion("region admits no move windows")
         self.twist_offset = 0  # twist relative to the start tiling
@@ -150,45 +73,15 @@ class _Chain:
                 partner[i01], partner[i11] = i11, i01
             return
         ids, swaps = window
-        inside = tuple(
-            sorted((i, partner[i]) for i in ids if partner[i] in ids and i < partner[i])
-        )
+        inside = _held(partner, ids)
         replacement = swaps.get(inside)
         if replacement is None:
             return
         if self.region.d == 3:
-            self.twist_offset += self._twist_delta(inside, replacement)
+            self.twist_offset += trit_sign(self.region, partner, inside, replacement)
         # the replacement covers exactly the same six cells
         for i, j in replacement:
             partner[i], partner[j] = j, i
-
-    def _twist_delta(self, removed_pairs, added_pairs) -> int:
-        from .twist import _tau_cross, _tau_within, calibration
-
-        removed = [self._domino(i, j) for i, j in removed_pairs]
-        added = [self._domino(i, j) for i, j in added_pairs]
-        removed_set = set(removed_pairs)
-        rest = [
-            self._domino(i, j)
-            for i, j in enumerate(self.partner)
-            if i < j and (i, j) not in removed_set
-        ]
-        cal = calibration()
-        delta = (
-            _tau_within(added, 2)
-            + _tau_cross(added, rest, 2)
-            - _tau_within(removed, 2)
-            - _tau_cross(removed, rest, 2)
-        )
-        value = cal.sign * 2 * cal.kappa * delta
-        if value not in (1, -1):
-            raise InvalidTiling(f"trit changed the twist by {value}")
-        return int(value)
-
-    def _domino(self, i: int, j: int) -> Domino:
-        low, high = self.region.cells[i], self.region.cells[j]
-        axis = next(a for a in range(self.region.d) if low[a] != high[a])
-        return Domino(low, axis)
 
     def tiling(self) -> Tiling:
         return Tiling(self.region, tuple(self.partner))

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 
 from .core import Cell, Domino, Region, Tiling, make_region, tiling_from_dominoes
 from .errors import CapExceeded, InflationError, InvalidRegion, MoveNotApplicable
+from .explore import UnionFind
 from .twist import pretwist
 
 COLORS = ("R", "Y", "G", "B")
@@ -311,6 +312,23 @@ def apply_slab_flip(tiling: SlabTiling, move: SlabFlip) -> SlabTiling:
     if report is not None:
         raise MoveNotApplicable(report)
     return result
+
+
+def slab_flip_components(
+    region: Region, cap: int | None = 1_000_000
+) -> list[list[SlabTiling]]:
+    """Union-find census over the slab flips of every slab tiling: the
+    components, each listing its tilings in enumeration order."""
+    tilings = list(enumerate_slab_tilings(region, cap))
+    index = {t.slabs: i for i, t in enumerate(tilings)}
+    uf = UnionFind(len(tilings))
+    for i, t in enumerate(tilings):
+        for move in list_slab_flips(t):
+            uf.union(i, index[apply_slab_flip(t, move).slabs])
+    components: dict[int, list[SlabTiling]] = {}
+    for i, t in enumerate(tilings):
+        components.setdefault(uf.find(i), []).append(t)
+    return list(components.values())
 
 
 # ---------------------------------------------------------------------------

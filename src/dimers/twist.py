@@ -31,7 +31,7 @@ from .core import (
     base_vertical_tiling,
     color_sign,
     domino_orientation,
-    encode,
+    pair_domino,
 )
 from .errors import (
     CalibrationError,
@@ -186,8 +186,9 @@ def calibration() -> Calibration:
                 break
         if ok:
             return Calibration(kappa=kappa, sign=1, kasteleyn_rule=KASTELEYN_RULE_ID)
+    candidates = ", ".join(map(str, _KAPPA_CANDIDATES))
     raise CalibrationError(
-        "no normalization in {1/4, 1/2} satisfies the twist invariants"
+        f"no normalization in {{{candidates}}} satisfies the twist invariants"
     )
 
 
@@ -228,13 +229,25 @@ def twist(tiling: Tiling) -> int:
     return int(value)
 
 
-def trit_sign(before: Tiling, after: Tiling, move) -> int:
-    """Twist step of a trit, from the local change in the pairwise sum."""
+def trit_sign(region: Region, partner, removed_pairs, added_pairs) -> int:
+    """Twist step of a trit that replaces the dominoes on removed_pairs
+    (index pairs of the tiling `partner`) by those on added_pairs.
+
+    In 3D it is the local change in the pairwise sum and must be +1 or -1.
+    In dimension 4 and up the twist lives in Z/2, every trit flips it, and
+    the step is reported as +1.
+    """
+    if region.d >= 4:
+        return 1
     cal = calibration()
-    removed = set(move.removed)
-    before_doms = before.dominoes()
-    added = set(after.dominoes()) - set(before_doms)
-    rest = [d for d in before_doms if d not in removed]
+    removed = [pair_domino(region, i, j) for i, j in removed_pairs]
+    added = [pair_domino(region, i, j) for i, j in added_pairs]
+    removed_set = set(removed_pairs)
+    rest = [
+        pair_domino(region, i, j)
+        for i, j in enumerate(partner)
+        if i < j and (i, j) not in removed_set
+    ]
     delta = (
         _tau_within(added, 2)
         + _tau_cross(added, rest, 2)
@@ -251,14 +264,13 @@ def trit_sign(before: Tiling, after: Tiling, move) -> int:
 # the path oracle
 
 
-def _signed_neighbors(tiling: Tiling):
-    from .moves import apply_flip, apply_trit, list_flips, list_trits
+def _signed_neighbors(region: Region, partner):
+    from .moves import flip_neighbors, trit_neighbors
 
-    for move in list_flips(tiling):
-        yield apply_flip(tiling, move), 0
-    for move in list_trits(tiling):
-        after, sign = apply_trit(tiling, move)
-        yield after, sign
+    for nxt in flip_neighbors(region, partner):
+        yield nxt, 0
+    for nxt, removed, added in trit_neighbors(region, partner):
+        yield nxt, trit_sign(region, partner, removed, added)
 
 
 def twist_by_path(
@@ -266,27 +278,26 @@ def twist_by_path(
 ) -> int:
     """Sum of trit signs along a flip/trit path from the base tiling.
 
-    Breadth-first search; path independence is checked separately by the
-    test suite's cycle-space sweep.  Raises NotReachable when the search
-    cap is hit first.
+    Breadth-first search over partner tuples; path independence is checked
+    separately by the test suite's cycle-space sweep.  Raises NotReachable
+    when the search cap is hit first.
     """
+    region = tiling.region
     if base is None:
-        base = _reference_tiling(tiling.region)
-    target = encode(tiling)
-    start = encode(base)
-    if target == start:
+        base = _reference_tiling(region)
+    target = tiling.partner
+    if target == base.partner:
         return 0
-    potentials = {start: 0}
-    queue = deque([base])
+    potentials = {base.partner: 0}
+    queue = deque([base.partner])
     while queue:
         current = queue.popleft()
-        level = potentials[encode(current)]
-        for nxt, sign in _signed_neighbors(current):
-            key = encode(nxt)
-            if key in potentials:
+        level = potentials[current]
+        for nxt, sign in _signed_neighbors(region, current):
+            if nxt in potentials:
                 continue
-            potentials[key] = level + sign
-            if key == target:
+            potentials[nxt] = level + sign
+            if nxt == target:
                 return level + sign
             if len(potentials) > cap:
                 raise NotReachable(f"no path found within {cap} visited tilings")
@@ -296,35 +307,9 @@ def twist_by_path(
 
 def twist_mod2(tiling: Tiling, *, cap: int = _PATH_CAP) -> int:
     """Parity of the trit count along any path from the base (d >= 4)."""
-    from .moves import apply_flip, list_flips, list_trits, _apply_trit_structural
-
     if tiling.region.d < 4:
         raise InvalidRegion("twist_mod2 is the d >= 4 invariant; use twist in 3D")
-    base = _reference_tiling(tiling.region)
-    target = encode(tiling)
-    start = encode(base)
-    if target == start:
-        return 0
-    parities = {start: 0}
-    queue = deque([base])
-    while queue:
-        current = queue.popleft()
-        level = parities[encode(current)]
-        neighbors = [(apply_flip(current, m), 0) for m in list_flips(current)]
-        neighbors += [
-            (_apply_trit_structural(current, m), 1) for m in list_trits(current)
-        ]
-        for nxt, step in neighbors:
-            key = encode(nxt)
-            if key in parities:
-                continue
-            parities[key] = (level + step) % 2
-            if key == target:
-                return parities[key]
-            if len(parities) > cap:
-                raise NotReachable(f"no path found within {cap} visited tilings")
-            queue.append(nxt)
-    raise NotReachable("target tiling is not flip/trit reachable from the base")
+    return twist_by_path(tiling, cap=cap) % 2
 
 
 # ---------------------------------------------------------------------------

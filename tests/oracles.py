@@ -2,10 +2,12 @@
 
 Deliberately different algorithms from the package: the permanent of the
 white/black biadjacency via Ryser's formula counts matchings without any
-profile DP, and the naive enumerator matches cells recursively over an
-explicit adjacency list with no canonical ordering tricks.
+profile DP, the naive enumerator matches cells recursively over an
+explicit adjacency list with no canonical ordering tricks, and the naive
+move neighbours rematch small groups of dominoes of a cell-pair set
+instead of scanning precomputed windows.
 """
-from itertools import combinations
+from itertools import combinations, product
 
 from dimers.core import color_sign
 
@@ -82,3 +84,68 @@ def tiling_to_pairset(tiling) -> frozenset:
         for i, j in enumerate(tiling.partner)
         if i < j
     )
+
+
+def _adjacent(a, b) -> bool:
+    return sum(abs(x - y) for x, y in zip(a, b)) == 1
+
+
+def _axis(pair) -> int:
+    a, b = tuple(pair)
+    return next(k for k in range(len(a)) if a[k] != b[k])
+
+
+def _matchings(cells: frozenset):
+    """Every perfect matching of a small cell set by adjacent pairs."""
+    if not cells:
+        yield frozenset()
+        return
+    first = min(cells)
+    for other in cells:
+        if _adjacent(first, other):
+            for rest in _matchings(cells - {first, other}):
+                yield rest | {frozenset((first, other))}
+
+
+def _block(cells) -> list:
+    """All cells of the bounding box of `cells`."""
+    lo = [min(c[k] for c in cells) for k in range(len(next(iter(cells))))]
+    hi = [max(c[k] for c in cells) for k in range(len(lo))]
+    return list(product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+
+
+def _rematched(pairset: frozenset, group, keep) -> set[frozenset]:
+    """Tilings that replace the dominoes of `group` by another matching of
+    their cells for which keep(matching) holds."""
+    cells = frozenset().union(*group)
+    return {
+        (pairset - set(group)) | m
+        for m in _matchings(cells)
+        if m != set(group) and keep(m)
+    }
+
+
+def naive_flip_neighbors(pairset: frozenset) -> set[frozenset]:
+    """Tilings one flip away: two dominoes filling a unit square, rotated."""
+    out = set()
+    for group in combinations(pairset, 2):
+        cells = frozenset().union(*group)
+        if len(_block(cells)) == 4:
+            out |= _rematched(pairset, group, lambda m: True)
+    return out
+
+
+def naive_trit_neighbors(pairset: frozenset, region) -> set[frozenset]:
+    """Tilings one trit away: three pairwise orthogonal dominoes inside a
+    2x2x2 block that lies in the region, rematched with one domino per
+    axis."""
+    out = set()
+    cell_set = set(region.cells)
+    for group in combinations(pairset, 3):
+        if len({_axis(p) for p in group}) != 3:
+            continue
+        block = _block(frozenset().union(*group))
+        if len(block) != 8 or not cell_set.issuperset(block):
+            continue
+        out |= _rematched(pairset, group, lambda m: len({_axis(p) for p in m}) == 3)
+    return out

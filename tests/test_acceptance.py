@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The extended-scale
-census (criterion 3) is opt-in via --run-extended: it needs hours of
-runtime and large scratch space.
+census (criterion 3) is opt-in via --run-extended: it needs about a week
+of runtime (see the README) and large scratch space.
 """
 import time
 from collections import Counter

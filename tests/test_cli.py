@@ -185,6 +185,7 @@ def test_exit_code_usage_errors(in_tmp, capsys):
 
 def test_exit_code_calibration(in_tmp, capsys, monkeypatch):
     import importlib
+    from fractions import Fraction
 
     twist_module = importlib.import_module("dimers.twist")
     from dimers.errors import CalibrationError
@@ -194,6 +195,36 @@ def test_exit_code_calibration(in_tmp, capsys, monkeypatch):
 
     monkeypatch.setattr(twist_module, "calibration", boom)
     assert main(["count", "--box", "2,2"]) == 4
+    monkeypatch.undo()
+
+    # a real calibration failure names every candidate it tried
+    candidates = (Fraction(1, 3), Fraction(1, 5))
+    monkeypatch.setattr(twist_module, "_KAPPA_CANDIDATES", candidates)
+    twist_module.calibration.cache_clear()
+    try:
+        capsys.readouterr()
+        assert main(["count", "--box", "2,2"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: no normalization in {1/3, 1/5} satisfies")
+    finally:
+        twist_module.calibration.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--box", "3,3,2", "--config"],
+        ["--config", "missing.txt", "count"],
+        ["count", "--disk", "missing.txt", "--height", "2"],
+        ["twist", "--box", "2,2,2", "--tiling", "missing.jsonl"],
+    ],
+    ids=["config-without-value", "missing-config", "missing-disk", "missing-tiling"],
+)
+def test_bad_arguments_end_in_one_error_line(in_tmp, capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_config_file(in_tmp, capsys):

@@ -1,9 +1,13 @@
+from itertools import product
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dimers.core import (
     Domino,
     color_sign,
     base_vertical_tiling,
+    decode,
     domino_cells,
     encode,
     make_box,
@@ -11,10 +15,11 @@ from dimers.core import (
     tiling_from_dominoes,
     validate,
 )
-from dimers.errors import MoveNotApplicable, RegionMismatch
+from dimers.errors import CalibrationError, MoveNotApplicable, RegionMismatch
 from dimers.explore import enumerate_tilings, flip_free_tilings
 from dimers.moves import (
     FlipMove,
+    _apply_trit_structural,
     apply_flip,
     apply_trit,
     difference_cycles,
@@ -28,7 +33,12 @@ from dimers.moves import (
 )
 from dimers.twist import twist
 
-from oracles import naive_tilings, tiling_to_pairset
+from oracles import (
+    naive_flip_neighbors,
+    naive_tilings,
+    naive_trit_neighbors,
+    tiling_to_pairset,
+)
 
 
 def test_list_flips_on_base_vertical_332():
@@ -251,3 +261,78 @@ def test_enumeration_matches_naive_oracle_on_small_regions():
         ours = {tiling_to_pairset(t) for t in enumerate_tilings(region)}
         oracle = set(naive_tilings(region))
         assert ours == oracle
+
+
+@st.composite
+def small_3d_regions(draw):
+    """A box of at most 16 cells, or a connected set of up to 16 cells
+    grown one face-neighbour at a time from one cell or from a 2x2x2
+    block (trits need such a block)."""
+    kind = draw(st.sampled_from(["box", "cell", "block"]))
+    if kind == "box":
+        dims = draw(
+            st.tuples(*[st.integers(1, 4)] * 3).filter(
+                lambda d: d[0] * d[1] * d[2] <= 16
+            )
+        )
+        return make_box(dims)
+    if kind == "cell":
+        cells = [(0, 0, 0)]
+    else:
+        cells = [(1 + x, 1 + y, 1 + z) for x, y, z in product((0, 1), repeat=3)]
+    size = draw(st.integers(len(cells) // 2, 8)) * 2
+    while len(cells) < size:
+        frontier = sorted(
+            {
+                c[:k] + (c[k] + s,) + c[k + 1 :]
+                for c in cells
+                for k in range(3)
+                for s in (1, -1)
+                if c[k] + s >= 0
+            }
+            - set(cells)
+        )
+        cells.append(draw(st.sampled_from(frontier)))
+    return make_region(cells)
+
+
+# random regions this small rarely admit a trit, so three that do are
+# always checked: two orientations of the 3x3x2 box and a general region
+@settings(max_examples=40, deadline=None)
+@given(small_3d_regions())
+@example(make_box((3, 3, 2)))
+@example(make_box((2, 3, 3)))
+@example(make_region([*make_box((3, 3, 2)).cells, (3, 0, 0), (3, 0, 1)]))
+def test_moves_match_naive_oracle_and_undo(region):
+    for t in enumerate_tilings(region):
+        pairs = tiling_to_pairset(t)
+        flips = list_flips(t)
+        flipped = [apply_flip(t, m) for m in flips]
+        assert len(flips) == len(set(flips))
+        assert {tiling_to_pairset(f) for f in flipped} == naive_flip_neighbors(pairs)
+        for move, after in zip(flips, flipped):
+            reverse = FlipMove(move.corner, move.axes, move.after_axis)
+            assert apply_flip(after, reverse) == t
+        trits = list_trits(t)
+        tritted = [_apply_trit_structural(t, m) for m in trits]
+        assert len(trits) == len(set(trits))
+        assert {tiling_to_pairset(a) for a in tritted} == naive_trit_neighbors(
+            pairs, region
+        )
+        for move, after in zip(trits, tritted):
+            (back,) = [
+                m for m in list_trits(after)
+                if m.corner == move.corner and m.axes == move.axes
+            ]
+            assert _apply_trit_structural(after, back) == t
+
+
+def test_apply_trit_rejects_a_trit_that_does_not_step_the_twist_by_one():
+    # on this general region the pairwise delta of one trit is 5/4, so the
+    # formula's trit sign is undefined there and must not be rounded
+    box = make_box((3, 3, 4))
+    region = make_region([c for c in box.cells if c not in {(2, 2, 3), (2, 1, 3)}])
+    t = decode(bytes.fromhex("80046d189b0061157652b2891d"), region)
+    (move,) = [m for m in list_trits(t) if m.corner == (1, 0, 1)]
+    with pytest.raises(CalibrationError, match="5/4"):
+        apply_trit(t, move)

@@ -2,8 +2,16 @@ from collections import Counter
 
 import pytest
 
-from dimers.core import base_vertical_tiling, encode, make_box, validate
-from dimers.errors import InvalidRegion, InvalidTiling
+from dimers.core import (
+    base_vertical_tiling,
+    decode,
+    encode,
+    make_box,
+    make_cylinder,
+    make_region,
+    validate,
+)
+from dimers.errors import CalibrationError, InvalidRegion, InvalidTiling
 from dimers.explore import enumerate_tilings, flip_free_tilings, twist_census
 from dimers.sample import (
     ChainConfig,
@@ -118,6 +126,66 @@ def test_incremental_twist_matches_formula():
     for _ in range(3_000):
         chain.step()
     assert twist(start) + chain.twist_offset == twist(chain.tiling())
+
+
+# The seeded outputs below pin the RNG stream: they change if the window
+# list, its order or the move applied in a window changes.
+
+def test_seeded_twist_histograms_are_pinned():
+    region = make_box((3, 3, 4))
+    flips = twist_distribution(
+        region, ChainConfig(moves="flips", steps=0, seed=1), samples=300
+    )
+    assert flips.counts == {0: 300}
+    trits = twist_distribution(
+        region, ChainConfig(moves="flips+trits", steps=0, seed=1), samples=300
+    )
+    assert trits.counts == {-1: 9, 0: 279, 1: 12}
+
+
+@pytest.mark.parametrize(
+    "region, moves, seed, expected",
+    [
+        (
+            make_box((4, 4, 6)),
+            "flips",
+            5,
+            "92586c832056c3d8b1ac80488bb2090b30b0ac124863b5295ab20c62d94c2cabb1ec5836",
+        ),
+        (
+            make_box((4, 4, 6)),
+            "flips+trits",
+            5,
+            "12cb6e12006d12066cacc4b25b12b16c96b02c584860b1810558b06cd84891b2654bd8b0",
+        ),
+        (
+            make_cylinder(
+                make_region(
+                    [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
+                ),
+                4,
+            ),
+            "flips+trits",
+            2,
+            "12bb012c2bb15bc2b2009024",
+        ),
+    ],
+)
+def test_seeded_final_states_are_pinned(region, moves, seed, expected):
+    start = base_vertical_tiling(region)
+    final = mcmc_run(region, start, ChainConfig(moves=moves, steps=20_000, seed=seed))
+    assert encode(final).hex() == expected
+
+
+def test_chain_rejects_a_trit_that_does_not_step_the_twist_by_one():
+    # the same trit as in test_moves: its pairwise delta is 5/4
+    box = make_box((3, 3, 4))
+    region = make_region([c for c in box.cells if c not in {(2, 2, 3), (2, 1, 3)}])
+    start = decode(bytes.fromhex("80046d189b0061157652b2891d"), region)
+    chain = _Chain(region, start, ChainConfig(moves="flips+trits", steps=0))
+    chain.windows = [("trit", region.trit_windows[(region.index[(1, 0, 1)], (0, 1, 2))])]
+    with pytest.raises(CalibrationError, match="5/4"):
+        chain.step()
 
 
 def test_twist_distribution_point_mass_on_222():

@@ -18,6 +18,7 @@ from dimers.slab import (
     list_slab_flips,
     pair_twist,
     read_slab_tilings,
+    slab_flip_components,
     slab_cells,
     triple_twist,
     validate_slab_tiling,
@@ -170,15 +171,11 @@ def test_triple_twist_relations_hold_exhaustively():
 
 
 def test_triple_twist_constant_on_flip_components():
-    for dims in [(4, 2, 2), (4, 4, 2)]:
-        tilings = list(enumerate_slab_tilings(make_box(dims)))
-        index = {t.slabs: i for i, t in enumerate(tilings)}
-        uf = UnionFind(len(tilings))
-        for i, t in enumerate(tilings):
-            for move in list_slab_flips(t):
-                uf.union(i, index[apply_slab_flip(t, move).slabs])
-        for i, t in enumerate(tilings):
-            assert triple_twist(t) == triple_twist(tilings[uf.find(i)])
+    for dims, total in [((4, 2, 2), 11), ((4, 4, 2), 165)]:
+        components = slab_flip_components(make_box(dims))
+        assert sum(map(len, components)) == total
+        for component in components:
+            assert len({triple_twist(t) for t in component}) == 1
 
 
 def test_slab_flip_census_matches_brute_force():
