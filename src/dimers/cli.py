@@ -54,15 +54,15 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 def _load_disk(path: str):
     """Disk file: one row of #/. characters per line, or a JSON region
     record on the first line."""
-    text = Path(path).read_text(encoding="utf-8")
-    first = text.lstrip().splitlines()[0] if text.strip() else ""
-    if first.startswith("{"):
-        from .core import region_from_record
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    rows = [(n, row) for n, row in enumerate(lines, 1) if row.strip()]
+    if rows and rows[0][1].lstrip().startswith("{"):
+        from .core import json_record, region_from_record
 
-        return region_from_record(json.loads(first))
+        lineno, first = rows[0]
+        return region_from_record(json_record(first, path, lineno))
     cells = []
-    rows = [row for row in text.splitlines() if row.strip()]
-    for r, row in enumerate(reversed(rows)):
+    for r, (_, row) in enumerate(reversed(rows)):
         for c, ch in enumerate(row):
             if ch == "#":
                 cells.append((c, r))
@@ -392,12 +392,18 @@ _HANDLERS = {
 def _apply_config(argv: list[str]) -> list[str]:
     """Prepend key=value pairs from --config as flags; explicit flags win
     because argparse takes the last occurrence."""
-    if "--config" not in argv:
+    for at, token in enumerate(argv):
+        if token == "--config":
+            at += 1
+            path = argv[at] if at < len(argv) else ""
+            break
+        if token.startswith("--config="):
+            path = token.partition("=")[2]
+            break
+    else:
         return argv
-    at = argv.index("--config")
-    if at + 1 == len(argv):
+    if not path:
         raise DimersError("--config needs a file path")
-    path = argv[at + 1]
     extra = []
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
@@ -407,8 +413,8 @@ def _apply_config(argv: list[str]) -> list[str]:
         extra.append(f"--{key.strip()}")
         if value.strip():
             extra.append(value.strip())
-    head = argv[: at + 2]
-    tail = argv[at + 2 :]
+    head = argv[: at + 1]
+    tail = argv[at + 1 :]
     if tail and not tail[0].startswith("-"):
         # insert config flags after the subcommand word
         return head + [tail[0]] + extra + tail[1:]

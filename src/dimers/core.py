@@ -568,15 +568,24 @@ def write_tilings(path, region: Region, tilings: Iterable[Tiling]) -> int:
     return count
 
 
+def json_record(line: str, path, lineno: int):
+    """The JSON value on line `lineno` of `path`; DecodeError names the
+    line when it is not JSON."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DecodeError(f"{path} line {lineno}: bad JSON ({exc.msg})") from None
+
+
 def read_tilings(path) -> tuple[Region, list[Tiling]]:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header:
             raise DecodeError("empty tiling file")
-        region = region_from_record(json.loads(header))
+        region = region_from_record(json_record(header, path, 1))
         tilings = [
-            tiling_from_record(json.loads(line), region)
-            for line in fh
+            tiling_from_record(json_record(line, path, lineno), region)
+            for lineno, line in enumerate(fh, 2)
             if line.strip()
         ]
     return region, tilings

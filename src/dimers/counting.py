@@ -1,14 +1,19 @@
 """Exact tiling counts.
 
-Three routes, all exact integer arithmetic:
+Every exact count goes through one path:
 
 * count_region: broken-profile DP over the cells in (last axis, ..., first
   axis) order.  The profile spans one cross-section plus a partial row, so
   its width is bounded by the disk size.  Works in any dimension and for
   general regions.
-* count_cylinder: plug automaton for small disks (explicit transfer matrix,
-  binary exponentiation), falling back to the profile DP on the product
-  region for wider disks.  Both compute (T^N)[empty, empty].
+* count_cylinder: the profile DP on disk x [0, height).  Sweeping floor by
+  floor, its profile is the plug of the transfer automaton, so it computes
+  (T^N)[empty, empty] without building T.
+
+Two objects stand beside it as checks:
+
+* build_automaton: the plug automaton's explicit transfer matrix, for
+  inspection and as an independent route to cylinder counts in the tests.
 * count_rect_2d_formula: the classical trigonometric double product for
   2D rectangles, as a floating-point cross-check of the DP.
 """
@@ -16,16 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .core import Region, make_cylinder
+from .core import Region, make_region
 from .errors import InvalidRegion, WidthGuardExceeded
 
 WIDTH_GUARD = 24  # 2^24 profile states worst case; refuse rather than thrash
-
-# explicit automata are only built for small disks; beyond this the dense
-# transfer matrix stops paying for itself and the profile DP takes over
-AUTOMATON_MAX_DISK = 10
 
 
 def _dp_plan(region: Region) -> list[list[int]]:
@@ -159,76 +159,32 @@ def build_automaton(disk: Region, *, width_guard: int = WIDTH_GUARD) -> PlugAuto
         raise WidthGuardExceeded(
             f"disk has {disk.n_cells} cells, guard is {width_guard}"
         )
-    reached: dict[int, int] = {0: 0}
-    order = [0]
-    rows: list[dict[int, int]] = []
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for plug in frontier:
-            transitions = _floor_transitions(disk, plug)
-            for q in transitions:
-                if q not in reached:
-                    reached[q] = len(order)
-                    order.append(q)
-                    nxt.append(q)
-            rows.append(transitions)
-        frontier = nxt
-    size = len(order)
-    matrix = [[0] * size for _ in range(size)]
-    for i, plug in enumerate(order):
-        for q, weight in _floor_transitions(disk, plug).items():
-            matrix[i][reached[q]] = weight
-    return PlugAutomaton(
-        disk=disk,
-        plugs=tuple(order),
-        matrix=tuple(tuple(row) for row in matrix),
-    )
+    plugs = [0]
+    index = {0: 0}
+    rows = []
+    for plug in plugs:  # breadth first: plugs grows while it is walked
+        transitions = _floor_transitions(disk, plug)
+        for q in transitions:
+            if q not in index:
+                index[q] = len(plugs)
+                plugs.append(q)
+        rows.append(transitions)
+    matrix = []
+    for transitions in rows:
+        row = [0] * len(plugs)
+        for q, weight in transitions.items():
+            row[index[q]] = weight
+        matrix.append(tuple(row))
+    return PlugAutomaton(disk=disk, plugs=tuple(plugs), matrix=tuple(matrix))
 
 
-def _mat_mul(a, b):
-    size = len(a)
-    bt = list(zip(*b))
-    return [
-        [sum(x * y for x, y in zip(row, col) if x and y) for col in bt]
-        for row in a
-    ]
-
-
-def _mat_pow_entry(matrix, n: int) -> int:
-    """(matrix^n)[0][0] by binary exponentiation over exact integers."""
-    size = len(matrix)
-    result = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    base = [list(row) for row in matrix]
-    while n:
-        if n & 1:
-            result = _mat_mul(result, base)
-        n >>= 1
-        if n:
-            base = _mat_mul(base, base)
-    return result[0][0]
-
-
-def count_cylinder(
-    disk: Region,
-    height: int,
-    *,
-    width_guard: int = WIDTH_GUARD,
-    automaton_max_disk: int = AUTOMATON_MAX_DISK,
-) -> int:
-    """Tilings of disk x [0, height) as closed automaton paths."""
+def count_cylinder(disk: Region, height: int, *, width_guard: int = WIDTH_GUARD) -> int:
+    """Tilings of disk x [0, height) by the profile DP."""
     if height < 1:
         raise InvalidRegion(f"cylinder height must be >= 1, got {height}")
     if disk.n_cells > width_guard:
         raise WidthGuardExceeded(
             f"disk has {disk.n_cells} cells, guard is {width_guard}"
         )
-    if disk.n_cells <= automaton_max_disk:
-        automaton = _cached_automaton(disk)
-        return _mat_pow_entry(automaton.matrix, height)
-    return count_region(make_cylinder(disk, height), width_guard=width_guard)
-
-
-@lru_cache(maxsize=32)
-def _cached_automaton(disk: Region) -> PlugAutomaton:
-    return build_automaton(disk)
+    cells = [c + (z,) for z in range(height) for c in disk.cells]
+    return count_region(make_region(cells, d=disk.d + 1), width_guard=width_guard)

@@ -6,18 +6,25 @@ restartable.  In-memory censuses key tilings by their partner tuples and
 walk the moves of the region's window tables; canonical encodings name
 component representatives, and key the SQLite visited set that the
 extended path for billion-tiling regions spills to disk.
+
+Two graph routines serve every census and path question: components, one
+union-find over any state graph (flip censuses, the component/trit graph,
+slab flips, the 2D sweep), and search_path, one breadth-first tree path
+(the twist path oracle and the ideal containment certificates).  Only the
+extended census keeps its own disk-backed sweep.
 """
 from __future__ import annotations
 
 import csv
+import json
 import sqlite3
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .core import Region, Tiling, decode, encode
+from .core import Region, Tiling, decode, encode, make_region, region_to_record
 from .counting import count_region
-from .errors import CapExceeded
+from .errors import CapExceeded, DimersError, NotReachable
 from .moves import flip_neighbors, list_flips, trit_neighbors
 
 DEFAULT_CAP = 10_000_000
@@ -86,6 +93,54 @@ class UnionFind:
         self.size[ra] += self.size[rb]
 
 
+def components(states, neighbors) -> list[list[int]]:
+    """Connected components of the graph on `states` (hashable) whose
+    edges join each state to every state in neighbors(state); those must
+    all be in `states`.  Each component lists its members' indices in
+    increasing order, and components come in order of their first member.
+    """
+    index = {state: i for i, state in enumerate(states)}
+    uf = UnionFind(len(index))
+    for i, state in enumerate(states):
+        for other in neighbors(state):
+            uf.union(i, index[other])
+    members: dict[int, list[int]] = {}
+    for i in range(len(index)):
+        members.setdefault(uf.find(i), []).append(i)
+    return list(members.values())
+
+
+def search_path(start, target, neighbors, cap: int | None = None):
+    """Breadth-first tree path from start to target.
+
+    neighbors(state) yields (next state, edge label) pairs.  Returns the
+    steps after start as (state, label) pairs, ending at target; [] when
+    start is the target, None when target is unreachable.  Raises
+    NotReachable once more than `cap` states are visited.
+    """
+    if start == target:
+        return []
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        current = queue.popleft()
+        for nxt, label in neighbors(current):
+            if nxt in parents:
+                continue
+            parents[nxt] = (current, label)
+            if nxt == target:
+                steps = []
+                while nxt != start:
+                    prev, label = parents[nxt]
+                    steps.append((nxt, label))
+                    nxt = prev
+                return steps[::-1]
+            if cap is not None and len(parents) > cap:
+                raise NotReachable(f"no path found within {cap} visited tilings")
+            queue.append(nxt)
+    return None
+
+
 @dataclass
 class ComponentCensus:
     """Flip components: per-component size and a canonical representative
@@ -116,28 +171,21 @@ def _flip_census(region: Region, cap: int | None):
     components as (size, smallest encoding, member ids), largest first."""
     tilings = list(enumerate_tilings(region, cap))
     index = {t.partner: i for i, t in enumerate(tilings)}
-    uf = UnionFind(len(tilings))
-    for i, t in enumerate(tilings):
-        for after in flip_neighbors(region, t.partner):
-            uf.union(i, index[after])
-    members: dict[int, list[int]] = {}
-    for i in range(len(tilings)):
-        members.setdefault(uf.find(i), []).append(i)
-    components = sorted(
+    found = sorted(
         (
             (len(ids), min(encode(tilings[i]) for i in ids), ids)
-            for ids in members.values()
+            for ids in components(index, lambda p: flip_neighbors(region, p))
         ),
         key=lambda triple: (-triple[0], triple[1]),
     )
-    return tilings, index, components
+    return tilings, index, found
 
 
 def flip_components(region: Region, cap: int | None = DEFAULT_CAP) -> ComponentCensus:
     """Union-find census over the flip edges of the full tiling set."""
-    _, _, components = _flip_census(region, cap)
+    _, _, found = _flip_census(region, cap)
     return ComponentCensus(
-        region=region, components=[(size, rep) for size, rep, _ in components]
+        region=region, components=[(size, rep) for size, rep, _ in found]
     )
 
 
@@ -149,8 +197,8 @@ def flip_free_tilings(region: Region, cap: int | None = DEFAULT_CAP) -> list[Til
 def flip_connected(region: Region, cap: int | None = DEFAULT_CAP) -> bool:
     """Whether all tilings form a single flip component (vacuously true
     for regions with at most one tiling)."""
-    census = flip_components(region, cap)
-    return len(census.components) <= 1
+    partners = [t.partner for t in enumerate_tilings(region, cap)]
+    return len(components(partners, lambda p: flip_neighbors(region, p))) <= 1
 
 
 @dataclass
@@ -163,30 +211,18 @@ class ComponentTritGraph:
     edges: set[tuple[int, int]]
 
     def is_connected(self) -> bool:
-        n = len(self.census.components)
-        if n <= 1:
-            return True
-        adjacency: dict[int, list[int]] = {i: [] for i in range(n)}
+        adjacency = {i: [] for i in range(len(self.census.components))}
         for a, b in self.edges:
             adjacency[a].append(b)
-            adjacency[b].append(a)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == n
+        return len(components(adjacency, adjacency.__getitem__)) <= 1
 
 
 def component_trit_graph(region: Region, cap: int | None = DEFAULT_CAP) -> ComponentTritGraph:
     from .twist import twist as _twist_of
 
-    tilings, index, components = _flip_census(region, cap)
+    tilings, index, found = _flip_census(region, cap)
     comp_of = [0] * len(tilings)
-    for comp_id, (_, _, ids) in enumerate(components):
+    for comp_id, (_, _, ids) in enumerate(found):
         for i in ids:
             comp_of[i] = comp_id
     edges: set[tuple[int, int]] = set()
@@ -195,10 +231,10 @@ def component_trit_graph(region: Region, cap: int | None = DEFAULT_CAP) -> Compo
             a, b = comp_of[i], comp_of[index[after]]
             if a != b:
                 edges.add((min(a, b), max(a, b)))
-    twists = [_twist_of(tilings[ids[0]]) for _, _, ids in components]
+    twists = [_twist_of(tilings[ids[0]]) for _, _, ids in found]
     census = ComponentCensus(
         region=region,
-        components=[(size, rep) for size, rep, _ in components],
+        components=[(size, rep) for size, rep, _ in found],
     )
     return ComponentTritGraph(census=census, twists=twists, edges=edges)
 
@@ -280,10 +316,6 @@ _TRANSFORMS = (
 )
 
 
-def _poly_canonical(cells) -> tuple:
-    return min(_poly_normalize([t(x, y) for x, y in cells]) for t in _TRANSFORMS)
-
-
 def _simply_connected(cells: frozenset) -> bool:
     """No holes: the complement of the shape is connected within an
     inflated bounding box."""
@@ -309,14 +341,17 @@ def iter_free_simply_connected_polyominoes(
 ) -> Iterator[tuple]:
     """One representative per free simply connected polyomino class.
 
-    A fixed shape is kept only when it equals its own dihedral canonical
-    form, so no dedup set is needed.
+    A fixed shape is kept only when no dihedral image of it normalises
+    below it, so no dedup set is needed; the first smaller image rejects it.
     """
     for cells in _fixed_polyominoes(max_cells):
         if even_only and len(cells) % 2:
             continue
         normalized = _poly_normalize(cells)
-        if normalized != _poly_canonical(cells):
+        if any(
+            _poly_normalize([t(x, y) for x, y in cells]) < normalized
+            for t in _TRANSFORMS[1:]
+        ):
             continue
         if not _simply_connected(frozenset(normalized)):
             continue
@@ -324,51 +359,8 @@ def iter_free_simply_connected_polyominoes(
 
 
 def flip_connected_2d(cells: tuple) -> bool:
-    """Lightweight flip-connectivity check for a small 2D cell set.
-
-    Enumerates all tilings directly (no Region machinery) and joins pairs
-    that differ in exactly four cells, which characterizes a single flip.
-    """
-    order = sorted(cells)
-    index = {c: i for i, c in enumerate(order)}
-    n = len(order)
-    if n % 2:
-        return True
-    forward = [
-        tuple(
-            index[nb]
-            for nb in ((order[i][0] + 1, order[i][1]), (order[i][0], order[i][1] + 1))
-            if nb in index
-        )
-        for i in range(n)
-    ]
-    tilings: list[tuple[int, ...]] = []
-    partner = [-1] * n
-
-    def rec(start: int) -> None:
-        i = start
-        while i < n and partner[i] >= 0:
-            i += 1
-        if i == n:
-            tilings.append(tuple(partner))
-            return
-        for j in forward[i]:
-            if partner[j] < 0:
-                partner[i], partner[j] = j, i
-                rec(i + 1)
-                partner[i] = partner[j] = -1
-
-    rec(0)
-    if len(tilings) <= 1:
-        return True
-    uf = UnionFind(len(tilings))
-    for i in range(len(tilings)):
-        for j in range(i + 1, len(tilings)):
-            diff = sum(1 for a, b in zip(tilings[i], tilings[j]) if a != b)
-            if diff == 4:
-                uf.union(i, j)
-    root = uf.find(0)
-    return all(uf.find(i) == root for i in range(len(tilings)))
+    """Flip connectivity of a small 2D cell set, as flip_connected."""
+    return flip_connected(make_region(cells, d=2), cap=None)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +371,9 @@ def flip_connected_2d(cells: tuple) -> bool:
 class DiskBackedSet:
     """Insert-once byte-string set backed by SQLite.
 
-    add() returns True exactly once per key; the file can be reopened to
-    resume an interrupted run.
+    add() returns True exactly once per key, also after the file is
+    reopened.  The keys alone cannot resume a run that was cut off; a
+    second table holds named results, so a finished run can be read back.
     """
 
     def __init__(self, path):
@@ -388,6 +381,9 @@ class DiskBackedSet:
         self._conn.execute("PRAGMA journal_mode=OFF")
         self._conn.execute("PRAGMA synchronous=OFF")
         self._conn.execute("CREATE TABLE IF NOT EXISTS seen (key BLOB PRIMARY KEY)")
+        self._conn.execute(
+            "CREATE TABLE IF NOT EXISTS result (name TEXT PRIMARY KEY, value TEXT)"
+        )
         self._pending = 0
 
     def add(self, key: bytes) -> bool:
@@ -409,6 +405,21 @@ class DiskBackedSet:
     def __len__(self) -> int:
         return self._conn.execute("SELECT COUNT(*) FROM seen").fetchone()[0]
 
+    def __bool__(self) -> bool:
+        return self._conn.execute("SELECT 1 FROM seen LIMIT 1").fetchone() is not None
+
+    def result(self, name: str) -> str | None:
+        row = self._conn.execute(
+            "SELECT value FROM result WHERE name = ?", (name,)
+        ).fetchone()
+        return None if row is None else row[0]
+
+    def store_result(self, name: str, value: str) -> None:
+        self._conn.execute(
+            "INSERT OR REPLACE INTO result (name, value) VALUES (?, ?)", (name, value)
+        )
+        self._conn.commit()
+
     def close(self) -> None:
         self._conn.commit()
         self._conn.close()
@@ -420,13 +431,27 @@ def flip_components_extended(region: Region, scratch_dir) -> ComponentCensus:
     Tilings are enumerated in deterministic order; each unvisited one
     seeds a breadth-first sweep of its whole flip component.  Intended for
     opt-in runs where the tiling count exceeds RAM: runtime is hours and
-    scratch is of the order of the state space.
+    scratch is of the order of the state space.  The finished census is
+    stored in the visited set's file, and a rerun on the same scratch dir
+    returns it; a visited set without a finished census of this region is
+    refused.
     """
     from pathlib import Path
 
-    visited = DiskBackedSet(Path(scratch_dir) / "visited.sqlite")
-    components: list[tuple[int, bytes]] = []
+    path = Path(scratch_dir) / "visited.sqlite"
+    name = json.dumps(region_to_record(region), sort_keys=True)
+    visited = DiskBackedSet(path)
+    found: list[tuple[int, bytes]] = []
     try:
+        stored = visited.result(name)
+        if stored is not None:
+            found = [(size, bytes.fromhex(rep)) for size, rep in json.loads(stored)]
+            return ComponentCensus(region=region, components=found)
+        if visited:
+            raise DimersError(
+                f"{path} holds the visited set of an unfinished or different "
+                "census; remove it or use an empty scratch dir"
+            )
         for t in enumerate_tilings(region, cap=None):
             key = encode(t)
             if not visited.add(key):
@@ -445,8 +470,11 @@ def flip_components_extended(region: Region, scratch_dir) -> ComponentCensus:
                                 smallest = nkey
                             nxt.append(neighbor)
                 frontier = nxt
-            components.append((size, smallest))
+            found.append((size, smallest))
+        found.sort(key=lambda pair: (-pair[0], pair[1]))
+        visited.store_result(
+            name, json.dumps([[size, rep.hex()] for size, rep in found])
+        )
     finally:
         visited.close()
-    components.sort(key=lambda pair: (-pair[0], pair[1]))
-    return ComponentCensus(region=region, components=components)
+    return ComponentCensus(region=region, components=found)

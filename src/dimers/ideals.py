@@ -86,34 +86,21 @@ def containment_certificate(t0: Tiling, t1: Tiling) -> list[tuple[tuple[int, ...
     monomial, flip generator) with the generator oriented so the signed
     sum of monomial*generator equals the tiling binomial exactly.
     """
-    from collections import deque
-
+    from .explore import search_path
     from .moves import flip_neighbors
 
     if t0.region != t1.region:
         raise RegionMismatch("certificate needs a common region")
     region = t0.region
     index = edge_index(region)
-    target = t1.partner
-    parents: dict[tuple[int, ...], tuple[int, ...] | None] = {t0.partner: None}
-    queue = deque([t0.partner])
-    found = t0.partner == target
-    while queue and not found:
-        current = queue.popleft()
-        for nxt in flip_neighbors(region, current):
-            if nxt in parents:
-                continue
-            parents[nxt] = current
-            if nxt == target:
-                found = True
-                break
-            queue.append(nxt)
-    if not found:
+    steps = search_path(
+        t0.partner,
+        t1.partner,
+        lambda partner: ((nxt, None) for nxt in flip_neighbors(region, partner)),
+    )
+    if steps is None:
         raise DecodeError("tilings are not flip connected; no certificate")
-    path = [target]
-    while parents[path[-1]] is not None:
-        path.append(parents[path[-1]])
-    path = [Tiling(region, partner) for partner in reversed(path)]  # t0 .. t1
+    path = [t0] + [Tiling(region, partner) for partner, _ in steps]
     terms = []
     for first, second in zip(path, path[1:]):
         m0 = _tiling_monomial(first, index)

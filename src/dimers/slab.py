@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 from .core import Cell, Domino, Region, Tiling, make_region, tiling_from_dominoes
 from .errors import CapExceeded, InflationError, InvalidRegion, MoveNotApplicable
-from .explore import UnionFind
+from .explore import components
 from .twist import pretwist
 
 COLORS = ("R", "Y", "G", "B")
@@ -319,16 +319,15 @@ def slab_flip_components(
 ) -> list[list[SlabTiling]]:
     """Union-find census over the slab flips of every slab tiling: the
     components, each listing its tilings in enumeration order."""
-    tilings = list(enumerate_slab_tilings(region, cap))
-    index = {t.slabs: i for i, t in enumerate(tilings)}
-    uf = UnionFind(len(tilings))
-    for i, t in enumerate(tilings):
-        for move in list_slab_flips(t):
-            uf.union(i, index[apply_slab_flip(t, move).slabs])
-    components: dict[int, list[SlabTiling]] = {}
-    for i, t in enumerate(tilings):
-        components.setdefault(uf.find(i), []).append(t)
-    return list(components.values())
+    tilings = {t.slabs: t for t in enumerate_slab_tilings(region, cap)}
+
+    def neighbors(slabs):
+        t = tilings[slabs]
+        return (apply_slab_flip(t, move).slabs for move in list_slab_flips(t))
+
+    found = components(tilings, neighbors)
+    ordered = list(tilings.values())
+    return [[ordered[i] for i in ids] for ids in found]
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +360,13 @@ def write_slab_tilings(path, region: Region, tilings: Iterable[SlabTiling]) -> i
 
 
 def read_slab_tilings(path) -> tuple[Region, list[SlabTiling]]:
-    from .core import region_from_record
+    from .core import json_record, region_from_record
 
     with open(path, "r", encoding="utf-8") as fh:
-        region = region_from_record(json.loads(fh.readline()))
+        region = region_from_record(json_record(fh.readline(), path, 1))
         tilings = [
-            slab_tiling_from_record(json.loads(line), region)
-            for line in fh
+            slab_tiling_from_record(json_record(line, path, lineno), region)
+            for lineno, line in enumerate(fh, 2)
             if line.strip()
         ]
     return region, tilings

@@ -16,7 +16,6 @@ twist is an integer in 3D and a mod-2 residue in dimension 4 and up.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -282,27 +281,20 @@ def twist_by_path(
     separately by the test suite's cycle-space sweep.  Raises NotReachable
     when the search cap is hit first.
     """
+    from .explore import search_path
+
     region = tiling.region
     if base is None:
         base = _reference_tiling(region)
-    target = tiling.partner
-    if target == base.partner:
-        return 0
-    potentials = {base.partner: 0}
-    queue = deque([base.partner])
-    while queue:
-        current = queue.popleft()
-        level = potentials[current]
-        for nxt, sign in _signed_neighbors(region, current):
-            if nxt in potentials:
-                continue
-            potentials[nxt] = level + sign
-            if nxt == target:
-                return level + sign
-            if len(potentials) > cap:
-                raise NotReachable(f"no path found within {cap} visited tilings")
-            queue.append(nxt)
-    raise NotReachable("target tiling is not flip/trit reachable from the base")
+    steps = search_path(
+        base.partner,
+        tiling.partner,
+        lambda partner: _signed_neighbors(region, partner),
+        cap,
+    )
+    if steps is None:
+        raise NotReachable("target tiling is not flip/trit reachable from the base")
+    return sum(sign for _, sign in steps)
 
 
 def twist_mod2(tiling: Tiling, *, cap: int = _PATH_CAP) -> int:

@@ -5,7 +5,9 @@ white/black biadjacency via Ryser's formula counts matchings without any
 profile DP, the naive enumerator matches cells recursively over an
 explicit adjacency list with no canonical ordering tricks, and the naive
 move neighbours rematch small groups of dominoes of a cell-pair set
-instead of scanning precomputed windows.
+instead of scanning precomputed windows.  Flip components come from
+comparing every pair of tilings, and cylinder counts from walking the plug
+automaton's transfer matrix floor by floor instead of the profile DP.
 """
 from itertools import combinations, product
 
@@ -149,3 +151,37 @@ def naive_trit_neighbors(pairset: frozenset, region) -> set[frozenset]:
             continue
         out |= _rematched(pairset, group, lambda m: len({_axis(p) for p in m}) == 3)
     return out
+
+
+def flip_components_by_difference(region) -> list[int]:
+    """Flip component sizes, largest first.  Two tilings are one flip apart
+    exactly when they differ in four cells, i.e. two dominoes each; every
+    pair of tilings is compared."""
+    tilings = naive_tilings(region)
+    unseen = set(range(len(tilings)))
+    sizes = []
+    while unseen:
+        stack = [unseen.pop()]
+        size = 0
+        while stack:
+            i = stack.pop()
+            size += 1
+            joined = [j for j in unseen if len(tilings[i] - tilings[j]) == 2]
+            unseen.difference_update(joined)
+            stack.extend(joined)
+        sizes.append(size)
+    return sorted(sizes, reverse=True)
+
+
+def automaton_cylinder_count(disk, height: int) -> int:
+    """Tilings of disk x [0, height): closed walks of length `height` from
+    the empty plug, as the unit vector times the automaton's transfer
+    matrix, `height` times."""
+    from dimers.counting import build_automaton
+
+    matrix = build_automaton(disk).matrix
+    size = len(matrix)
+    vector = [1] + [0] * (size - 1)
+    for _ in range(height):
+        vector = [sum(v * row[j] for v, row in zip(vector, matrix)) for j in range(size)]
+    return vector[0]

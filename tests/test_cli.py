@@ -135,12 +135,25 @@ def test_slab_twist_file(in_tmp, capsys):
 
 
 def test_components_extended_path(in_tmp, capsys):
-    code, out = run(
-        capsys, "components", "--box", "2,2,2", "--extended", "--scratch", str(in_tmp)
-    )
+    argv = ("components", "--box", "2,2,2", "--extended", "--scratch", str(in_tmp))
+    code, out = run(capsys, *argv)
     assert code == 0
     assert "components: 1" in out
     assert "sizes: 9" in out
+    # a rerun on the same scratch dir prints the stored census
+    assert run(capsys, *argv) == (code, out)
+
+
+def test_components_extended_refuses_an_unfinished_visited_set(in_tmp, capsys):
+    from dimers.explore import DiskBackedSet
+
+    visited = DiskBackedSet(in_tmp / "visited.sqlite")
+    visited.add(b"\x00")
+    visited.close()
+    argv = ["components", "--box", "2,2,2", "--extended", "--scratch", str(in_tmp)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sample_writes_final_state(in_tmp, capsys):
@@ -236,6 +249,30 @@ def test_config_file(in_tmp, capsys):
     code, out = run(capsys, "--config", "conf.txt", "count", "--box", "2,2,2")
     assert code == 0
     assert out.strip() == "9"
+    # the one-token form reads the same file
+    assert run(capsys, "--config=conf.txt", "count") == (0, "229\n")
+    assert main(["--config=", "count"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["twist", "--box", "2,2,2", "--tiling", "bad.jsonl"], "bad.jsonl line 3"),
+        (["count", "--disk", "bad-disk.json", "--height", "2"], "bad-disk.json line 2"),
+    ],
+    ids=["tiling-file", "disk-record"],
+)
+def test_malformed_json_ends_in_one_error_line(in_tmp, capsys, argv, where):
+    from dimers.core import base_vertical_tiling, make_box, write_tilings
+
+    box = make_box((2, 2, 2))
+    write_tilings("bad.jsonl", box, [base_vertical_tiling(box)])
+    with open("bad.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"dominoes": [[0, 0\n')
+    (in_tmp / "bad-disk.json").write_text('\n{"d": 2, "kind": \n')
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: bad JSON") and err.count("\n") == 1
 
 
 def test_manifest_path_flag(in_tmp, capsys):

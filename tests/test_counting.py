@@ -10,7 +10,7 @@ from dimers.counting import (
 )
 from dimers.errors import InvalidRegion, WidthGuardExceeded
 
-from oracles import permanent_count
+from oracles import automaton_cylinder_count, permanent_count
 
 
 @pytest.mark.parametrize(
@@ -131,8 +131,20 @@ def test_cylinder_agrees_with_dp_on_small_disks():
     ]
     for disk in disks:
         for height in range(1, 5):
-            expected = count_region(make_cylinder(disk, height))
+            expected = automaton_cylinder_count(disk, height)
+            assert count_region(make_cylinder(disk, height)) == expected
             assert count_cylinder(disk, height) == expected
+
+
+def test_cylinder_over_a_disconnected_disk_is_the_product_count():
+    disk = make_region([(0, 0), (1, 0), (3, 0), (3, 1), (4, 0), (4, 1)])
+    for height in range(1, 5):
+        expected = automaton_cylinder_count(disk, height)
+        assert count_cylinder(disk, height) == expected
+        assert expected == (
+            count_cylinder(make_box((2, 1)), height)
+            * count_cylinder(make_box((2, 2)), height)
+        )
 
 
 def test_count_cylinder_guards():
@@ -142,12 +154,9 @@ def test_count_cylinder_guards():
         count_cylinder(make_box((5, 5)), 2)
 
 
-def test_count_cylinder_large_height_uses_matrix_power():
-    disk = make_box((2, 2))
-    # 2x2xN counts satisfy a linear recurrence; spot check against the DP
-    assert count_cylinder(disk, 40) == count_region(
-        make_cylinder(disk, 40), width_guard=24
-    )
+def test_count_cylinder_large_height_matches_automaton_walk():
+    for disk in (make_box((2, 2)), make_region([(0, 0), (1, 0), (2, 0), (0, 1)])):
+        assert count_cylinder(disk, 40) == automaton_cylinder_count(disk, 40)
 
 
 def test_counts_are_exact_python_ints():

@@ -1,21 +1,26 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dimers.core import decode, encode, make_box, make_region, validate
-from dimers.errors import CapExceeded
+from dimers.errors import CapExceeded, DimersError
 from dimers.explore import (
     DiskBackedSet,
     component_trit_graph,
+    components,
     enumerate_tilings,
     flip_components,
     flip_components_extended,
+    flip_connected,
     flip_connected_2d,
     flip_free_tilings,
     iter_free_simply_connected_polyominoes,
     tw_max,
     twist_census,
 )
-from dimers.moves import list_flips
+from dimers.moves import flip_neighbors, list_flips
 from dimers.twist import pfaffian_alternating_sum
+
+from oracles import flip_components_by_difference
 
 
 def test_enumerate_counts():
@@ -134,7 +139,7 @@ def test_disk_backed_set_insert_once(tmp_path):
     assert b"abc" in s and b"xyz" not in s
     assert len(s) == 1
     s.close()
-    # reopening resumes the same set
+    # reopening keeps the keys
     s2 = DiskBackedSet(tmp_path / "seen.sqlite")
     assert s2.add(b"abc") is False
     assert s2.add(b"xyz") is True
@@ -149,6 +154,29 @@ def test_extended_census_matches_in_memory(tmp_path):
     assert [rep for _, rep in extended.components] == [
         rep for _, rep in in_memory.components
     ]
+
+
+def test_extended_census_rerun_returns_the_stored_census(tmp_path):
+    region = make_box((3, 3, 2))
+    first = flip_components_extended(region, tmp_path)
+    second = flip_components_extended(region, tmp_path)
+    assert first.sizes == second.sizes == [227, 1, 1]
+    assert first.components == second.components
+
+
+def test_extended_census_refuses_an_unfinished_visited_set(tmp_path):
+    region = make_box((2, 2, 2))
+    visited = DiskBackedSet(tmp_path / "visited.sqlite")
+    visited.add(encode(next(enumerate_tilings(region))))
+    visited.close()
+    with pytest.raises(DimersError, match="unfinished"):
+        flip_components_extended(region, tmp_path)
+    # a finished census of another region is refused the same way
+    other = tmp_path / "other"
+    other.mkdir()
+    flip_components_extended(region, other)
+    with pytest.raises(DimersError, match="different"):
+        flip_components_extended(make_box((2, 2, 4)), other)
 
 
 def test_polyomino_counts_match_literature():
@@ -173,3 +201,38 @@ def test_thurston_small_regions_flip_connected():
     for cells in iter_free_simply_connected_polyominoes(8):
         if sum(1 if (x + y) % 2 == 0 else -1 for x, y in cells) == 0:
             assert flip_connected_2d(cells)
+
+
+@st.composite
+def small_regions(draw):
+    """A connected set of at most 12 cells in d=2 or d=3, grown one
+    face-neighbour at a time from one cell."""
+    d = draw(st.sampled_from([2, 3]))
+    size = draw(st.integers(1, 6)) * 2
+    cells = [(0,) * d]
+    while len(cells) < size:
+        frontier = sorted(
+            {
+                c[:k] + (c[k] + step,) + c[k + 1 :]
+                for c in cells
+                for k in range(d)
+                for step in (1, -1)
+            }
+            - set(cells)
+        )
+        cells.append(draw(st.sampled_from(frontier)))
+    low = [min(c[k] for c in cells) for k in range(d)]
+    return make_region([tuple(x - m for x, m in zip(c, low)) for c in cells])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_regions())
+@example(make_box((3, 3, 2)))
+@example(make_region([(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)]))
+def test_flip_components_agree_with_the_four_cell_oracle(region):
+    expected = flip_components_by_difference(region)
+    partners = [t.partner for t in enumerate_tilings(region)]
+    found = components(partners, lambda p: flip_neighbors(region, p))
+    assert sorted(map(len, found), reverse=True) == expected
+    assert flip_components(region).sizes == expected
+    assert flip_connected(region) == (len(expected) <= 1)
