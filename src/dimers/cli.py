@@ -60,7 +60,7 @@ def _load_disk(path: str):
         from .core import json_record, region_from_record
 
         lineno, first = rows[0]
-        return region_from_record(json_record(first, path, lineno))
+        return json_record(first, path, lineno, region_from_record)
     cells = []
     for r, (_, row) in enumerate(reversed(rows)):
         for c, ch in enumerate(row):
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moves", default="flips", choices=["flips", "flips+trits"])
     p.add_argument("--steps", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=0)
+    p.add_argument("--burn-in", dest="burn_in", type=int)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--workers", type=int, default=1, help="independent chains")
     p.add_argument("--histogram", help="write twist histogram CSV")

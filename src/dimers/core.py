@@ -9,6 +9,7 @@ so both are safe to share between workers.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -16,6 +17,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import (
     DecodeError,
+    DimersError,
     InvalidRegion,
     InvalidTiling,
     NoBaseTiling,
@@ -69,6 +71,14 @@ class Region:
                     row.append(idx.get(nb, -1))
             rows.append(tuple(row))
         return tuple(rows)
+
+    @cached_property
+    def columns(self) -> dict[Cell, tuple[int, ...]]:
+        """cell[:-1] -> indices of the cells above that point, bottom up."""
+        out: dict[Cell, list[int]] = {}
+        for i, cell in enumerate(self.cells):
+            out.setdefault(cell[:-1], []).append(i)
+        return {point: tuple(ids) for point, ids in out.items()}
 
     @cached_property
     def flip_windows(self) -> dict[tuple[int, tuple[int, int]], tuple[int, ...]]:
@@ -236,11 +246,6 @@ def domino_cells(domino: Domino) -> tuple[Cell, Cell]:
     low, axis = domino
     high = low[:axis] + (low[axis] + 1,) + low[axis + 1 :]
     return low, high
-
-
-def domino_orientation(domino: Domino) -> int:
-    """+1 when the white-to-black arrow points along +axis, else -1."""
-    return 1 if color_sign(domino.low) == WHITE else -1
 
 
 def pair_domino(region: Region, i: int, j: int) -> Domino:
@@ -427,11 +432,17 @@ def decode(data: bytes, region: Region) -> Tiling:
     acc = int.from_bytes(data, "little")
     if acc >> (3 * n):
         raise DecodeError("nonzero padding bits")
+    return _tiling_from_codes(region, [(acc >> (3 * i)) & 7 for i in range(n)])
+
+
+def _tiling_from_codes(region: Region, codes: list[int]) -> Tiling:
+    """The tiling matching cell i along direction code codes[i], its
+    partner's position in neighbor_table[i]; DecodeError unless every code
+    is in range, every partner inside the region and the pairing mutual."""
     table = region.neighbor_table
     partner = []
-    for i in range(n):
-        code = (acc >> (3 * i)) & 7
-        if code >= 2 * region.d:
+    for i, code in enumerate(codes):
+        if not 0 <= code < 2 * region.d:
             raise DecodeError(f"cell {region.cells[i]}: direction code {code}")
         j = table[i][code]
         if j < 0:
@@ -503,20 +514,11 @@ def parse_floors(text: str, region: Region) -> Tiling:
                     glyph_at[(lo[0] + k, y, z)[: region.d]] = ch
         while pos < len(lines) and lines[pos] == "":
             pos += 1
-    table = region.neighbor_table
-    partner = []
-    for i, cell in enumerate(region.cells):
+    for cell in region.cells:
         if cell not in glyph_at:
             raise DecodeError(f"cell {cell}: no glyph in diagram")
-        code = _GLYPHS.index(glyph_at[cell])
-        j = table[i][code]
-        if j < 0:
-            raise DecodeError(f"cell {cell}: partner outside region")
-        partner.append(j)
-    for i, j in enumerate(partner):
-        if partner[j] != i:
-            raise DecodeError(f"cell {region.cells[i]}: pairing is not mutual")
-    return Tiling(region, tuple(partner))
+    # an unknown glyph is code -1, which the range check rejects
+    return _tiling_from_codes(region, [_GLYPHS.find(glyph_at[c]) for c in region.cells])
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +538,25 @@ def region_to_record(region: Region) -> dict:
     return rec
 
 
+@contextmanager
+def decoding(kind: str):
+    """Report a record without the fields or shapes the block reads as a
+    DecodeError instead of a KeyError, TypeError or ValueError."""
+    try:
+        yield
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise DecodeError(f"not a {kind} record ({type(exc).__name__}: {exc})") from None
+
+
 def region_from_record(rec: dict) -> Region:
-    kind = rec.get("kind", "general")
-    if kind == "box":
-        return make_box(rec["dims"])
-    if kind == "cylinder":
-        disk = make_region([tuple(c) for c in rec["disk_cells"]], d=rec["d"] - 1)
-        return make_cylinder(disk, rec["height"])
-    return make_region([tuple(c) for c in rec["cells"]], d=rec["d"])
+    with decoding("region"):
+        kind = rec.get("kind", "general")
+        if kind == "box":
+            return make_box(rec["dims"])
+        if kind == "cylinder":
+            disk = make_region([tuple(c) for c in rec["disk_cells"]], d=rec["d"] - 1)
+            return make_cylinder(disk, rec["height"])
+        return make_region([tuple(c) for c in rec["cells"]], d=rec["d"])
 
 
 def tiling_to_record(tiling: Tiling) -> dict:
@@ -551,8 +564,9 @@ def tiling_to_record(tiling: Tiling) -> dict:
 
 
 def tiling_from_record(rec: dict, region: Region) -> Tiling:
-    dominoes = [Domino(tuple(low), axis) for low, axis in rec["dominoes"]]
-    return tiling_from_dominoes(region, dominoes)
+    with decoding("tiling"):
+        dominoes = [Domino(tuple(low), axis) for low, axis in rec["dominoes"]]
+        return tiling_from_dominoes(region, dominoes)
 
 
 def write_tilings(path, region: Region, tilings: Iterable[Tiling]) -> int:
@@ -568,24 +582,33 @@ def write_tilings(path, region: Region, tilings: Iterable[Tiling]) -> int:
     return count
 
 
-def json_record(line: str, path, lineno: int):
-    """The JSON value on line `lineno` of `path`; DecodeError names the
-    line when it is not JSON."""
+def json_record(line: str, path, lineno: int, decode):
+    """decode(the JSON value on line `lineno` of `path`).  When the line
+    is not JSON, or decode raises a package error, the error names the
+    file and line."""
     try:
-        return json.loads(line)
+        return decode(json.loads(line))
     except json.JSONDecodeError as exc:
         raise DecodeError(f"{path} line {lineno}: bad JSON ({exc.msg})") from None
+    except DimersError as exc:
+        raise type(exc)(f"{path} line {lineno}: {exc}") from None
 
 
-def read_tilings(path) -> tuple[Region, list[Tiling]]:
+def read_records(path, decode) -> tuple[Region, list]:
+    """A JSON-lines file: a region header, then decode(record, region) of
+    each non-blank line after it."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header:
-            raise DecodeError("empty tiling file")
-        region = region_from_record(json_record(header, path, 1))
-        tilings = [
-            tiling_from_record(json_record(line, path, lineno), region)
+            raise DecodeError(f"{path}: empty tiling file")
+        region = json_record(header, path, 1, region_from_record)
+        items = [
+            json_record(line, path, lineno, lambda rec: decode(rec, region))
             for lineno, line in enumerate(fh, 2)
             if line.strip()
         ]
-    return region, tilings
+    return region, items
+
+
+def read_tilings(path) -> tuple[Region, list[Tiling]]:
+    return read_records(path, tiling_from_record)

@@ -31,12 +31,12 @@ class ChainConfig:
     moves: str = "flips"  # "flips" or "flips+trits"
     steps: int = 0
     seed: int = 0
-    burn_in: int = 0
+    burn_in: int | None = None  # None: 100 x the cell count
 
     def __post_init__(self):
         if self.moves not in ("flips", "flips+trits"):
             raise InvalidRegion(f"unknown move set {self.moves!r}")
-        if not 0 <= self.burn_in <= self.steps:
+        if self.burn_in is not None and not 0 <= self.burn_in <= self.steps:
             raise InvalidRegion("need steps >= burn_in >= 0")
 
 
@@ -158,7 +158,7 @@ def twist_distribution(
     if start is None:
         start = base_vertical_tiling(region)
     thin = region.n_cells if thin is None else thin
-    burn_in = config.burn_in if config.burn_in else 100 * region.n_cells
+    burn_in = 100 * region.n_cells if config.burn_in is None else config.burn_in
     base_twist = _twist_of(start)
     counts: dict[int, int] = {}
     per_chain = [samples // chains] * chains

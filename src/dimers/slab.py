@@ -16,7 +16,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
-from .core import Cell, Domino, Region, Tiling, make_region, tiling_from_dominoes
+from .core import Cell, Domino, Region, Tiling, decoding, make_region, read_records
+from .core import region_to_record, tiling_from_dominoes
 from .errors import CapExceeded, InflationError, InvalidRegion, MoveNotApplicable
 from .explore import components
 from .twist import pretwist
@@ -339,17 +340,16 @@ def slab_tiling_to_record(tiling: SlabTiling) -> dict:
 
 
 def slab_tiling_from_record(rec: dict, region: Region) -> SlabTiling:
-    slabs = tuple(Slab(tuple(corner), normal) for corner, normal in rec["slabs"])
-    tiling = SlabTiling(region, slabs)
-    report = validate_slab_tiling(tiling)
+    with decoding("slab tiling"):
+        slabs = tuple(Slab(tuple(corner), normal) for corner, normal in rec["slabs"])
+        tiling = SlabTiling(region, slabs)
+        report = validate_slab_tiling(tiling)
     if report is not None:
         raise InvalidRegion(report)
     return tiling
 
 
 def write_slab_tilings(path, region: Region, tilings: Iterable[SlabTiling]) -> int:
-    from .core import region_to_record
-
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(region_to_record(region)) + "\n")
@@ -360,13 +360,4 @@ def write_slab_tilings(path, region: Region, tilings: Iterable[SlabTiling]) -> i
 
 
 def read_slab_tilings(path) -> tuple[Region, list[SlabTiling]]:
-    from .core import json_record, region_from_record
-
-    with open(path, "r", encoding="utf-8") as fh:
-        region = region_from_record(json_record(fh.readline(), path, 1))
-        tilings = [
-            slab_tiling_from_record(json_record(line, path, lineno), region)
-            for lineno, line in enumerate(fh, 2)
-            if line.strip()
-        ]
-    return region, tilings
+    return read_records(path, slab_tiling_from_record)

@@ -3,8 +3,13 @@
 * pretwist: a pairwise shadow-crossing sum over the dominoes.  For each
   axis k, two dominoes running along the other two axes whose shadows on
   the plane perpendicular to k cross in one unit square contribute the
-  sign of the crossing times the sign of their separation along k.  The
-  normalization kappa and the global sign are pinned once by
+  sign of the crossing (the Levi-Civita sign of the two domino axes and
+  k times each domino's orientation, +1 when its white cell is the lower
+  one) times the sign of their separation along k.  One kernel,
+  `_crossings`, forms these products over index pairs; pretwist, the
+  calibration and trit_sign all call it.  A trit's step is the kernel
+  over the dominoes that touch the trit's column, after minus before.
+  The normalization kappa and the global sign are pinned once by
   self-calibration on the 3x3x2 box, never adjusted silently.
 * twist_by_path: signed trit count along a flip/trit path from the base
   tiling; telescopes to the formula value and cross-checks it.
@@ -23,14 +28,11 @@ from functools import lru_cache
 from .core import (
     BLACK,
     Cell,
-    Domino,
     Region,
     Tiling,
     WHITE,
     base_vertical_tiling,
     color_sign,
-    domino_orientation,
-    pair_domino,
 )
 from .errors import (
     CalibrationError,
@@ -69,47 +71,25 @@ class Calibration:
         }
 
 
-def _tau_pair(d0: Domino, d1: Domino, k: int) -> int:
-    """Crossing contribution of an unordered domino pair along axis k."""
-    a0, a1 = d0.axis, d1.axis
-    if a0 == k or a1 == k or a0 == a1:
-        return 0
-    # shadows on the plane perpendicular to k must cross in one square
-    if d1.low[a0] not in (d0.low[a0], d0.low[a0] + 1):
-        return 0
-    if d0.low[a1] not in (d1.low[a1], d1.low[a1] + 1):
-        return 0
-    dz = d1.low[k] - d0.low[k]
-    if dz == 0:
-        return 0
-    return (
-        _EPS[(a0, a1, k)]
-        * domino_orientation(d0)
-        * domino_orientation(d1)
-        * (1 if dz > 0 else -1)
-    )
+def _crossings(region: Region, pairs, k: int) -> int:
+    """Sum of crossing signs along axis k over unordered pairs of the
+    dominoes on index pairs (i, j), i < j, via shadow buckets.
 
-
-def _tau_sum(dominoes: list[Domino], k: int) -> int:
-    """Sum of crossing signs over unordered pairs, via shadow buckets.
-
-    Each domino perpendicular to k shadows two unit squares; only pairs
-    sharing a square interact, so bucketing by square makes the sum
-    near-linear for the long-box tilings the sampler produces.
+    A domino perpendicular to k shadows the two unit squares under its
+    cells; only pairs sharing a square interact, so bucketing by square
+    makes the sum near-linear in the number of dominoes.
     """
-    axes = [a for a in range(3) if a != k]
-    a, b = axes
-    eps = _EPS[(a, b, k)]
+    a, b = [x for x in range(3) if x != k]
+    cells = region.cells
     buckets: dict[tuple[int, int], tuple[list, list]] = {}
-    for dom in dominoes:
-        if dom.axis == k:
+    for i, j in pairs:
+        low, high = cells[i], cells[j]
+        if low[k] != high[k]:
             continue
-        slot = 0 if dom.axis == a else 1
-        entry = (dom.low[k], domino_orientation(dom))
-        sq = (dom.low[a], dom.low[b])
-        other = (sq[0] + 1, sq[1]) if dom.axis == a else (sq[0], sq[1] + 1)
-        for key in (sq, other):
-            buckets.setdefault(key, ([], []))[slot].append(entry)
+        slot = 0 if low[a] != high[a] else 1
+        entry = (low[k], 1 if sum(low) % 2 == 0 else -1)
+        for cell in (low, high):
+            buckets.setdefault((cell[a], cell[b]), ([], []))[slot].append(entry)
     total = 0
     for first, second in buckets.values():
         if first and second:
@@ -117,20 +97,11 @@ def _tau_sum(dominoes: list[Domino], k: int) -> int:
                 for k1, s1 in second:
                     if k1 != k0:
                         total += s0 * s1 * (1 if k1 > k0 else -1)
-    return eps * total
+    return _EPS[(a, b, k)] * total
 
 
-def _tau_cross(group_a, group_b, k: int) -> int:
-    return sum(_tau_pair(d0, d1, k) for d0 in group_a for d1 in group_b)
-
-
-def _tau_within(group, k: int) -> int:
-    group = list(group)
-    return sum(
-        _tau_pair(group[i], group[j], k)
-        for i in range(len(group))
-        for j in range(i + 1, len(group))
-    )
+def _pairs(partner) -> list[tuple[int, int]]:
+    return [(i, j) for i, j in enumerate(partner) if i < j]
 
 
 # ---------------------------------------------------------------------------
@@ -152,32 +123,30 @@ _KAPPA_CANDIDATES = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))
 
 @lru_cache(maxsize=1)
 def calibration() -> Calibration:
-    from .explore import enumerate_tilings
-    from .moves import _apply_trit_structural, list_trits
-
     from .core import make_box
+    from .explore import enumerate_tilings
+    from .moves import trit_neighbors
 
     region = make_box((3, 3, 2))
-    tilings = list(enumerate_tilings(region, cap=None))
-    base = base_vertical_tiling(region)
+    partners = [t.partner for t in enumerate_tilings(region, cap=None)]
+    base = base_vertical_tiling(region).partner
     for kappa in _KAPPA_CANDIDATES:
         scale = 2 * kappa  # ordered-pair sum is twice the unordered sum
 
-        def pt(t: Tiling, k: int) -> Fraction:
-            return scale * _tau_sum(t.dominoes(), k)
+        def pt(partner, k: int) -> Fraction:
+            return scale * _crossings(region, _pairs(partner), k)
 
         base_pt = pt(base, 2)
         ok = True
-        for t in tilings:
-            values = [pt(t, k) for k in range(3)]
+        for partner in partners:
+            values = [pt(partner, k) for k in range(3)]
             if len(set(values)) != 1:
                 ok = False
                 break
             if (values[2] - base_pt).denominator != 1:
                 ok = False
                 break
-            for move in list_trits(t):
-                after = _apply_trit_structural(t, move)
+            for after, _, _ in trit_neighbors(region, partner):
                 if abs(pt(after, 2) - values[2]) != 1:
                     ok = False
                     break
@@ -198,7 +167,8 @@ def pretwist(tiling: Tiling, axis: int) -> Fraction:
     if axis not in (0, 1, 2):
         raise InvalidRegion(f"axis must be 0, 1 or 2, got {axis}")
     cal = calibration()
-    return cal.sign * 2 * cal.kappa * _tau_sum(tiling.dominoes(), axis)
+    pairs = _pairs(tiling.partner)
+    return cal.sign * 2 * cal.kappa * _crossings(tiling.region, pairs, axis)
 
 
 @lru_cache(maxsize=256)
@@ -232,27 +202,25 @@ def trit_sign(region: Region, partner, removed_pairs, added_pairs) -> int:
     """Twist step of a trit that replaces the dominoes on removed_pairs
     (index pairs of the tiling `partner`) by those on added_pairs.
 
-    In 3D it is the local change in the pairwise sum and must be +1 or -1.
-    In dimension 4 and up the twist lives in Z/2, every trit flips it, and
-    the step is reported as +1.
+    In 3D it is the change in the pairwise sum and must be +1 or -1.  Only
+    pairs with a moved domino change, and a domino crossing a moved one
+    shares a shadow square with it, so the sum runs over the dominoes that
+    touch the trit's column: the cells above the (x, y) points of its six
+    cells.  In dimension 4 and up the twist lives in Z/2, every trit flips
+    it, and the step is reported as +1.
     """
     if region.d >= 4:
         return 1
     cal = calibration()
-    removed = [pair_domino(region, i, j) for i, j in removed_pairs]
-    added = [pair_domino(region, i, j) for i, j in added_pairs]
-    removed_set = set(removed_pairs)
-    rest = [
-        pair_domino(region, i, j)
-        for i, j in enumerate(partner)
-        if i < j and (i, j) not in removed_set
-    ]
-    delta = (
-        _tau_within(added, 2)
-        + _tau_cross(added, rest, 2)
-        - _tau_within(removed, 2)
-        - _tau_cross(removed, rest, 2)
-    )
+    cells = region.cells
+    touching = set()
+    for point in {cells[c][:-1] for pair in removed_pairs for c in pair}:
+        for c in region.columns[point]:
+            j = partner[c]
+            touching.add((c, j) if c < j else (j, c))
+    rest = touching.difference(removed_pairs)
+    delta = _crossings(region, [*rest, *added_pairs], 2)
+    delta -= _crossings(region, touching, 2)
     value = cal.sign * 2 * cal.kappa * delta
     if value not in (1, -1):
         raise CalibrationError(f"trit changed the twist by {value}")

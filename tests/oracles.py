@@ -7,7 +7,9 @@ explicit adjacency list with no canonical ordering tricks, and the naive
 move neighbours rematch small groups of dominoes of a cell-pair set
 instead of scanning precomputed windows.  Flip components come from
 comparing every pair of tilings, and cylinder counts from walking the plug
-automaton's transfer matrix floor by floor instead of the profile DP.
+automaton's transfer matrix floor by floor instead of the profile DP.  The
+twist's crossing sum compares every pair of dominoes instead of bucketing
+them by shadow square.
 """
 from itertools import combinations, product
 
@@ -185,3 +187,31 @@ def automaton_cylinder_count(disk, height: int) -> int:
     for _ in range(height):
         vector = [sum(v * row[j] for v, row in zip(vector, matrix)) for j in range(size)]
     return vector[0]
+
+
+def pairwise_crossings(tiling, k: int) -> int:
+    """The twist's crossing sum along axis k, from its definition: every
+    pair of dominoes, one along each of the two axes other than k, whose
+    shadows on the plane perpendicular to k overlap, contributes the
+    Levi-Civita sign of (first axis, second axis, k) times the two
+    dominoes' orientations (+1 when the white cell is the lower one) times
+    the sign of the second's offset from the first along k.  Every such
+    pair is compared; nothing is bucketed."""
+    cells = tiling.region.cells
+    along = {}
+    for i, j in enumerate(tiling.partner):
+        if i < j:
+            low, high = sorted((cells[i], cells[j]))
+            if low[k] == high[k]:
+                shadow = {low[:k] + low[k + 1 :], high[:k] + high[k + 1 :]}
+                along.setdefault(_axis((low, high)), []).append(
+                    (shadow, low[k], color_sign(low))
+                )
+    a, b = [axis for axis in range(3) if axis != k]
+    levi_civita = (b - a) * (k - a) * (k - b) // 2
+    total = 0
+    for shadow0, z0, s0 in along.get(a, []):
+        for shadow1, z1, s1 in along.get(b, []):
+            if shadow0 & shadow1:
+                total += levi_civita * s0 * s1 * ((z1 > z0) - (z1 < z0))
+    return total

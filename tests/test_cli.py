@@ -254,25 +254,40 @@ def test_config_file(in_tmp, capsys):
     assert main(["--config=", "count"]) == 2
 
 
-@pytest.mark.parametrize(
-    "argv, where",
-    [
-        (["twist", "--box", "2,2,2", "--tiling", "bad.jsonl"], "bad.jsonl line 3"),
-        (["count", "--disk", "bad-disk.json", "--height", "2"], "bad-disk.json line 2"),
-    ],
-    ids=["tiling-file", "disk-record"],
-)
-def test_malformed_json_ends_in_one_error_line(in_tmp, capsys, argv, where):
-    from dimers.core import base_vertical_tiling, make_box, write_tilings
+_TWIST_FILE = ["twist", "--box", "2,2,2", "--tiling", "bad.jsonl"]
+_DISK_RECORD = ["count", "--disk", "bad-disk.json", "--height", "2"]
 
-    box = make_box((2, 2, 2))
+
+@pytest.mark.parametrize(
+    "argv, line, where",
+    [
+        (_TWIST_FILE, '{"dominoes": [[0, 0', "bad.jsonl line 3: bad JSON"),
+        (_DISK_RECORD, '{"d": 2, "kind": ', "bad-disk.json line 2: bad JSON"),
+        (_TWIST_FILE, "{}", "bad.jsonl line 3: not a tiling record (KeyError"),
+        (_TWIST_FILE, '{"dominoes": [[[0, 0, 0]]]}',
+         "bad.jsonl line 3: not a tiling record (ValueError"),
+        (["slab", "twist", "--tiling", "bad-slabs.jsonl"], "{}",
+         "bad-slabs.jsonl line 3: not a slab tiling record (KeyError"),
+        (_DISK_RECORD, '{"kind": "cylinder"}',
+         "bad-disk.json line 2: not a region record (KeyError"),
+    ],
+    ids=["tiling-file", "disk-record", "tiling-empty", "tiling-short-domino",
+         "slab-empty", "disk-cylinder"],
+)
+def test_malformed_json_ends_in_one_error_line(in_tmp, capsys, argv, line, where):
+    from dimers.core import base_vertical_tiling, make_box, write_tilings
+    from dimers.slab import horizontal_slab_tiling, write_slab_tilings
+
+    box, slab_box = make_box((2, 2, 2)), make_box((4, 4, 2))
     write_tilings("bad.jsonl", box, [base_vertical_tiling(box)])
-    with open("bad.jsonl", "a", encoding="utf-8") as fh:
-        fh.write('{"dominoes": [[0, 0\n')
-    (in_tmp / "bad-disk.json").write_text('\n{"d": 2, "kind": \n')
+    write_slab_tilings("bad-slabs.jsonl", slab_box, [horizontal_slab_tiling(slab_box)])
+    for name in ("bad.jsonl", "bad-slabs.jsonl"):
+        with open(name, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+    (in_tmp / "bad-disk.json").write_text("\n" + line + "\n")
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {where}: bad JSON") and err.count("\n") == 1
+    assert err.startswith(f"error: {where}") and err.count("\n") == 1
 
 
 def test_manifest_path_flag(in_tmp, capsys):

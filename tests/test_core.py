@@ -224,6 +224,16 @@ def test_render_parse_roundtrip_on_all_222_tilings():
         assert parse_floors(render_floors(t), r) == t
 
 
+@pytest.mark.parametrize(
+    "glyph, message", [("U", "direction code 4"), ("x", "direction code -1")]
+)
+def test_parse_floors_rejects_a_glyph_the_region_cannot_hold(glyph, message):
+    region = make_box((2, 2))
+    text = render_floors(tiling_from_dominoes(region, [Domino((0, 0), 0), Domino((0, 1), 0)]))
+    with pytest.raises(DecodeError, match=message):
+        parse_floors(glyph + text[1:], region)
+
+
 def test_render_general_region_uses_dots():
     region = make_region([(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1)])
     t = tiling_from_dominoes(

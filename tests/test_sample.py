@@ -32,6 +32,14 @@ def test_chain_config_validation():
         ChainConfig(moves="flips", steps=5, burn_in=6)
 
 
+def test_zero_burn_in_is_recorded_and_none_means_the_default():
+    region = make_box((2, 2, 2))
+    config = ChainConfig(moves="flips", seed=1, burn_in=0)
+    assert twist_distribution(region, config, samples=5).meta["burn_in"] == 0
+    default = twist_distribution(region, ChainConfig(moves="flips", seed=1), samples=5)
+    assert default.meta["burn_in"] == 100 * region.n_cells
+
+
 def test_zero_steps_returns_start():
     region = make_box((2, 2, 2))
     start = base_vertical_tiling(region)

@@ -1,15 +1,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
 from dimers.core import (
+    Tiling,
     add_vertical_floors,
     base_vertical_tiling,
     make_box,
     make_region,
     refine_tiling,
 )
-from dimers.errors import InvalidRegion, NotReachable, UnbalancedRegion
+from dimers.errors import (
+    CalibrationError,
+    InvalidRegion,
+    NotReachable,
+    UnbalancedRegion,
+)
 from dimers.explore import enumerate_tilings, flip_free_tilings
 from dimers.moves import (
     _apply_trit_structural,
@@ -17,17 +24,22 @@ from dimers.moves import (
     apply_trit,
     list_flips,
     list_trits,
+    trit_neighbors,
 )
 from dimers.twist import (
     calibration,
     kasteleyn_matrix,
     pfaffian_alternating_sum,
     pretwist,
+    trit_sign,
     twist,
     twist_by_path,
     twist_mod2,
     _det_bareiss,
 )
+
+from oracles import pairwise_crossings
+from test_moves import small_3d_regions
 
 
 def test_calibration_values():
@@ -215,3 +227,45 @@ def test_axis_agreement_up_to_334():
     for dims in [(2, 2, 4), (3, 3, 4)]:
         for t in enumerate_tilings(make_box(dims)):
             assert pretwist(t, 0) == pretwist(t, 1) == pretwist(t, 2)
+
+
+def _check_against_pairwise_oracle(region, tilings, axes=range(3)) -> int:
+    """pretwist on `axes` and the sign of every trit of each tiling against
+    the oracle's crossing sums; returns the number of trits whose step is
+    not +-1 and that trit_sign therefore rejects."""
+    cal = calibration()
+    scale = cal.sign * 2 * cal.kappa
+    rejected = 0
+    for t in tilings:
+        for k in axes:
+            assert pretwist(t, k) == scale * pairwise_crossings(t, k)
+        trits = trit_neighbors(region, t.partner)
+        before = pairwise_crossings(t, 2) if trits else None
+        for after, removed, added in trits:
+            step = scale * (pairwise_crossings(Tiling(region, after), 2) - before)
+            if step in (1, -1):
+                assert trit_sign(region, t.partner, removed, added) == step
+            else:
+                rejected += 1
+                with pytest.raises(CalibrationError, match=str(step)):
+                    trit_sign(region, t.partner, removed, added)
+    return rejected
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_3d_regions())
+@example(make_box((3, 3, 2)))
+@example(make_box((2, 3, 4)))
+def test_crossing_sum_and_trit_signs_match_the_pairwise_oracle(region):
+    rejected = _check_against_pairwise_oracle(region, enumerate_tilings(region))
+    # on boxes every trit steps the twist by one; general regions may not
+    assert region.kind != "box" or rejected == 0
+
+
+@pytest.mark.parametrize("missing", [{(2, 2, 3), (2, 1, 3)}, {(0, 0, 0), (1, 0, 0)}])
+def test_trit_signs_match_the_pairwise_oracle_on_general_regions(missing):
+    # the pairwise step of some trits is 5/4 or 3/4 on these regions; every
+    # trit of every tiling is checked, pretwist only on the random regions
+    region = make_region([c for c in make_box((3, 3, 4)).cells if c not in missing])
+    tilings = enumerate_tilings(region, cap=None)
+    assert _check_against_pairwise_oracle(region, tilings, axes=()) > 0
