@@ -25,7 +25,13 @@ from .core import (
     write_tilings,
 )
 from .counting import count_cylinder, count_rect_2d_formula, count_region
-from .errors import CalibrationError, CapExceeded, DimersError, WidthGuardExceeded
+from .errors import (
+    CalibrationError,
+    CapExceeded,
+    DecodeError,
+    DimersError,
+    WidthGuardExceeded,
+)
 from .explore import (
     census_csv,
     component_trit_graph,
@@ -53,7 +59,8 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 def _load_disk(path: str):
     """Disk file: one row of #/. characters per line, or a JSON region
-    record on the first line."""
+    record on a first line that starts with '{'.  Any other row is a
+    DecodeError naming the file and line."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     rows = [(n, row) for n, row in enumerate(lines, 1) if row.strip()]
     if rows and rows[0][1].lstrip().startswith("{"):
@@ -61,6 +68,9 @@ def _load_disk(path: str):
 
         lineno, first = rows[0]
         return json_record(first, path, lineno, region_from_record)
+    for lineno, row in rows:
+        if row.strip("#."):
+            raise DecodeError(f"{path} line {lineno}: not a disk row of '#' and '.'")
     cells = []
     for r, (_, row) in enumerate(reversed(rows)):
         for c, ch in enumerate(row):

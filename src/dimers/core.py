@@ -298,6 +298,7 @@ def validate(tiling: Tiling, region: Region | None = None) -> str | None:
         return "tiling belongs to a different region"
     reg = tiling.region
     cells = reg.cells
+    table = reg.neighbor_table
     n = len(cells)
     if len(tiling.partner) != n:
         return f"pairing covers {len(tiling.partner)} of {n} cells"
@@ -308,8 +309,7 @@ def validate(tiling: Tiling, region: Region | None = None) -> str | None:
             return f"cell {cells[i]}: matched to itself"
         if tiling.partner[j] != i:
             return f"cell {cells[i]}: pairing is not mutual"
-        diffs = [abs(a - b) for a, b in zip(cells[i], cells[j])]
-        if sorted(diffs) != [0] * (reg.d - 1) + [1]:
+        if j not in table[i]:
             return f"cell {cells[i]}: partner {cells[j]} is not adjacent"
     return None
 
@@ -506,6 +506,8 @@ def parse_floors(text: str, region: Region) -> Tiling:
                 raise DecodeError(f"missing floor header before floor {z}")
             pos += 1
         for r in range(rows_per_floor):
+            if pos >= len(lines):
+                raise DecodeError(f"diagram ends inside floor {z}")
             y = hi[1] - r
             row = lines[pos]
             pos += 1

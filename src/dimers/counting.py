@@ -2,13 +2,16 @@
 
 Every exact count goes through one path:
 
-* count_region: broken-profile DP over the cells in (last axis, ..., first
-  axis) order.  The profile spans one cross-section plus a partial row, so
-  its width is bounded by the disk size.  Works in any dimension and for
+* count_region: broken-profile DP over the cells in lexicographic order,
+  along the narrowest order of the axes.  The profile spans one
+  cross-section of the most significant axis plus a partial row, and its
+  cost grows as 2^width, so every axis order is tried and the one with the
+  smallest width is swept; on a tie the last axis stays most significant.
+  The width guard applies to that sweep.  Works in any dimension and for
   general regions.
-* count_cylinder: the profile DP on disk x [0, height).  Sweeping floor by
-  floor, its profile is the plug of the transfer automaton, so it computes
-  (T^N)[empty, empty] without building T.
+* count_cylinder: the profile DP on disk x [0, height).  When it sweeps
+  floor by floor, its profile is the plug of the transfer automaton, so it
+  computes (T^N)[empty, empty] without building T.
 
 Two objects stand beside it as checks:
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 from .core import Region, make_region
 from .errors import InvalidRegion, WidthGuardExceeded
@@ -31,26 +35,39 @@ WIDTH_GUARD = 24  # 2^24 profile states worst case; refuse rather than thrash
 def _dp_plan(region: Region) -> list[list[int]]:
     """Forward-neighbor offsets per cell in profile order.
 
-    Cells are processed sorted by reversed coordinates (last axis most
-    significant).  Every +axis neighbor then lies strictly ahead; its
-    distance in the order is the profile offset.
+    Cells are swept in lexicographic order of their coordinates, read in
+    some order of the axes.  Every +axis neighbor then lies strictly
+    ahead; its distance in the sweep is the profile offset, and the
+    largest offset is the profile width.  Every order of the axes is
+    tried (at most 24 for d <= 4) and the narrowest sweep is kept; on a
+    tie the earlier order in permutations(d-1, ..., 0) wins, so the
+    default sweep, last axis most significant, is kept unless another
+    order is strictly narrower.
     """
-    order = sorted(range(region.n_cells), key=lambda i: region.cells[i][::-1])
-    pos = {ci: p for p, ci in enumerate(order)}
+    cells = region.cells
     table = region.neighbor_table
-    plan = []
-    for p, ci in enumerate(order):
-        offsets = []
-        for axis in range(region.d):
-            nb = table[ci][2 * axis]
-            if nb >= 0:
-                offsets.append(pos[nb] - p)
-        plan.append(sorted(offsets))
-    return plan
+    forward = [
+        [row[2 * axis] for axis in range(region.d) if row[2 * axis] >= 0]
+        for row in table
+    ]
+    best = None
+    for axes in permutations(reversed(range(region.d))):
+        keys = [[cell[a] for a in axes] for cell in cells]
+        order = sorted(range(region.n_cells), key=keys.__getitem__)
+        pos = [0] * region.n_cells
+        for p, ci in enumerate(order):
+            pos[ci] = p
+        width = max((pos[nb] - p for p, ci in enumerate(order) for nb in forward[ci]),
+                    default=0)
+        if best is None or width < best[0]:
+            best = (width, order, pos)
+    _, order, pos = best
+    return [sorted(pos[nb] - p for nb in forward[ci]) for p, ci in enumerate(order)]
 
 
 def profile_width(region: Region) -> int:
-    """Largest forward offset the profile DP must remember."""
+    """Largest forward offset the profile DP must remember, in the
+    narrowest sweep, the one count_region runs."""
     plan = _dp_plan(region)
     return max((offs[-1] for offs in plan if offs), default=0)
 
@@ -179,12 +196,9 @@ def build_automaton(disk: Region, *, width_guard: int = WIDTH_GUARD) -> PlugAuto
 
 
 def count_cylinder(disk: Region, height: int, *, width_guard: int = WIDTH_GUARD) -> int:
-    """Tilings of disk x [0, height) by the profile DP."""
+    """Tilings of disk x [0, height) by the profile DP; its width guard
+    applies to the sweep count_region chooses."""
     if height < 1:
         raise InvalidRegion(f"cylinder height must be >= 1, got {height}")
-    if disk.n_cells > width_guard:
-        raise WidthGuardExceeded(
-            f"disk has {disk.n_cells} cells, guard is {width_guard}"
-        )
     cells = [c + (z,) for z in range(height) for c in disk.cells]
     return count_region(make_region(cells, d=disk.d + 1), width_guard=width_guard)

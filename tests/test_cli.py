@@ -181,7 +181,10 @@ def test_ideals_export(in_tmp, capsys):
 
 
 def test_exit_code_guard(in_tmp, capsys):
-    assert main(["count", "--box", "5,5,2"]) == 3
+    # every axis order of 5x5x5 has profile width 25, over the guard of 24
+    assert main(["count", "--box", "5,5,5"]) == 3
+    (in_tmp / "square5.txt").write_text("#####\n" * 5)
+    assert main(["count", "--disk", "square5.txt", "--height", "5"]) == 3
     assert main(["enumerate", "--box", "3,3,2", "--cap", "10"]) == 3
 
 
@@ -270,9 +273,11 @@ _DISK_RECORD = ["count", "--disk", "bad-disk.json", "--height", "2"]
          "bad-slabs.jsonl line 3: not a slab tiling record (KeyError"),
         (_DISK_RECORD, '{"kind": "cylinder"}',
          "bad-disk.json line 2: not a region record (KeyError"),
+        (_DISK_RECORD, "[1,2]", "bad-disk.json line 2: not a disk row"),
+        (_DISK_RECORD, "##x#", "bad-disk.json line 2: not a disk row"),
     ],
     ids=["tiling-file", "disk-record", "tiling-empty", "tiling-short-domino",
-         "slab-empty", "disk-cylinder"],
+         "slab-empty", "disk-cylinder", "disk-array", "disk-grid-glyph"],
 )
 def test_malformed_json_ends_in_one_error_line(in_tmp, capsys, argv, line, where):
     from dimers.core import base_vertical_tiling, make_box, write_tilings

@@ -234,6 +234,14 @@ def test_parse_floors_rejects_a_glyph_the_region_cannot_hold(glyph, message):
         parse_floors(glyph + text[1:], region)
 
 
+@pytest.mark.parametrize("kept, floor", [(1, 0), (2, 0), (5, 1), (6, 1)])
+def test_parse_floors_rejects_a_diagram_that_ends_inside_a_floor(kept, floor):
+    region = make_box((2, 2, 2))
+    lines = render_floors(base_vertical_tiling(region)).splitlines()
+    with pytest.raises(DecodeError, match=f"diagram ends inside floor {floor}"):
+        parse_floors("\n".join(lines[:kept]), region)
+
+
 def test_render_general_region_uses_dots():
     region = make_region([(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1)])
     t = tiling_from_dominoes(

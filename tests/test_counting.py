@@ -1,4 +1,7 @@
+from itertools import permutations
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dimers.core import make_box, make_cylinder, make_region
 from dimers.counting import (
@@ -9,8 +12,10 @@ from dimers.counting import (
     profile_width,
 )
 from dimers.errors import InvalidRegion, WidthGuardExceeded
+from dimers.explore import enumerate_tilings
 
 from oracles import automaton_cylinder_count, permanent_count
+from test_moves import small_regions
 
 
 @pytest.mark.parametrize(
@@ -42,18 +47,27 @@ def test_count_region_degenerate_cases():
 
 
 def test_count_region_width_guard():
+    # every axis order of 5x5x5 has profile width 25, over the guard of 24
     with pytest.raises(WidthGuardExceeded):
-        count_region(make_box((5, 5, 2)))
-    # explicit guard override allows it; cross-checked by transposing the
-    # box so the profile fits inside the default guard
-    assert count_region(make_box((5, 5, 2)), width_guard=25) == count_region(
-        make_box((5, 2, 5))
-    )
+        count_region(make_box((5, 5, 5)))
+    # 5x5x2 is swept with a side of 5 most significant (width 10, where
+    # the last axis first would be 25), so it counts under the default
+    # guard, and the guard applies to that sweep
+    assert count_region(make_box((5, 5, 2))) == 19114420
+    assert count_region(make_box((5, 5, 2))) == count_region(make_box((5, 2, 5)))
+    assert count_region(make_box((5, 5, 2)), width_guard=10) == 19114420
+    with pytest.raises(WidthGuardExceeded, match="profile width 10"):
+        count_region(make_box((5, 5, 2)), width_guard=9)
 
 
 def test_profile_width_is_cross_section():
+    # the smallest cross-section: the longest side is swept most significant
+    assert profile_width(make_box((3, 3, 2))) == 6
+    assert profile_width(make_box((8, 3, 3))) == 9
+    assert profile_width(make_box((3, 3, 8))) == 9
+    assert profile_width(make_box((6, 3, 4))) == 12
+    assert profile_width(make_box((5, 4, 4))) == 16
     assert profile_width(make_box((4, 4, 8))) == 16
-    assert profile_width(make_box((3, 3, 2))) == 9
 
 
 def test_count_transposition_symmetry():
@@ -150,8 +164,11 @@ def test_cylinder_over_a_disconnected_disk_is_the_product_count():
 def test_count_cylinder_guards():
     with pytest.raises(InvalidRegion):
         count_cylinder(make_box((2, 2)), 0)
+    # the guard is count_region's, on the sweep it runs: at height 5 every
+    # order has width 25; at height 2 a sweep along the disk has width 10
     with pytest.raises(WidthGuardExceeded):
-        count_cylinder(make_box((5, 5)), 2)
+        count_cylinder(make_box((5, 5)), 5)
+    assert count_cylinder(make_box((5, 5)), 2) == count_region(make_box((5, 5, 2)))
 
 
 def test_count_cylinder_large_height_matches_automaton_walk():
@@ -163,3 +180,18 @@ def test_counts_are_exact_python_ints():
     value = count_cylinder(make_box((3, 3)), 10)
     assert isinstance(value, int)
     assert value == count_region(make_box((3, 3, 10)))
+
+
+# the boxes are swept along a strictly narrower order than the default one
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_regions(2), small_regions(3)))
+@example(make_box((4, 2)))
+@example(make_box((4, 2, 2)))
+@example(make_box((2, 4, 2)))
+def test_count_region_matches_the_oracles_in_every_axis_order(region):
+    count = count_region(region)
+    assert count == permanent_count(region)
+    assert count == len(list(enumerate_tilings(region, cap=None)))
+    for axes in permutations(range(region.d)):
+        permuted = make_region([[c[a] for a in axes] for c in region.cells], d=region.d)
+        assert count_region(permuted) == count

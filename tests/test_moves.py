@@ -1,4 +1,5 @@
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -264,29 +265,28 @@ def test_enumeration_matches_naive_oracle_on_small_regions():
 
 
 @st.composite
-def small_3d_regions(draw):
+def small_regions(draw, d):
     """A box of at most 16 cells, or a connected set of up to 16 cells
-    grown one face-neighbour at a time from one cell or from a 2x2x2
-    block (trits need such a block)."""
+    grown one face-neighbour at a time from one cell or from a block of
+    side 2 (in 3D, trits need such a block)."""
     kind = draw(st.sampled_from(["box", "cell", "block"]))
     if kind == "box":
+        side = {2: 8, 3: 4}[d]
         dims = draw(
-            st.tuples(*[st.integers(1, 4)] * 3).filter(
-                lambda d: d[0] * d[1] * d[2] <= 16
-            )
+            st.tuples(*[st.integers(1, side)] * d).filter(lambda dims: prod(dims) <= 16)
         )
         return make_box(dims)
     if kind == "cell":
-        cells = [(0, 0, 0)]
+        cells = [(0,) * d]
     else:
-        cells = [(1 + x, 1 + y, 1 + z) for x, y, z in product((0, 1), repeat=3)]
+        cells = [tuple(1 + x for x in deltas) for deltas in product((0, 1), repeat=d)]
     size = draw(st.integers(len(cells) // 2, 8)) * 2
     while len(cells) < size:
         frontier = sorted(
             {
                 c[:k] + (c[k] + s,) + c[k + 1 :]
                 for c in cells
-                for k in range(3)
+                for k in range(d)
                 for s in (1, -1)
                 if c[k] + s >= 0
             }
@@ -299,7 +299,7 @@ def small_3d_regions(draw):
 # random regions this small rarely admit a trit, so three that do are
 # always checked: two orientations of the 3x3x2 box and a general region
 @settings(max_examples=40, deadline=None)
-@given(small_3d_regions())
+@given(small_regions(3))
 @example(make_box((3, 3, 2)))
 @example(make_box((2, 3, 3)))
 @example(make_region([*make_box((3, 3, 2)).cells, (3, 0, 0), (3, 0, 1)]))

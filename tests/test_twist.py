@@ -39,7 +39,7 @@ from dimers.twist import (
 )
 
 from oracles import pairwise_crossings
-from test_moves import small_3d_regions
+from test_moves import small_regions
 
 
 def test_calibration_values():
@@ -253,7 +253,7 @@ def _check_against_pairwise_oracle(region, tilings, axes=range(3)) -> int:
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_3d_regions())
+@given(small_regions(3))
 @example(make_box((3, 3, 2)))
 @example(make_box((2, 3, 4)))
 def test_crossing_sum_and_trit_signs_match_the_pairwise_oracle(region):
