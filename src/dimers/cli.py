@@ -60,7 +60,8 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 def _load_disk(path: str):
     """Disk file: one row of #/. characters per line, or a JSON region
     record on a first line that starts with '{'.  Any other row is a
-    DecodeError naming the file and line."""
+    DecodeError naming the file and line, and so is a grid without a '#'
+    cell (an empty file, blank lines only, or all '.')."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     rows = [(n, row) for n, row in enumerate(lines, 1) if row.strip()]
     if rows and rows[0][1].lstrip().startswith("{"):
@@ -76,6 +77,8 @@ def _load_disk(path: str):
         for c, ch in enumerate(row):
             if ch == "#":
                 cells.append((c, r))
+    if not cells:
+        raise DecodeError(f"{path}: disk has no '#' cell")
     return make_region(cells, d=2)
 
 

@@ -13,7 +13,15 @@ Every exact count goes through one path:
   floor by floor, its profile is the plug of the transfer automaton, so it
   computes (T^N)[empty, empty] without building T.
 
-Two objects stand beside it as checks:
+The automaton's floor fills have a second job, the twist transfer:
+
+* twist_polynomial: tilings per value of the twist's crossing sum, by a
+  count DP over slices perpendicular to x or y that carries {crossing
+  sum: ways} per plug.  A slice's fills are the automaton's floor fills,
+  and its weight is the twist module's crossing kernel over the dominoes
+  touching it.  explore.twist_census calibrates it.
+
+Two objects stand beside these as checks:
 
 * build_automaton: the plug automaton's explicit transfer matrix, for
   inspection and as an independent route to cylinder counts in the tests.
@@ -23,10 +31,11 @@ Two objects stand beside it as checks:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 
-from .core import Region, make_region
+from .core import Cell, Region, make_region
 from .errors import InvalidRegion, WidthGuardExceeded
 
 WIDTH_GUARD = 24  # 2^24 profile states worst case; refuse rather than thrash
@@ -138,12 +147,14 @@ class PlugAutomaton:
         )
 
 
-def _floor_transitions(disk: Region, plug: int) -> dict[int, int]:
-    """All (next plug -> weight) pairs reachable from `plug`.
+def _floor_transitions(disk: Region, covered: int, open_cells: int) -> list:
+    """Every fill of one floor, as (plug out, in-floor pairs).
 
-    Sweeps the disk cells once; each free cell either matches a free
-    forward neighbor in the floor or pierces the top interface, joining
-    the next plug.
+    Sweeps the disk cells once; each cell not in `covered` either matches
+    a free forward neighbor in the floor, joining the pairs (disk index
+    pairs, lower first), or, when it is in `open_cells`, pierces the top
+    interface, joining the plug out.  The automaton tallies the plugs;
+    the twist transfer also weighs the pairs.
     """
     n = disk.n_cells
     table = disk.neighbor_table
@@ -151,23 +162,27 @@ def _floor_transitions(disk: Region, plug: int) -> dict[int, int]:
         [table[i][2 * a] for a in range(disk.d) if table[i][2 * a] > i]
         for i in range(n)
     ]
-    out: dict[int, int] = {}
+    fills = []
+    pairs: list[tuple[int, int]] = []
 
     def sweep(i: int, covered: int, up: int) -> None:
         while i < n and covered & (1 << i):
             i += 1
         if i == n:
-            out[up] = out.get(up, 0) + 1
+            fills.append((up, tuple(pairs)))
             return
         bit = 1 << i
-        sweep(i + 1, covered | bit, up | bit)  # pierce the top interface
+        if open_cells & bit:
+            sweep(i + 1, covered | bit, up | bit)  # pierce the top interface
         for j in forward[i]:
             jbit = 1 << j
             if not covered & jbit:
+                pairs.append((i, j))
                 sweep(i + 1, covered | bit | jbit, up)
+                pairs.pop()
 
-    sweep(0, plug, 0)
-    return out
+    sweep(0, covered, 0)
+    return fills
 
 
 def build_automaton(disk: Region, *, width_guard: int = WIDTH_GUARD) -> PlugAutomaton:
@@ -176,11 +191,12 @@ def build_automaton(disk: Region, *, width_guard: int = WIDTH_GUARD) -> PlugAuto
         raise WidthGuardExceeded(
             f"disk has {disk.n_cells} cells, guard is {width_guard}"
         )
+    everywhere = (1 << disk.n_cells) - 1
     plugs = [0]
     index = {0: 0}
     rows = []
     for plug in plugs:  # breadth first: plugs grows while it is walked
-        transitions = _floor_transitions(disk, plug)
+        transitions = Counter(up for up, _ in _floor_transitions(disk, plug, everywhere))
         for q in transitions:
             if q not in index:
                 index[q] = len(plugs)
@@ -202,3 +218,104 @@ def count_cylinder(disk: Region, height: int, *, width_guard: int = WIDTH_GUARD)
         raise InvalidRegion(f"cylinder height must be >= 1, got {height}")
     cells = [c + (z,) for z in range(height) for c in disk.cells]
     return count_region(make_region(cells, d=disk.d + 1), width_guard=width_guard)
+
+
+# ---------------------------------------------------------------------------
+# the twist transfer
+
+
+def _slices(region: Region) -> dict[int, dict[Cell, int]]:
+    """Slices perpendicular to x or y, whichever has the smaller largest
+    slice (x on a tie): coordinate -> {cell without it: cell index}."""
+    best = None
+    for axis in (0, 1):
+        slices: dict[int, dict[Cell, int]] = {}
+        for i, cell in enumerate(region.cells):
+            slices.setdefault(cell[axis], {})[cell[:axis] + cell[axis + 1 :]] = i
+        largest = max(map(len, slices.values()), default=0)
+        if best is None or largest < best[0]:
+            best = (largest, slices)
+    return best[1]
+
+
+def twist_polynomial(region: Region) -> dict[int, int]:
+    """Tilings per value of the twist's crossing sum along z, sum_T q^W(T)
+    with W = _crossings over all of T's dominoes, exactly.
+
+    Only an x-domino and a y-domino on the same (x, y) column cross, so W
+    is a sum over columns.  Sweeping slices perpendicular to x (or y), a
+    slice holds whole columns, and its fill, with the plug in from the
+    slice before and the plug out to the slice after, fixes every domino
+    touching them.  The slice's weight is the kernel over those dominoes;
+    the columns of the neighbouring slices get dominoes of one axis only
+    from them and add 0.  The count DP then carries {W: ways} per plug.
+    The plug masks live on the union of the slices' projections, and the
+    slice's cell count is guarded like the profile width.
+    """
+    from .twist import _crossings
+
+    if region.d != 3:
+        raise InvalidRegion("pretwist is defined for d=3 only")
+    slices = _slices(region)
+    largest = max(map(len, slices.values()), default=0)
+    if largest > WIDTH_GUARD:
+        raise WidthGuardExceeded(f"slice has {largest} cells, guard is {WIDTH_GUARD}")
+    disk = make_region({p for cells in slices.values() for p in cells}, d=2)
+    everywhere = (1 << disk.n_cells) - 1
+    # in-slice dominoes along the disk's first axis; z-dominoes cross nothing
+    crossing = {(p, row[0]) for p, row in enumerate(disk.neighbor_table) if row[0] >= 0}
+    positions = {
+        s: {disk.index[p]: i for p, i in cells.items()} for s, cells in slices.items()
+    }
+
+    # Plug dominoes all run along the sweep, so they cross only in-slice
+    # ones, and the slice's weight is the kernel over the plug in and the
+    # crossing in-slice dominoes plus the kernel over those and the plug
+    # out.  Moving a slice one step along the sweep flips every orientation
+    # sign and each crossing is a product of two, so both halves depend only
+    # on their plug and in-slice dominoes, and the transitions only on the
+    # slice's shape: the cells it lacks and the cells that may pierce.
+    halves: dict[tuple, int] = {}
+    memo: dict[tuple[int, int, int], Counter] = {}
+
+    def half(side: int, mask: int, across: tuple, plug_pairs: dict, here: dict) -> int:
+        key = (side, mask, across)
+        value = halves.get(key)
+        if value is None:
+            value = halves[key] = _crossings(
+                region,
+                [*(plug_pairs[p] for p in _bits(mask)), *((here[p], here[q]) for p, q in across)],
+                2,
+            )
+        return value
+
+    vector: dict[int, dict[int, int]] = {0: {0: 1}}
+    here: dict[int, int] = {}
+    for s in range(min(slices, default=0), max(slices, default=-1) + 1):
+        before, here, after = here, positions.get(s, {}), positions.get(s + 1, {})
+        entering = {p: (before[p], i) for p, i in here.items() if p in before}
+        leaving = {p: (i, after[p]) for p, i in here.items() if p in after}
+        absent = everywhere & ~sum(1 << p for p in here)
+        open_cells = sum(1 << p for p in leaving)
+        nxt: dict[int, dict[int, int]] = {}
+        for plug, weights in vector.items():
+            key = (plug, absent, open_cells)
+            steps = memo.get(key)
+            if steps is None:
+                steps = memo[key] = Counter()
+                for up, pairs in _floor_transitions(disk, plug | absent, open_cells):
+                    across = tuple(filter(crossing.__contains__, pairs))
+                    w = half(0, plug, across, entering, here) + half(1, up, across, leaving, here)
+                    steps[up, w] += 1
+            for (up, w), ways in steps.items():
+                target = nxt.setdefault(up, {})
+                for value, count in weights.items():
+                    target[value + w] = target.get(value + w, 0) + count * ways
+        vector = nxt
+        if not vector:
+            return {}
+    return dict(sorted(vector.get(0, {}).items()))
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]

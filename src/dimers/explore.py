@@ -11,7 +11,8 @@ Two graph routines serve every census and path question: components, one
 union-find over any state graph (flip censuses, the component/trit graph,
 slab flips, the 2D sweep), and search_path, one breadth-first tree path
 (the twist path oracle and the ideal containment certificates).  Only the
-extended census keeps its own disk-backed sweep.
+extended census keeps its own disk-backed sweep.  The twist census
+enumerates nothing: it calibrates counting.twist_polynomial.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .core import Region, Tiling, decode, encode, make_region, region_to_record
-from .counting import count_region
-from .errors import CapExceeded, DimersError, NotReachable
+from .counting import count_region, twist_polynomial
+from .errors import CalibrationError, CapExceeded, DimersError, NotReachable
 from .moves import flip_neighbors, list_flips, trit_neighbors
 
 DEFAULT_CAP = 10_000_000
@@ -240,12 +241,30 @@ def component_trit_graph(region: Region, cap: int | None = DEFAULT_CAP) -> Compo
 
 
 def twist_census(region: Region, cap: int | None = DEFAULT_CAP) -> dict[int, int]:
-    """Exact tiling count per twist value."""
-    from .twist import twist as _twist_of
+    """Exact tiling count per twist value, counted by the slice transfer
+    (counting.twist_polynomial) without enumerating a tiling.  The cap is
+    checked against the exact count up front, as enumeration checks it."""
+    from .twist import _reference_pretwist, calibration
 
-    counts: Counter[int] = Counter()
-    for t in enumerate_tilings(region, cap):
-        counts[_twist_of(t)] += 1
+    if cap is not None:
+        total = count_region(region)
+        if total > cap:
+            raise CapExceeded(f"{total} tilings exceed the cap of {cap}")
+        if not total:
+            return {}
+    if region.d != 3 and next(enumerate_tilings(region, cap=None), None) is None:
+        return {}  # no tiling, so no twist to be undefined
+    weights = twist_polynomial(region)
+    if not weights:
+        return {}
+    cal = calibration()
+    base = _reference_pretwist(region)
+    counts: dict[int, int] = {}
+    for weight, count in weights.items():
+        value = cal.sign * 2 * cal.kappa * weight - base
+        if value.denominator != 1:
+            raise CalibrationError(f"non-integral twist {value}")
+        counts[int(value)] = count
     return dict(sorted(counts.items()))
 
 

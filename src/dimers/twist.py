@@ -7,7 +7,8 @@
   k times each domino's orientation, +1 when its white cell is the lower
   one) times the sign of their separation along k.  One kernel,
   `_crossings`, forms these products over index pairs; pretwist, the
-  calibration and trit_sign all call it.  A trit's step is the kernel
+  calibration, trit_sign and the slice weights of
+  counting.twist_polynomial all call it.  A trit's step is the kernel
   over the dominoes that touch the trit's column, after minus before.
   The normalization kappa and the global sign are pinned once by
   self-calibration on the 3x3x2 box, never adjusted silently.

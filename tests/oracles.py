@@ -9,8 +9,10 @@ instead of scanning precomputed windows.  Flip components come from
 comparing every pair of tilings, and cylinder counts from walking the plug
 automaton's transfer matrix floor by floor instead of the profile DP.  The
 twist's crossing sum compares every pair of dominoes instead of bucketing
-them by shadow square.
+them by shadow square, and the twist census tallies the twist of every
+enumerated tiling instead of counting through the slice transfer.
 """
+from collections import Counter
 from itertools import combinations, product
 
 from dimers.core import color_sign
@@ -215,3 +217,15 @@ def pairwise_crossings(tiling, k: int) -> int:
             if shadow0 & shadow1:
                 total += levi_civita * s0 * s1 * ((z1 > z0) - (z1 < z0))
     return total
+
+
+def twist_census_by_enumeration(region, cap=10_000_000) -> dict[int, int]:
+    """Tiling count per twist value: every tiling is enumerated and its
+    twist summed pairwise."""
+    from dimers.explore import enumerate_tilings
+    from dimers.twist import twist
+
+    counts = Counter()
+    for t in enumerate_tilings(region, cap):
+        counts[twist(t)] += 1
+    return dict(sorted(counts.items()))

@@ -295,6 +295,15 @@ def test_malformed_json_ends_in_one_error_line(in_tmp, capsys, argv, line, where
     assert err.startswith(f"error: {where}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n\n", "...\n..\n"], ids=["empty", "blank", "dots"])
+@pytest.mark.parametrize("height", [["--height", "2"], []], ids=["cylinder", "disk"])
+def test_disk_without_a_cell_ends_in_one_error_line(in_tmp, capsys, text, height):
+    (in_tmp / "disk.txt").write_text(text)
+    assert main(["count", "--disk", "disk.txt", *height]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: disk.txt: disk has no '#' cell\n"
+
+
 def test_manifest_path_flag(in_tmp, capsys):
     code, _ = run(capsys, "--manifest", "custom.json", "count", "--box", "2,2")
     assert code == 0

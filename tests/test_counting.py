@@ -10,6 +10,7 @@ from dimers.counting import (
     count_rect_2d_formula,
     count_region,
     profile_width,
+    twist_polynomial,
 )
 from dimers.errors import InvalidRegion, WidthGuardExceeded
 from dimers.explore import enumerate_tilings
@@ -195,3 +196,13 @@ def test_count_region_matches_the_oracles_in_every_axis_order(region):
     for axes in permutations(range(region.d)):
         permuted = make_region([[c[a] for a in axes] for c in region.cells], d=region.d)
         assert count_region(permuted) == count
+
+
+def test_twist_polynomial_weights_and_guard():
+    # crossing sums are four times the twist (kappa 1/8 over ordered pairs)
+    assert twist_polynomial(make_box((2, 3, 4))) == {-4: 10, 0: 1825, 4: 10}
+    assert twist_polynomial(make_box((3, 3, 3))) == {}
+    with pytest.raises(WidthGuardExceeded):
+        twist_polynomial(make_box((5, 5, 6)))  # 30-cell slices both ways
+    with pytest.raises(InvalidRegion):
+        twist_polynomial(make_box((2, 2)))

@@ -1,7 +1,10 @@
+import time
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dimers.core import decode, encode, make_box, make_region, validate
+from dimers.counting import count_region
 from dimers.errors import CapExceeded, DimersError
 from dimers.explore import (
     DiskBackedSet,
@@ -20,7 +23,8 @@ from dimers.explore import (
 from dimers.moves import flip_neighbors, list_flips
 from dimers.twist import pfaffian_alternating_sum
 
-from oracles import flip_components_by_difference
+from oracles import flip_components_by_difference, twist_census_by_enumeration
+from test_moves import small_regions as grown_regions
 
 
 def test_enumerate_counts():
@@ -110,12 +114,67 @@ def test_tw_max_values_and_bound():
         assert tw_max(make_box(dims)) / (l * m * n * min(dims)) <= 1 / 16
 
 
-@pytest.mark.slow
 def test_tw_max_334():
     census = twist_census(make_box((3, 3, 4)))
     assert census == {-2: 1, -1: 4011, 0: 109781, 1: 4011, 2: 1}
     assert tw_max(make_box((3, 3, 4))) == 2
     assert 2 / (3 * 3 * 4 * 3) <= 1 / 16
+
+
+def _alternating(census):
+    return sum(count * (-1) ** (value % 2) for value, count in census.items())
+
+
+def test_twist_census_344_beyond_the_cap():
+    region = make_box((3, 4, 4))
+    with pytest.raises(CapExceeded):
+        twist_census(region)
+    census = twist_census(region, cap=None)
+    assert census == {-2: 3794, -1: 471336, 0: 9935084, 1: 471336, 2: 3794}
+    assert sum(census.values()) == count_region(region) == 10_885_344
+    assert abs(_alternating(census)) == abs(pfaffian_alternating_sum(region))
+    assert tw_max(region, cap=None) == 2
+    assert tw_max(make_box((2, 4, 6))) == 2
+
+
+@pytest.mark.extended
+def test_twist_census_444():
+    region = make_box((4, 4, 4))
+    t0 = time.perf_counter()
+    census = twist_census(region, cap=None)
+    assert time.perf_counter() - t0 < 30.0
+    assert census == {
+        -4: 18, -3: 15_144, -2: 8_955_822, -1: 310_188_792, 0: 4_413_212_553,
+        1: 310_188_792, 2: 8_955_822, 3: 15_144, 4: 18,
+    }
+    assert sum(census.values()) == count_region(region) == 5_051_532_105
+    assert abs(_alternating(census)) == abs(pfaffian_alternating_sum(region)) == 3_810_716_361
+    assert max(census) == 4
+    assert max(census) / (4 * 4 * 4 * 4) <= 1 / 16
+
+
+_BOX_334 = make_box((3, 3, 4)).cells
+
+
+def _census_or_error(census, region):
+    try:
+        return census(region)
+    except DimersError as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 3, 2]).flatmap(grown_regions))
+@example(make_box((3, 3, 2)))
+@example(make_box((2, 3, 4)))
+@example(make_box((2, 3, 5)))
+# the pairwise sum is not integral on these two, so both routes raise
+@example(make_region([c for c in _BOX_334 if c not in {(2, 2, 3), (2, 1, 3)}]))
+@example(make_region([c for c in _BOX_334 if c not in {(0, 0, 0), (1, 0, 0)}]))
+def test_twist_census_matches_the_enumeration_oracle(region):
+    assert _census_or_error(twist_census, region) == _census_or_error(
+        twist_census_by_enumeration, region
+    )
 
 
 def test_census_csv(tmp_path):
