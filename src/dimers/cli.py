@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sqlite3
 import sys
 import time
 from pathlib import Path
@@ -39,7 +40,7 @@ from .explore import (
     flip_free_tilings,
     twist_census,
 )
-from .sample import ChainConfig, histogram_csv, histogram_svg, twist_distribution
+from .sample import ChainConfig, TwistHistogram, histogram_csv, histogram_svg, twist_distribution
 from .slab import read_slab_tilings, slab_flip_components, triple_twist
 
 EXIT_USAGE = 2
@@ -87,7 +88,7 @@ def _region_from_args(args) -> object:
         return make_box(args.box)
     if getattr(args, "disk", None):
         disk = _load_disk(args.disk)
-        if getattr(args, "height", None):
+        if getattr(args, "height", None) is not None:
             from .core import make_cylinder
 
             return make_cylinder(disk, args.height)
@@ -112,13 +113,18 @@ def _write_manifest(args, command: str, extra: dict, started: float) -> None:
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
 
+def _read_matching(read, path, region):
+    """read(path), refused when region is given and the file's differs."""
+    file_region, items = read(path)
+    if region is not None and file_region != region:
+        raise DimersError("tiling file region disagrees with --box")
+    return file_region, items
+
+
 def _tilings_from_arg(args, region):
     if args.tiling == "base":
         return [base_vertical_tiling(region)]
-    file_region, tilings = read_tilings(args.tiling)
-    if region is not None and file_region != region:
-        raise DimersError("tiling file region disagrees with --box")
-    return tilings
+    return _read_matching(read_tilings, args.tiling, region)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +139,7 @@ def _cmd_count(args) -> dict:
         print(round(value))
         return {"count": round(value), "formula_value": value,
                 "region": {"d": 2, "kind": "box", "dims": list(args.box)}}
-    if args.disk and args.height:
+    if args.disk and args.height is not None:
         disk = _load_disk(args.disk)
         value = count_cylinder(disk, args.height)
         print(value)
@@ -196,10 +202,7 @@ def _cmd_census(args) -> dict:
     for value, count in counts.items():
         print(f"{value},{count}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("twist,count\n")
-            for value, count in counts.items():
-                fh.write(f"{value},{count}\n")
+        histogram_csv(TwistHistogram(counts), args.out)
     return {
         "census": {str(k): str(v) for k, v in counts.items()},
         "region": region_to_record(region),
@@ -259,8 +262,8 @@ def _cmd_sample(args) -> dict:
 
 
 def _cmd_slab(args) -> dict:
-    region = _region_from_args(args) if (args.box or args.disk) else None
     if args.slab_command == "census":
+        region = _region_from_args(args)
         components = slab_flip_components(region, args.cap)
         total = sum(map(len, components))
         triples = sorted(set(triple_twist(c[0]) for c in components))
@@ -273,7 +276,8 @@ def _cmd_slab(args) -> dict:
             "region": region_to_record(region),
         }
     # slab twist --tiling FILE
-    file_region, slab_tilings = read_slab_tilings(args.tiling)
+    region = _region_from_args(args) if (args.box or args.disk) else None
+    file_region, slab_tilings = _read_matching(read_slab_tilings, args.tiling, region)
     values = [triple_twist(t) for t in slab_tilings]
     for v in values:
         print(",".join(map(str, v)))
@@ -447,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     except CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION
-    except (DimersError, OSError) as exc:
+    except (DimersError, OSError, sqlite3.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return 0

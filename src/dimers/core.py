@@ -73,6 +73,16 @@ class Region:
         return tuple(rows)
 
     @cached_property
+    def forward(self) -> tuple[tuple[int, ...], ...]:
+        """forward[i]: the cells one step along +axis from cell i, in axis
+        order.  Each follows cell i in the sorted cells, so a sweep in
+        index order meets it later."""
+        return tuple(
+            tuple(row[2 * axis] for axis in range(self.d) if row[2 * axis] >= 0)
+            for row in self.neighbor_table
+        )
+
+    @cached_property
     def columns(self) -> dict[Cell, tuple[int, ...]]:
         """cell[:-1] -> indices of the cells above that point, bottom up."""
         out: dict[Cell, list[int]] = {}
@@ -259,9 +269,6 @@ class Tiling:
 
     region: Region
     partner: tuple[int, ...]
-
-    def partner_cell(self, cell: Cell) -> Cell:
-        return self.region.cells[self.partner[self.region.index[cell]]]
 
     def dominoes(self) -> list[Domino]:
         region = self.region
@@ -571,17 +578,23 @@ def tiling_from_record(rec: dict, region: Region) -> Tiling:
         return tiling_from_dominoes(region, dominoes)
 
 
-def write_tilings(path, region: Region, tilings: Iterable[Tiling]) -> int:
-    """Write a JSON-lines tiling file; returns the number of tilings."""
+def write_records(path, region: Region, items: Iterable, encode) -> int:
+    """Write a JSON-lines file: a region header, then encode(item) of each
+    item, which must live on that region.  Returns the number of items."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(region_to_record(region)) + "\n")
-        for t in tilings:
-            if t.region != region:
+        for item in items:
+            if item.region != region:
                 raise RegionMismatch("tiling does not live on the header region")
-            fh.write(json.dumps(tiling_to_record(t)) + "\n")
+            fh.write(json.dumps(encode(item)) + "\n")
             count += 1
     return count
+
+
+def write_tilings(path, region: Region, tilings: Iterable[Tiling]) -> int:
+    """Write a JSON-lines tiling file; returns the number of tilings."""
+    return write_records(path, region, tilings, tiling_to_record)
 
 
 def json_record(line: str, path, lineno: int, decode):

@@ -54,11 +54,7 @@ def _dp_plan(region: Region) -> list[list[int]]:
     order is strictly narrower.
     """
     cells = region.cells
-    table = region.neighbor_table
-    forward = [
-        [row[2 * axis] for axis in range(region.d) if row[2 * axis] >= 0]
-        for row in table
-    ]
+    forward = region.forward
     best = None
     for axes in permutations(reversed(range(region.d))):
         keys = [[cell[a] for a in axes] for cell in cells]
@@ -81,13 +77,13 @@ def profile_width(region: Region) -> int:
     return max((offs[-1] for offs in plan if offs), default=0)
 
 
-def count_region(region: Region, *, width_guard: int = WIDTH_GUARD) -> int:
+def count_region(region: Region) -> int:
     """Number of domino tilings of the region, exactly."""
     plan = _dp_plan(region)
     width = max((offs[-1] for offs in plan if offs), default=0)
-    if width > width_guard:
+    if width > WIDTH_GUARD:
         raise WidthGuardExceeded(
-            f"profile width {width} exceeds guard {width_guard}"
+            f"profile width {width} exceeds guard {WIDTH_GUARD}"
         )
     states = {0: 1}
     for offsets in plan:
@@ -140,12 +136,6 @@ class PlugAutomaton:
     plugs: tuple[int, ...]
     matrix: tuple[tuple[int, ...], ...]
 
-    def plug_cells(self, plug_id: int):
-        mask = self.plugs[plug_id]
-        return tuple(
-            c for i, c in enumerate(self.disk.cells) if mask & (1 << i)
-        )
-
 
 def _floor_transitions(disk: Region, covered: int, open_cells: int) -> list:
     """Every fill of one floor, as (plug out, in-floor pairs).
@@ -157,11 +147,7 @@ def _floor_transitions(disk: Region, covered: int, open_cells: int) -> list:
     the twist transfer also weighs the pairs.
     """
     n = disk.n_cells
-    table = disk.neighbor_table
-    forward = [
-        [table[i][2 * a] for a in range(disk.d) if table[i][2 * a] > i]
-        for i in range(n)
-    ]
+    forward = disk.forward
     fills = []
     pairs: list[tuple[int, int]] = []
 
@@ -185,11 +171,11 @@ def _floor_transitions(disk: Region, covered: int, open_cells: int) -> list:
     return fills
 
 
-def build_automaton(disk: Region, *, width_guard: int = WIDTH_GUARD) -> PlugAutomaton:
+def build_automaton(disk: Region) -> PlugAutomaton:
     """Plugs reachable from the empty plug, with transition multiplicities."""
-    if disk.n_cells > width_guard:
+    if disk.n_cells > WIDTH_GUARD:
         raise WidthGuardExceeded(
-            f"disk has {disk.n_cells} cells, guard is {width_guard}"
+            f"disk has {disk.n_cells} cells, guard is {WIDTH_GUARD}"
         )
     everywhere = (1 << disk.n_cells) - 1
     plugs = [0]
@@ -211,13 +197,13 @@ def build_automaton(disk: Region, *, width_guard: int = WIDTH_GUARD) -> PlugAuto
     return PlugAutomaton(disk=disk, plugs=tuple(plugs), matrix=tuple(matrix))
 
 
-def count_cylinder(disk: Region, height: int, *, width_guard: int = WIDTH_GUARD) -> int:
+def count_cylinder(disk: Region, height: int) -> int:
     """Tilings of disk x [0, height) by the profile DP; its width guard
     applies to the sweep count_region chooses."""
     if height < 1:
         raise InvalidRegion(f"cylinder height must be >= 1, got {height}")
     cells = [c + (z,) for z in range(height) for c in disk.cells]
-    return count_region(make_region(cells, d=disk.d + 1), width_guard=width_guard)
+    return count_region(make_region(cells, d=disk.d + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,12 @@ import csv
 import json
 import sqlite3
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .core import Region, Tiling, decode, encode, make_region, region_to_record
 from .counting import count_region, twist_polynomial
-from .errors import CalibrationError, CapExceeded, DimersError, NotReachable
+from .errors import CapExceeded, DimersError, NotReachable
 from .moves import flip_neighbors, list_flips, trit_neighbors
 
 DEFAULT_CAP = 10_000_000
@@ -38,20 +38,14 @@ def enumerate_tilings(region: Region, cap: int | None = DEFAULT_CAP) -> Iterator
     extended runs.
     """
     if cap is not None:
-        total = count_region(region)
-        if total > cap:
-            raise CapExceeded(f"{total} tilings exceed the cap of {cap}")
+        _count_within(region, cap)
     n = region.n_cells
     if n == 0:
         yield Tiling(region, ())
         return
     if n % 2:
         return
-    table = region.neighbor_table
-    forward = [
-        tuple(table[i][2 * a] for a in range(region.d) if table[i][2 * a] >= 0)
-        for i in range(n)
-    ]
+    forward = region.forward
     partner = [-1] * n
 
     def rec(start: int) -> Iterator[Tiling]:
@@ -68,6 +62,14 @@ def enumerate_tilings(region: Region, cap: int | None = DEFAULT_CAP) -> Iterator
                 partner[i] = partner[j] = -1
 
     yield from rec(0)
+
+
+def _count_within(region: Region, cap: int | None) -> int:
+    """The exact tiling count; CapExceeded when it is over the cap."""
+    total = count_region(region)
+    if cap is not None and total > cap:
+        raise CapExceeded(f"{total} tilings exceed the cap of {cap}")
+    return total
 
 
 class UnionFind:
@@ -149,11 +151,10 @@ class ComponentCensus:
 
     region: Region
     components: list[tuple[int, bytes]]
-    multiplicity: dict[int, int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.multiplicity:
-            self.multiplicity = dict(Counter(size for size, _ in self.components))
+    @property
+    def multiplicity(self) -> dict[int, int]:
+        return dict(Counter(size for size, _ in self.components))
 
     @property
     def sizes(self) -> list[int]:
@@ -243,29 +244,14 @@ def component_trit_graph(region: Region, cap: int | None = DEFAULT_CAP) -> Compo
 def twist_census(region: Region, cap: int | None = DEFAULT_CAP) -> dict[int, int]:
     """Exact tiling count per twist value, counted by the slice transfer
     (counting.twist_polynomial) without enumerating a tiling.  The cap is
-    checked against the exact count up front, as enumeration checks it."""
-    from .twist import _reference_pretwist, calibration
+    checked against the exact count up front, as enumeration checks it.  A
+    region with no tiling has no twist to be undefined, in any dimension."""
+    from .twist import _weight_twist
 
-    if cap is not None:
-        total = count_region(region)
-        if total > cap:
-            raise CapExceeded(f"{total} tilings exceed the cap of {cap}")
-        if not total:
-            return {}
-    if region.d != 3 and next(enumerate_tilings(region, cap=None), None) is None:
-        return {}  # no tiling, so no twist to be undefined
-    weights = twist_polynomial(region)
-    if not weights:
+    if (cap is not None or region.d != 3) and not _count_within(region, cap):
         return {}
-    cal = calibration()
-    base = _reference_pretwist(region)
-    counts: dict[int, int] = {}
-    for weight, count in weights.items():
-        value = cal.sign * 2 * cal.kappa * weight - base
-        if value.denominator != 1:
-            raise CalibrationError(f"non-integral twist {value}")
-        counts[int(value)] = count
-    return dict(sorted(counts.items()))
+    weights = twist_polynomial(region)
+    return dict(sorted((_weight_twist(region, w), count) for w, count in weights.items()))
 
 
 def tw_max(region: Region, cap: int | None = DEFAULT_CAP) -> int:

@@ -49,15 +49,21 @@ def _window(table: dict, region: Region, corner: Cell, axes):
     return table.get((region.index.get(corner), tuple(sorted(axes))))
 
 
-def _flipped(partner, window) -> tuple[int, ...] | None:
-    """partner with the window's parallel pair rotated, or None when the
-    window holds no parallel pair."""
+def _parallel_side(partner, window) -> int | None:
+    """0 or 1 when the window holds a parallel pair of dominoes along its
+    first or second axis, None when it holds none."""
     i00, i10, i01, i11 = window
     if partner[i00] == i10 and partner[i01] == i11:
-        return _swapped(partner, ((i00, i01), (i10, i11)))
+        return 0
     if partner[i00] == i01 and partner[i10] == i11:
-        return _swapped(partner, ((i00, i10), (i01, i11)))
+        return 1
     return None
+
+
+def _flipped(partner, window, side: int) -> tuple[int, ...]:
+    """partner with the window's parallel pair, along axis `side`, rotated."""
+    i00, i10, i01, i11 = window
+    return _swapped(partner, ((i00, i01), (i10, i11)) if side == 0 else ((i00, i10), (i01, i11)))
 
 
 def _held(partner, ids) -> tuple[tuple[int, int], ...]:
@@ -77,9 +83,9 @@ def flip_neighbors(region: Region, partner) -> list[tuple[int, ...]]:
     """Partner tuples one flip away, in list_flips order."""
     out = []
     for window in region.flip_windows.values():
-        after = _flipped(partner, window)
-        if after is not None:
-            out.append(after)
+        side = _parallel_side(partner, window)
+        if side is not None:
+            out.append(_flipped(partner, window, side))
     return out
 
 
@@ -98,13 +104,11 @@ def trit_neighbors(region: Region, partner) -> list[tuple]:
 def list_flips(tiling: Tiling) -> list[FlipMove]:
     """Every applicable flip, duplicate-free, in deterministic order."""
     cells = tiling.region.cells
-    partner = tiling.partner
     out = []
-    for (corner, axes), (i00, i10, i01, i11) in tiling.region.flip_windows.items():
-        if partner[i00] == i10 and partner[i01] == i11:
-            out.append(FlipMove(cells[corner], axes, axes[0]))
-        elif partner[i00] == i01 and partner[i10] == i11:
-            out.append(FlipMove(cells[corner], axes, axes[1]))
+    for (corner, axes), window in tiling.region.flip_windows.items():
+        side = _parallel_side(tiling.partner, window)
+        if side is not None:
+            out.append(FlipMove(cells[corner], axes, axes[side]))
     return out
 
 
@@ -114,11 +118,10 @@ def apply_flip(tiling: Tiling, move: FlipMove) -> Tiling:
     window = _window(tiling.region.flip_windows, tiling.region, move.corner, (a, b))
     if window is None:
         raise MoveNotApplicable(f"flip window {move.corner} leaves the region")
-    axis = a if tiling.partner[window[0]] == window[1] else b
-    after = _flipped(tiling.partner, window) if axis == move.before_axis else None
-    if after is None:
+    side = _parallel_side(tiling.partner, window)
+    if side is None or (a, b)[side] != move.before_axis:
         raise MoveNotApplicable(f"no parallel pair along axis {move.before_axis}")
-    return Tiling(tiling.region, after)
+    return Tiling(tiling.region, _flipped(tiling.partner, window, side))
 
 
 def _dominoes(region: Region, pairs) -> tuple[Domino, ...]:

@@ -11,7 +11,7 @@ across platforms for a fixed seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .core import Region, Tiling, validate
 from .errors import InvalidRegion, InvalidTiling
@@ -36,8 +36,10 @@ class ChainConfig:
     def __post_init__(self):
         if self.moves not in ("flips", "flips+trits"):
             raise InvalidRegion(f"unknown move set {self.moves!r}")
-        if self.burn_in is not None and not 0 <= self.burn_in <= self.steps:
-            raise InvalidRegion("need steps >= burn_in >= 0")
+        if self.steps < 0:
+            raise InvalidRegion(f"steps must be >= 0, got {self.steps}")
+        if self.burn_in is not None and self.burn_in < 0:
+            raise InvalidRegion(f"burn-in must be >= 0, got {self.burn_in}")
 
 
 class _Chain:
@@ -63,7 +65,7 @@ class _Chain:
     def step(self) -> None:
         kind, window = self.windows[self.rng.randrange(len(self.windows))]
         partner = self.partner
-        if kind == "flip":
+        if kind == "flip":  # moves._parallel_side and _flipped, inlined in the hot loop
             i00, i10, i01, i11 = window
             if partner[i00] == i10 and partner[i01] == i11:
                 partner[i00], partner[i01] = i01, i00
@@ -140,24 +142,24 @@ def twist_distribution(
     config: ChainConfig,
     samples: int,
     *,
-    start: Tiling | None = None,
-    thin: int | None = None,
     chains: int = 1,
 ) -> TwistHistogram:
     """Histogram of the twist over thinned chain samples (3D only).
 
-    Burn-in defaults to 100x the cell count and thinning to the cell
-    count.  Chains are independent with derived seeds and their counts
-    merge associatively, so the result does not depend on scheduling.
+    Every chain starts from the all-vertical tiling.  Burn-in defaults to
+    100x the cell count, and thinning is the cell count.  Chains are
+    independent with derived seeds and their counts merge associatively,
+    so the result does not depend on scheduling.
     """
     from .core import base_vertical_tiling
     from .twist import twist as _twist_of
 
     if region.d != 3:
         raise InvalidRegion("twist histograms are defined for d=3")
-    if start is None:
-        start = base_vertical_tiling(region)
-    thin = region.n_cells if thin is None else thin
+    if samples < 1 or chains < 1:
+        raise InvalidRegion(f"need samples >= 1 and chains >= 1, got {samples} and {chains}")
+    start = base_vertical_tiling(region)
+    thin = region.n_cells
     burn_in = 100 * region.n_cells if config.burn_in is None else config.burn_in
     base_twist = _twist_of(start)
     counts: dict[int, int] = {}
@@ -167,16 +169,7 @@ def twist_distribution(
     for chain_id, chain_samples in enumerate(per_chain):
         if chain_samples == 0:
             continue
-        chain = _Chain(
-            region,
-            start,
-            ChainConfig(
-                moves=config.moves,
-                steps=config.steps,
-                seed=config.seed + chain_id,
-                burn_in=config.burn_in,
-            ),
-        )
+        chain = _Chain(region, start, replace(config, seed=config.seed + chain_id))
         for _ in range(burn_in):
             chain.step()
         for _ in range(chain_samples):

@@ -10,14 +10,13 @@ pairs give the triple twist.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
 from .core import Cell, Domino, Region, Tiling, decoding, make_region, read_records
-from .core import region_to_record, tiling_from_dominoes
+from .core import tiling_from_dominoes, write_records
 from .errors import CapExceeded, InflationError, InvalidRegion, MoveNotApplicable
 from .explore import components
 from .twist import pretwist
@@ -350,13 +349,7 @@ def slab_tiling_from_record(rec: dict, region: Region) -> SlabTiling:
 
 
 def write_slab_tilings(path, region: Region, tilings: Iterable[SlabTiling]) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(region_to_record(region)) + "\n")
-        for t in tilings:
-            fh.write(json.dumps(slab_tiling_to_record(t)) + "\n")
-            count += 1
-    return count
+    return write_records(path, region, tilings, slab_tiling_to_record)
 
 
 def read_slab_tilings(path) -> tuple[Region, list[SlabTiling]]:

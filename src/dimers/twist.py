@@ -6,9 +6,10 @@
   sign of the crossing (the Levi-Civita sign of the two domino axes and
   k times each domino's orientation, +1 when its white cell is the lower
   one) times the sign of their separation along k.  One kernel,
-  `_crossings`, forms these products over index pairs; pretwist, the
-  calibration, trit_sign and the slice weights of
-  counting.twist_polynomial all call it.  A trit's step is the kernel
+  `_crossings`, forms these products over index pairs; pretwist, twist,
+  the calibration, trit_sign and the slice weights of
+  counting.twist_polynomial all call it, and twist and the census share
+  one shift by the reference tiling.  A trit's step is the kernel
   over the dominoes that touch the trit's column, after minus before.
   The normalization kappa and the global sign are pinned once by
   self-calibration on the 3x3x2 box, never adjusted silently.
@@ -191,12 +192,22 @@ def _reference_pretwist(region: Region) -> Fraction:
     return pretwist(_reference_tiling(region), 2)
 
 
-def twist(tiling: Tiling) -> int:
-    """Integer twist of a 3D tiling relative to the region's base tiling."""
-    value = pretwist(tiling, 2) - _reference_pretwist(tiling.region)
+def _weight_twist(region: Region, weight: int) -> int:
+    """Integer twist of a tiling of the region whose crossing sum along z
+    is `weight`: its calibrated pretwist minus the reference tiling's."""
+    cal = calibration()
+    value = cal.sign * 2 * cal.kappa * weight - _reference_pretwist(region)
     if value.denominator != 1:
         raise CalibrationError(f"non-integral twist {value}")
     return int(value)
+
+
+def twist(tiling: Tiling) -> int:
+    """Integer twist of a 3D tiling relative to the region's base tiling."""
+    region = tiling.region
+    if region.d != 3:
+        raise InvalidRegion("pretwist is defined for d=3 only")
+    return _weight_twist(region, _crossings(region, _pairs(tiling.partner), 2))
 
 
 def trit_sign(region: Region, partner, removed_pairs, added_pairs) -> int:
@@ -241,9 +252,7 @@ def _signed_neighbors(region: Region, partner):
         yield nxt, trit_sign(region, partner, removed, added)
 
 
-def twist_by_path(
-    tiling: Tiling, base: Tiling | None = None, *, cap: int = _PATH_CAP
-) -> int:
+def twist_by_path(tiling: Tiling, *, cap: int = _PATH_CAP) -> int:
     """Sum of trit signs along a flip/trit path from the base tiling.
 
     Breadth-first search over partner tuples; path independence is checked
@@ -253,10 +262,8 @@ def twist_by_path(
     from .explore import search_path
 
     region = tiling.region
-    if base is None:
-        base = _reference_tiling(region)
     steps = search_path(
-        base.partner,
+        _reference_tiling(region).partner,
         tiling.partner,
         lambda partner: _signed_neighbors(region, partner),
         cap,

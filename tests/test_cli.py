@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dimers.cli import main
 
@@ -308,3 +309,138 @@ def test_manifest_path_flag(in_tmp, capsys):
     code, _ = run(capsys, "--manifest", "custom.json", "count", "--box", "2,2")
     assert code == 0
     assert json.loads((in_tmp / "custom.json").read_text())["command"] == "count"
+
+
+@pytest.mark.parametrize("command", ["count", "census"])
+def test_height_zero_is_a_height(in_tmp, capsys, command):
+    (in_tmp / "disk.txt").write_text("###\n###\n")
+    assert main([command, "--disk", "disk.txt", "--height", "0"]) == 2
+    assert capsys.readouterr().err == "error: cylinder height must be >= 1, got 0\n"
+
+
+def test_slab_twist_refuses_a_file_of_another_region(in_tmp, capsys):
+    from dimers.core import make_box
+    from dimers.slab import horizontal_slab_tiling, write_slab_tilings
+
+    region = make_box((4, 2, 2))
+    write_slab_tilings("s.jsonl", region, [horizontal_slab_tiling(region)])
+    assert main(["slab", "twist", "--tiling", "s.jsonl", "--box", "6,6,6"]) == 2
+    assert capsys.readouterr().err == "error: tiling file region disagrees with --box\n"
+    assert run(capsys, "slab", "twist", "--tiling", "s.jsonl", "--box", "4,2,2") == (0, "0,0,0\n")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--samples", "0", "--histogram", "h.csv"],
+        ["--samples", "-3", "--histogram", "h.csv"],
+        ["--workers", "0", "--histogram", "h.csv"],
+        ["--burn-in", "-1", "--histogram", "h.csv"],
+        ["--steps", "-5"],
+    ],
+    ids=["no-samples", "negative-samples", "no-workers", "negative-burn-in", "negative-steps"],
+)
+def test_sample_rejects_empty_or_negative_runs(in_tmp, capsys, flags):
+    assert main(["sample", "--box", "2,2,4", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sample_burn_in_may_exceed_steps(in_tmp, capsys):
+    code, out = run(capsys, "sample", "--box", "2,2,2", "--steps", "10", "--burn-in", "20",
+                    "--samples", "5", "--histogram", "h.csv")
+    assert code == 0 and out.startswith("samples: 5 ")
+
+
+_REGION_FLAGS = ("--box", "--disk", "--height")
+_FUZZ_FLAGS = {
+    ("count",): (*_REGION_FLAGS, "--formula"),
+    ("enumerate",): (*_REGION_FLAGS, "--cap", "--out"),
+    ("components",): (*_REGION_FLAGS, "--cap", "--extended", "--scratch", "--out"),
+    ("flipfree",): (*_REGION_FLAGS, "--cap", "--out"),
+    ("census",): (*_REGION_FLAGS, "--cap", "--out"),
+    ("twist",): (*_REGION_FLAGS, "--tiling"),
+    ("pfaffian",): _REGION_FLAGS,
+    ("sample",): (*_REGION_FLAGS, "--moves", "--steps", "--seed", "--burn-in", "--samples",
+                  "--workers", "--histogram", "--svg", "--out"),
+    ("slab", "census"): (*_REGION_FLAGS, "--cap"),
+    ("slab", "twist"): ("--tiling", "--box", "--disk"),
+    ("ideals", "export"): (*_REGION_FLAGS, "--out", "--with-tiling-ideal", "--cap"),
+    ("render",): (*_REGION_FLAGS, "--tiling"),
+}
+_SWITCHES = {"--formula", "--extended", "--with-tiling-ideal"}
+
+
+def _fuzz_argv():
+    """A subcommand, a region flag, the required --tiling of the twist
+    commands, explicit small --steps and --samples for the sampler (its
+    defaults run 100,000 steps and 10,000 samples), then up to four of the
+    subcommand's flags; numbers include 0, negatives and non-numeric text."""
+    number = st.sampled_from(["-3", "-1", "0", "1", "2", "3", "5", "x"])
+    steps = st.one_of(st.integers(-5, 1000).map(str), number)
+    values = {
+        "--box": st.lists(st.sampled_from("0122333x"), min_size=1, max_size=3).map(",".join),
+        "--disk": st.sampled_from(["disk.txt", "empty.txt", "missing.txt"]),
+        "--tiling": st.sampled_from(["base", "t.jsonl", "s.jsonl", "missing.jsonl"]),
+        "--moves": st.sampled_from(["flips", "flips+trits", "jumps"]),
+        "--scratch": st.sampled_from([".", "missing-dir", "disk.txt"]),
+        "--steps": steps,
+        "--burn-in": steps,
+    }
+    for flag in ("--out", "--histogram", "--svg"):
+        values[flag] = st.sampled_from(["o.txt", ".", "missing-dir/o.txt"])
+
+    def pair(flag):
+        if flag in _SWITCHES:
+            return st.just([flag])
+        return values.get(flag, number).map(lambda value: [flag, value])
+
+    def command(words):
+        flags = _FUZZ_FLAGS[words]
+        head = [st.just([*words])]
+        if "--box" in flags:
+            head.append(st.sampled_from(["--box", "--disk"]).flatmap(pair))
+        if words == ("sample",):
+            head += [pair("--steps"), pair("--samples")]
+        if words[-1] == "twist":
+            head.append(pair("--tiling"))
+        tail = st.lists(st.sampled_from(flags), max_size=4).flatmap(
+            lambda drawn: st.tuples(*map(pair, drawn))
+        ).map(lambda pairs: [token for p in pairs for token in p])
+        return st.tuples(*head, tail).map(lambda parts: [t for part in parts for t in part])
+
+    return st.sampled_from(sorted(_FUZZ_FLAGS)).flatmap(command)
+
+
+def test_argv_fuzz_ends_in_an_exit_code(in_tmp, capsys):
+    """Whatever the argv, main returns 0, 2, 3 or 4, or argparse exits 2;
+    no other exception escapes."""
+    from dimers.core import base_vertical_tiling, make_box, write_tilings
+    from dimers.slab import horizontal_slab_tiling, write_slab_tilings
+
+    (in_tmp / "disk.txt").write_text("###\n###\n")
+    (in_tmp / "empty.txt").write_text("")
+    box = make_box((2, 2, 2))
+    write_tilings("t.jsonl", box, [base_vertical_tiling(box)])
+    slab_box = make_box((4, 2, 2))
+    write_slab_tilings("s.jsonl", slab_box, [horizontal_slab_tiling(slab_box)])
+
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=list(HealthCheck))
+    @given(_fuzz_argv())
+    @example(["sample", "--box", "2,2,4", "--samples", "0", "--histogram", "h.csv"])
+    @example(["sample", "--box", "2,2,4", "--samples", "-3", "--histogram", "h.csv"])
+    @example(["sample", "--box", "2,2,4", "--samples", "5", "--workers", "0",
+              "--histogram", "h.csv"])
+    @example(["slab", "census"])
+    @example(["components", "--box", "2,2,2", "--extended", "--scratch", "missing-dir"])
+    def check(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+        else:
+            assert code in (0, 2, 3, 4), argv
+        capsys.readouterr()
+
+    check()

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dimers.core import decode, encode, make_box, make_region, validate
 from dimers.counting import count_region
-from dimers.errors import CapExceeded, DimersError
+from dimers.errors import CapExceeded, DimersError, InvalidRegion
 from dimers.explore import (
     DiskBackedSet,
     component_trit_graph,
@@ -97,6 +97,13 @@ def test_twist_census_332():
 
 def test_twist_census_222_point_mass():
     assert twist_census(make_box((2, 2, 2))) == {0: 9}
+
+
+def test_twist_census_outside_3d_without_a_cap():
+    # the exact count decides: no tiling, so no twist to be undefined
+    assert twist_census(make_box((3, 3)), cap=None) == {}
+    with pytest.raises(InvalidRegion, match="d=3 only"):
+        twist_census(make_box((2, 2)), cap=None)
 
 
 def test_alternating_sum_matches_pfaffian():

@@ -28,8 +28,12 @@ from dimers.twist import twist
 def test_chain_config_validation():
     with pytest.raises(InvalidRegion):
         ChainConfig(moves="jumps", steps=10)
-    with pytest.raises(InvalidRegion):
-        ChainConfig(moves="flips", steps=5, burn_in=6)
+    with pytest.raises(InvalidRegion, match="steps must be >= 0"):
+        ChainConfig(moves="flips", steps=-1)
+    with pytest.raises(InvalidRegion, match="burn-in must be >= 0"):
+        ChainConfig(moves="flips", steps=5, burn_in=-1)
+    # histograms never read steps, so a burn-in longer than steps is fine
+    assert ChainConfig(moves="flips", steps=5, burn_in=6).burn_in == 6
 
 
 def test_zero_burn_in_is_recorded_and_none_means_the_default():
@@ -231,7 +235,6 @@ def test_twist_distribution_rejects_2d():
         twist_distribution(
             make_box((2, 2)), ChainConfig(moves="flips", steps=0), samples=10
         )
-
 
 def test_histogram_moments():
     hist = TwistHistogram(counts={-1: 1, 0: 2, 1: 1})

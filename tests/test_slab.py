@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from dimers.core import make_box, validate
-from dimers.errors import InflationError, InvalidRegion, MoveNotApplicable
+from dimers.errors import InflationError, InvalidRegion, MoveNotApplicable, RegionMismatch
 from dimers.explore import UnionFind
 from dimers.slab import (
     Slab,
@@ -232,3 +232,6 @@ def test_slab_file_roundtrip(tmp_path):
     back_region, back = read_slab_tilings(path)
     assert back_region == region
     assert [t.slabs for t in back] == [t.slabs for t in tilings]
+    # like domino files, a slab file holds only tilings of its header region
+    with pytest.raises(RegionMismatch):
+        write_slab_tilings(path, make_box((2, 2, 4)), tilings)

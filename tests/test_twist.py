@@ -128,7 +128,7 @@ def test_twist_uses_lex_smallest_reference_without_base():
 
 def test_twist_by_path_base_is_zero():
     base = base_vertical_tiling(make_box((3, 3, 2)))
-    assert twist_by_path(base, base) == 0
+    assert twist_by_path(base) == 0
 
 
 def test_twist_by_path_matches_formula_on_flip_free():
