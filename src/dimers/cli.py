@@ -83,7 +83,13 @@ def _load_disk(path: str):
     return make_region(cells, d=2)
 
 
+def _check_height(args) -> None:
+    if getattr(args, "box", None) and getattr(args, "height", None) is not None:
+        raise DimersError("--height applies to --disk only")
+
+
 def _region_from_args(args) -> object:
+    _check_height(args)
     if getattr(args, "box", None):
         return make_box(args.box)
     if getattr(args, "disk", None):
@@ -132,6 +138,7 @@ def _tilings_from_arg(args, region):
 
 
 def _cmd_count(args) -> dict:
+    _check_height(args)
     if args.formula:
         if args.box is None or len(args.box) != 2:
             raise DimersError("--formula needs --box M,N")

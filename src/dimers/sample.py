@@ -43,7 +43,11 @@ class ChainConfig:
 
 
 class _Chain:
-    """Mutable chain state; tracks the twist incrementally in 3D."""
+    """Mutable chain state; tracks the twist incrementally in 3D.
+
+    `windows` lists the flip windows, then the trit windows; an index below
+    `n_flips` is a flip.  Proposals are made only in `advance`.
+    """
 
     def __init__(self, region: Region, start: Tiling, config: ChainConfig):
         report = validate(start)
@@ -54,36 +58,61 @@ class _Chain:
         self.region = region
         self.partner = list(start.partner)
         self.rng = random.Random(config.seed)
-        self.windows: list = [("flip", w) for w in region.flip_windows.values()]
-        self.with_trits = config.moves == "flips+trits"
-        if self.with_trits:
-            self.windows += [("trit", w) for w in region.trit_windows.values()]
+        self.windows: list = list(region.flip_windows.values())
+        self.n_flips = len(self.windows)
+        if config.moves == "flips+trits":
+            self.windows += region.trit_windows.values()
         if not self.windows:
             raise InvalidRegion("region admits no move windows")
         self.twist_offset = 0  # twist relative to the start tiling
 
-    def step(self) -> None:
-        kind, window = self.windows[self.rng.randrange(len(self.windows))]
+    def advance(self, steps: int) -> None:
+        """Make `steps` window proposals.
+
+        A window is drawn by the rejection loop of `Random.randrange(n)`
+        (draw `n.bit_length()` bits until the value is below n), so a seed
+        gives the same chain as `randrange` would.  The twist steps summed
+        here are committed even when a trit raises, so `twist_offset` always
+        matches `partner`.
+        """
+        region = self.region
         partner = self.partner
-        if kind == "flip":  # moves._parallel_side and _flipped, inlined in the hot loop
-            i00, i10, i01, i11 = window
-            if partner[i00] == i10 and partner[i01] == i11:
-                partner[i00], partner[i01] = i01, i00
-                partner[i10], partner[i11] = i11, i10
-            elif partner[i00] == i01 and partner[i10] == i11:
-                partner[i00], partner[i10] = i10, i00
-                partner[i01], partner[i11] = i11, i01
-            return
-        ids, swaps = window
-        inside = _held(partner, ids)
-        replacement = swaps.get(inside)
-        if replacement is None:
-            return
-        if self.region.d == 3:
-            self.twist_offset += trit_sign(self.region, partner, inside, replacement)
-        # the replacement covers exactly the same six cells
-        for i, j in replacement:
-            partner[i], partner[j] = j, i
+        windows = self.windows
+        n_flips = self.n_flips
+        n = len(windows)
+        bits = n.bit_length()
+        getrandbits = self.rng.getrandbits
+        track_twist = region.d == 3
+        offset = 0
+        try:
+            for _ in range(steps):
+                r = getrandbits(bits)
+                while r >= n:
+                    r = getrandbits(bits)
+                if r < n_flips:  # moves._parallel_side and _flipped, inlined
+                    i00, i10, i01, i11 = windows[r]
+                    p = partner[i00]
+                    if p == i10:
+                        if partner[i01] == i11:
+                            partner[i00], partner[i01] = i01, i00
+                            partner[i10], partner[i11] = i11, i10
+                    elif p == i01:
+                        if partner[i10] == i11:
+                            partner[i00], partner[i10] = i10, i00
+                            partner[i01], partner[i11] = i11, i01
+                    continue
+                ids, swaps = windows[r]
+                inside = _held(partner, ids)
+                replacement = swaps.get(inside)
+                if replacement is None:
+                    continue
+                if track_twist:
+                    offset += trit_sign(region, partner, inside, replacement)
+                # the replacement covers exactly the same six cells
+                for i, j in replacement:
+                    partner[i], partner[j] = j, i
+        finally:
+            self.twist_offset += offset
 
     def tiling(self) -> Tiling:
         return Tiling(self.region, tuple(self.partner))
@@ -92,8 +121,7 @@ class _Chain:
 def mcmc_run(region: Region, start: Tiling, config: ChainConfig) -> Tiling:
     """Final state after config.steps window proposals."""
     chain = _Chain(region, start, config)
-    for _ in range(config.steps):
-        chain.step()
+    chain.advance(config.steps)
     return chain.tiling()
 
 
@@ -108,6 +136,8 @@ class TwistHistogram:
 
     def _moment(self, power: int, center: float) -> float:
         n = self.n_samples
+        if n == 0:
+            raise InvalidRegion("an empty twist histogram has no moments")
         return sum(c * (v - center) ** power for v, c in self.counts.items()) / n
 
     @property
@@ -170,11 +200,9 @@ def twist_distribution(
         if chain_samples == 0:
             continue
         chain = _Chain(region, start, replace(config, seed=config.seed + chain_id))
-        for _ in range(burn_in):
-            chain.step()
+        chain.advance(burn_in)
         for _ in range(chain_samples):
-            for _ in range(thin):
-                chain.step()
+            chain.advance(thin)
             value = base_twist + chain.twist_offset
             counts[value] = counts.get(value, 0) + 1
     meta = {

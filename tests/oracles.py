@@ -10,7 +10,9 @@ comparing every pair of tilings, and cylinder counts from walking the plug
 automaton's transfer matrix floor by floor instead of the profile DP.  The
 twist's crossing sum compares every pair of dominoes instead of bucketing
 them by shadow square, and the twist census tallies the twist of every
-enumerated tiling instead of counting through the slice transfer.
+enumerated tiling instead of counting through the slice transfer.  The
+sampler's reference makes one proposal per call, with kind-tagged windows
+and `Random.randrange`, instead of drawing raw bits in one loop.
 """
 from collections import Counter
 from itertools import combinations, product
@@ -229,3 +231,40 @@ def twist_census_by_enumeration(region, cap=10_000_000) -> dict[int, int]:
     for t in enumerate_tilings(region, cap):
         counts[twist(t)] += 1
     return dict(sorted(counts.items()))
+
+
+def chain_by_steps(region, start, config, steps: int) -> tuple[list[int], int]:
+    """(partner, twist offset) after `steps` proposals of the flips(+trits)
+    chain, one proposal at a time with tagged windows and `randrange`."""
+    import random
+
+    from dimers.moves import _held
+    from dimers.twist import trit_sign
+
+    partner = list(start.partner)
+    rng = random.Random(config.seed)
+    windows = [("flip", w) for w in region.flip_windows.values()]
+    if config.moves == "flips+trits":
+        windows += [("trit", w) for w in region.trit_windows.values()]
+    offset = 0
+    for _ in range(steps):
+        kind, window = windows[rng.randrange(len(windows))]
+        if kind == "flip":
+            i00, i10, i01, i11 = window
+            if partner[i00] == i10 and partner[i01] == i11:
+                partner[i00], partner[i01] = i01, i00
+                partner[i10], partner[i11] = i11, i10
+            elif partner[i00] == i01 and partner[i10] == i11:
+                partner[i00], partner[i10] = i10, i00
+                partner[i01], partner[i11] = i11, i01
+            continue
+        ids, swaps = window
+        inside = _held(partner, ids)
+        replacement = swaps.get(inside)
+        if replacement is None:
+            continue
+        if region.d == 3:
+            offset += trit_sign(region, partner, inside, replacement)
+        for i, j in replacement:
+            partner[i], partner[j] = j, i
+    return partner, offset

@@ -223,8 +223,7 @@ def test_criterion_08_mcmc_uniformity():
         samples = 10_000
         counts = Counter()
         for _ in range(samples):
-            for _ in range(10):  # 10^5 proposals in total
-                chain.step()
+            chain.advance(10)  # 10^5 proposals in total
             counts[encode(chain.tiling())] += 1
         assert set(counts) <= states
         tv = 0.5 * sum(abs(counts.get(s, 0) / samples - 1 / 9) for s in states)

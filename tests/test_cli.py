@@ -318,6 +318,22 @@ def test_height_zero_is_a_height(in_tmp, capsys, command):
     assert capsys.readouterr().err == "error: cylinder height must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--box", "3,3,2", "--height", "7"),
+        ("count", "--box", "2,2", "--formula", "--height", "3"),
+        ("render", "--box", "2,2,2", "--height", "4"),
+    ],
+    ids=["count", "count-formula", "render"],
+)
+def test_height_beside_box_is_refused(in_tmp, capsys, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --height applies to --disk only\n"
+
+
 def test_slab_twist_refuses_a_file_of_another_region(in_tmp, capsys):
     from dimers.core import make_box
     from dimers.slab import horizontal_slab_tiling, write_slab_tilings

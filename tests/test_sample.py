@@ -1,6 +1,8 @@
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dimers.core import (
     base_vertical_tiling,
@@ -23,6 +25,7 @@ from dimers.sample import (
     twist_distribution,
 )
 from dimers.twist import twist
+from oracles import chain_by_steps
 
 
 def test_chain_config_validation():
@@ -74,7 +77,7 @@ def test_visited_states_stay_valid_and_in_component():
     chain = _Chain(region, start, ChainConfig(moves="flips", steps=0, seed=3))
     reachable = {encode(t) for t in enumerate_tilings(region)}
     for _ in range(500):
-        chain.step()
+        chain.advance(1)
         t = chain.tiling()
         assert validate(t) is None
         assert encode(t) in reachable
@@ -104,8 +107,7 @@ def test_uniformity_smoke_on_222():
     counts = Counter()
     samples = 3_000
     for _ in range(samples):
-        for _ in range(10):
-            chain.step()
+        chain.advance(10)
         counts[encode(chain.tiling())] += 1
     states = {encode(t) for t in enumerate_tilings(region)}
     tv = 0.5 * sum(abs(counts.get(s, 0) / samples - 1 / 9) for s in states)
@@ -122,7 +124,7 @@ def test_chain_with_trits_visits_both_flip_free_tilings():
     )
     seen = set()
     for _ in range(10_000_000):
-        chain.step()
+        chain.advance(1)
         key = encode(chain.tiling())
         if key in targets:
             seen.add(key)
@@ -135,8 +137,7 @@ def test_incremental_twist_matches_formula():
     region = make_box((3, 3, 2))
     start = base_vertical_tiling(region)
     chain = _Chain(region, start, ChainConfig(moves="flips+trits", steps=0, seed=9))
-    for _ in range(3_000):
-        chain.step()
+    chain.advance(3_000)
     assert twist(start) + chain.twist_offset == twist(chain.tiling())
 
 
@@ -189,15 +190,90 @@ def test_seeded_final_states_are_pinned(region, moves, seed, expected):
     assert encode(final).hex() == expected
 
 
-def test_chain_rejects_a_trit_that_does_not_step_the_twist_by_one():
+def _region_with_a_5_4_trit():
     # the same trit as in test_moves: its pairwise delta is 5/4
     box = make_box((3, 3, 4))
     region = make_region([c for c in box.cells if c not in {(2, 2, 3), (2, 1, 3)}])
-    start = decode(bytes.fromhex("80046d189b0061157652b2891d"), region)
+    return region, decode(bytes.fromhex("80046d189b0061157652b2891d"), region)
+
+
+def test_chain_rejects_a_trit_that_does_not_step_the_twist_by_one():
+    region, start = _region_with_a_5_4_trit()
     chain = _Chain(region, start, ChainConfig(moves="flips+trits", steps=0))
-    chain.windows = [("trit", region.trit_windows[(region.index[(1, 0, 1)], (0, 1, 2))])]
+    chain.windows = [region.trit_windows[(region.index[(1, 0, 1)], (0, 1, 2))]]
+    chain.n_flips = 0
     with pytest.raises(CalibrationError, match="5/4"):
-        chain.step()
+        chain.advance(1)
+
+
+def test_chain_commits_the_twist_of_the_trits_before_an_error():
+    # seed 4 accepts a -1 trit before it meets the 5/4 one
+    region, start = _region_with_a_5_4_trit()
+    chain = _Chain(region, start, ChainConfig(moves="flips+trits", steps=0, seed=4))
+    with pytest.raises(CalibrationError, match="5/4"):
+        chain.advance(200_000)
+    assert chain.twist_offset != 0
+    assert twist(start) + chain.twist_offset == twist(chain.tiling())
+
+
+@st.composite
+def _chunked_runs(draw):
+    # an even height, so the all-vertical tiling exists
+    dims = (draw(st.integers(2, 4)), draw(st.integers(2, 4)), draw(st.sampled_from([2, 4])))
+    seed = draw(st.integers(0, 2**32))
+    moves = draw(st.sampled_from(["flips", "flips+trits"]))
+    total = draw(st.integers(0, 3_000))
+    cuts = sorted(draw(st.lists(st.integers(0, total), max_size=5)))
+    chunks = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    return dims, ChainConfig(moves=moves, steps=total, seed=seed), chunks
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chunked_runs())
+@example(((4, 4, 4), ChainConfig(moves="flips+trits", steps=3_000, seed=3), [1_000, 0, 1_999, 1]))
+def test_chunked_advance_matches_the_per_step_chain(run):
+    dims, config, chunks = run
+    region = make_box(dims)
+    start = base_vertical_tiling(region)
+    chain = _Chain(region, start, config)
+    for steps in chunks:
+        chain.advance(steps)
+    partner, offset = chain_by_steps(region, start, config, config.steps)
+    assert chain.partner == partner
+    assert chain.twist_offset == offset
+
+
+class _DrawLog:
+    """A trit window's swap map that records the window's index on lookup."""
+
+    def __init__(self, index, log):
+        self.index, self.log = index, log
+
+    def get(self, key, default=None):
+        self.log.append(self.index)
+        return default
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_window_draws_equal_randrange(seed):
+    region = make_box((2, 2, 2))
+    start = base_vertical_tiling(region)
+    for n in range(1, 71):
+        log = []
+        chain = _Chain(region, start, ChainConfig(moves="flips", steps=0, seed=seed))
+        chain.windows = [((), _DrawLog(k, log)) for k in range(n)]
+        chain.n_flips = 0
+        chain.advance(25)
+        rng = random.Random(seed)
+        assert log == [rng.randrange(n) for _ in range(25)]
+
+
+@pytest.mark.parametrize(
+    "name", ["mean", "variance", "skewness", "excess_kurtosis", "moments"]
+)
+def test_empty_histogram_has_no_moments(name):
+    with pytest.raises(InvalidRegion, match="empty twist histogram"):
+        getattr(TwistHistogram({}), name)
 
 
 def test_twist_distribution_point_mass_on_222():
