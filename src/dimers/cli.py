@@ -221,8 +221,7 @@ def _cmd_twist(args) -> dict:
 
     region = _region_from_args(args)
     values = [twist(t) for t in _tilings_from_arg(args, region)]
-    for value in values:
-        print(value)
+    sys.stdout.write("".join(f"{value}\n" for value in values))
     return {"twists": values, "region": region_to_record(region)}
 
 

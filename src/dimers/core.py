@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations, product
+from functools import cached_property, lru_cache
+from itertools import chain, combinations, product
+from operator import getitem, itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -125,6 +126,74 @@ class Region:
                     out[(i, axes)] = (tuple(sorted(cube.values())), _trit_swaps(cube))
         return out
 
+    @cached_property
+    def pair_dominoes(self) -> dict[tuple[int, int], Domino]:
+        """(i, j) -> the domino on adjacent cells i < j, cell j one step
+        along +axis from cell i.  Built once, so per-tiling code looks a
+        domino up instead of deriving it from the cells."""
+        cells = self.cells
+        return {
+            (i, row[2 * axis]): Domino(cells[i], axis)
+            for i, row in enumerate(self.neighbor_table)
+            for axis in range(self.d)
+            if row[2 * axis] >= 0
+        }
+
+    @cached_property
+    def domino_pairs(self) -> dict[tuple[Cell, int], tuple[int, int]]:
+        """Inverse of pair_dominoes, keyed by (low cell, axis); a Domino
+        is such a tuple and hashes like one."""
+        return {domino: pair for pair, domino in self.pair_dominoes.items()}
+
+    @cached_property
+    def domino_json(self) -> dict[tuple[int, int], str]:
+        """(i, j) -> the JSON text [[x, y, ...], axis] of its domino."""
+        return {
+            pair: json.dumps([list(low), axis])
+            for pair, (low, axis) in self.pair_dominoes.items()
+        }
+
+    @cached_property
+    def direction_codes(self) -> tuple[dict[int, str], ...]:
+        """direction_codes[i][j]: the position of cell j in
+        neighbor_table[i], as one octal digit."""
+        return tuple(
+            {j: str(code) for code, j in enumerate(row) if j >= 0}
+            for row in self.neighbor_table
+        )
+
+    @cached_property
+    def shadows(self) -> tuple[dict[tuple[int, int], tuple | None], ...]:
+        """shadows[k][(i, j)] for each adjacent pair i < j of a 3D region:
+        None when its domino runs along k, else (slot, (height, colour),
+        squares).  With a < b the other two axes, slot is 0 for a domino
+        along a and 1 along b; height is its coordinate along k; colour
+        is +1 when its low cell is white; squares number the two unit
+        squares its cells project to on the plane perpendicular to k."""
+        if self.d != 3:
+            raise InvalidRegion("shadow tables are defined for d=3 only")
+        cells = self.cells
+        # entries repeat few marks and square pairs; one object each keeps
+        # the table a third of the size
+        shared: dict[tuple, tuple] = {}
+        out = []
+        for k in range(3):
+            a, b = [x for x in range(3) if x != k]
+            numbers: dict[tuple[int, int], int] = {}
+            table: dict[tuple[int, int], tuple | None] = {}
+            for pair, (low, axis) in self.pair_dominoes.items():
+                if axis == k:
+                    table[pair] = None
+                    continue
+                high = cells[pair[1]]
+                square = numbers.setdefault((low[a], low[b]), len(numbers))
+                other = numbers.setdefault((high[a], high[b]), len(numbers))
+                mark, squares = (low[k], color_sign(low)), (square, other)
+                mark, squares = shared.setdefault(mark, mark), shared.setdefault(squares, squares)
+                table[pair] = (0 if axis == a else 1, mark, squares)
+            out.append(table)
+        return tuple(out)
+
     @property
     def n_cells(self) -> int:
         return len(self.cells)
@@ -189,8 +258,13 @@ def make_region(cells: Iterable[Cell], d: int | None = None) -> Region:
 
 
 def make_box(dims: Iterable[int]) -> Region:
-    """Full L x M x ... product region."""
-    dims = tuple(int(s) for s in dims)
+    """Full L x M x ... product region.  Equal dimensions give the same
+    Region object, so the tables it builds serve every tiling of it."""
+    return _make_box(tuple(int(s) for s in dims))
+
+
+@lru_cache(maxsize=16)
+def _make_box(dims: tuple[int, ...]) -> Region:
     if len(dims) < 2:
         raise InvalidRegion("a box needs at least two dimensions")
     if any(s < 1 for s in dims):
@@ -252,17 +326,6 @@ class Domino(NamedTuple):
     axis: int
 
 
-def domino_cells(domino: Domino) -> tuple[Cell, Cell]:
-    low, axis = domino
-    high = low[:axis] + (low[axis] + 1,) + low[axis + 1 :]
-    return low, high
-
-
-def pair_domino(region: Region, i: int, j: int) -> Domino:
-    """The domino on adjacent cells i < j of the region."""
-    return Domino(region.cells[i], region.neighbor_table[i].index(j) // 2)
-
-
 @dataclass(frozen=True)
 class Tiling:
     """Perfect matching of a region, as an involution on cell indices."""
@@ -271,8 +334,8 @@ class Tiling:
     partner: tuple[int, ...]
 
     def dominoes(self) -> list[Domino]:
-        region = self.region
-        return [pair_domino(region, i, j) for i, j in enumerate(self.partner) if i < j]
+        table = self.region.pair_dominoes
+        return [table[i, j] for i, j in enumerate(self.partner) if i < j]
 
     @property
     def n_dominoes(self) -> int:
@@ -280,14 +343,16 @@ class Tiling:
 
 
 def tiling_from_dominoes(region: Region, dominoes: Iterable[Domino]) -> Tiling:
-    """Build and validate a tiling from (low cell, axis) pairs."""
+    """Build and validate a tiling from (low cell, axis) pairs, each
+    looked up in the region's domino table."""
     partner = [-1] * region.n_cells
-    idx = region.index
+    pairs = region.domino_pairs
     for dom in dominoes:
-        low, high = domino_cells(Domino(tuple(dom[0]), int(dom[1])))
-        if low not in idx or high not in idx:
-            raise InvalidTiling(f"domino {dom} leaves the region")
-        i, j = idx[low], idx[high]
+        low, axis = dom
+        pair = pairs.get((tuple(low), axis))
+        if pair is None:
+            raise InvalidTiling(f"domino {dom} is not a domino of the region")
+        i, j = pair
         if partner[i] != -1 or partner[j] != -1:
             raise InvalidTiling(f"domino {dom} overlaps another domino")
         partner[i], partner[j] = j, i
@@ -423,11 +488,9 @@ def encode(tiling: Tiling) -> bytes:
     region = tiling.region
     if region.d > _MAX_ENCODE_D:
         raise InvalidRegion("canonical encoding supports d <= 4")
-    table = region.neighbor_table
-    acc = 0
-    for i, j in enumerate(tiling.partner):
-        acc |= table[i].index(j) << (3 * i)
-    return acc.to_bytes((3 * len(table) + 7) // 8, "little")
+    # one octal digit per cell, cell 0 the least significant
+    digits = "".join(map(getitem, region.direction_codes, tiling.partner))
+    return int(digits[::-1] or "0", 8).to_bytes((3 * region.n_cells + 7) // 8, "little")
 
 
 def decode(data: bytes, region: Region) -> Tiling:
@@ -490,8 +553,8 @@ def render_floors(tiling: Tiling) -> str:
                 cell = (x, y, z)[: region.d]
                 if cell in idx:
                     i = idx[cell]
-                    code = region.neighbor_table[i].index(tiling.partner[i])
-                    row.append(_GLYPHS[code])
+                    code = region.direction_codes[i][tiling.partner[i]]
+                    row.append(_GLYPHS[int(code)])
                 else:
                     row.append(".")
             lines.append("".join(row))
@@ -568,33 +631,47 @@ def region_from_record(rec: dict) -> Region:
         return make_region([tuple(c) for c in rec["cells"]], d=rec["d"])
 
 
-def tiling_to_record(tiling: Tiling) -> dict:
-    return {"dominoes": [[list(d.low), d.axis] for d in tiling.dominoes()]}
+def tiling_json(tiling: Tiling) -> str:
+    """The tiling's record {"dominoes": [[low cell, axis], ...]} as the
+    JSON text json.dumps gives, joined from the region's domino texts."""
+    text = tiling.region.domino_json
+    return '{"dominoes": [' + ", ".join(
+        [text[i, j] for i, j in enumerate(tiling.partner) if i < j]
+    ) + "]}"
 
 
 def tiling_from_record(rec: dict, region: Region) -> Tiling:
     with decoding("tiling"):
-        dominoes = [Domino(tuple(low), axis) for low, axis in rec["dominoes"]]
+        dominoes = rec["dominoes"]
+        if set(map(len, dominoes)) - {2}:
+            raise ValueError("a domino is not a [low cell, axis] pair")
+        # JSON's 2.0 and true compare equal to 2 and 1, so check the types
+        kinds = set(map(type, map(itemgetter(1), dominoes)))
+        kinds.update(map(type, chain.from_iterable(map(itemgetter(0), dominoes))))
+        if not kinds <= {int}:
+            bad = next(dom for dom in dominoes if {type(x) for x in (*dom[0], dom[1])} != {int})
+            raise DecodeError(f"domino {json.dumps(bad)} has a non-integer coordinate or axis")
         return tiling_from_dominoes(region, dominoes)
 
 
 def write_records(path, region: Region, items: Iterable, encode) -> int:
-    """Write a JSON-lines file: a region header, then encode(item) of each
-    item, which must live on that region.  Returns the number of items."""
+    """Write a JSON-lines file: a region header, then the JSON text
+    encode(item) of each item, which must live on that region.  Returns
+    the number of items."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(region_to_record(region)) + "\n")
         for item in items:
             if item.region != region:
                 raise RegionMismatch("tiling does not live on the header region")
-            fh.write(json.dumps(encode(item)) + "\n")
+            fh.write(encode(item) + "\n")
             count += 1
     return count
 
 
 def write_tilings(path, region: Region, tilings: Iterable[Tiling]) -> int:
     """Write a JSON-lines tiling file; returns the number of tilings."""
-    return write_records(path, region, tilings, tiling_to_record)
+    return write_records(path, region, tilings, tiling_json)
 
 
 def json_record(line: str, path, lineno: int, decode):

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Cell, Domino, Region, Tiling, pair_domino
+from .core import Cell, Domino, Region, Tiling
 from .errors import MoveNotApplicable, RegionMismatch
 from .twist import trit_sign
 
@@ -125,7 +125,8 @@ def apply_flip(tiling: Tiling, move: FlipMove) -> Tiling:
 
 
 def _dominoes(region: Region, pairs) -> tuple[Domino, ...]:
-    return tuple(sorted(pair_domino(region, i, j) for i, j in pairs))
+    table = region.pair_dominoes
+    return tuple(sorted(table[pair] for pair in pairs))
 
 
 def list_trits(tiling: Tiling) -> list[TritMove]:

@@ -10,6 +10,7 @@ pairs give the triple twist.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -334,8 +335,8 @@ def slab_flip_components(
 # JSON-lines slab tiling files, mirroring the domino format
 
 
-def slab_tiling_to_record(tiling: SlabTiling) -> dict:
-    return {"slabs": [[list(s.corner), s.normal] for s in tiling.slabs]}
+def slab_tiling_json(tiling: SlabTiling) -> str:
+    return json.dumps({"slabs": [[list(s.corner), s.normal] for s in tiling.slabs]})
 
 
 def slab_tiling_from_record(rec: dict, region: Region) -> SlabTiling:
@@ -349,7 +350,7 @@ def slab_tiling_from_record(rec: dict, region: Region) -> SlabTiling:
 
 
 def write_slab_tilings(path, region: Region, tilings: Iterable[SlabTiling]) -> int:
-    return write_records(path, region, tilings, slab_tiling_to_record)
+    return write_records(path, region, tilings, slab_tiling_json)
 
 
 def read_slab_tilings(path) -> tuple[Region, list[SlabTiling]]:

@@ -9,8 +9,12 @@
   `_crossings`, forms these products over index pairs; pretwist, twist,
   the calibration, trit_sign and the slice weights of
   counting.twist_polynomial all call it, and twist and the census share
-  one shift by the reference tiling.  A trit's step is the kernel
-  over the dominoes that touch the trit's column, after minus before.
+  one shift by the reference tiling.  The kernel reads each domino's
+  slot, height, orientation and shadow squares from the region's shadow
+  table (`Region.shadows`), built once per region, instead of from its
+  cells.  A trit's step is the kernel's moved-pairs form: over the
+  dominoes that touch the trit's column, the pairs containing an added
+  domino minus the pairs containing a removed one.
   The normalization kappa and the global sign are pinned once by
   self-calibration on the 3x3x2 box, never adjusted silently.
 * twist_by_path: signed trit count along a flip/trit path from the base
@@ -73,32 +77,51 @@ class Calibration:
         }
 
 
-def _crossings(region: Region, pairs, k: int) -> int:
+def _crossings(region: Region, pairs, k: int, moved=None) -> int:
     """Sum of crossing signs along axis k over unordered pairs of the
-    dominoes on index pairs (i, j), i < j, via shadow buckets.
+    dominoes on index pairs (i, j), i < j, read from Region.shadows[k].
 
-    A domino perpendicular to k shadows the two unit squares under its
-    cells; only pairs sharing a square interact, so bucketing by square
-    makes the sum near-linear in the number of dominoes.
+    Only dominoes sharing a shadow square cross, so they are bucketed by
+    square, and each bucket pairs its slot-0 with its slot-1 marks: a pair
+    at heights h0 and h1 adds the product of the two colours times the
+    sign of h1 - h0.  With `moved`, the sum runs only over the pairs that
+    contain a domino on `moved`: pairs within it, and each of those with
+    the dominoes on `pairs` that share its square.  An unsorted or
+    non-adjacent pair raises KeyError.
     """
-    a, b = [x for x in range(3) if x != k]
-    cells = region.cells
-    buckets: dict[tuple[int, int], tuple[list, list]] = {}
-    for i, j in pairs:
-        low, high = cells[i], cells[j]
-        if low[k] != high[k]:
-            continue
-        slot = 0 if low[a] != high[a] else 1
-        entry = (low[k], 1 if sum(low) % 2 == 0 else -1)
-        for cell in (low, high):
-            buckets.setdefault((cell[a], cell[b]), ([], []))[slot].append(entry)
+    shadow = region.shadows[k]
+    buckets: dict[int, tuple[list, list]] = {}
+    for pair in pairs if moved is None else moved:
+        entry = shadow[pair]
+        if entry is not None:
+            slot, mark, squares = entry
+            for square in squares:
+                bucket = buckets.get(square)
+                if bucket is None:
+                    bucket = buckets[square] = ([], [])
+                bucket[slot].append(mark)
+    crossing = [(firsts, seconds) for firsts, seconds in buckets.values() if firsts and seconds]
+    if moved is not None:
+        rest: dict[int, tuple[list, list]] = {}
+        for pair in pairs:
+            entry = shadow[pair]
+            if entry is not None:
+                slot, mark, squares = entry
+                for square in squares:
+                    if square in buckets:
+                        rest.setdefault(square, ([], []))[slot].append(mark)
+        for square, (rest_firsts, rest_seconds) in rest.items():
+            firsts, seconds = buckets[square]
+            crossing += ((firsts, rest_seconds), (rest_firsts, seconds))
     total = 0
-    for first, second in buckets.values():
-        if first and second:
-            for k0, s0 in first:
-                for k1, s1 in second:
-                    if k1 != k0:
-                        total += s0 * s1 * (1 if k1 > k0 else -1)
+    for firsts, seconds in crossing:
+        for h0, c0 in firsts:
+            for h1, c1 in seconds:
+                if h1 > h0:
+                    total += c0 * c1
+                elif h1 < h0:
+                    total -= c0 * c1
+    a, b = [x for x in range(3) if x != k]
     return _EPS[(a, b, k)] * total
 
 
@@ -192,9 +215,11 @@ def _reference_pretwist(region: Region) -> Fraction:
     return pretwist(_reference_tiling(region), 2)
 
 
+@lru_cache(maxsize=4096)
 def _weight_twist(region: Region, weight: int) -> int:
     """Integer twist of a tiling of the region whose crossing sum along z
-    is `weight`: its calibrated pretwist minus the reference tiling's."""
+    is `weight`: its calibrated pretwist minus the reference tiling's.
+    Memoised, as a file or census of one region meets few weights."""
     cal = calibration()
     value = cal.sign * 2 * cal.kappa * weight - _reference_pretwist(region)
     if value.denominator != 1:
@@ -216,10 +241,12 @@ def trit_sign(region: Region, partner, removed_pairs, added_pairs) -> int:
 
     In 3D it is the change in the pairwise sum and must be +1 or -1.  Only
     pairs with a moved domino change, and a domino crossing a moved one
-    shares a shadow square with it, so the sum runs over the dominoes that
-    touch the trit's column: the cells above the (x, y) points of its six
-    cells.  In dimension 4 and up the twist lives in Z/2, every trit flips
-    it, and the step is reported as +1.
+    shares a shadow square with it, so it touches the trit's column: the
+    cells above the (x, y) points of its six cells.  The step is the
+    kernel's moved-pairs sum over those dominoes with the added dominoes
+    moved in, minus the same sum with the removed ones.  In dimension 4
+    and up the twist lives in Z/2, every trit flips it, and the step is
+    reported as +1.
     """
     if region.d >= 4:
         return 1
@@ -231,9 +258,9 @@ def trit_sign(region: Region, partner, removed_pairs, added_pairs) -> int:
             j = partner[c]
             touching.add((c, j) if c < j else (j, c))
     rest = touching.difference(removed_pairs)
-    delta = _crossings(region, [*rest, *added_pairs], 2)
-    delta -= _crossings(region, touching, 2)
-    value = cal.sign * 2 * cal.kappa * delta
+    delta = _crossings(region, rest, 2, moved=added_pairs)
+    delta -= _crossings(region, rest, 2, moved=removed_pairs)
+    value = cal.kappa * (cal.sign * 2 * delta)
     if value not in (1, -1):
         raise CalibrationError(f"trit changed the twist by {value}")
     return int(value)

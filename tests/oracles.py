@@ -11,6 +11,10 @@ automaton's transfer matrix floor by floor instead of the profile DP.  The
 twist's crossing sum compares every pair of dominoes instead of bucketing
 them by shadow square, and the twist census tallies the twist of every
 enumerated tiling instead of counting through the slice transfer.  The
+bucketed crossing sum also has a reference that reads each domino's
+coordinates, colour and shadow squares from its cells instead of from the
+region's shadow table, and the trit step one that recomputes that sum over
+the trit's column before and after instead of summing the moved pairs.  The
 sampler's reference makes one proposal per call, with kind-tagged windows
 and `Random.randrange`, instead of drawing raw bits in one loop.
 """
@@ -219,6 +223,48 @@ def pairwise_crossings(tiling, k: int) -> int:
             if shadow0 & shadow1:
                 total += levi_civita * s0 * s1 * ((z1 > z0) - (z1 < z0))
     return total
+
+
+def crossings_by_cells(region, pairs, k: int) -> int:
+    """The crossing sum along axis k over the dominoes on index pairs
+    (i, j), i < j, bucketed by shadow square, with every domino's height,
+    colour and squares read from its two cells."""
+    a, b = [x for x in range(3) if x != k]
+    cells = region.cells
+    buckets = {}
+    for i, j in pairs:
+        low, high = cells[i], cells[j]
+        if low[k] != high[k]:
+            continue
+        slot = 0 if low[a] != high[a] else 1
+        entry = (low[k], color_sign(low))
+        for cell in (low, high):
+            buckets.setdefault((cell[a], cell[b]), ([], []))[slot].append(entry)
+    total = 0
+    for first, second in buckets.values():
+        for k0, s0 in first:
+            for k1, s1 in second:
+                total += s0 * s1 * ((k1 > k0) - (k1 < k0))
+    levi_civita = (b - a) * (k - a) * (k - b) // 2
+    return levi_civita * total
+
+
+def trit_step_by_column(region, partner, removed, added):
+    """The calibrated twist step of a trit, as a Fraction: the crossing
+    sum along z over every domino touching the trit's column (the cells
+    above the (x, y) points of its cells), after the trit minus before."""
+    from dimers.twist import calibration
+
+    cal = calibration()
+    cells = region.cells
+    touching = set()
+    for point in {cells[c][:-1] for pair in removed for c in pair}:
+        for c in region.columns[point]:
+            j = partner[c]
+            touching.add((min(c, j), max(c, j)))
+    after = touching.difference(removed) | set(added)
+    delta = crossings_by_cells(region, after, 2) - crossings_by_cells(region, touching, 2)
+    return cal.sign * 2 * cal.kappa * delta
 
 
 def twist_census_by_enumeration(region, cap=10_000_000) -> dict[int, int]:

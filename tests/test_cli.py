@@ -460,3 +460,35 @@ def test_argv_fuzz_ends_in_an_exit_code(in_tmp, capsys):
         capsys.readouterr()
 
     check()
+
+
+def test_twist_of_a_file_without_tilings_prints_nothing(in_tmp, capsys):
+    from dimers.core import make_box, write_tilings
+
+    assert write_tilings("none.jsonl", make_box((2, 2, 2)), []) == 0
+    assert run(capsys, "twist", "--box", "2,2,2", "--tiling", "none.jsonl") == (0, "")
+
+
+@pytest.mark.parametrize(
+    "first, message",
+    [
+        ([[0, 0, 0], 5], "domino [[0, 0, 0], 5] is not a domino of the region"),
+        ([[0, 0, 0], -1], "domino [[0, 0, 0], -1] is not a domino of the region"),
+        ([[0, 0], 2], "domino [[0, 0], 2] is not a domino of the region"),
+        ([[0, 1, 0], 0], "domino [[0, 1, 0], 2] overlaps another domino"),
+        ([[0, 0, 0], "2"], 'domino [[0, 0, 0], "2"] has a non-integer coordinate or axis'),
+    ],
+    ids=["axis-5", "axis-minus-1", "short-cell", "overlap", "axis-str"],
+)
+def test_malformed_domino_ends_in_one_error_line(in_tmp, capsys, first, message):
+    from dimers.core import base_vertical_tiling, make_box, write_tilings
+
+    box = make_box((2, 2, 2))
+    write_tilings("bad.jsonl", box, [base_vertical_tiling(box)])
+    with open("bad.jsonl", "a", encoding="utf-8") as fh:
+        rest = [[[0, 1, 0], 2], [[1, 0, 0], 2], [[1, 1, 0], 2]]
+        fh.write(json.dumps({"dominoes": [first, *rest]}) + "\n")
+    assert main(_TWIST_FILE) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: bad.jsonl line 3: {message}\n"

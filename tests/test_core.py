@@ -1,4 +1,8 @@
+import json
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimers.core import (
     Domino,
@@ -15,14 +19,18 @@ from dimers.core import (
     refine_region,
     refine_tiling,
     add_vertical_floors,
+    region_to_record,
     render_floors,
     tiling_from_dominoes,
+    tiling_from_record,
     validate,
     write_tilings,
 )
 from dimers.errors import DecodeError, InvalidRegion, InvalidTiling, NoBaseTiling
 from dimers.explore import enumerate_tilings
 from dimers.moves import apply_flip, list_flips
+
+from test_moves import small_regions
 
 
 def test_make_box_parity_counts():
@@ -274,3 +282,68 @@ def test_region_record_roundtrip_cylinder(tmp_path):
     back_region, back = read_tilings(path)
     assert back_region == cyl
     assert back == [t]
+
+
+def _record_line(tiling) -> str:
+    """json.dumps of the tiling's record, each domino's low cell and axis
+    read off its two cells."""
+    cells = tiling.region.cells
+    dominoes = []
+    for i, j in enumerate(tiling.partner):
+        if i < j:
+            axis = next(k for k, (x, y) in enumerate(zip(cells[i], cells[j])) if x != y)
+            dominoes.append([list(cells[i]), axis])
+    return json.dumps({"dominoes": dominoes})
+
+
+_CODEC_REGIONS = {
+    "box": make_box((2, 3, 4)),
+    "cylinder": make_cylinder(make_region([(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]), 2),
+    "general": make_region(
+        [c for c in make_box((3, 3, 2)).cells if c not in {(0, 0, 0), (1, 0, 0)}]
+    ),
+    "box-4d": make_box((2, 2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("region", _CODEC_REGIONS.values(), ids=_CODEC_REGIONS.keys())
+def test_tiling_file_lines_are_json_dumps_of_the_records(tmp_path, region):
+    tilings = list(enumerate_tilings(region))
+    assert tilings
+    path = tmp_path / "tilings.jsonl"
+    assert write_tilings(path, region, tilings) == len(tilings)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[0] == json.dumps(region_to_record(region))
+    assert lines[1:] == [_record_line(t) for t in tilings] + [""]
+    assert read_tilings(path) == (region, tilings)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(small_regions))
+def test_tiling_file_round_trip(tmp_path_factory, region):
+    tilings = list(enumerate_tilings(region))
+    path = tmp_path_factory.mktemp("codec") / "tilings.jsonl"
+    write_tilings(path, region, tilings)
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == [_record_line(t) for t in tilings]
+    assert read_tilings(path) == (region, tilings)
+
+
+@pytest.mark.parametrize(
+    "domino",
+    [[[0, 0, 0], "2"], [[0, 0, 0], 2.0], [[0, 0, 0], True],
+     [[0, 0.0, 0], 2], [[0, 0, False], 2], [["0", 0, 0], 2]],
+    ids=["axis-str", "axis-float", "axis-bool", "cell-float", "cell-bool", "cell-str"],
+)
+def test_tiling_reader_refuses_a_non_integer_axis_or_coordinate(tmp_path, domino):
+    box = make_box((2, 2, 2))
+    path = tmp_path / "tilings.jsonl"
+    write_tilings(path, box, [base_vertical_tiling(box)])
+    dominoes = [domino, [[0, 1, 0], 2], [[1, 0, 0], 2], [[1, 1, 0], 2]]
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"dominoes": dominoes}) + "\n")
+    # the same values as integers make a valid tiling
+    text = json.dumps({"dominoes": [[[0, 0, 0], 2], *dominoes[1:]]})
+    assert tiling_from_record(json.loads(text), box) == base_vertical_tiling(box)
+    message = f"{path} line 3: domino {json.dumps(domino)} has a non-integer"
+    with pytest.raises(DecodeError, match=re.escape(message)):
+        read_tilings(path)

@@ -9,7 +9,6 @@ from dimers.core import (
     color_sign,
     base_vertical_tiling,
     decode,
-    domino_cells,
     encode,
     make_box,
     make_region,
@@ -157,7 +156,7 @@ def _mirror_x(tiling):
     L = region.dims[0]
     dominoes = []
     for d in tiling.dominoes():
-        c0, c1 = domino_cells(d)
+        c0, c1 = (region.cells[i] for i in region.domino_pairs[d])
         m0 = (L - 1 - c0[0],) + c0[1:]
         m1 = (L - 1 - c1[0],) + c1[1:]
         dominoes.append(Domino(min(m0, m1), d.axis))

@@ -35,10 +35,11 @@ from dimers.twist import (
     twist,
     twist_by_path,
     twist_mod2,
+    _crossings,
     _det_bareiss,
 )
 
-from oracles import pairwise_crossings
+from oracles import crossings_by_cells, pairwise_crossings, trit_step_by_column
 from test_moves import small_regions
 
 
@@ -229,13 +230,14 @@ def test_axis_agreement_up_to_334():
             assert pretwist(t, 0) == pretwist(t, 1) == pretwist(t, 2)
 
 
-def _check_against_pairwise_oracle(region, tilings, axes=range(3)) -> int:
+def _check_against_pairwise_oracle(region, tilings, axes=range(3)) -> set[str]:
     """pretwist on `axes` and the sign of every trit of each tiling against
-    the oracle's crossing sums; returns the number of trits whose step is
-    not +-1 and that trit_sign therefore rejects."""
+    the oracle's crossing sums, and the column recompute against both;
+    returns the sizes of the steps that are not +-1 and that trit_sign
+    therefore rejects."""
     cal = calibration()
     scale = cal.sign * 2 * cal.kappa
-    rejected = 0
+    rejected = set()
     for t in tilings:
         for k in axes:
             assert pretwist(t, k) == scale * pairwise_crossings(t, k)
@@ -243,11 +245,12 @@ def _check_against_pairwise_oracle(region, tilings, axes=range(3)) -> int:
         before = pairwise_crossings(t, 2) if trits else None
         for after, removed, added in trits:
             step = scale * (pairwise_crossings(Tiling(region, after), 2) - before)
+            assert trit_step_by_column(region, t.partner, removed, added) == step
             if step in (1, -1):
                 assert trit_sign(region, t.partner, removed, added) == step
             else:
-                rejected += 1
-                with pytest.raises(CalibrationError, match=str(step)):
+                rejected.add(str(abs(step)))
+                with pytest.raises(CalibrationError, match=f"by {step}$"):
                     trit_sign(region, t.partner, removed, added)
     return rejected
 
@@ -259,7 +262,7 @@ def _check_against_pairwise_oracle(region, tilings, axes=range(3)) -> int:
 def test_crossing_sum_and_trit_signs_match_the_pairwise_oracle(region):
     rejected = _check_against_pairwise_oracle(region, enumerate_tilings(region))
     # on boxes every trit steps the twist by one; general regions may not
-    assert region.kind != "box" or rejected == 0
+    assert region.kind != "box" or not rejected
 
 
 @pytest.mark.parametrize("missing", [{(2, 2, 3), (2, 1, 3)}, {(0, 0, 0), (1, 0, 0)}])
@@ -268,4 +271,24 @@ def test_trit_signs_match_the_pairwise_oracle_on_general_regions(missing):
     # trit of every tiling is checked, pretwist only on the random regions
     region = make_region([c for c in make_box((3, 3, 4)).cells if c not in missing])
     tilings = enumerate_tilings(region, cap=None)
-    assert _check_against_pairwise_oracle(region, tilings, axes=()) > 0
+    assert _check_against_pairwise_oracle(region, tilings, axes=()) == {"3/4", "5/4"}
+
+
+def test_shadow_table_kernel_matches_the_cell_reading_kernel():
+    region = make_box((2, 3, 4))
+    for t in enumerate_tilings(region):
+        pairs = [(i, j) for i, j in enumerate(t.partner) if i < j]
+        rest, moved = pairs[3:], pairs[:3]
+        for k in range(3):
+            assert _crossings(region, pairs, k) == crossings_by_cells(region, pairs, k)
+            # the moved-pairs form drops exactly the pairs within `rest`
+            assert _crossings(region, rest, k, moved=moved) == (
+                crossings_by_cells(region, pairs, k) - crossings_by_cells(region, rest, k)
+            )
+
+
+def test_shadow_table_refuses_an_unsorted_or_non_adjacent_pair():
+    region = make_box((2, 2, 2))
+    for pair in [(1, 0), (0, 3), (0, 0)]:
+        with pytest.raises(KeyError):
+            _crossings(region, [pair], 2)
