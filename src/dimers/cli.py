@@ -88,6 +88,22 @@ def _check_height(args) -> None:
         raise DimersError("--height applies to --disk only")
 
 
+# flags that only one mode of `sample` reads: the twist histogram
+# (--histogram, --svg) or the final state (--out)
+_HISTOGRAM_FLAGS = ("samples", "workers", "burn_in")
+_FINAL_STATE_FLAGS = ("steps", "out")
+
+
+def _check_sample_flags(args) -> None:
+    histogram = args.histogram or args.svg
+    for name in _FINAL_STATE_FLAGS if histogram else _HISTOGRAM_FLAGS:
+        if getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            if histogram:
+                raise DimersError(f"{flag} applies to a final-state run, not --histogram or --svg")
+            raise DimersError(f"{flag} applies to --histogram or --svg only")
+
+
 def _region_from_args(args) -> object:
     _check_height(args)
     if getattr(args, "box", None):
@@ -235,13 +251,15 @@ def _cmd_pfaffian(args) -> dict:
 
 
 def _cmd_sample(args) -> dict:
+    _check_sample_flags(args)
     region = _region_from_args(args)
-    config = ChainConfig(
-        moves=args.moves, steps=args.steps, seed=args.seed, burn_in=args.burn_in
-    )
     if args.histogram or args.svg:
+        config = ChainConfig(moves=args.moves, seed=args.seed, burn_in=args.burn_in)
         hist = twist_distribution(
-            region, config, args.samples, chains=args.workers
+            region,
+            config,
+            10_000 if args.samples is None else args.samples,
+            chains=1 if args.workers is None else args.workers,
         )
         if args.histogram:
             histogram_csv(hist, args.histogram)
@@ -259,6 +277,9 @@ def _cmd_sample(args) -> dict:
         }
     from .sample import mcmc_run
 
+    config = ChainConfig(
+        moves=args.moves, steps=100_000 if args.steps is None else args.steps, seed=args.seed
+    )
     start = base_vertical_tiling(region)
     final = mcmc_run(region, start, config)
     out = args.out or "sampled.jsonl"
@@ -363,14 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="MCMC sampling")
     _add_region_flags(p)
     p.add_argument("--moves", default="flips", choices=["flips", "flips+trits"])
-    p.add_argument("--steps", type=int, default=100_000)
+    p.add_argument("--steps", type=int, help="proposals of a final-state run (default 100000)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--workers", type=int, default=1, help="independent chains")
+    p.add_argument("--burn-in", dest="burn_in", type=int,
+                   help="histogram burn-in (default 100 x the cell count)")
+    p.add_argument("--samples", type=int, help="histogram samples (default 10000)")
+    p.add_argument("--workers", type=int, help="independent histogram chains (default 1)")
     p.add_argument("--histogram", help="write twist histogram CSV")
     p.add_argument("--svg", help="write static SVG bar plot")
-    p.add_argument("--out")
+    p.add_argument("--out", help="final-state JSONL path (default sampled.jsonl)")
 
     p = sub.add_parser("slab", help="slab tilings and the triple twist")
     slab_sub = p.add_subparsers(dest="slab_command", required=True)

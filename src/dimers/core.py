@@ -194,6 +194,13 @@ class Region:
             out.append(table)
         return tuple(out)
 
+    @cached_property
+    def derived(self) -> dict[tuple, Region]:
+        """Regions built from this one by refine_region and
+        add_vertical_floors, by (operation, argument), so that repeated
+        calls return one Region and the tables it builds serve them all."""
+        return {}
+
     @property
     def n_cells(self) -> int:
         return len(self.cells)
@@ -402,8 +409,21 @@ def base_vertical_tiling(region: Region) -> Tiling:
     return Tiling(region, tuple(partner))
 
 
+def _derived(region: Region, key: tuple, build) -> Region:
+    """build(), kept in region.derived under key."""
+    found = region.derived.get(key)
+    if found is None:
+        found = region.derived[key] = build()
+    return found
+
+
 def refine_region(region: Region) -> Region:
-    """Split every cube into 5x5x5 smaller cubes (3D only)."""
+    """Split every cube into 5x5x5 smaller cubes (3D only).  Repeated
+    calls on one region return the same refined Region."""
+    return _derived(region, ("refine",), lambda: _refine_region(region))
+
+
+def _refine_region(region: Region) -> Region:
     if region.d != 3:
         raise InvalidRegion("refinement is defined for d=3 only")
     f = REFINE_FACTOR
@@ -463,8 +483,9 @@ def add_vertical_floors(tiling: Tiling, extra: int) -> Tiling:
     if region.kind == "box" and region.dims:
         new_region = make_box(region.dims[:-1] + (h + extra,))
     else:
-        disk = make_region(region.disk_cells, d=region.d - 1)
-        new_region = make_cylinder(disk, h + extra)
+        new_region = _derived(region, ("floors", extra), lambda: make_cylinder(
+            make_region(region.disk_cells, d=region.d - 1), h + extra
+        ))
     dominoes = tiling.dominoes()
     vertical = region.d - 1
     for base in region.disk_cells:

@@ -8,7 +8,9 @@ Every exact count goes through one path:
   cost grows as 2^width, so every axis order is tried and the one with the
   smallest width is swept; on a tie the last axis stays most significant.
   The width guard applies to that sweep.  Works in any dimension and for
-  general regions.
+  general regions; a prism, one cross-section over a run of layers along
+  the sweep, is swept over half of its layers and the halves are paired
+  at the middle layer by reflection.
 * count_cylinder: the profile DP on disk x [0, height).  When it sweeps
   floor by floor, its profile is the plug of the transfer automaton, so it
   computes (T^N)[empty, empty] without building T.
@@ -41,8 +43,9 @@ from .errors import InvalidRegion, WidthGuardExceeded
 WIDTH_GUARD = 24  # 2^24 profile states worst case; refuse rather than thrash
 
 
-def _dp_plan(region: Region) -> list[list[int]]:
-    """Forward-neighbor offsets per cell in profile order.
+def _dp_plan(region: Region) -> tuple[list[list[int]], int]:
+    """Forward-neighbor offsets per cell in profile order, and the sweep's
+    most significant axis.
 
     Cells are swept in lexicographic order of their coordinates, read in
     some order of the axes.  Every +axis neighbor then lies strictly
@@ -65,27 +68,22 @@ def _dp_plan(region: Region) -> list[list[int]]:
         width = max((pos[nb] - p for p, ci in enumerate(order) for nb in forward[ci]),
                     default=0)
         if best is None or width < best[0]:
-            best = (width, order, pos)
-    _, order, pos = best
-    return [sorted(pos[nb] - p for nb in forward[ci]) for p, ci in enumerate(order)]
+            best = (width, order, pos, axes[0])
+    _, order, pos, axis = best
+    return [sorted(pos[nb] - p for nb in forward[ci]) for p, ci in enumerate(order)], axis
 
 
 def profile_width(region: Region) -> int:
     """Largest forward offset the profile DP must remember, in the
     narrowest sweep, the one count_region runs."""
-    plan = _dp_plan(region)
+    plan, _ = _dp_plan(region)
     return max((offs[-1] for offs in plan if offs), default=0)
 
 
-def count_region(region: Region) -> int:
-    """Number of domino tilings of the region, exactly."""
-    plan = _dp_plan(region)
-    width = max((offs[-1] for offs in plan if offs), default=0)
-    if width > WIDTH_GUARD:
-        raise WidthGuardExceeded(
-            f"profile width {width} exceeds guard {WIDTH_GUARD}"
-        )
-    states = {0: 1}
+def _sweep(plan: list[list[int]], states: dict[int, int]) -> dict[int, int]:
+    """The profile DP over the cells of `plan`: {mask: ways} before them
+    to {mask: ways} after them, where bit j of a mask marks the j-th cell
+    ahead as already covered."""
     for offsets in plan:
         nxt: dict[int, int] = {}
         get = nxt.get
@@ -101,8 +99,35 @@ def count_region(region: Region) -> int:
                         nxt[key] = get(key, 0) + ways
         states = nxt
         if not states:
-            return 0
-    return states.get(0, 0)
+            break
+    return states
+
+
+def count_region(region: Region) -> int:
+    """Number of domino tilings of the region, exactly.
+
+    A prism, n layers along the sweep's most significant axis with one
+    cross-section, is swept over its first k = n // 2 layers only.  The
+    states f_k(P) then count the tilings of those layers whose dominoes
+    into layer k cover the cells P, and reflecting the axis makes the
+    tilings of layers k..n-1 with P covered number f_{n-k}(P).  So the
+    count is the sum of f_k(P) f_{n-k}(P): f_k squared for even n, and
+    for odd n f_k times the states one layer further.
+    """
+    plan, axis = _dp_plan(region)
+    width = max((offs[-1] for offs in plan if offs), default=0)
+    if width > WIDTH_GUARD:
+        raise WidthGuardExceeded(
+            f"profile width {width} exceeds guard {WIDTH_GUARD}"
+        )
+    layers = {cell[axis] for cell in region.cells}
+    size = len({cell[:axis] + cell[axis + 1 :] for cell in region.cells})
+    if layers and len(layers) * size == region.n_cells and max(layers) - min(layers) < len(layers):
+        k = len(layers) // 2
+        half = _sweep(plan[: k * size], {0: 1})
+        other = _sweep(plan[k * size : (k + 1) * size], half) if len(layers) % 2 else half
+        return sum(ways * other.get(mask, 0) for mask, ways in half.items())
+    return _sweep(plan, {0: 1}).get(0, 0)
 
 
 def count_rect_2d_formula(m: int, n: int) -> float:

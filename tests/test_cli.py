@@ -92,7 +92,6 @@ def test_sample_histogram_and_svg(in_tmp, capsys):
         "sample",
         "--box", "2,2,2",
         "--moves", "flips",
-        "--steps", "0",
         "--samples", "50",
         "--seed", "7",
         "--histogram", "hist.csv",
@@ -106,7 +105,7 @@ def test_sample_histogram_and_svg(in_tmp, capsys):
 
 def test_sample_is_reproducible(in_tmp, capsys):
     args = ["sample", "--box", "3,3,2", "--moves", "flips+trits",
-            "--steps", "0", "--samples", "30", "--seed", "3",
+            "--samples", "30", "--seed", "3",
             "--histogram", "a.csv"]
     assert main(args) == 0
     first = (in_tmp / "a.csv").read_text()
@@ -362,10 +361,38 @@ def test_sample_rejects_empty_or_negative_runs(in_tmp, capsys, flags):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_sample_burn_in_may_exceed_steps(in_tmp, capsys):
-    code, out = run(capsys, "sample", "--box", "2,2,2", "--steps", "10", "--burn-in", "20",
+def test_sample_histogram_takes_burn_in_but_not_steps(in_tmp, capsys):
+    code, out = run(capsys, "sample", "--box", "2,2,2", "--burn-in", "20",
                     "--samples", "5", "--histogram", "h.csv")
     assert code == 0 and out.startswith("samples: 5 ")
+    assert main(["sample", "--box", "2,2,2", "--steps", "10", "--burn-in", "20",
+                 "--samples", "5", "--histogram", "h.csv"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --steps applies to a final-state run, not --histogram or --svg\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--steps", "7", "--samples", "20", "--histogram", "h.csv"],
+         "--steps applies to a final-state run, not --histogram or --svg"),
+        (["--steps", "7", "--svg", "h.svg"],
+         "--steps applies to a final-state run, not --histogram or --svg"),
+        (["--samples", "20", "--histogram", "h.csv", "--out", "o.jsonl"],
+         "--out applies to a final-state run, not --histogram or --svg"),
+        (["--samples", "5", "--workers", "3", "--out", "o.jsonl"],
+         "--samples applies to --histogram or --svg only"),
+        (["--workers", "3"], "--workers applies to --histogram or --svg only"),
+        (["--steps", "10", "--burn-in", "4", "--out", "o.jsonl"],
+         "--burn-in applies to --histogram or --svg only"),
+    ],
+    ids=["steps-histogram", "steps-svg", "out-histogram", "samples-out", "workers", "burn-in-out"],
+)
+def test_sample_refuses_a_flag_its_mode_does_not_read(in_tmp, capsys, flags, message):
+    assert main(["sample", "--box", "2,2,4", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(in_tmp.iterdir())  # refused before any file is written
 
 
 _REGION_FLAGS = ("--box", "--disk", "--height")
@@ -389,9 +416,11 @@ _SWITCHES = {"--formula", "--extended", "--with-tiling-ideal"}
 
 def _fuzz_argv():
     """A subcommand, a region flag, the required --tiling of the twist
-    commands, explicit small --steps and --samples for the sampler (its
-    defaults run 100,000 steps and 10,000 samples), then up to four of the
-    subcommand's flags; numbers include 0, negatives and non-numeric text."""
+    commands, for the sampler either an explicit small --steps or a
+    histogram with explicit small --samples (its defaults run 100,000
+    steps and 10,000 samples, and each mode refuses the other's flags),
+    then up to four of the subcommand's flags; numbers include 0,
+    negatives and non-numeric text."""
     number = st.sampled_from(["-3", "-1", "0", "1", "2", "3", "5", "x"])
     steps = st.one_of(st.integers(-5, 1000).map(str), number)
     values = {
@@ -417,7 +446,10 @@ def _fuzz_argv():
         if "--box" in flags:
             head.append(st.sampled_from(["--box", "--disk"]).flatmap(pair))
         if words == ("sample",):
-            head += [pair("--steps"), pair("--samples")]
+            head.append(st.one_of(
+                pair("--steps"),
+                st.tuples(pair("--samples"), pair("--histogram")).map(lambda p: p[0] + p[1]),
+            ))
         if words[-1] == "twist":
             head.append(pair("--tiling"))
         tail = st.lists(st.sampled_from(flags), max_size=4).flatmap(

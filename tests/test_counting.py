@@ -1,4 +1,5 @@
 from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -203,3 +204,76 @@ def test_twist_polynomial_weights_and_guard():
         twist_polynomial(make_box((5, 5, 6)))  # 30-cell slices both ways
     with pytest.raises(InvalidRegion):
         twist_polynomial(make_box((2, 2)))
+
+
+# A prism, one cross-section over a run of layers along the sweep, is
+# counted from half of its layers; these tests check it against oracles
+# that never pair two halves: the automaton's matrix walk and the
+# permanent.
+
+
+@st.composite
+def disks(draw):
+    """Up to 9 cells of a 4x3 grid, connected or not."""
+    grid = [(x, y) for x in range(4) for y in range(3)]
+    return make_region(draw(st.lists(st.sampled_from(grid), min_size=1, max_size=9)), d=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(disks(), st.integers(1, 9))
+@example(make_region([(0, 0), (1, 0), (3, 0), (3, 1)]), 7)
+@example(make_box((2, 3)), 9)
+def test_cylinder_counts_match_the_automaton_walk_at_every_height(disk, height):
+    assert count_cylinder(disk, height) == automaton_cylinder_count(disk, height)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(lambda d: st.lists(
+        st.integers(1, 3 if d < 4 else 2), min_size=d - 1, max_size=d - 1
+    )),
+    st.integers(1, 7),
+    st.integers(0, 3),
+)
+@example([3], 7, 0)
+@example([3, 3], 7, 2)
+@example([2, 2, 2], 6, 2)
+def test_box_counts_match_the_permanent_and_the_automaton_walk(others, side, at):
+    """A 2D, 3D or 4D box with one side of 1-7 at any position, the others
+    of 1-3 (1-2 in 4D)."""
+    dims = (*others[:at], side, *others[at:])
+    count = count_region(make_box(dims))
+    if prod(dims) <= 24:
+        assert count == permanent_count(make_box(dims))
+    if len(others) > 1:
+        # the same box as a cylinder of height `side` over the others
+        assert count == automaton_cylinder_count(make_box(others), side)
+
+
+L_DISK = [(x, 0) for x in range(6)] + [(0, 1)]
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        make_region(make_box((3, 3, 3)).cells[1:]),  # a box minus a corner
+        make_region(set(make_box((3, 5)).cells) - {(1, 1)}),  # minus an inner cell
+        # an L-prism swept across the L: layers along x differ
+        make_region([c + (z,) for c in L_DISK for z in range(2)]),
+        # one cross-section, but layers {0, 1, 2} and {4}
+        make_region([(x, y, z) for x in range(2) for y in range(2) for z in (0, 1, 2, 4)]),
+    ],
+    ids=["box-minus-corner", "rectangle-minus-inner-cell", "l-prism-across", "layers-with-a-gap"],
+)
+def test_regions_that_are_not_prisms_match_the_permanent(region):
+    assert count_region(region) == permanent_count(region) > 0
+
+
+def test_an_l_prism_swept_across_the_l_matches_the_automaton_walk():
+    # at heights 2 and 3 the sweep runs along x, narrower than the
+    # 7-cell L; from height 4 on it runs along z, over the prism
+    disk = make_region(L_DISK)
+    for height in range(2, 8):
+        cylinder = make_cylinder(disk, height)
+        assert (profile_width(cylinder) < disk.n_cells) == (height in (2, 3))
+        assert count_region(cylinder) == automaton_cylinder_count(disk, height)

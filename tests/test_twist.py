@@ -8,8 +8,11 @@ from dimers.core import (
     add_vertical_floors,
     base_vertical_tiling,
     make_box,
+    make_cylinder,
     make_region,
+    refine_region,
     refine_tiling,
+    tiling_from_dominoes,
 )
 from dimers.errors import (
     CalibrationError,
@@ -113,6 +116,26 @@ def test_twist_vertical_extension_invariance():
     free = flip_free_tilings(make_box((3, 3, 2)))
     for t in free:
         assert twist(add_vertical_floors(t, 2)) == twist(t)
+
+
+def test_refined_and_extended_regions_are_shared_and_keep_the_twist():
+    # a 5-cell disk x 2: refine_region and add_vertical_floors return one
+    # Region per source region, on cylinders and general regions alike
+    disk = make_region([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])
+    cylinder = make_cylinder(disk, 2)
+    general = make_region(cylinder.cells)
+    assert refine_region(general) is refine_region(general)
+    for t in enumerate_tilings(cylinder):
+        refined, extended = refine_tiling(t), add_vertical_floors(t, 2)
+        assert refined.region is refine_region(cylinder)
+        assert extended.region is add_vertical_floors(t, 2).region
+        # the same dominoes on a freshly built, equal region
+        region = refined.region
+        fresh = tiling_from_dominoes(
+            make_cylinder(make_region(region.disk_cells, d=2), region.height), refined.dominoes()
+        )
+        assert fresh.region == region and fresh.region is not region
+        assert twist(refined) == twist(fresh) == twist(t) == twist(extended)
 
 
 def test_twist_uses_lex_smallest_reference_without_base():
