@@ -5,12 +5,18 @@ pfaffian, sample, slab, ideals, render.  Every run writes a JSON manifest
 (command, region, seeds, calibration ids, wall time) so outputs can be
 reproduced bit for bit.  Exit codes: 2 usage, 3 caps and guards,
 4 calibration failure.
+
+The module itself imports only what every run uses: argparse, json, the
+region builders of `core` and the errors.  Each handler imports the
+modules it runs, so a launch loads only its subcommand's: a `count` loads
+the profile DP, and the twist, moves and enumeration modules that the
+manifest's calibration needs, but never the sampler, slabs, ideals, csv
+or sqlite3.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import sqlite3
 import sys
 import time
 from pathlib import Path
@@ -25,7 +31,6 @@ from .core import (
     render_floors,
     write_tilings,
 )
-from .counting import count_cylinder, count_rect_2d_formula, count_region
 from .errors import (
     CalibrationError,
     CapExceeded,
@@ -33,15 +38,6 @@ from .errors import (
     DimersError,
     WidthGuardExceeded,
 )
-from .explore import (
-    census_csv,
-    component_trit_graph,
-    enumerate_tilings,
-    flip_free_tilings,
-    twist_census,
-)
-from .sample import ChainConfig, TwistHistogram, histogram_csv, histogram_svg, twist_distribution
-from .slab import read_slab_tilings, slab_flip_components, triple_twist
 
 EXIT_USAGE = 2
 EXIT_GUARD = 3
@@ -154,6 +150,8 @@ def _tilings_from_arg(args, region):
 
 
 def _cmd_count(args) -> dict:
+    from .counting import count_cylinder, count_rect_2d_formula, count_region
+
     _check_height(args)
     if args.formula:
         if args.box is None or len(args.box) != 2:
@@ -175,6 +173,8 @@ def _cmd_count(args) -> dict:
 
 
 def _cmd_enumerate(args) -> dict:
+    from .explore import enumerate_tilings
+
     region = _region_from_args(args)
     out = args.out or "tilings.jsonl"
     n = write_tilings(out, region, enumerate_tilings(region, args.cap))
@@ -183,12 +183,13 @@ def _cmd_enumerate(args) -> dict:
 
 
 def _cmd_components(args) -> dict:
-    region = _region_from_args(args)
-    if args.extended:
-        from .explore import flip_components_extended
+    from .explore import census_csv, component_trit_graph, flip_components_extended
 
-        scratch = args.scratch or "."
-        census = flip_components_extended(region, scratch)
+    region = _region_from_args(args)
+    if args.out and region.d != 3:
+        raise DimersError("--out writes each component's twist, which is defined for d=3 only")
+    if args.extended:
+        census = flip_components_extended(region, args.scratch or ".")
         graph = None
     else:
         graph = component_trit_graph(region, args.cap)
@@ -207,9 +208,10 @@ def _cmd_components(args) -> dict:
 
 
 def _cmd_flipfree(args) -> dict:
-    region = _region_from_args(args)
     from .core import encode
+    from .explore import flip_free_tilings
 
+    region = _region_from_args(args)
     found = flip_free_tilings(region, args.cap)
     print(f"flip-free tilings: {len(found)}")
     for t in found:
@@ -220,11 +222,15 @@ def _cmd_flipfree(args) -> dict:
 
 
 def _cmd_census(args) -> dict:
+    from .explore import twist_census
+
     region = _region_from_args(args)
     counts = twist_census(region, args.cap)
     for value, count in counts.items():
         print(f"{value},{count}")
     if args.out:
+        from .sample import TwistHistogram, histogram_csv
+
         histogram_csv(TwistHistogram(counts), args.out)
     return {
         "census": {str(k): str(v) for k, v in counts.items()},
@@ -251,6 +257,8 @@ def _cmd_pfaffian(args) -> dict:
 
 
 def _cmd_sample(args) -> dict:
+    from .sample import ChainConfig, histogram_csv, histogram_svg, mcmc_run, twist_distribution
+
     _check_sample_flags(args)
     region = _region_from_args(args)
     if args.histogram or args.svg:
@@ -275,8 +283,6 @@ def _cmd_sample(args) -> dict:
             "meta": hist.meta,
             "region": region_to_record(region),
         }
-    from .sample import mcmc_run
-
     config = ChainConfig(
         moves=args.moves, steps=100_000 if args.steps is None else args.steps, seed=args.seed
     )
@@ -289,6 +295,8 @@ def _cmd_sample(args) -> dict:
 
 
 def _cmd_slab(args) -> dict:
+    from .slab import read_slab_tilings, slab_flip_components, triple_twist
+
     if args.slab_command == "census":
         region = _region_from_args(args)
         components = slab_flip_components(region, args.cap)
@@ -479,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
     except CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION
-    except (DimersError, OSError, sqlite3.Error) as exc:
+    except (DimersError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return 0

@@ -16,16 +16,14 @@ enumerates nothing: it calibrates counting.twist_polynomial.
 """
 from __future__ import annotations
 
-import csv
 import json
-import sqlite3
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterator
 
 from .core import Region, Tiling, decode, encode, make_region, region_to_record
 from .counting import count_region, twist_polynomial
-from .errors import CapExceeded, DimersError, NotReachable
+from .errors import CapExceeded, DimersError, InvalidRegion, NotReachable
 from .moves import flip_neighbors, list_flips, trit_neighbors
 
 DEFAULT_CAP = 10_000_000
@@ -206,10 +204,11 @@ def flip_connected(region: Region, cap: int | None = DEFAULT_CAP) -> bool:
 @dataclass
 class ComponentTritGraph:
     """Flip components as vertices, trit connections as edges, one twist
-    level per vertex."""
+    level per vertex in 3D (None in other dimensions, where the twist is
+    not an integer)."""
 
     census: ComponentCensus
-    twists: list[int]
+    twists: list[int] | None
     edges: set[tuple[int, int]]
 
     def is_connected(self) -> bool:
@@ -233,7 +232,7 @@ def component_trit_graph(region: Region, cap: int | None = DEFAULT_CAP) -> Compo
             a, b = comp_of[i], comp_of[index[after]]
             if a != b:
                 edges.add((min(a, b), max(a, b)))
-    twists = [_twist_of(tilings[ids[0]]) for _, _, ids in found]
+    twists = [_twist_of(tilings[ids[0]]) for _, _, ids in found] if region.d == 3 else None
     census = ComponentCensus(
         region=region,
         components=[(size, rep) for size, rep, _ in found],
@@ -260,7 +259,11 @@ def tw_max(region: Region, cap: int | None = DEFAULT_CAP) -> int:
 
 
 def census_csv(graph: ComponentTritGraph, path) -> None:
-    """component_id,size,twist,representative_hex rows."""
+    """component_id,size,twist,representative_hex rows (3D only)."""
+    import csv
+
+    if graph.twists is None:
+        raise InvalidRegion("component twists are defined for d=3 only")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["component_id", "size", "twist", "representative_hex"])
@@ -379,54 +382,57 @@ class DiskBackedSet:
     add() returns True exactly once per key, also after the file is
     reopened.  The keys alone cannot resume a run that was cut off; a
     second table holds named results, so a finished run can be read back.
+    A SQLite error (a file that cannot be opened or is not a database)
+    is raised as a DimersError with SQLite's message.
     """
 
     def __init__(self, path):
-        self._conn = sqlite3.connect(str(path))
-        self._conn.execute("PRAGMA journal_mode=OFF")
-        self._conn.execute("PRAGMA synchronous=OFF")
-        self._conn.execute("CREATE TABLE IF NOT EXISTS seen (key BLOB PRIMARY KEY)")
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS result (name TEXT PRIMARY KEY, value TEXT)"
-        )
+        import sqlite3
+
+        self._sqlite_error = sqlite3.Error
+        self._conn = self._call(sqlite3.connect, str(path))
+        self._sql("PRAGMA journal_mode=OFF")
+        self._sql("PRAGMA synchronous=OFF")
+        self._sql("CREATE TABLE IF NOT EXISTS seen (key BLOB PRIMARY KEY)")
+        self._sql("CREATE TABLE IF NOT EXISTS result (name TEXT PRIMARY KEY, value TEXT)")
         self._pending = 0
 
+    def _call(self, method, *args):
+        try:
+            return method(*args)
+        except self._sqlite_error as exc:
+            raise DimersError(str(exc)) from exc
+
+    def _sql(self, statement: str, *params):
+        return self._call(self._conn.execute, statement, params)
+
     def add(self, key: bytes) -> bool:
-        cur = self._conn.execute(
-            "INSERT OR IGNORE INTO seen (key) VALUES (?)", (key,)
-        )
+        cur = self._sql("INSERT OR IGNORE INTO seen (key) VALUES (?)", key)
         self._pending += 1
         if self._pending >= 10_000:
-            self._conn.commit()
+            self._call(self._conn.commit)
             self._pending = 0
         return cur.rowcount == 1
 
     def __contains__(self, key: bytes) -> bool:
-        row = self._conn.execute(
-            "SELECT 1 FROM seen WHERE key = ?", (key,)
-        ).fetchone()
-        return row is not None
+        return self._sql("SELECT 1 FROM seen WHERE key = ?", key).fetchone() is not None
 
     def __len__(self) -> int:
-        return self._conn.execute("SELECT COUNT(*) FROM seen").fetchone()[0]
+        return self._sql("SELECT COUNT(*) FROM seen").fetchone()[0]
 
     def __bool__(self) -> bool:
-        return self._conn.execute("SELECT 1 FROM seen LIMIT 1").fetchone() is not None
+        return self._sql("SELECT 1 FROM seen LIMIT 1").fetchone() is not None
 
     def result(self, name: str) -> str | None:
-        row = self._conn.execute(
-            "SELECT value FROM result WHERE name = ?", (name,)
-        ).fetchone()
+        row = self._sql("SELECT value FROM result WHERE name = ?", name).fetchone()
         return None if row is None else row[0]
 
     def store_result(self, name: str, value: str) -> None:
-        self._conn.execute(
-            "INSERT OR REPLACE INTO result (name, value) VALUES (?, ?)", (name, value)
-        )
-        self._conn.commit()
+        self._sql("INSERT OR REPLACE INTO result (name, value) VALUES (?, ?)", name, value)
+        self._call(self._conn.commit)
 
     def close(self) -> None:
-        self._conn.commit()
+        self._call(self._conn.commit)
         self._conn.close()
 
 

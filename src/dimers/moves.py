@@ -154,12 +154,6 @@ def _trit_pairs(tiling: Tiling, move: TritMove):
     return removed, swaps[removed]
 
 
-def _apply_trit_structural(tiling: Tiling, move: TritMove) -> Tiling:
-    """Apply the rearrangement without computing its sign."""
-    _, added = _trit_pairs(tiling, move)
-    return Tiling(tiling.region, _swapped(tiling.partner, added))
-
-
 def apply_trit(tiling: Tiling, move: TritMove) -> tuple[Tiling, int]:
     """Apply the trit and return (new tiling, sign).
 

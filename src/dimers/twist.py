@@ -153,31 +153,25 @@ def calibration() -> Calibration:
     from .moves import trit_neighbors
 
     region = make_box((3, 3, 2))
-    partners = [t.partner for t in enumerate_tilings(region, cap=None)]
-    base = base_vertical_tiling(region).partner
+    base = _crossings(region, _pairs(base_vertical_tiling(region).partner), 2)
+    # per tiling: its three integer axis sums, and the z sum of each
+    # tiling one trit away; every candidate is tested on these integers
+    sums = []
+    for t in enumerate_tilings(region, cap=None):
+        pairs = _pairs(t.partner)
+        axis_sums = [_crossings(region, pairs, k) for k in range(3)]
+        after = [_crossings(region, _pairs(a), 2) for a, _, _ in trit_neighbors(region, t.partner)]
+        sums.append((axis_sums, after))
     for kappa in _KAPPA_CANDIDATES:
-        scale = 2 * kappa  # ordered-pair sum is twice the unordered sum
-
-        def pt(partner, k: int) -> Fraction:
-            return scale * _crossings(region, _pairs(partner), k)
-
-        base_pt = pt(base, 2)
-        ok = True
-        for partner in partners:
-            values = [pt(partner, k) for k in range(3)]
-            if len(set(values)) != 1:
-                ok = False
-                break
-            if (values[2] - base_pt).denominator != 1:
-                ok = False
-                break
-            for after, _, _ in trit_neighbors(region, partner):
-                if abs(pt(after, 2) - values[2]) != 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        # a twist is 2 kappa = p/q times an unordered-pair sum, as kappa
+        # weighs ordered pairs
+        p, q = (2 * kappa).as_integer_ratio()
+        if all(
+            len(set(axis_sums)) == 1
+            and (axis_sums[2] - base) * p % q == 0
+            and all(abs(z - axis_sums[2]) * p == q for z in after)
+            for axis_sums, after in sums
+        ):
             return Calibration(kappa=kappa, sign=1, kasteleyn_rule=KASTELEYN_RULE_ID)
     candidates = ", ".join(map(str, _KAPPA_CANDIDATES))
     raise CalibrationError(

@@ -5,23 +5,25 @@ white/black biadjacency via Ryser's formula counts matchings without any
 profile DP, the naive enumerator matches cells recursively over an
 explicit adjacency list with no canonical ordering tricks, and the naive
 move neighbours rematch small groups of dominoes of a cell-pair set
-instead of scanning precomputed windows.  Flip components come from
-comparing every pair of tilings, and cylinder counts from walking the plug
-automaton's transfer matrix floor by floor instead of the profile DP.  The
-twist's crossing sum compares every pair of dominoes instead of bucketing
-them by shadow square, and the twist census tallies the twist of every
-enumerated tiling instead of counting through the slice transfer.  The
-bucketed crossing sum also has a reference that reads each domino's
-coordinates, colour and shadow squares from its cells instead of from the
-region's shadow table, and the trit step one that recomputes that sum over
-the trit's column before and after instead of summing the moved pairs.  The
-sampler's reference makes one proposal per call, with kind-tagged windows
-and `Random.randrange`, instead of drawing raw bits in one loop.
+instead of scanning precomputed windows; a trit is applied, its sign
+unread, by rematching its six cells the same way.  Flip components come
+from comparing every pair of tilings, and cylinder counts from walking
+the plug automaton's transfer matrix floor by floor instead of the
+profile DP.  The twist's crossing sum compares every pair of dominoes
+instead of bucketing them by shadow square, and the twist census tallies
+the twist of every enumerated tiling instead of counting through the
+slice transfer.  The bucketed crossing sum also has a reference that
+reads each domino's coordinates, colour and shadow squares from its
+cells instead of from the region's shadow table, and the trit step one
+that recomputes that sum over the trit's column before and after instead
+of summing the moved pairs.  The sampler's reference makes one proposal
+per call, with kind-tagged windows and `Random.randrange`, instead of
+drawing raw bits in one loop.
 """
 from collections import Counter
 from itertools import combinations, product
 
-from dimers.core import color_sign
+from dimers.core import Domino, color_sign, tiling_from_dominoes
 
 
 def _biadjacency(region):
@@ -161,6 +163,21 @@ def naive_trit_neighbors(pairset: frozenset, region) -> set[frozenset]:
             continue
         out |= _rematched(pairset, group, lambda m: len({_axis(p) for p in m}) == 3)
     return out
+
+
+def apply_trit_structural(tiling, move):
+    """The tiling after the trit, without the trit's sign (which raises on
+    a region where a trit does not step the twist by one): the six cells
+    of the move's three dominoes rematched into the only other three
+    pairwise orthogonal dominoes, every other domino kept."""
+    group = {
+        frozenset((low, low[:axis] + (low[axis] + 1,) + low[axis + 1 :]))
+        for low, axis in move.removed
+    }
+    pairset = tiling_to_pairset(tiling)
+    assert group <= pairset, "the tiling does not hold the trit's dominoes"
+    (after,) = _rematched(pairset, group, lambda m: len({_axis(p) for p in m}) == 3)
+    return tiling_from_dominoes(tiling.region, [Domino(min(p), _axis(p)) for p in after])
 
 
 def flip_components_by_difference(region) -> list[int]:

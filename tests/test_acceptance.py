@@ -28,7 +28,6 @@ from dimers.explore import (
     tw_max,
 )
 from dimers.moves import (
-    _apply_trit_structural,
     apply_flip,
     apply_trit,
     list_flips,
@@ -44,6 +43,8 @@ from dimers.slab import (
     triple_twist,
 )
 from dimers.twist import pfaffian_alternating_sum, twist, twist_by_path, twist_mod2
+
+from oracles import apply_trit_structural
 
 
 _CAPTURE = None
@@ -300,7 +301,7 @@ def test_criterion_12_d4_smoke():
                 level = parity[encode(t)]
                 neighbors = [(apply_flip(t, m), 0) for m in list_flips(t)]
                 neighbors += [
-                    (_apply_trit_structural(t, m), 1) for m in list_trits(t)
+                    (apply_trit_structural(t, m), 1) for m in list_trits(t)
                 ]
                 for other, step in neighbors:
                     key = encode(other)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -156,6 +160,33 @@ def test_components_extended_refuses_an_unfinished_visited_set(in_tmp, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "scratch, message",
+    [("missing-dir", "unable to open database file"), ("bad", "file is not a database")],
+    ids=["missing-dir", "not-a-database"],
+)
+def test_components_extended_reports_a_sqlite_error_in_one_line(in_tmp, capsys, scratch, message):
+    (in_tmp / "bad").mkdir()
+    (in_tmp / "bad" / "visited.sqlite").write_text("not a database, " * 8)
+    assert main(["components", "--box", "2,2,2", "--extended", "--scratch", scratch]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("box", ["2,3", "2,2,2,2"])
+def test_components_outside_3d_prints_the_flip_census(in_tmp, capsys, box):
+    code, out = run(capsys, "components", "--box", box)
+    assert code == 0
+    assert (code, out) == run(capsys, "components", "--box", box, "--extended")
+
+
+def test_components_out_outside_3d_is_refused(in_tmp, capsys):
+    assert main(["components", "--box", "2,3", "--out", "census.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --out writes each component's twist, which is defined for d=3 only\n"
+    assert not (in_tmp / "census.csv").exists()
+
+
 def test_sample_writes_final_state(in_tmp, capsys):
     code, out = run(
         capsys, "sample", "--box", "2,2,2", "--moves", "flips",
@@ -197,6 +228,60 @@ def test_exit_code_usage_errors(in_tmp, capsys):
     assert exc.value.code == 2
     # DimersError surfaces as usage too: no region given
     assert main(["count"]) == 2
+
+
+def test_a_tiling_line_with_a_domino_missing_ends_in_one_error_line(in_tmp, capsys):
+    from dimers.core import base_vertical_tiling, make_box, write_tilings
+
+    box = make_box((2, 2, 2))
+    write_tilings("full.jsonl", box, [base_vertical_tiling(box)])
+    header, line = (in_tmp / "full.jsonl").read_text().splitlines()
+    record = json.loads(line)
+    record["dominoes"].pop(0)
+    (in_tmp / "hole.jsonl").write_text(f"{header}\n{json.dumps(record)}\n")
+    assert main(["twist", "--box", "2,2,2", "--tiling", "hole.jsonl"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: hole.jsonl line 2: cell (0, 0, 0): unmatched\n"
+
+
+def _modules_after(code: str, cwd) -> set[str]:
+    """The modules loaded once code has run in a fresh interpreter."""
+    import dimers
+
+    src = Path(dimers.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    return set(result.stdout.split())
+
+
+def test_a_launch_loads_only_the_modules_its_subcommand_runs(tmp_path):
+    manifest = tmp_path / "m.json"
+    argv = ["--manifest", str(manifest), "count", "--box", "2,2"]
+    loaded = _modules_after(f"from dimers.cli import main\nassert main({argv!r}) == 0", tmp_path)
+    assert {"dimers.counting", "dimers.twist"} <= loaded
+    assert not loaded & {"dimers.sample", "dimers.slab", "dimers.ideals", "sqlite3", "csv"}
+    assert json.loads(manifest.read_text())["calibration"]["kappa"] == "1/8"
+    assert not [name for name in _modules_after("import dimers", tmp_path)
+                if name.startswith("dimers.")]
+
+
+def test_every_public_name_resolves_to_the_object_in_its_home_module():
+    import importlib
+
+    import dimers
+    import dimers.twist  # the submodule shares the name of the function
+
+    assert dimers.Cell is importlib.import_module("dimers.core").Cell
+    for name in set(dimers.__all__) - {"__version__", "Cell"}:
+        value = getattr(dimers, name)
+        assert value is getattr(importlib.import_module(value.__module__), name), name
+    assert dimers.twist is importlib.import_module("dimers.twist").twist
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dimers.no_such_name
 
 
 def test_exit_code_calibration(in_tmp, capsys, monkeypatch):

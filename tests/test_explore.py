@@ -198,6 +198,17 @@ def test_census_csv(tmp_path):
     assert decode(bytes.fromhex(rep_hex), make_box((3, 3, 2)))
 
 
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2, 2)])
+def test_component_trit_graph_outside_3d_has_no_twists(tmp_path, dims):
+    from dimers.explore import census_csv
+
+    graph = component_trit_graph(make_box(dims))
+    assert graph.census.sizes == flip_components(make_box(dims)).sizes
+    assert graph.twists is None
+    with pytest.raises(InvalidRegion, match="d=3 only"):
+        census_csv(graph, tmp_path / "census.csv")
+
+
 def test_disk_backed_set_insert_once(tmp_path):
     s = DiskBackedSet(tmp_path / "seen.sqlite")
     assert s.add(b"abc") is True
@@ -210,6 +221,14 @@ def test_disk_backed_set_insert_once(tmp_path):
     assert s2.add(b"abc") is False
     assert s2.add(b"xyz") is True
     s2.close()
+
+
+def test_disk_backed_set_raises_a_sqlite_error_as_a_dimers_error(tmp_path):
+    with pytest.raises(DimersError, match="unable to open database file"):
+        DiskBackedSet(tmp_path / "missing" / "seen.sqlite")
+    (tmp_path / "seen.sqlite").write_text("not a database, " * 8)
+    with pytest.raises(DimersError, match="file is not a database"):
+        DiskBackedSet(tmp_path / "seen.sqlite")
 
 
 def test_extended_census_matches_in_memory(tmp_path):

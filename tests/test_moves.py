@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dimers.core import (
     Domino,
+    Tiling,
     color_sign,
     base_vertical_tiling,
     decode,
@@ -19,7 +20,6 @@ from dimers.errors import CalibrationError, MoveNotApplicable, RegionMismatch
 from dimers.explore import enumerate_tilings, flip_free_tilings
 from dimers.moves import (
     FlipMove,
-    _apply_trit_structural,
     apply_flip,
     apply_trit,
     difference_cycles,
@@ -29,11 +29,13 @@ from dimers.moves import (
     move_to_record,
     read_move_log,
     replay,
+    trit_neighbors,
     write_move_log,
 )
 from dimers.twist import twist
 
 from oracles import (
+    apply_trit_structural,
     naive_flip_neighbors,
     naive_tilings,
     naive_trit_neighbors,
@@ -313,7 +315,8 @@ def test_moves_match_naive_oracle_and_undo(region):
             reverse = FlipMove(move.corner, move.axes, move.after_axis)
             assert apply_flip(after, reverse) == t
         trits = list_trits(t)
-        tritted = [_apply_trit_structural(t, m) for m in trits]
+        tritted = [Tiling(region, after) for after, _, _ in trit_neighbors(region, t.partner)]
+        assert tritted == [apply_trit_structural(t, m) for m in trits]
         assert len(trits) == len(set(trits))
         assert {tiling_to_pairset(a) for a in tritted} == naive_trit_neighbors(
             pairs, region
@@ -323,7 +326,7 @@ def test_moves_match_naive_oracle_and_undo(region):
                 m for m in list_trits(after)
                 if m.corner == move.corner and m.axes == move.axes
             ]
-            assert _apply_trit_structural(after, back) == t
+            assert apply_trit_structural(after, back) == t
 
 
 def test_apply_trit_rejects_a_trit_that_does_not_step_the_twist_by_one():

@@ -22,7 +22,6 @@ from dimers.errors import (
 )
 from dimers.explore import enumerate_tilings, flip_free_tilings
 from dimers.moves import (
-    _apply_trit_structural,
     apply_flip,
     apply_trit,
     list_flips,
@@ -42,7 +41,12 @@ from dimers.twist import (
     _det_bareiss,
 )
 
-from oracles import crossings_by_cells, pairwise_crossings, trit_step_by_column
+from oracles import (
+    apply_trit_structural,
+    crossings_by_cells,
+    pairwise_crossings,
+    trit_step_by_column,
+)
 from test_moves import small_regions
 
 
@@ -181,7 +185,7 @@ def test_twist_mod2_base_and_one_trit():
     for t in enumerate_tilings(region):
         trits = list_trits(t)
         if trits:
-            with_trit = _apply_trit_structural(t, trits[0])
+            with_trit = apply_trit_structural(t, trits[0])
             before = twist_mod2(t)
             after = twist_mod2(with_trit)
             assert after == 1 - before
