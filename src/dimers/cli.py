@@ -183,22 +183,25 @@ def _cmd_enumerate(args) -> dict:
 
 
 def _cmd_components(args) -> dict:
-    from .explore import census_csv, component_trit_graph, flip_components_extended
+    from .explore import census_csv, component_trit_graph, flip_components, flip_components_extended
 
+    if args.extended and args.out:
+        raise DimersError("--out applies to an in-memory census, not --extended")
     region = _region_from_args(args)
     if args.out and region.d != 3:
         raise DimersError("--out writes each component's twist, which is defined for d=3 only")
     if args.extended:
         census = flip_components_extended(region, args.scratch or ".")
-        graph = None
-    else:
+    elif args.out:
         graph = component_trit_graph(region, args.cap)
         census = graph.census
+    else:
+        census = flip_components(region, args.cap)
     sizes = census.sizes
     print(f"tilings: {census.total}")
     print(f"components: {len(sizes)}")
     print("sizes: " + ", ".join(map(str, sizes)))
-    if graph is not None and args.out:
+    if args.out:
         census_csv(graph, args.out)
     return {
         "tilings": str(census.total),

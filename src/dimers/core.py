@@ -84,14 +84,6 @@ class Region:
         )
 
     @cached_property
-    def columns(self) -> dict[Cell, tuple[int, ...]]:
-        """cell[:-1] -> indices of the cells above that point, bottom up."""
-        out: dict[Cell, list[int]] = {}
-        for i, cell in enumerate(self.cells):
-            out.setdefault(cell[:-1], []).append(i)
-        return {point: tuple(ids) for point, ids in out.items()}
-
-    @cached_property
     def flip_windows(self) -> dict[tuple[int, tuple[int, int]], tuple[int, ...]]:
         """(corner index, (a, b)) -> cell indices (i00, i10, i01, i11) of
         each 2x2 window inside the region, i10 one step along +a from the

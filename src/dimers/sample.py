@@ -6,7 +6,9 @@ staying put otherwise.  The window set does not depend on the state and
 every local move is an involution, so the kernel is symmetric and the
 stationary distribution is uniform on the reachable component of the
 start.  The RNG is mt19937 (random.Random), which streams identically
-across platforms for a fixed seed.
+across platforms for a fixed seed.  The chain only moves and counts the
+trits it accepts; the twist histogram reads each sample's twist from the
+pairwise formula, `twist.twist`.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from .core import Region, Tiling, validate
 from .errors import InvalidRegion, InvalidTiling
 from .moves import _held
-from .twist import trit_sign
 
 RNG_FAMILY = "mt19937"
 
@@ -43,10 +44,11 @@ class ChainConfig:
 
 
 class _Chain:
-    """Mutable chain state; tracks the twist incrementally in 3D.
+    """Mutable chain state.
 
     `windows` lists the flip windows, then the trit windows; an index below
-    `n_flips` is a flip.  Proposals are made only in `advance`.
+    `n_flips` is a flip.  Proposals are made only in `advance`, and `trits`
+    counts the trits accepted so far.
     """
 
     def __init__(self, region: Region, start: Tiling, config: ChainConfig):
@@ -64,55 +66,47 @@ class _Chain:
             self.windows += region.trit_windows.values()
         if not self.windows:
             raise InvalidRegion("region admits no move windows")
-        self.twist_offset = 0  # twist relative to the start tiling
+        self.trits = 0
 
     def advance(self, steps: int) -> None:
         """Make `steps` window proposals.
 
         A window is drawn by the rejection loop of `Random.randrange(n)`
         (draw `n.bit_length()` bits until the value is below n), so a seed
-        gives the same chain as `randrange` would.  The twist steps summed
-        here are committed even when a trit raises, so `twist_offset` always
-        matches `partner`.
+        gives the same chain as `randrange` would.
         """
-        region = self.region
         partner = self.partner
         windows = self.windows
         n_flips = self.n_flips
         n = len(windows)
         bits = n.bit_length()
         getrandbits = self.rng.getrandbits
-        track_twist = region.d == 3
-        offset = 0
-        try:
-            for _ in range(steps):
+        trits = 0
+        for _ in range(steps):
+            r = getrandbits(bits)
+            while r >= n:
                 r = getrandbits(bits)
-                while r >= n:
-                    r = getrandbits(bits)
-                if r < n_flips:  # moves._parallel_side and _flipped, inlined
-                    i00, i10, i01, i11 = windows[r]
-                    p = partner[i00]
-                    if p == i10:
-                        if partner[i01] == i11:
-                            partner[i00], partner[i01] = i01, i00
-                            partner[i10], partner[i11] = i11, i10
-                    elif p == i01:
-                        if partner[i10] == i11:
-                            partner[i00], partner[i10] = i10, i00
-                            partner[i01], partner[i11] = i11, i01
-                    continue
-                ids, swaps = windows[r]
-                inside = _held(partner, ids)
-                replacement = swaps.get(inside)
-                if replacement is None:
-                    continue
-                if track_twist:
-                    offset += trit_sign(region, partner, inside, replacement)
-                # the replacement covers exactly the same six cells
-                for i, j in replacement:
-                    partner[i], partner[j] = j, i
-        finally:
-            self.twist_offset += offset
+            if r < n_flips:  # moves._parallel_side and _flipped, inlined
+                i00, i10, i01, i11 = windows[r]
+                p = partner[i00]
+                if p == i10:
+                    if partner[i01] == i11:
+                        partner[i00], partner[i01] = i01, i00
+                        partner[i10], partner[i11] = i11, i10
+                elif p == i01:
+                    if partner[i10] == i11:
+                        partner[i00], partner[i10] = i10, i00
+                        partner[i01], partner[i11] = i11, i01
+                continue
+            ids, swaps = windows[r]
+            replacement = swaps.get(_held(partner, ids))
+            if replacement is None:
+                continue
+            trits += 1
+            # the replacement covers exactly the same six cells
+            for i, j in replacement:
+                partner[i], partner[j] = j, i
+        self.trits += trits
 
     def tiling(self) -> Tiling:
         return Tiling(self.region, tuple(self.partner))
@@ -177,7 +171,10 @@ def twist_distribution(
     """Histogram of the twist over thinned chain samples (3D only).
 
     Every chain starts from the all-vertical tiling.  Burn-in defaults to
-    100x the cell count, and thinning is the cell count.  Chains are
+    100x the cell count, and thinning is the cell count; `config.steps`
+    must be 0, as the sample count sets the chain's length.  Flips keep
+    the twist, so it is read from the tiling after burn-in and again only
+    after a thinning interval that accepted a trit.  Chains are
     independent with derived seeds and their counts merge associatively,
     so the result does not depend on scheduling.
     """
@@ -186,12 +183,13 @@ def twist_distribution(
 
     if region.d != 3:
         raise InvalidRegion("twist histograms are defined for d=3")
+    if config.steps != 0:
+        raise InvalidRegion(f"a histogram is sized by samples; steps must be 0, got {config.steps}")
     if samples < 1 or chains < 1:
         raise InvalidRegion(f"need samples >= 1 and chains >= 1, got {samples} and {chains}")
     start = base_vertical_tiling(region)
     thin = region.n_cells
     burn_in = 100 * region.n_cells if config.burn_in is None else config.burn_in
-    base_twist = _twist_of(start)
     counts: dict[int, int] = {}
     per_chain = [samples // chains] * chains
     for k in range(samples % chains):
@@ -201,9 +199,12 @@ def twist_distribution(
             continue
         chain = _Chain(region, start, replace(config, seed=config.seed + chain_id))
         chain.advance(burn_in)
+        value = _twist_of(chain.tiling())
         for _ in range(chain_samples):
+            trits = chain.trits
             chain.advance(thin)
-            value = base_twist + chain.twist_offset
+            if chain.trits != trits:
+                value = _twist_of(chain.tiling())
             counts[value] = counts.get(value, 0) + 1
     meta = {
         "moves": config.moves,

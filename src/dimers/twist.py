@@ -12,9 +12,8 @@
   one shift by the reference tiling.  The kernel reads each domino's
   slot, height, orientation and shadow squares from the region's shadow
   table (`Region.shadows`), built once per region, instead of from its
-  cells.  A trit's step is the kernel's moved-pairs form: over the
-  dominoes that touch the trit's column, the pairs containing an added
-  domino minus the pairs containing a removed one.
+  cells.  A trit's step is the kernel's sum over the tiling after the
+  trit minus its sum before.
   The normalization kappa and the global sign are pinned once by
   self-calibration on the 3x3x2 box, never adjusted silently.
 * twist_by_path: signed trit count along a flip/trit path from the base
@@ -77,21 +76,18 @@ class Calibration:
         }
 
 
-def _crossings(region: Region, pairs, k: int, moved=None) -> int:
+def _crossings(region: Region, pairs, k: int) -> int:
     """Sum of crossing signs along axis k over unordered pairs of the
     dominoes on index pairs (i, j), i < j, read from Region.shadows[k].
 
     Only dominoes sharing a shadow square cross, so they are bucketed by
     square, and each bucket pairs its slot-0 with its slot-1 marks: a pair
     at heights h0 and h1 adds the product of the two colours times the
-    sign of h1 - h0.  With `moved`, the sum runs only over the pairs that
-    contain a domino on `moved`: pairs within it, and each of those with
-    the dominoes on `pairs` that share its square.  An unsorted or
-    non-adjacent pair raises KeyError.
+    sign of h1 - h0.  An unsorted or non-adjacent pair raises KeyError.
     """
     shadow = region.shadows[k]
     buckets: dict[int, tuple[list, list]] = {}
-    for pair in pairs if moved is None else moved:
+    for pair in pairs:
         entry = shadow[pair]
         if entry is not None:
             slot, mark, squares = entry
@@ -100,21 +96,8 @@ def _crossings(region: Region, pairs, k: int, moved=None) -> int:
                 if bucket is None:
                     bucket = buckets[square] = ([], [])
                 bucket[slot].append(mark)
-    crossing = [(firsts, seconds) for firsts, seconds in buckets.values() if firsts and seconds]
-    if moved is not None:
-        rest: dict[int, tuple[list, list]] = {}
-        for pair in pairs:
-            entry = shadow[pair]
-            if entry is not None:
-                slot, mark, squares = entry
-                for square in squares:
-                    if square in buckets:
-                        rest.setdefault(square, ([], []))[slot].append(mark)
-        for square, (rest_firsts, rest_seconds) in rest.items():
-            firsts, seconds = buckets[square]
-            crossing += ((firsts, rest_seconds), (rest_firsts, seconds))
     total = 0
-    for firsts, seconds in crossing:
+    for firsts, seconds in buckets.values():
         for h0, c0 in firsts:
             for h1, c1 in seconds:
                 if h1 > h0:
@@ -233,27 +216,17 @@ def trit_sign(region: Region, partner, removed_pairs, added_pairs) -> int:
     """Twist step of a trit that replaces the dominoes on removed_pairs
     (index pairs of the tiling `partner`) by those on added_pairs.
 
-    In 3D it is the change in the pairwise sum and must be +1 or -1.  Only
-    pairs with a moved domino change, and a domino crossing a moved one
-    shares a shadow square with it, so it touches the trit's column: the
-    cells above the (x, y) points of its six cells.  The step is the
-    kernel's moved-pairs sum over those dominoes with the added dominoes
-    moved in, minus the same sum with the removed ones.  In dimension 4
-    and up the twist lives in Z/2, every trit flips it, and the step is
-    reported as +1.
+    In 3D it is the kernel's sum over the tiling after the trit minus its
+    sum before, calibrated, and must be +1 or -1.  In dimension 4 and up
+    the twist lives in Z/2, every trit flips it, and the step is reported
+    as +1.
     """
     if region.d >= 4:
         return 1
     cal = calibration()
-    cells = region.cells
-    touching = set()
-    for point in {cells[c][:-1] for pair in removed_pairs for c in pair}:
-        for c in region.columns[point]:
-            j = partner[c]
-            touching.add((c, j) if c < j else (j, c))
-    rest = touching.difference(removed_pairs)
-    delta = _crossings(region, rest, 2, moved=added_pairs)
-    delta -= _crossings(region, rest, 2, moved=removed_pairs)
+    before = _pairs(partner)
+    after = set(before).difference(removed_pairs).union(added_pairs)
+    delta = _crossings(region, after, 2) - _crossings(region, before, 2)
     value = cal.kappa * (cal.sign * 2 * delta)
     if value not in (1, -1):
         raise CalibrationError(f"trit changed the twist by {value}")

@@ -15,10 +15,11 @@ the twist of every enumerated tiling instead of counting through the
 slice transfer.  The bucketed crossing sum also has a reference that
 reads each domino's coordinates, colour and shadow squares from its
 cells instead of from the region's shadow table, and the trit step one
-that recomputes that sum over the trit's column before and after instead
-of summing the moved pairs.  The sampler's reference makes one proposal
-per call, with kind-tagged windows and `Random.randrange`, instead of
-drawing raw bits in one loop.
+that recomputes that sum over the dominoes touching the trit's column
+before and after, instead of over the whole tiling.  The sampler's
+reference makes one proposal per call, with kind-tagged windows and
+`Random.randrange`, instead of drawing raw bits in one loop; it counts
+the trits it accepts, as the chain does.
 """
 from collections import Counter
 from itertools import combinations, product
@@ -274,9 +275,12 @@ def trit_step_by_column(region, partner, removed, added):
 
     cal = calibration()
     cells = region.cells
+    columns = {}
+    for c, cell in enumerate(cells):
+        columns.setdefault(cell[:-1], []).append(c)
     touching = set()
     for point in {cells[c][:-1] for pair in removed for c in pair}:
-        for c in region.columns[point]:
+        for c in columns[point]:
             j = partner[c]
             touching.add((min(c, j), max(c, j)))
     after = touching.difference(removed) | set(added)
@@ -297,19 +301,19 @@ def twist_census_by_enumeration(region, cap=10_000_000) -> dict[int, int]:
 
 
 def chain_by_steps(region, start, config, steps: int) -> tuple[list[int], int]:
-    """(partner, twist offset) after `steps` proposals of the flips(+trits)
-    chain, one proposal at a time with tagged windows and `randrange`."""
+    """(partner, accepted trits) after `steps` proposals of the
+    flips(+trits) chain, one proposal at a time with tagged windows and
+    `randrange`."""
     import random
 
     from dimers.moves import _held
-    from dimers.twist import trit_sign
 
     partner = list(start.partner)
     rng = random.Random(config.seed)
     windows = [("flip", w) for w in region.flip_windows.values()]
     if config.moves == "flips+trits":
         windows += [("trit", w) for w in region.trit_windows.values()]
-    offset = 0
+    trits = 0
     for _ in range(steps):
         kind, window = windows[rng.randrange(len(windows))]
         if kind == "flip":
@@ -322,12 +326,10 @@ def chain_by_steps(region, start, config, steps: int) -> tuple[list[int], int]:
                 partner[i01], partner[i11] = i11, i01
             continue
         ids, swaps = window
-        inside = _held(partner, ids)
-        replacement = swaps.get(inside)
+        replacement = swaps.get(_held(partner, ids))
         if replacement is None:
             continue
-        if region.d == 3:
-            offset += trit_sign(region, partner, inside, replacement)
+        trits += 1
         for i, j in replacement:
             partner[i], partner[j] = j, i
-    return partner, offset
+    return partner, trits

@@ -187,6 +187,16 @@ def test_components_out_outside_3d_is_refused(in_tmp, capsys):
     assert not (in_tmp / "census.csv").exists()
 
 
+def test_components_extended_out_is_refused_before_any_work(in_tmp, capsys):
+    argv = ["components", "--box", "3,3,2", "--extended", "--scratch", str(in_tmp)]
+    assert main([*argv, "--out", "c.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --out applies to an in-memory census, not --extended\n"
+    assert not (in_tmp / "c.csv").exists()
+    assert not (in_tmp / "visited.sqlite").exists()
+
+
 def test_sample_writes_final_state(in_tmp, capsys):
     code, out = run(
         capsys, "sample", "--box", "2,2,2", "--moves", "flips",

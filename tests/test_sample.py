@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dimers.core import (
+    Tiling,
     base_vertical_tiling,
     decode,
     encode,
@@ -13,7 +14,7 @@ from dimers.core import (
     make_region,
     validate,
 )
-from dimers.errors import CalibrationError, InvalidRegion, InvalidTiling
+from dimers.errors import InvalidRegion, InvalidTiling
 from dimers.explore import enumerate_tilings, flip_free_tilings, twist_census
 from dimers.sample import (
     ChainConfig,
@@ -28,6 +29,11 @@ from dimers.twist import twist
 from oracles import chain_by_steps
 
 
+def _l_cylinder(height):
+    disk = make_region([(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (0, 2), (1, 2)])
+    return make_cylinder(disk, height)
+
+
 def test_chain_config_validation():
     with pytest.raises(InvalidRegion):
         ChainConfig(moves="jumps", steps=10)
@@ -35,7 +41,7 @@ def test_chain_config_validation():
         ChainConfig(moves="flips", steps=-1)
     with pytest.raises(InvalidRegion, match="burn-in must be >= 0"):
         ChainConfig(moves="flips", steps=5, burn_in=-1)
-    # histograms never read steps, so a burn-in longer than steps is fine
+    # burn-in and steps are separate lengths, so burn-in may exceed steps
     assert ChainConfig(moves="flips", steps=5, burn_in=6).burn_in == 6
 
 
@@ -133,14 +139,6 @@ def test_chain_with_trits_visits_both_flip_free_tilings():
     assert len(seen) == 2
 
 
-def test_incremental_twist_matches_formula():
-    region = make_box((3, 3, 2))
-    start = base_vertical_tiling(region)
-    chain = _Chain(region, start, ChainConfig(moves="flips+trits", steps=0, seed=9))
-    chain.advance(3_000)
-    assert twist(start) + chain.twist_offset == twist(chain.tiling())
-
-
 # The seeded outputs below pin the RNG stream: they change if the window
 # list, its order or the move applied in a window changes.
 
@@ -172,12 +170,7 @@ def test_seeded_twist_histograms_are_pinned():
             "12cb6e12006d12066cacc4b25b12b16c96b02c584860b1810558b06cd84891b2654bd8b0",
         ),
         (
-            make_cylinder(
-                make_region(
-                    [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
-                ),
-                4,
-            ),
+            _l_cylinder(4),
             "flips+trits",
             2,
             "12bb012c2bb15bc2b2009024",
@@ -197,23 +190,24 @@ def _region_with_a_5_4_trit():
     return region, decode(bytes.fromhex("80046d189b0061157652b2891d"), region)
 
 
-def test_chain_rejects_a_trit_that_does_not_step_the_twist_by_one():
+def test_the_chain_moves_through_a_trit_that_does_not_step_the_twist_by_one():
+    # apply_trit refuses this trit (test_moves); the chain reads no twist,
+    # so to the chain it is one more move
     region, start = _region_with_a_5_4_trit()
     chain = _Chain(region, start, ChainConfig(moves="flips+trits", steps=0))
     chain.windows = [region.trit_windows[(region.index[(1, 0, 1)], (0, 1, 2))]]
     chain.n_flips = 0
-    with pytest.raises(CalibrationError, match="5/4"):
-        chain.advance(1)
+    chain.advance(1)
+    assert chain.trits == 1
+    assert chain.tiling() != start and validate(chain.tiling()) is None
 
-
-def test_chain_commits_the_twist_of_the_trits_before_an_error():
-    # seed 4 accepts a -1 trit before it meets the 5/4 one
-    region, start = _region_with_a_5_4_trit()
-    chain = _Chain(region, start, ChainConfig(moves="flips+trits", steps=0, seed=4))
-    with pytest.raises(CalibrationError, match="5/4"):
-        chain.advance(200_000)
-    assert chain.twist_offset != 0
-    assert twist(start) + chain.twist_offset == twist(chain.tiling())
+    config = ChainConfig(moves="flips+trits", steps=20_000, seed=4)
+    chain = _Chain(region, start, config)
+    chain.advance(config.steps)
+    assert validate(chain.tiling()) is None
+    partner, trits = chain_by_steps(region, start, config, config.steps)
+    assert (chain.partner, chain.trits) == (partner, trits)
+    assert trits > 0
 
 
 @st.composite
@@ -238,9 +232,9 @@ def test_chunked_advance_matches_the_per_step_chain(run):
     chain = _Chain(region, start, config)
     for steps in chunks:
         chain.advance(steps)
-    partner, offset = chain_by_steps(region, start, config, config.steps)
+    partner, trits = chain_by_steps(region, start, config, config.steps)
     assert chain.partner == partner
-    assert chain.twist_offset == offset
+    assert chain.trits == trits
 
 
 class _DrawLog:
@@ -304,6 +298,38 @@ def test_twist_distribution_multichain_merge_is_deterministic():
     again = twist_distribution(region, config, samples=90, chains=3)
     assert merged.counts == again.counts
     assert merged.n_samples == 90
+
+
+def _histogram_by_steps(region, config, samples):
+    """The twist read at every sample of a chain rebuilt from the start
+    for each sample."""
+    start = base_vertical_tiling(region)
+    thin = region.n_cells
+    burn_in = 100 * thin if config.burn_in is None else config.burn_in
+    counts = Counter()
+    for k in range(1, samples + 1):
+        partner, _ = chain_by_steps(region, start, config, burn_in + k * thin)
+        counts[twist(Tiling(region, tuple(partner)))] += 1
+    return dict(sorted(counts.items()))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("moves", ["flips", "flips+trits"])
+@pytest.mark.parametrize(
+    "region",
+    [make_box((3, 3, 2)), make_box((3, 3, 4)), make_box((4, 4, 4)), _l_cylinder(4)],
+    ids=["3x3x2", "3x3x4", "4x4x4", "L-disk-x4"],
+)
+def test_twist_distribution_equals_the_twist_read_at_every_sample(region, moves, seed):
+    config = ChainConfig(moves=moves, seed=seed, burn_in=50 * region.n_cells)
+    hist = twist_distribution(region, config, samples=40)
+    assert hist.counts == _histogram_by_steps(region, config, 40)
+
+
+def test_twist_distribution_refuses_steps():
+    config = ChainConfig(moves="flips", steps=10, seed=1)
+    with pytest.raises(InvalidRegion, match="steps must be 0, got 10$"):
+        twist_distribution(make_box((2, 2, 2)), config, samples=5)
 
 
 def test_twist_distribution_rejects_2d():
