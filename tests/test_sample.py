@@ -16,6 +16,7 @@ from dimers.core import (
 )
 from dimers.errors import InvalidRegion, InvalidTiling
 from dimers.explore import enumerate_tilings, flip_free_tilings, twist_census
+from dimers.moves import apply_trit, list_trits
 from dimers.sample import (
     ChainConfig,
     TwistHistogram,
@@ -137,6 +138,26 @@ def test_chain_with_trits_visits_both_flip_free_tilings():
             if len(seen) == 2:
                 break
     assert len(seen) == 2
+
+
+def test_incremental_twist_matches_formula():
+    # the chain keeps no twist; sum the signs of the trits it accepts
+    region = make_box((3, 3, 2))
+    start = base_vertical_tiling(region)
+    chain = _Chain(region, start, ChainConfig(moves="flips+trits", steps=0, seed=9))
+    offset = 0
+    for _ in range(3_000):
+        before, trits = chain.tiling(), chain.trits
+        chain.advance(1)
+        if chain.trits == trits:
+            continue
+        after = chain.tiling()
+        steps = [apply_trit(before, move) for move in list_trits(before)]
+        (sign,) = {sign for tiling, sign in steps if tiling == after}
+        offset += sign
+        assert twist(start) + offset == twist(after)
+    assert chain.trits > 0
+    assert twist(start) + offset == twist(chain.tiling())
 
 
 # The seeded outputs below pin the RNG stream: they change if the window
