@@ -26,6 +26,7 @@ from .core import (
     base_vertical_tiling,
     make_box,
     make_region,
+    open_text,
     read_tilings,
     region_to_record,
     render_floors,
@@ -59,7 +60,8 @@ def _load_disk(path: str):
     record on a first line that starts with '{'.  Any other row is a
     DecodeError naming the file and line, and so is a grid without a '#'
     cell (an empty file, blank lines only, or all '.')."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    with open_text(path) as fh:
+        lines = fh.read().splitlines()
     rows = [(n, row) for n, row in enumerate(lines, 1) if row.strip()]
     if rows and rows[0][1].lstrip().startswith("{"):
         from .core import json_record, region_from_record
@@ -461,7 +463,9 @@ def _apply_config(argv: list[str]) -> list[str]:
     if not path:
         raise DimersError("--config needs a file path")
     extra = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    with open_text(path) as fh:
+        lines = fh.read().splitlines()
+    for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

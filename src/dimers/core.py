@@ -280,31 +280,14 @@ def _make_box(dims: tuple[int, ...]) -> Region:
     )
 
 
-def is_connected(region: Region) -> bool:
-    """Face-connectivity of the region's cells."""
-    n = region.n_cells
-    if n <= 1:
-        return True
-    table = region.neighbor_table
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    reached = 1
-    while stack:
-        i = stack.pop()
-        for j in table[i]:
-            if j >= 0 and not seen[j]:
-                seen[j] = 1
-                reached += 1
-                stack.append(j)
-    return reached == n
-
-
 def make_cylinder(disk: Region, height: int) -> Region:
     """Product region disk x [0, height); the disk must be connected."""
     if height < 1:
         raise InvalidRegion(f"cylinder height must be >= 1, got {height}")
-    if not is_connected(disk):
+    from .explore import components
+
+    table = disk.neighbor_table
+    if len(components(range(disk.n_cells), lambda i: [j for j in table[i] if j >= 0])) > 1:
         raise InvalidRegion("cylinder disk must be connected")
     cells = tuple(sorted(c + (z,) for c in disk.cells for z in range(height)))
     dims = disk.dims + (height,) if disk.kind == "box" and disk.dims else None
@@ -700,10 +683,21 @@ def json_record(line: str, path, lineno: int, decode):
         raise type(exc)(f"{path} line {lineno}: {exc}") from None
 
 
+@contextmanager
+def open_text(path):
+    """The file opened for reading as UTF-8; bytes that are not UTF-8
+    raise a DecodeError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise DecodeError(f"{path}: not UTF-8 text") from None
+
+
 def read_records(path, decode) -> tuple[Region, list]:
     """A JSON-lines file: a region header, then decode(record, region) of
     each non-blank line after it."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline()
         if not header:
             raise DecodeError(f"{path}: empty tiling file")

@@ -7,12 +7,15 @@ walk the moves of the region's window tables; canonical encodings name
 component representatives, and key the SQLite visited set that the
 extended path for billion-tiling regions spills to disk.
 
-Two graph routines serve every census and path question: components, one
-union-find over any state graph (flip censuses, the component/trit graph,
-slab flips, the 2D sweep), and search_path, one breadth-first tree path
-(the twist path oracle and the ideal containment certificates).  Only the
-extended census keeps its own disk-backed sweep.  The twist census
-enumerates nothing: it calibrates counting.twist_polynomial.
+Two graph routines serve every census, path and connectivity question:
+components, one union-find over any state graph (flip censuses, the
+component/trit graph, slab flips, the 2D sweep, a cylinder's disk), and
+search_path, one breadth-first tree path (the twist path oracle and the
+ideal containment certificates).  Only the extended census keeps its own
+disk-backed sweep.  The 2D sweep's polyominoes search nothing for holes:
+an edge-connected shape has none exactly when its Euler characteristic
+V - E + F is 1.  The twist census enumerates nothing: it calibrates
+counting.twist_polynomial.
 """
 from __future__ import annotations
 
@@ -275,11 +278,6 @@ def census_csv(graph: ComponentTritGraph, path) -> None:
 # 2D flip connectivity sweep (Thurston's theorem as a property check)
 
 
-def _nbrs4(cell):
-    x, y = cell
-    return ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
-
-
 def _fixed_polyominoes(max_cells: int) -> Iterator[tuple]:
     """Redelmeier enumeration of fixed polyominoes up to max_cells.
 
@@ -293,11 +291,12 @@ def _fixed_polyominoes(max_cells: int) -> Iterator[tuple]:
 
     def rec(cells: list, untried: list, seen: set) -> Iterator[tuple]:
         while untried:
-            c = untried.pop()
+            c = x, y = untried.pop()
             cells.append(c)
             yield tuple(cells)
             if len(cells) < max_cells:
-                new = [nb for nb in _nbrs4(c) if admissible(nb) and nb not in seen]
+                around = ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+                new = [nb for nb in around if admissible(nb) and nb not in seen]
                 seen.update(new)
                 yield from rec(cells, untried + new, seen)
                 seen.difference_update(new)
@@ -306,42 +305,16 @@ def _fixed_polyominoes(max_cells: int) -> Iterator[tuple]:
     yield from rec([], [(0, 0)], {(0, 0)})
 
 
-def _poly_normalize(cells) -> tuple:
-    mx = min(x for x, _ in cells)
-    my = min(y for _, y in cells)
-    return tuple(sorted((x - mx, y - my) for x, y in cells))
-
-
-_TRANSFORMS = (
-    lambda x, y: (x, y),
-    lambda x, y: (-y, x),
-    lambda x, y: (-x, -y),
-    lambda x, y: (y, -x),
-    lambda x, y: (-x, y),
-    lambda x, y: (y, x),
-    lambda x, y: (x, -y),
-    lambda x, y: (-y, -x),
-)
-
-
-def _simply_connected(cells: frozenset) -> bool:
-    """No holes: the complement of the shape is connected within an
-    inflated bounding box."""
-    xs = [x for x, _ in cells]
-    ys = [y for _, y in cells]
-    x0, x1 = min(xs) - 1, max(xs) + 1
-    y0, y1 = min(ys) - 1, max(ys) + 1
-    outside = {(x0, y0)}
-    queue = deque(outside)
-    while queue:
-        cx, cy = queue.popleft()
-        for nx, ny in _nbrs4((cx, cy)):
-            if x0 <= nx <= x1 and y0 <= ny <= y1:
-                if (nx, ny) not in cells and (nx, ny) not in outside:
-                    outside.add((nx, ny))
-                    queue.append((nx, ny))
-    total = (x1 - x0 + 1) * (y1 - y0 + 1)
-    return len(outside) + len(cells) == total
+def _hole_free(shape: list[int], step: int) -> bool:
+    """Whether an edge-connected shape has no hole, by the Euler
+    characteristic V - E + F of the union of its closed cells, which is 1
+    minus the number of holes.  Cell (x, y) is packed as x * step + y,
+    with y + 1 < step; each corner and unit edge is named by the cell it
+    is the lower left corner, lower edge or left edge of."""
+    corners = {c + d for c in shape for d in (0, 1, step, step + 1)}
+    along_x = set(shape).union(c + 1 for c in shape)
+    along_y = set(shape).union(c + step for c in shape)
+    return len(corners) - len(along_x) - len(along_y) + len(shape) == 1
 
 
 def iter_free_simply_connected_polyominoes(
@@ -351,19 +324,32 @@ def iter_free_simply_connected_polyominoes(
 
     A fixed shape is kept only when no dihedral image of it normalises
     below it, so no dedup set is needed; the first smaller image rejects it.
+    An image pairs two of the coordinate lists x - min x, max x - x,
+    y - min y and max y - y, one per axis, packed as a << shift | b and
+    sorted, which orders images as their sorted (a, b) tuples.
     """
+    shift = max_cells.bit_length()
     for cells in _fixed_polyominoes(max_cells):
         if even_only and len(cells) % 2:
             continue
-        normalized = _poly_normalize(cells)
+        xs = [x for x, _ in cells]
+        ys = [y for _, y in cells]
+        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+        right = [x - x0 for x in xs]
+        left = [x1 - x for x in xs]
+        up = [y - y0 for y in ys]
+        down = [y1 - y for y in ys]
+        shape = sorted([a << shift | b for a, b in zip(right, up)])
         if any(
-            _poly_normalize([t(x, y) for x, y in cells]) < normalized
-            for t in _TRANSFORMS[1:]
+            sorted([a << shift | b for a, b in zip(first, second)]) < shape
+            for first, second in (
+                (down, right), (left, down), (up, left),
+                (left, up), (up, right), (right, down), (down, left),
+            )
         ):
             continue
-        if not _simply_connected(frozenset(normalized)):
-            continue
-        yield normalized
+        if _hole_free(shape, 1 << shift):
+            yield tuple(sorted(zip(right, up)))
 
 
 def flip_connected_2d(cells: tuple) -> bool:

@@ -12,21 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Region, Tiling
+from .core import Region, Tiling, open_text
 from .errors import DecodeError, IdenticalTilings, RegionMismatch
 
 Edge = tuple[tuple[int, ...], int]  # (lesser cell, axis)
 
 
 def edges(region: Region) -> list[Edge]:
-    """All dual-graph edges in lexicographic order."""
-    table = region.neighbor_table
-    out = []
-    for i, cell in enumerate(region.cells):
-        for axis in range(region.d):
-            if table[i][2 * axis] >= 0:
-                out.append((cell, axis))
-    return sorted(out)
+    """All dual-graph edges in lexicographic order, which is the order of
+    the region's domino table."""
+    return list(region.pair_dominoes.values())
 
 
 def edge_index(region: Region) -> dict[Edge, int]:
@@ -169,14 +164,10 @@ def export_ideals(
     if with_tiling_ideal:
         tilings = list(enumerate_tilings(region, cap))
         index = edge_index(region)
-        monomials = [_tiling_monomial(t, index) for t in tilings]
-        pairs = [
-            Binomial(monomials[i], monomials[j])
-            for i, j in combinations(range(len(monomials)), 2)
-            if monomials[i] != monomials[j]
-        ]
-        lines.append(f"# tiling binomials {len(pairs)}")
-        lines.extend(binomial_str(b) for b in pairs)
+        # distinct tilings have distinct monomials, so every pair is a binomial
+        texts = [_monomial_str(_tiling_monomial(t, index)) for t in tilings]
+        lines.append(f"# tiling binomials {len(texts) * (len(texts) - 1) // 2}")
+        lines.extend(f"+{pos} -{neg}" for pos, neg in combinations(texts, 2))
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -185,7 +176,7 @@ def parse_ideals(path) -> dict:
     """Inverse of export_ideals; returns declarations and generator lists."""
     result: dict = {"variables": [], "flip": [], "tiling": []}
     section = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for raw in fh:
             line = raw.strip()
             if not line:

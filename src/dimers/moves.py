@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Cell, Domino, Region, Tiling
+from .core import Cell, Domino, Region, Tiling, open_text
 from .errors import MoveNotApplicable, RegionMismatch
 from .twist import trit_sign
 
@@ -233,7 +233,7 @@ def write_move_log(path, records: Iterable[dict]) -> None:
 
 
 def read_move_log(path) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return [json.loads(line) for line in fh if line.strip()]
 
 

@@ -22,8 +22,6 @@ from .errors import CapExceeded, InflationError, InvalidRegion, MoveNotApplicabl
 from .explore import components
 from .twist import pretwist
 
-COLORS = ("R", "Y", "G", "B")
-
 _COLOR_OF_PARITY = {(0, 0): "R", (1, 0): "Y", (0, 1): "G", (1, 1): "B"}
 
 # color pair -> the two coordinates whose diagonal the deflation collapses

@@ -19,9 +19,11 @@ that recomputes that sum over the dominoes touching the trit's column
 before and after, instead of over the whole tiling.  The sampler's
 reference makes one proposal per call, with kind-tagged windows and
 `Random.randrange`, instead of drawing raw bits in one loop; it counts
-the trits it accepts, as the chain does.
+the trits it accepts, as the chain does.  A polyomino's holes are found
+by flood-filling its complement in a bounding box, not by its Euler
+characteristic.
 """
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations, product
 
 from dimers.core import Domino, color_sign, tiling_from_dominoes
@@ -333,3 +335,23 @@ def chain_by_steps(region, start, config, steps: int) -> tuple[list[int], int]:
         for i, j in replacement:
             partner[i], partner[j] = j, i
     return partner, trits
+
+
+def simply_connected_by_flood_fill(cells) -> bool:
+    """No holes: the complement of the 2D shape is edge-connected within
+    its bounding box grown by one cell on every side."""
+    xs = [x for x, _ in cells]
+    ys = [y for _, y in cells]
+    x0, x1 = min(xs) - 1, max(xs) + 1
+    y0, y1 = min(ys) - 1, max(ys) + 1
+    shape = set(cells)
+    outside = {(x0, y0)}
+    queue = deque(outside)
+    while queue:
+        x, y = queue.popleft()
+        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            inside_box = x0 <= nb[0] <= x1 and y0 <= nb[1] <= y1
+            if inside_box and nb not in shape and nb not in outside:
+                outside.add(nb)
+                queue.append(nb)
+    return len(outside) + len(shape) == (x1 - x0 + 1) * (y1 - y0 + 1)

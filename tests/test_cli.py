@@ -338,6 +338,25 @@ def test_bad_arguments_end_in_one_error_line(in_tmp, capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--config", "bad.bin", "count", "--box", "2,2"],
+        ["count", "--disk", "bad.bin"],
+        ["count", "--disk", "bad.bin", "--height", "2"],
+        ["census", "--disk", "bad.bin", "--height", "2"],
+        ["twist", "--box", "2,2,2", "--tiling", "bad.bin"],
+        ["render", "--box", "2,2,2", "--tiling", "bad.bin"],
+        ["slab", "twist", "--tiling", "bad.bin"],
+    ],
+    ids=["config", "disk", "count-cylinder", "cylinder", "twist", "render", "slab-twist"],
+)
+def test_a_file_that_is_not_utf8_ends_in_one_error_line(in_tmp, capsys, argv):
+    (in_tmp / "bad.bin").write_bytes(b"\xff\xfe")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: bad.bin: not UTF-8 text\n"
+
+
 def test_config_file(in_tmp, capsys):
     (in_tmp / "conf.txt").write_text("box=3,3,2\n")
     code, out = run(capsys, "--config", "conf.txt", "count")
@@ -515,13 +534,15 @@ def _fuzz_argv():
     histogram with explicit small --samples (its defaults run 100,000
     steps and 10,000 samples, and each mode refuses the other's flags),
     then up to four of the subcommand's flags; numbers include 0,
-    negatives and non-numeric text."""
+    negatives and non-numeric text, and files include missing ones and
+    ones that are not UTF-8.  A --config file (valid, missing or not
+    UTF-8) may come first."""
     number = st.sampled_from(["-3", "-1", "0", "1", "2", "3", "5", "x"])
     steps = st.one_of(st.integers(-5, 1000).map(str), number)
     values = {
         "--box": st.lists(st.sampled_from("0122333x"), min_size=1, max_size=3).map(",".join),
-        "--disk": st.sampled_from(["disk.txt", "empty.txt", "missing.txt"]),
-        "--tiling": st.sampled_from(["base", "t.jsonl", "s.jsonl", "missing.jsonl"]),
+        "--disk": st.sampled_from(["disk.txt", "empty.txt", "missing.txt", "bad.bin"]),
+        "--tiling": st.sampled_from(["base", "t.jsonl", "s.jsonl", "missing.jsonl", "bad.bin"]),
         "--moves": st.sampled_from(["flips", "flips+trits", "jumps"]),
         "--scratch": st.sampled_from([".", "missing-dir", "disk.txt"]),
         "--steps": steps,
@@ -552,7 +573,11 @@ def _fuzz_argv():
         ).map(lambda pairs: [token for p in pairs for token in p])
         return st.tuples(*head, tail).map(lambda parts: [t for part in parts for t in part])
 
-    return st.sampled_from(sorted(_FUZZ_FLAGS)).flatmap(command)
+    config_file = st.sampled_from(["conf.txt", "missing.conf", "bad.bin"])
+    config = st.one_of(st.just([]), config_file.map(lambda path: ["--config", path]))
+    return st.tuples(config, st.sampled_from(sorted(_FUZZ_FLAGS)).flatmap(command)).map(
+        lambda parts: parts[0] + parts[1]
+    )
 
 
 def test_argv_fuzz_ends_in_an_exit_code(in_tmp, capsys):
@@ -563,6 +588,8 @@ def test_argv_fuzz_ends_in_an_exit_code(in_tmp, capsys):
 
     (in_tmp / "disk.txt").write_text("###\n###\n")
     (in_tmp / "empty.txt").write_text("")
+    (in_tmp / "bad.bin").write_bytes(b"\xff\xfe")
+    (in_tmp / "conf.txt").write_text("box=2,2\n")
     box = make_box((2, 2, 2))
     write_tilings("t.jsonl", box, [base_vertical_tiling(box)])
     slab_box = make_box((4, 2, 2))

@@ -85,9 +85,10 @@ def test_make_cylinder_rejects_bad_input():
     disk = make_box((2, 2))
     with pytest.raises(InvalidRegion):
         make_cylinder(disk, 0)
-    disconnected = make_region([(0, 0), (2, 0)])
-    with pytest.raises(InvalidRegion):
-        make_cylinder(disconnected, 2)
+    for cells in ([(0, 0), (2, 0)], [(0, 0), (1, 1)], [(0, 0), (1, 0), (0, 1), (2, 1)]):
+        with pytest.raises(InvalidRegion, match="^cylinder disk must be connected$"):
+            make_cylinder(make_region(cells), 2)
+    assert make_cylinder(make_region([(0, 0), (1, 0), (1, 1), (2, 1)]), 2).n_cells == 8
 
 
 def test_base_vertical_tiling():
@@ -271,6 +272,18 @@ def test_tilings_file_roundtrip(tmp_path):
     back_region, back = read_tilings(path)
     assert back_region == r
     assert back == tilings
+
+
+@pytest.mark.parametrize("line", [0, 2], ids=["header", "third-line"])
+def test_a_tiling_file_that_is_not_utf8_is_a_decode_error(tmp_path, line):
+    r = make_box((2, 2, 2))
+    path = tmp_path / "tilings.jsonl"
+    write_tilings(path, r, list(enumerate_tilings(r)))
+    lines = path.read_bytes().split(b"\n")
+    lines[line] = b"\xff\xfe"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(DecodeError, match="tilings.jsonl: not UTF-8 text"):
+        read_tilings(path)
 
 
 def test_region_record_roundtrip_cylinder(tmp_path):

@@ -1,4 +1,6 @@
+import hashlib
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,6 +10,8 @@ from dimers.counting import count_region
 from dimers.errors import CapExceeded, DimersError, InvalidRegion
 from dimers.explore import (
     DiskBackedSet,
+    _fixed_polyominoes,
+    _hole_free,
     component_trit_graph,
     components,
     enumerate_tilings,
@@ -23,7 +27,11 @@ from dimers.explore import (
 from dimers.moves import flip_neighbors, list_flips
 from dimers.twist import pfaffian_alternating_sum
 
-from oracles import flip_components_by_difference, twist_census_by_enumeration
+from oracles import (
+    flip_components_by_difference,
+    simply_connected_by_flood_fill,
+    twist_census_by_enumeration,
+)
 from test_moves import small_regions as grown_regions
 
 
@@ -265,12 +273,37 @@ def test_extended_census_refuses_an_unfinished_visited_set(tmp_path):
 
 
 def test_polyomino_counts_match_literature():
-    counts = {}
-    for cells in iter_free_simply_connected_polyominoes(8, even_only=False):
-        counts[len(cells)] = counts.get(len(cells), 0) + 1
-    # free polyomino counts 1,1,2,5,12,35,108,369 minus the holey ones
-    # (one heptomino, six octominoes)
-    assert [counts.get(n, 0) for n in range(1, 9)] == [1, 1, 2, 5, 12, 35, 107, 363]
+    counts = Counter(map(len, iter_free_simply_connected_polyominoes(10, even_only=False)))
+    # OEIS A000104, polyominoes without holes: the free counts
+    # 1,1,2,5,12,35,108,369,1285,4655 less 1, 6, 37 and 195 holey shapes
+    assert [counts[n] for n in range(1, 11)] == [1, 1, 2, 5, 12, 35, 107, 363, 1248, 4460]
+
+
+def test_euler_hole_test_agrees_with_the_flood_fill():
+    shift = 9 .bit_length()
+    holey = Counter()
+    for cells in _fixed_polyominoes(9):
+        x0 = min(x for x, _ in cells)  # y >= 0 already
+        shape = [(x - x0) << shift | y for x, y in cells]
+        hole_free = _hole_free(shape, 1 << shift)
+        assert hole_free == simply_connected_by_flood_fill(cells), cells
+        holey[len(cells)] += not hole_free
+    # the holey heptomino in its 4 orientations; the six holey octominoes
+    # in 41, as the 3x3 ring has 1 and the other five 8 each
+    assert [holey[n] for n in range(1, 10)] == [0, 0, 0, 0, 0, 0, 4, 41, 272]
+
+
+@pytest.mark.parametrize(
+    "even_only, digest",
+    [
+        (True, "c28228200c22fb78c01433ca5a1e96054bb311cb31cb5cce74d02cf976b03372"),
+        (False, "1d74cae17880979e2e04351224845106bb542fdf9f5761581e56f606a0190213"),
+    ],
+    ids=["even", "all"],
+)
+def test_polyomino_representatives_and_their_order_are_pinned(even_only, digest):
+    shapes = list(iter_free_simply_connected_polyominoes(10, even_only=even_only))
+    assert hashlib.sha256(repr(shapes).encode()).hexdigest() == digest
 
 
 def test_flip_connected_2d_agrees_with_library_bfs():
