@@ -166,8 +166,9 @@ def _cmd_count(args) -> dict:
         disk = _load_disk(args.disk)
         value = count_cylinder(disk, args.height)
         print(value)
-        return {"count": str(value), "region": {"kind": "cylinder",
-                "disk_cells": len(disk.cells), "height": args.height}}
+        # make_cylinder's record, unchecked: a disconnected disk still counts
+        return {"count": str(value), "region": {"d": disk.d + 1, "kind": "cylinder",
+                "disk_cells": [list(c) for c in disk.cells], "height": args.height}}
     region = _region_from_args(args)
     value = count_region(region)
     print(value)

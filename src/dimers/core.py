@@ -5,6 +5,9 @@ immutable collections of cells; a tiling is an immutable perfect matching
 stored as a fixed-point-free involution on cell indices.  Everything
 downstream (moves, counting, twist, sampling) works on these two values,
 so both are safe to share between workers.
+
+`matchings` is the one search over domino matchings: enumeration and
+the counting module's floor fills both run it.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, product
 from operator import getitem, itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     DecodeError,
@@ -219,6 +222,34 @@ class Region:
         lo = tuple(min(c[a] for c in self.cells) for a in range(self.d))
         hi = tuple(max(c[a] for c in self.cells) for a in range(self.d))
         return lo, hi
+
+
+def matchings(forward, partner: list[int], open_cells: int = 0) -> Iterator[int]:
+    """Match the free cells (partner -1) in pairs along a Region.forward
+    or, when in open_cells, singly with the cell above.  The first free
+    cell i tries the cell above, then each free cell of forward[i] in
+    order.  partner is filled in place, a cell matched above holding
+    len(forward); each complete matching yields the mask of those cells,
+    and partner is as given when the search ends."""
+    n = len(forward)
+
+    def rec(i: int, up: int) -> Iterator[int]:
+        while i < n and partner[i] != -1:
+            i += 1
+        if i == n:
+            yield up
+            return
+        if open_cells >> i & 1:
+            partner[i] = n
+            yield from rec(i + 1, up | 1 << i)
+        for j in forward[i]:
+            if partner[j] == -1:
+                partner[i], partner[j] = j, i
+                yield from rec(i + 1, up)
+                partner[j] = -1
+        partner[i] = -1
+
+    return rec(0, 0)
 
 
 # A 2x2x2 cube minus a cell `far` and its opposite cell is a hexagon: the

@@ -15,13 +15,15 @@ Every exact count goes through one path:
   floor by floor, its profile is the plug of the transfer automaton, so it
   computes (T^N)[empty, empty] without building T.
 
-The automaton's floor fills have a second job, the twist transfer:
+The automaton's floor fills, core.matchings (the search enumeration
+runs too) with the plug in covered, have a second job, the twist transfer:
 
 * twist_polynomial: tilings per value of the twist's crossing sum, by a
   count DP over slices perpendicular to x or y that carries {crossing
-  sum: ways} per plug.  A slice's fills are the automaton's floor fills,
-  and its weight is the twist module's crossing kernel over the dominoes
-  touching it.  explore.twist_census calibrates it.
+  sum: ways} per plug.  A slice's fills are core.matchings with the
+  cells that go on to the next slice open, and its weight is the twist
+  module's crossing kernel over the dominoes touching it.
+  explore.twist_census calibrates it.
 
 Two objects stand beside these as checks:
 
@@ -37,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 
-from .core import Cell, Region, make_region
+from .core import Cell, Region, make_region, matchings
 from .errors import InvalidRegion, WidthGuardExceeded
 
 WIDTH_GUARD = 24  # 2^24 profile states worst case; refuse rather than thrash
@@ -162,52 +164,19 @@ class PlugAutomaton:
     matrix: tuple[tuple[int, ...], ...]
 
 
-def _floor_transitions(disk: Region, covered: int, open_cells: int) -> list:
-    """Every fill of one floor, as (plug out, in-floor pairs).
-
-    Sweeps the disk cells once; each cell not in `covered` either matches
-    a free forward neighbor in the floor, joining the pairs (disk index
-    pairs, lower first), or, when it is in `open_cells`, pierces the top
-    interface, joining the plug out.  The automaton tallies the plugs;
-    the twist transfer also weighs the pairs.
-    """
-    n = disk.n_cells
-    forward = disk.forward
-    fills = []
-    pairs: list[tuple[int, int]] = []
-
-    def sweep(i: int, covered: int, up: int) -> None:
-        while i < n and covered & (1 << i):
-            i += 1
-        if i == n:
-            fills.append((up, tuple(pairs)))
-            return
-        bit = 1 << i
-        if open_cells & bit:
-            sweep(i + 1, covered | bit, up | bit)  # pierce the top interface
-        for j in forward[i]:
-            jbit = 1 << j
-            if not covered & jbit:
-                pairs.append((i, j))
-                sweep(i + 1, covered | bit | jbit, up)
-                pairs.pop()
-
-    sweep(0, covered, 0)
-    return fills
-
-
 def build_automaton(disk: Region) -> PlugAutomaton:
     """Plugs reachable from the empty plug, with transition multiplicities."""
     if disk.n_cells > WIDTH_GUARD:
         raise WidthGuardExceeded(
             f"disk has {disk.n_cells} cells, guard is {WIDTH_GUARD}"
         )
-    everywhere = (1 << disk.n_cells) - 1
+    n = disk.n_cells
     plugs = [0]
     index = {0: 0}
     rows = []
     for plug in plugs:  # breadth first: plugs grows while it is walked
-        transitions = Counter(up for up, _ in _floor_transitions(disk, plug, everywhere))
+        partner = [n if plug >> i & 1 else -1 for i in range(n)]
+        transitions = Counter(matchings(disk.forward, partner, (1 << n) - 1))
         for q in transitions:
             if q not in index:
                 index[q] = len(plugs)
@@ -272,9 +241,10 @@ def twist_polynomial(region: Region) -> dict[int, int]:
     if largest > WIDTH_GUARD:
         raise WidthGuardExceeded(f"slice has {largest} cells, guard is {WIDTH_GUARD}")
     disk = make_region({p for cells in slices.values() for p in cells}, d=2)
-    everywhere = (1 << disk.n_cells) - 1
-    # in-slice dominoes along the disk's first axis; z-dominoes cross nothing
-    crossing = {(p, row[0]) for p, row in enumerate(disk.neighbor_table) if row[0] >= 0}
+    n = disk.n_cells
+    everywhere = (1 << n) - 1
+    # in-slice dominoes along the disk's first axis, sorted; z-dominoes cross nothing
+    crossing = [(p, row[0]) for p, row in enumerate(disk.neighbor_table) if row[0] >= 0]
     positions = {
         s: {disk.index[p]: i for p, i in cells.items()} for s, cells in slices.items()
     }
@@ -314,8 +284,9 @@ def twist_polynomial(region: Region) -> dict[int, int]:
             steps = memo.get(key)
             if steps is None:
                 steps = memo[key] = Counter()
-                for up, pairs in _floor_transitions(disk, plug | absent, open_cells):
-                    across = tuple(filter(crossing.__contains__, pairs))
+                partner = [n if (plug | absent) >> p & 1 else -1 for p in range(n)]
+                for up in matchings(disk.forward, partner, open_cells):
+                    across = tuple([(p, q) for p, q in crossing if partner[p] == q])
                     w = half(0, plug, across, entering, here) + half(1, up, across, leaving, here)
                     steps[up, w] += 1
             for (up, w), ways in steps.items():

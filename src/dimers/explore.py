@@ -1,11 +1,12 @@
 """Exhaustive enumeration and censuses of the move graph.
 
-Enumeration backtracks on the lexicographically first uncovered cell,
-trying +axis partners in axis order, so runs are deterministic and
-restartable.  In-memory censuses key tilings by their partner tuples and
-walk the moves of the region's window tables; canonical encodings name
-component representatives, and key the SQLite visited set that the
-extended path for billion-tiling regions spills to disk.
+Enumeration runs core.matchings, the search that fills the counting
+module's floors too: it backtracks on the first uncovered cell, trying
++axis partners in axis order, so runs are deterministic and restartable.
+In-memory censuses key tilings by their partner tuples and walk the
+moves of the region's window tables; canonical encodings name component
+representatives, and key the SQLite visited set that the extended path
+for billion-tiling regions spills to disk.
 
 Two graph routines serve every census, path and connectivity question:
 components, one union-find over any state graph (flip censuses, the
@@ -24,7 +25,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Region, Tiling, decode, encode, make_region, region_to_record
+from .core import Region, Tiling, decode, encode, make_region, matchings, region_to_record
 from .counting import count_region, twist_polynomial
 from .errors import CapExceeded, DimersError, InvalidRegion, NotReachable
 from .moves import flip_neighbors, list_flips, trit_neighbors
@@ -33,36 +34,18 @@ DEFAULT_CAP = 10_000_000
 
 
 def enumerate_tilings(region: Region, cap: int | None = DEFAULT_CAP) -> Iterator[Tiling]:
-    """Yield every tiling exactly once, in deterministic order.
+    """Yield every tiling exactly once, in core.matchings' order.
 
     The cap is checked against the exact count up front; pass cap=None for
     extended runs.
     """
     if cap is not None:
         _count_within(region, cap)
-    n = region.n_cells
-    if n == 0:
-        yield Tiling(region, ())
+    if region.n_cells % 2:
         return
-    if n % 2:
-        return
-    forward = region.forward
-    partner = [-1] * n
-
-    def rec(start: int) -> Iterator[Tiling]:
-        i = start
-        while i < n and partner[i] >= 0:
-            i += 1
-        if i == n:
-            yield Tiling(region, tuple(partner))
-            return
-        for j in forward[i]:
-            if partner[j] < 0:
-                partner[i], partner[j] = j, i
-                yield from rec(i + 1)
-                partner[i] = partner[j] = -1
-
-    yield from rec(0)
+    partner = [-1] * region.n_cells
+    for _ in matchings(region.forward, partner):
+        yield Tiling(region, tuple(partner))
 
 
 def _count_within(region: Region, cap: int | None) -> int:

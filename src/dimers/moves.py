@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Cell, Domino, Region, Tiling, open_text
+from .core import Cell, Domino, Region, Tiling, decoding, json_record, open_text
 from .errors import MoveNotApplicable, RegionMismatch
 from .twist import trit_sign
 
@@ -214,16 +214,17 @@ def move_to_record(move: FlipMove | TritMove, sign: int = 0) -> dict:
 
 
 def move_from_record(rec: dict, tiling: Tiling) -> FlipMove | TritMove:
-    corner = tuple(rec["block"])
-    if rec["kind"] == "flip":
-        a, b, before = rec["axes"]
-        return FlipMove(corner, (a, b), before)
-    axes = tuple(rec["axes"])
-    region = tiling.region
-    window = _window(region.trit_windows, region, corner, axes)
-    if window is None:
-        raise MoveNotApplicable(f"trit window {corner} leaves the region")
-    return TritMove(corner, axes, _dominoes(region, _held(tiling.partner, window[0])))
+    with decoding("move"):
+        corner = tuple(rec["block"])
+        if rec["kind"] == "flip":
+            a, b, before = rec["axes"]
+            return FlipMove(corner, (a, b), before)
+        axes = tuple(rec["axes"])
+        region = tiling.region
+        window = _window(region.trit_windows, region, corner, axes)
+        if window is None:
+            raise MoveNotApplicable(f"trit window {corner} leaves the region")
+        return TritMove(corner, axes, _dominoes(region, _held(tiling.partner, window[0])))
 
 
 def write_move_log(path, records: Iterable[dict]) -> None:
@@ -234,7 +235,8 @@ def write_move_log(path, records: Iterable[dict]) -> None:
 
 def read_move_log(path) -> list[dict]:
     with open_text(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        lines = enumerate(fh, 1)
+        return [json_record(line, path, n, lambda rec: rec) for n, line in lines if line.strip()]
 
 
 def replay(tiling: Tiling, records: Iterable[dict]) -> Tiling:

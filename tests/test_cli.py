@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from dimers.cli import main
+from dimers.cli import _load_disk, main
+from dimers.core import make_cylinder, region_from_record, region_to_record
+from dimers.counting import count_region
+from dimers.errors import InvalidRegion
 
 
 @pytest.fixture()
@@ -43,6 +46,44 @@ def test_count_disk_file(in_tmp, capsys):
     code, out = run(capsys, "count", "--disk", str(disk), "--height", "2")
     assert code == 0
     assert out.strip() == "229"
+
+
+@pytest.mark.parametrize(
+    "grid, height, count",
+    [("###\n###\n", 3, 229), ("##\n#.\n", 4, 11), (".#\n##\n##\n", 2, 12)],
+    ids=["3x2", "l-tromino", "p-pentomino"],
+)
+def test_count_disk_manifest_reads_back_to_its_region(in_tmp, capsys, grid, height, count):
+    (in_tmp / "disk.txt").write_text(grid)
+    code, out = run(capsys, "count", "--disk", "disk.txt", "--height", str(height))
+    assert code == 0 and out.strip() == str(count)
+    record = json.loads((in_tmp / "run_manifest.json").read_text())["region"]
+    region = region_from_record(record)
+    assert region == make_cylinder(_load_disk("disk.txt"), height)
+    assert record == region_to_record(region)
+    assert count_region(region) == count
+
+
+def test_count_over_a_disconnected_disk_records_it_unchecked(in_tmp, capsys):
+    # make_cylinder refuses the disk, so the record does not read back,
+    # but the count is printed and the record names the disk's cells
+    (in_tmp / "disk.txt").write_text("##.##\n")
+    code, out = run(capsys, "count", "--disk", "disk.txt", "--height", "2")
+    assert code == 0 and out.strip() == "4"
+    record = json.loads((in_tmp / "run_manifest.json").read_text())["region"]
+    assert record == {"d": 3, "kind": "cylinder", "disk_cells": [[0, 0], [1, 0], [3, 0], [4, 0]],
+                      "height": 2}
+    with pytest.raises(InvalidRegion, match="connected"):
+        region_from_record(record)
+
+
+def test_count_box_and_formula_manifest_regions(in_tmp, capsys):
+    for argv, record in [
+        (("--box", "3,3,2"), {"d": 3, "kind": "box", "dims": [3, 3, 2]}),
+        (("--box", "4,4", "--formula"), {"d": 2, "kind": "box", "dims": [4, 4]}),
+    ]:
+        run(capsys, "count", *argv)
+        assert json.loads((in_tmp / "run_manifest.json").read_text())["region"] == record
 
 
 def test_count_outputs_exact_decimal(in_tmp, capsys):

@@ -1,10 +1,12 @@
-from itertools import permutations
+import hashlib
+from collections import Counter
+from itertools import combinations, permutations
 from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dimers.core import make_box, make_cylinder, make_region
+from dimers.core import make_box, make_cylinder, make_region, matchings
 from dimers.counting import (
     build_automaton,
     count_cylinder,
@@ -16,7 +18,8 @@ from dimers.counting import (
 from dimers.errors import InvalidRegion, WidthGuardExceeded
 from dimers.explore import enumerate_tilings
 
-from oracles import automaton_cylinder_count, permanent_count
+from oracles import automaton_cylinder_count, naive_tilings, permanent_count
+from test_explore import DISK6
 from test_moves import small_regions
 
 
@@ -206,6 +209,40 @@ def test_twist_polynomial_weights_and_guard():
         twist_polynomial(make_box((2, 2)))
 
 
+@pytest.mark.parametrize(
+    "region, law",
+    [
+        (make_box((2, 3, 5)), {-4: 124, 0: 14072, 4: 124}),
+        (make_box((3, 3, 4)), {-8: 1, -4: 4011, 0: 109781, 4: 4011, 8: 1}),
+        (make_box((4, 3, 3)), {-8: 1, -4: 4011, 0: 109781, 4: 4011, 8: 1}),
+        (make_box((3, 4, 4)), {-8: 3794, -4: 471336, 0: 9935084, 4: 471336, 8: 3794}),
+        (make_box((2, 2, 7)), {0: 6272}),
+        (make_cylinder(DISK6, 4), {-4: 4, 0: 457, 4: 4}),
+    ],
+    ids=["2x3x5", "3x3x4", "4x3x3", "3x4x4", "2x2x7", "cylinder"],
+)
+def test_twist_polynomial_values_are_pinned(region, law):
+    assert twist_polynomial(region) == law
+
+
+@pytest.mark.parametrize(
+    "disk, size, digest",
+    [
+        (make_box((2, 3)), 20, "8e1acdf98ae4d8e4412fde206b548884add10c75e8800ed52c12eff17e046e6f"),
+        (make_box((3, 3)), 252, "196c02386b6ebe6c0230683e6f5a7de04f3acd1463da27878f528720658ca3e7"),
+        (DISK6, 20, "85a6e2b1644bf8ff787d0a8dfb69248c151fee06d7fc48b289b1c3c6d3bf16b5"),
+        (make_region([(0, 0), (1, 0), (3, 0), (3, 1)]), 4,
+         "64b18bbbaf494bcb0b1ebfb914b4744474f0b5aa4d6db248e8dfa2b2045f6538"),
+    ],
+    ids=["2x3", "3x3", "six-cells", "split"],
+)
+def test_automaton_plug_order_and_matrix_are_pinned(disk, size, digest):
+    automaton = build_automaton(disk)
+    assert len(automaton.plugs) == size
+    text = repr((automaton.plugs, automaton.matrix))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # A prism, one cross-section over a run of layers along the sweep, is
 # counted from half of its layers; these tests check it against oracles
 # that never pair two halves: the automaton's matrix walk and the
@@ -248,6 +285,34 @@ def test_box_counts_match_the_permanent_and_the_automaton_walk(others, side, at)
     if len(others) > 1:
         # the same box as a cylinder of height `side` over the others
         assert count == automaton_cylinder_count(make_box(others), side)
+
+
+@settings(max_examples=100, deadline=None)
+@given(disks(), st.integers(0, 511), st.integers(0, 511))  # masks over up to 9 cells
+@example(make_box((3, 3)), 0, 511)
+@example(make_region([(0, 0), (1, 0), (3, 0), (3, 1)]), 0b0010, 0b1101)
+def test_matchings_are_every_fill_of_the_free_cells(disk, covered, open_cells):
+    """Each subset U of the open free cells matched above, times each
+    tiling of the free cells outside U, exactly once."""
+    n, cells = disk.n_cells, disk.cells
+    start = [n if covered >> i & 1 else -1 for i in range(n)]
+    partner = list(start)
+    fills = Counter()
+    for up in matchings(disk.forward, partner, open_cells):
+        assert up == sum(1 << i for i in range(n) if partner[i] == n and start[i] == -1)
+        pairs = frozenset(
+            frozenset((cells[i], cells[j])) for i, j in enumerate(partner) if i < j < n
+        )
+        fills[up, pairs] += 1
+    assert partner == start
+    free = [i for i in range(n) if start[i] == -1]
+    expected = Counter()
+    for size in range(len(free) + 1):
+        for up in combinations([i for i in free if open_cells >> i & 1], size):
+            rest = make_region([cells[i] for i in free if i not in up], d=2)
+            for tiling in naive_tilings(rest):
+                expected[sum(1 << i for i in up), tiling] += 1
+    assert fills == expected
 
 
 L_DISK = [(x, 0) for x in range(6)] + [(0, 1)]

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dimers.core import decode, encode, make_box, make_region, validate
+from dimers.core import decode, encode, make_box, make_cylinder, make_region, validate
 from dimers.counting import count_region
 from dimers.errors import CapExceeded, DimersError, InvalidRegion
 from dimers.explore import (
@@ -47,6 +47,28 @@ def test_enumerate_is_deterministic_and_duplicate_free():
     second = [encode(t) for t in enumerate_tilings(region)]
     assert first == second
     assert len(first) == len(set(first)) == 121
+
+
+DISK6 = make_region([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "region, count, digest",
+    [
+        (make_box((2, 3, 4)), 1845, "8082533a27d92efc80f9435d5b4188b5319d59ee48b4d5b45403a358eb8b59cd"),
+        (make_box((3, 3, 2)), 229, "9b5c416e4d98fe48e6e7de08df1b73696a70bef7a3be75e42ac80a89d376ceae"),
+        (make_box((2, 2, 2, 2)), 272, "28fe86a4c64f68288db1285929e4297a97307d9821b65d47c0673e78afff01ae"),
+        (make_box((4, 5)), 95, "fdc1c9b3c7a7c718f303a94419d0f7c7ddf2b5b1521263c6157d41f4ad644107"),
+        (make_cylinder(DISK6, 4), 465, "e77aa67d721c0af9a77a350ef51ba06b1e66d97ad3a2f76085c7a89a2dddc7ae"),
+        (make_region([(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 1, 1), (0, 0, 1)]), 2,
+         "092513925aa2e402d4cbab55a638559b2f004043224cbcf817ef70d76f490249"),
+    ],
+    ids=["2x3x4", "3x3x2", "2x2x2x2", "4x5", "cylinder", "general-3d"],
+)
+def test_enumeration_order_is_pinned(region, count, digest):
+    partners = [t.partner for t in enumerate_tilings(region)]
+    assert len(partners) == count
+    assert hashlib.sha256(repr(partners).encode()).hexdigest() == digest
 
 
 def test_enumerate_cap():

@@ -16,7 +16,7 @@ from dimers.core import (
     tiling_from_dominoes,
     validate,
 )
-from dimers.errors import CalibrationError, MoveNotApplicable, RegionMismatch
+from dimers.errors import CalibrationError, DecodeError, MoveNotApplicable, RegionMismatch
 from dimers.explore import enumerate_tilings, flip_free_tilings
 from dimers.moves import (
     FlipMove,
@@ -245,6 +245,24 @@ def test_replay_rejects_wrong_sign(tmp_path):
     bad = move_to_record(trit, -sign)
     with pytest.raises(MoveNotApplicable):
         replay(free, [bad])
+
+
+def test_a_move_log_line_that_is_not_json_names_the_file_and_line(tmp_path):
+    path = tmp_path / "moves.jsonl"
+    path.write_text('{"kind": "flip", "block": [0, 0, 0], "axes": [0, 1, 0]}\n\n{"kind": "flip"\n')
+    with pytest.raises(DecodeError, match=r"moves\.jsonl line 3: bad JSON"):
+        read_move_log(path)
+
+
+@pytest.mark.parametrize(
+    "record, missing",
+    [({"kind": "flip"}, "KeyError: 'block'"), ({"block": [0, 0, 0]}, "KeyError: 'kind'"),
+     ({"kind": "trit", "block": [0, 0, 0]}, "KeyError: 'axes'"), ([0, 0, 0], "TypeError")],
+)
+def test_replaying_a_record_without_its_fields_is_a_decode_error(record, missing):
+    t = base_vertical_tiling(make_box((3, 3, 2)))
+    with pytest.raises(DecodeError, match=rf"not a move record \({missing}"):
+        replay(t, [record])
 
 
 def test_move_from_record_reconstructs_trit():
