@@ -7,6 +7,11 @@ region along a diagonal; each slab's two surviving cells land on adjacent
 cells of the squeezed region, turning the slab tiling into a domino
 tiling whose twist is a slab-flip invariant.  Three independent color
 pairs give the triple twist.
+
+Slabs come from the region's window tables: the slab with normal n at a
+cell covers its flip window in the other two axes, and a flip swaps two
+stacked slabs filling a 2x2x2 (trit) window for two of another normal.
+Both pairs cover the same eight cells, so a flip needs no re-validation.
 """
 from __future__ import annotations
 
@@ -14,11 +19,11 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import Cell, Domino, Region, Tiling, decoding, make_region, read_records
 from .core import tiling_from_dominoes, write_records
-from .errors import CapExceeded, InflationError, InvalidRegion, MoveNotApplicable
+from .errors import CapExceeded, DecodeError, InflationError, InvalidRegion, MoveNotApplicable
 from .explore import components
 from .twist import pretwist
 
@@ -44,8 +49,7 @@ def four_color(cell: Cell) -> str:
     return _COLOR_OF_PARITY[((x + z) % 2, (y + z) % 2)]
 
 
-@dataclass(frozen=True)
-class Slab:
+class Slab(NamedTuple):
     """2x2x1 block named by its min corner and its thin (normal) axis."""
 
     corner: Cell
@@ -97,17 +101,13 @@ def enumerate_slab_tilings(
     cells = region.cells
     n = len(cells)
     covered = [False] * n
-    idx = region.index
     yielded = 0
 
-    candidates: list[list[tuple[int, ...]]] = []
-    for i, cell in enumerate(cells):
-        per_cell = []
-        for normal in range(3):
-            ids = [idx.get(c, -1) for c in slab_cells(Slab(cell, normal))]
-            if all(j >= 0 for j in ids):
-                per_cell.append((normal, tuple(ids)))
-        candidates.append(per_cell)
+    # the window in axes (a, b) is the slab of normal 3 - a - b; reversed,
+    # each cell's candidates come in ascending normal
+    candidates: list[list[tuple[Slab, tuple[int, ...]]]] = [[] for _ in cells]
+    for (i, (a, b)), ids in reversed(region.flip_windows.items()):
+        candidates[i].append((Slab(cells[i], 3 - a - b), ids))
 
     def rec(start: int, acc: list[Slab]) -> Iterator[SlabTiling]:
         nonlocal yielded
@@ -120,12 +120,12 @@ def enumerate_slab_tilings(
                 raise CapExceeded(f"more than {cap} slab tilings")
             yield SlabTiling(region, tuple(acc))
             return
-        for normal, ids in candidates[i]:
+        for slab, ids in candidates[i]:
             if any(covered[j] for j in ids):
                 continue
             for j in ids:
                 covered[j] = True
-            acc.append(Slab(cells[i], normal))
+            acc.append(slab)
             yield from rec(i + 1, acc)
             acc.pop()
             for j in ids:
@@ -269,8 +269,7 @@ def triple_twist(tiling: SlabTiling) -> tuple[int, int, int]:
 # slab flips
 
 
-@dataclass(frozen=True)
-class SlabFlip:
+class SlabFlip(NamedTuple):
     """Swap the two `from_normal` slabs filling the 2x2x2 box at `corner`
     for the two `to_normal` slabs filling the same box."""
 
@@ -286,31 +285,26 @@ def _stacked_pair(corner: Cell, normal: int) -> tuple[Slab, Slab]:
 
 
 def list_slab_flips(tiling: SlabTiling) -> list[SlabFlip]:
-    present = set(tiling.slabs)
+    present = set(tiling.slabs)  # a Slab hashes and compares as its tuple
+    cells, table = tiling.region.cells, tiling.region.neighbor_table
     out = []
-    for corner in tiling.region.cells:
+    for i, _ in tiling.region.trit_windows:
         for normal in range(3):
-            pair = _stacked_pair(corner, normal)
-            if pair[0] in present and pair[1] in present:
-                for to_normal in range(3):
-                    if to_normal != normal:
-                        out.append(SlabFlip(corner, normal, to_normal))
+            if (cells[i], normal) in present and (cells[table[i][2 * normal]], normal) in present:
+                out.extend(SlabFlip(cells[i], normal, to) for to in range(3) if to != normal)
     return out
 
 
 def apply_slab_flip(tiling: SlabTiling, move: SlabFlip) -> SlabTiling:
+    if move.to_normal not in range(3) or move.to_normal == move.from_normal:
+        raise MoveNotApplicable(f"no flip from normal {move.from_normal} to {move.to_normal}")
     old = _stacked_pair(move.corner, move.from_normal)
-    new = _stacked_pair(move.corner, move.to_normal)
     present = set(tiling.slabs)
-    if old[0] not in present or old[1] not in present:
+    if not present.issuperset(old):
         raise MoveNotApplicable(f"no stacked pair with normal {move.from_normal}")
     present.difference_update(old)
-    present.update(new)
-    result = SlabTiling(tiling.region, tuple(sorted(present, key=lambda s: (s.corner, s.normal))))
-    report = validate_slab_tiling(result)
-    if report is not None:
-        raise MoveNotApplicable(report)
-    return result
+    present.update(_stacked_pair(move.corner, move.to_normal))
+    return SlabTiling(tiling.region, tuple(sorted(present)))
 
 
 def slab_flip_components(
@@ -340,6 +334,11 @@ def slab_tiling_json(tiling: SlabTiling) -> str:
 def slab_tiling_from_record(rec: dict, region: Region) -> SlabTiling:
     with decoding("slab tiling"):
         slabs = tuple(Slab(tuple(corner), normal) for corner, normal in rec["slabs"])
+        for corner, normal in slabs:
+            # JSON's 2.0 and true compare equal to 2 and 1, so check the types
+            if {type(x) for x in (*corner, normal)} != {int} or normal not in range(3):
+                bad = json.dumps([list(corner), normal])
+                raise DecodeError(f"slab {bad} needs integer coordinates and a normal 0..2")
         tiling = SlabTiling(region, slabs)
         report = validate_slab_tiling(tiling)
     if report is not None:

@@ -414,6 +414,7 @@ def test_config_file(in_tmp, capsys):
 
 _TWIST_FILE = ["twist", "--box", "2,2,2", "--tiling", "bad.jsonl"]
 _DISK_RECORD = ["count", "--disk", "bad-disk.json", "--height", "2"]
+_SLAB_FILE = ["slab", "twist", "--tiling", "bad-slabs.jsonl"]
 
 
 @pytest.mark.parametrize(
@@ -424,23 +425,31 @@ _DISK_RECORD = ["count", "--disk", "bad-disk.json", "--height", "2"]
         (_TWIST_FILE, "{}", "bad.jsonl line 3: not a tiling record (KeyError"),
         (_TWIST_FILE, '{"dominoes": [[[0, 0, 0]]]}',
          "bad.jsonl line 3: not a tiling record (ValueError"),
-        (["slab", "twist", "--tiling", "bad-slabs.jsonl"], "{}",
-         "bad-slabs.jsonl line 3: not a slab tiling record (KeyError"),
+        (_SLAB_FILE, "{}", "bad-slabs.jsonl line 3: not a slab tiling record (KeyError"),
+        (_SLAB_FILE, '{"slabs": [[[0, 0, 0], 2.0], [[0, 0, 1], 2]]}',
+         "bad-slabs.jsonl line 3: slab [[0, 0, 0], 2.0] needs integer coordinates"),
+        (_SLAB_FILE, '{"slabs": [[[0, 0, true], 2], [[0, 0, 1], 2]]}',
+         "bad-slabs.jsonl line 3: slab [[0, 0, true], 2] needs integer coordinates"),
+        (_SLAB_FILE, '{"slabs": [[[0, 0, 0], 5], [[0, 0, 1], 2]]}',
+         "bad-slabs.jsonl line 3: slab [[0, 0, 0], 5] needs integer coordinates and a normal 0..2"),
+        (_SLAB_FILE, '{"slabs": [[[0, 0, 0], -1], [[0, 0, 1], 2]]}',
+         "bad-slabs.jsonl line 3: slab [[0, 0, 0], -1] needs integer coordinates and a normal 0..2"),
         (_DISK_RECORD, '{"kind": "cylinder"}',
          "bad-disk.json line 2: not a region record (KeyError"),
         (_DISK_RECORD, "[1,2]", "bad-disk.json line 2: not a disk row"),
         (_DISK_RECORD, "##x#", "bad-disk.json line 2: not a disk row"),
     ],
     ids=["tiling-file", "disk-record", "tiling-empty", "tiling-short-domino",
-         "slab-empty", "disk-cylinder", "disk-array", "disk-grid-glyph"],
+         "slab-empty", "slab-float-normal", "slab-bool-coordinate", "slab-normal-5",
+         "slab-normal-minus-1", "disk-cylinder", "disk-array", "disk-grid-glyph"],
 )
 def test_malformed_json_ends_in_one_error_line(in_tmp, capsys, argv, line, where):
     from dimers.core import base_vertical_tiling, make_box, write_tilings
     from dimers.slab import horizontal_slab_tiling, write_slab_tilings
 
-    box, slab_box = make_box((2, 2, 2)), make_box((4, 4, 2))
+    box = make_box((2, 2, 2))
     write_tilings("bad.jsonl", box, [base_vertical_tiling(box)])
-    write_slab_tilings("bad-slabs.jsonl", slab_box, [horizontal_slab_tiling(slab_box)])
+    write_slab_tilings("bad-slabs.jsonl", box, [horizontal_slab_tiling(box)])
     for name in ("bad.jsonl", "bad-slabs.jsonl"):
         with open(name, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")

@@ -1,8 +1,9 @@
+import hashlib
 from itertools import product
 
 import pytest
 
-from dimers.core import make_box, validate
+from dimers.core import make_box, make_cylinder, make_region, validate
 from dimers.errors import InflationError, InvalidRegion, MoveNotApplicable, RegionMismatch
 from dimers.explore import UnionFind
 from dimers.slab import (
@@ -66,6 +67,55 @@ def test_enumerate_slab_tilings_are_valid_and_distinct():
         assert validate_slab_tiling(tiling) is None
         assert tiling.slabs not in seen
         seen.add(tiling.slabs)
+
+
+def _triple_twist_or_error(tiling):
+    try:
+        return triple_twist(tiling)
+    except InflationError as exc:
+        return str(exc)
+
+
+# the 12-cell L disk ####/####/##../##.. (bottom row y=0)
+L_DISK = make_region([(0, 0), (1, 0), (0, 1), (1, 1)] + [(x, y) for x in range(4) for y in (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "region, count, digests",
+    [
+        (make_box((4, 4, 2)), 165, (
+            "ee0e539a95a31c02c6d1f5fac2722be95d74cf1ab026adcf62870b995e8a2c6c",
+            "43b6bca98e4ad05a1d93e419a6bf10cb1429b2f20821737c26d61985dd6ff64c",
+            "b9f18ba9e37611e6b287a787837932569e3604007b392cc432c76e04cbade597",
+        )),
+        (make_box((2, 4, 4)), 165, (
+            "cbf933632e812445eebb25260bc75d3c461b58dda8dbdafe3cf051b9149da74e",
+            "f82a6e66a08d382440e91f07ea43a2cc3fdbf3bf770f724e0cdfeef738163f83",
+            "b9f18ba9e37611e6b287a787837932569e3604007b392cc432c76e04cbade597",
+        )),
+        (make_box((4, 2, 4)), 165, (
+            "d37addcb2fb913ce3fe20cb7f0068b01a16261d8c51ac55d56ce287b47a2040b",
+            "a4afe973a08784515a216ff51c6a6761569ba41cfda3b7a3186f41508ad799cf",
+            "b9f18ba9e37611e6b287a787837932569e3604007b392cc432c76e04cbade597",
+        )),
+        # 12 of these 39 tilings have a non-integral pair twist
+        (make_cylinder(L_DISK, 2), 39, (
+            "ba56d189e9c4aad18fc298ae58eafd8429120ad1895ecc2c5ef94bea6c831782",
+            "80f0597335c480c76d27a71b64e019ab65c1a1c779cdfdc164b2ca9bf0e3a1b2",
+            "dc4f244f0cd5a5d3dfece128f13a78ecd8f03de6455575debb59cdc2f9604013",
+        )),
+    ],
+    ids=["4x4x2", "2x4x4", "4x2x4", "L-disk-x2"],
+)
+def test_enumeration_flips_and_triple_twists_are_pinned(region, count, digests):
+    tilings = list(enumerate_slab_tilings(region))
+    assert len(tilings) == count
+    values = (
+        [t.slabs for t in tilings],
+        [list_slab_flips(t) for t in tilings],
+        [_triple_twist_or_error(t) for t in tilings],
+    )
+    assert tuple(hashlib.sha256(repr(v).encode()).hexdigest() for v in values) == digests
 
 
 def test_slab_tilings_need_3d():
@@ -181,27 +231,29 @@ def test_triple_twist_constant_on_flip_components():
 def test_slab_flip_census_matches_brute_force():
     # brute force: two slab tilings are flip-adjacent iff they differ in
     # exactly two slabs filling a common 2x2x2 block
-    tilings = list(enumerate_slab_tilings(make_box((4, 2, 2))))
-    index = {t.slabs: i for i, t in enumerate(tilings)}
-    bfs_edges = set()
-    for i, t in enumerate(tilings):
-        for move in list_slab_flips(t):
-            j = index[apply_slab_flip(t, move).slabs]
-            bfs_edges.add((min(i, j), max(i, j)))
-    brute_edges = set()
-    for i in range(len(tilings)):
-        for j in range(i + 1, len(tilings)):
-            diff = set(tilings[i].slabs) ^ set(tilings[j].slabs)
-            if len(diff) == 4:
-                cells = sorted(c for s in diff if s in tilings[i].slabs for c in slab_cells(s))
-                other = sorted(c for s in diff if s in tilings[j].slabs for c in slab_cells(s))
-                if cells == other and len(set(cells)) == 8:
-                    brute_edges.add((i, j))
-    assert bfs_edges == brute_edges
-    uf = UnionFind(len(tilings))
-    for i, j in bfs_edges:
-        uf.union(i, j)
-    assert len({uf.find(i) for i in range(len(tilings))}) == 1
+    for dims, count in [((4, 2, 2), 11), ((4, 4, 2), 165)]:
+        tilings = list(enumerate_slab_tilings(make_box(dims)))
+        assert len(tilings) == count
+        index = {t.slabs: i for i, t in enumerate(tilings)}
+        bfs_edges = set()
+        for i, t in enumerate(tilings):
+            for move in list_slab_flips(t):
+                j = index[apply_slab_flip(t, move).slabs]
+                bfs_edges.add((min(i, j), max(i, j)))
+        brute_edges = set()
+        for i in range(len(tilings)):
+            for j in range(i + 1, len(tilings)):
+                diff = set(tilings[i].slabs) ^ set(tilings[j].slabs)
+                if len(diff) == 4:
+                    cells = sorted(c for s in diff if s in tilings[i].slabs for c in slab_cells(s))
+                    other = sorted(c for s in diff if s in tilings[j].slabs for c in slab_cells(s))
+                    if cells == other and len(set(cells)) == 8:
+                        brute_edges.add((i, j))
+        assert bfs_edges == brute_edges
+        uf = UnionFind(len(tilings))
+        for i, j in bfs_edges:
+            uf.union(i, j)
+        assert len({uf.find(i) for i in range(len(tilings))}) == 1
 
 
 def test_stacked_slabs_flip_to_both_other_normals():
@@ -222,6 +274,14 @@ def test_apply_slab_flip_rejects_missing_pair():
     stacked = SlabTiling(region, (Slab((0, 0, 0), 2), Slab((0, 0, 1), 2)))
     with pytest.raises(MoveNotApplicable):
         apply_slab_flip(stacked, SlabFlip((0, 0, 0), 0, 1))
+
+
+@pytest.mark.parametrize("to_normal", [2, 3, -1], ids=["same", "three", "minus-one"])
+def test_apply_slab_flip_rejects_a_bad_target_normal(to_normal):
+    region = make_box((2, 2, 2))
+    stacked = SlabTiling(region, (Slab((0, 0, 0), 2), Slab((0, 0, 1), 2)))
+    with pytest.raises(MoveNotApplicable, match=f"no flip from normal 2 to {to_normal}"):
+        apply_slab_flip(stacked, SlabFlip((0, 0, 0), 2, to_normal))
 
 
 def test_slab_file_roundtrip(tmp_path):
