@@ -37,6 +37,7 @@ from .errors import (
     CapExceeded,
     DecodeError,
     DimersError,
+    InflationError,
     WidthGuardExceeded,
 )
 
@@ -306,14 +307,30 @@ def _cmd_slab(args) -> dict:
     if args.slab_command == "census":
         region = _region_from_args(args)
         components = slab_flip_components(region, args.cap)
+        census = []  # per component: off boxes, some tilings have no triple twist
+        for component in components:
+            triples, undefined = set(), 0
+            for tiling in component:
+                try:
+                    triples.add(triple_twist(tiling))
+                except InflationError:
+                    undefined += 1
+            census.append({"size": len(component), "triple_twists": sorted(triples),
+                           "undefined": undefined})
         total = sum(map(len, components))
-        triples = sorted(set(triple_twist(c[0]) for c in components))
+        undefined = [c["undefined"] for c in census if c["undefined"]]
         print(f"slab tilings: {total}")
         print(f"flip components: {len(components)}")
-        print("triple twists: " + "; ".join(map(str, triples)))
+        triples = set().union(*(c["triple_twists"] for c in census))
+        print("triple twists: " + "; ".join(map(str, sorted(triples))))
+        if undefined:
+            n, k = sum(undefined), len(undefined)
+            print(f"undefined triple twists: {n} tiling{'s' * (n > 1)} "
+                  f"in {k} component{'s' * (k > 1)}")
         return {
             "slab_tilings": total,
             "components": len(components),
+            "twists_by_component": census,
             "region": region_to_record(region),
         }
     # slab twist --tiling FILE

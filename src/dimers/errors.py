@@ -50,7 +50,8 @@ class UnbalancedRegion(DimersError):
 
 
 class InflationError(DimersError):
-    """Slab inflation produced a non-domino; the color table is inconsistent."""
+    """No pair twist: an unknown pair, an invalid slab tiling, a slab that
+    deflates to no domino, a non-integral value or a broken relation."""
 
 
 class IdenticalTilings(DimersError):

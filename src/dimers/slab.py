@@ -12,6 +12,9 @@ Slabs come from the region's window tables: the slab with normal n at a
 cell covers its flip window in the other two axes, and a flip swaps two
 stacked slabs filling a 2x2x2 (trit) window for two of another normal.
 Both pairs cover the same eight cells, so a flip needs no re-validation.
+Validation looks each slab's flip window up in the same table.  Inflation
+and pair twists read one table per region and color pair: each slab as
+the index pair of its two survivors in the squeezed region.
 """
 from __future__ import annotations
 
@@ -21,11 +24,10 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
-from .core import Cell, Domino, Region, Tiling, decoding, make_region, read_records
-from .core import tiling_from_dominoes, write_records
+from .core import Cell, Region, Tiling, decoding, make_region, read_records, write_records
 from .errors import CapExceeded, DecodeError, InflationError, InvalidRegion, MoveNotApplicable
 from .explore import components
-from .twist import pretwist
+from .twist import _calibrated, _crossings
 
 _COLOR_OF_PARITY = {(0, 0): "R", (1, 0): "Y", (0, 1): "G", (1, 1): "B"}
 
@@ -40,6 +42,7 @@ _PAIR_AXES = {
 }
 
 TRIPLE_TWIST_PAIRS = (("R", "G"), ("R", "B"), ("R", "Y"))
+# the complement of each, in the same order
 _OTHER_PAIRS = (("Y", "B"), ("G", "Y"), ("G", "B"))
 
 
@@ -56,17 +59,6 @@ class Slab(NamedTuple):
     normal: int
 
 
-def slab_cells(slab: Slab) -> tuple[Cell, ...]:
-    a, b = (axis for axis in range(3) if axis != slab.normal)
-    cells = []
-    for da, db in product((0, 1), repeat=2):
-        cell = list(slab.corner)
-        cell[a] += da
-        cell[b] += db
-        cells.append(tuple(cell))
-    return tuple(cells)
-
-
 @dataclass(frozen=True)
 class SlabTiling:
     region: Region
@@ -74,17 +66,26 @@ class SlabTiling:
 
 
 def validate_slab_tiling(tiling: SlabTiling) -> str | None:
-    """None when the slabs cover the region exactly once."""
-    covered: set[Cell] = set()
+    """None when the slabs cover the region exactly once, else a report
+    naming the first bad cell in the order corner, +b, +a, +a+b (a < b
+    the axes of the slab's plane)."""
+    region = tiling.region
+    index, windows = region.index, region.flip_windows
+    covered: set[int] = set()
     for slab in tiling.slabs:
-        for cell in slab_cells(slab):
-            if not tiling.region.contains(cell):
-                return f"slab {slab} leaves the region at {cell}"
-            if cell in covered:
-                return f"cell {cell} covered twice"
-            covered.add(cell)
-    if len(covered) != tiling.region.n_cells:
-        return f"{tiling.region.n_cells - len(covered)} cells uncovered"
+        plane = ((1, 2), (0, 2), (0, 1))[slab.normal]
+        ids = windows.get((index.get(slab.corner), plane))
+        if ids is None or not covered.isdisjoint(ids):
+            a, b = plane
+            for da, db in product((0, 1), repeat=2):
+                cell = tuple(x + da * (k == a) + db * (k == b) for k, x in enumerate(slab.corner))
+                if cell not in index:
+                    return f"slab {slab} leaves the region at {cell}"
+                if index[cell] in covered:
+                    return f"cell {cell} covered twice"
+        covered.update(ids)
+    if len(covered) != region.n_cells:
+        return f"{region.n_cells - len(covered)} cells uncovered"
     return None
 
 
@@ -152,87 +153,71 @@ def horizontal_slab_tiling(region: Region) -> SlabTiling:
 # inflation
 
 
-def _deflate_cell(cell: Cell, axes: tuple[int, int]) -> Cell:
-    i, j = axes
-    out = list(cell)
-    out[i] = (cell[i] + cell[j]) // 2
-    out[j] = (cell[j] - cell[i]) // 2
-    return tuple(out)
-
-
 @lru_cache(maxsize=64)
-def _derived_region(region: Region, pair: frozenset) -> tuple[Region, tuple[int, ...]]:
-    """Squeezed region of the surviving color pair plus the translation
-    that made its coordinates non-negative."""
-    axes = _PAIR_AXES[pair]
-    mapped = [
-        _deflate_cell(cell, axes)
-        for cell in region.cells
-        if four_color(cell) in pair
-    ]
-    lo = tuple(min(c[a] for c in mapped) for a in range(3))
+def _inflation(region: Region, pair: frozenset) -> tuple[Region, dict[Slab, tuple[int, int]], int]:
+    """The squeezed region of the surviving color pair, each slab of the
+    region as the sorted index pair of its two survivors there, and the
+    reference slab tiling's crossing sum along z."""
+    i, j = _PAIR_AXES[pair]
+    cells = region.cells
+    kept = [k for k, cell in enumerate(cells) if four_color(cell) in pair]
+    mapped = [list(cells[k]) for k in kept]
+    for c in mapped:
+        c[i], c[j] = (c[i] + c[j]) // 2, (c[j] - c[i]) // 2
+    lo = [min(c[a] for c in mapped) for a in range(3)]
     shifted = [tuple(x - m for x, m in zip(c, lo)) for c in mapped]
     if len(set(shifted)) != len(shifted):
         raise InflationError("deflation map is not injective on the survivors")
-    return make_region(shifted), lo
+    derived = make_region(shifted)
+    image = dict(zip(kept, map(derived.index.__getitem__, shifted)))
+    table = {}
+    for (corner, (a, b)), ids in region.flip_windows.items():
+        slab = Slab(cells[corner], 3 - a - b)
+        survivors = tuple(sorted(image[k] for k in ids if k in image))
+        if len(survivors) != 2:
+            raise InflationError(f"slab {slab} keeps {len(survivors)} cells of pair "
+                                 f"{sorted(pair)}, expected 2")
+        if survivors not in derived.pair_dominoes:
+            p, q = (derived.cells[k] for k in survivors)
+            raise InflationError(f"slab {slab} deflates to non-adjacent cells {p}, {q}")
+        table[slab] = survivors
+    try:
+        reference = horizontal_slab_tiling(region)
+    except InvalidRegion:
+        # callers hold a valid tiling of the region, so it has a first one
+        reference = next(enumerate_slab_tilings(region, cap=None))
+    return derived, table, _crossings(derived, map(table.__getitem__, reference.slabs), 2)
 
 
-def inflate(tiling: SlabTiling, pair: Iterable[str] = ("R", "G")) -> Tiling:
-    """Domino tiling of the squeezed region; one domino per slab."""
+def _inflation_of(tiling: SlabTiling, pair: Iterable[str]):
+    """The inflation table of a valid slab tiling's region for a pair."""
     pair_set = frozenset(pair)
     if pair_set not in _PAIR_AXES:
         raise InflationError(f"unknown color pair {sorted(pair_set)}")
     report = validate_slab_tiling(tiling)
     if report is not None:
         raise InflationError(report)
-    axes = _PAIR_AXES[pair_set]
-    derived, lo = _derived_region(tiling.region, pair_set)
-    dominoes = []
-    for slab in tiling.slabs:
-        survivors = [c for c in slab_cells(slab) if four_color(c) in pair_set]
-        if len(survivors) != 2:
-            raise InflationError(
-                f"slab {slab} keeps {len(survivors)} cells of pair "
-                f"{sorted(pair_set)}, expected 2"
-            )
-        a, b = (
-            tuple(x - m for x, m in zip(_deflate_cell(c, axes), lo))
-            for c in survivors
-        )
-        diffs = [k for k in range(3) if a[k] != b[k]]
-        if len(diffs) != 1 or abs(a[diffs[0]] - b[diffs[0]]) != 1:
-            raise InflationError(
-                f"slab {slab} deflates to non-adjacent cells {a}, {b}"
-            )
-        dominoes.append(Domino(min(a, b), diffs[0]))
-    return tiling_from_dominoes(derived, dominoes)
+    return _inflation(tiling.region, pair_set)
+
+
+def inflate(tiling: SlabTiling, pair: Iterable[str] = ("R", "G")) -> Tiling:
+    """Domino tiling of the squeezed region; one domino per slab."""
+    derived, table, _ = _inflation_of(tiling, pair)
+    partner = [0] * derived.n_cells
+    for i, j in map(table.__getitem__, tiling.slabs):
+        partner[i], partner[j] = j, i
+    return Tiling(derived, tuple(partner))
 
 
 def pair_twist(tiling: SlabTiling, pair: Iterable[str] = ("R", "G")) -> int:
-    """Twist of the inflated tiling, relative to the inflated horizontal
-    slab tiling (which therefore scores 0)."""
-    inflated = inflate(tiling, pair)
-    value = pretwist(inflated, 2) - _reference_pretwist(
-        tiling.region, frozenset(pair)
-    )
+    """Twist of the inflated tiling, relative to the inflated reference
+    slab tiling (horizontal where the region has one), which scores 0."""
+    derived, table, reference = _inflation_of(tiling, pair)
+    crossings = _crossings(derived, map(table.__getitem__, tiling.slabs), 2)
+    value = _calibrated(crossings - reference)
     if value.denominator != 1:
         raise InflationError(f"non-integral pair twist {value}")
     return int(value)
-
-
-@lru_cache(maxsize=64)
-def _reference_pretwist(region: Region, pair: frozenset):
-    return pretwist(inflate(_reference_slab_tiling(region), pair), 2)
-
-
-@lru_cache(maxsize=64)
-def _reference_slab_tiling(region: Region) -> SlabTiling:
-    try:
-        return horizontal_slab_tiling(region)
-    except InvalidRegion:
-        for tiling in enumerate_slab_tilings(region, cap=None):
-            return tiling
-        raise InvalidRegion("region has no slab tilings")
 
 
 def all_pair_twists(tiling: SlabTiling) -> dict[tuple[str, str], int]:
@@ -251,12 +236,7 @@ def triple_twist(tiling: SlabTiling) -> tuple[int, int, int]:
     oracles.
     """
     values = all_pair_twists(tiling)
-    relations = (
-        (("R", "G"), ("Y", "B")),
-        (("R", "B"), ("G", "Y")),
-        (("R", "Y"), ("G", "B")),
-    )
-    for first, second in relations:
+    for first, second in zip(TRIPLE_TWIST_PAIRS, _OTHER_PAIRS):
         if values[first] + values[second] != 0:
             raise InflationError(
                 f"pair twists {first}={values[first]} and {second}="

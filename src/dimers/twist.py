@@ -168,9 +168,13 @@ def pretwist(tiling: Tiling, axis: int) -> Fraction:
         raise InvalidRegion("pretwist is defined for d=3 only")
     if axis not in (0, 1, 2):
         raise InvalidRegion(f"axis must be 0, 1 or 2, got {axis}")
+    return _calibrated(_crossings(tiling.region, _pairs(tiling.partner), axis))
+
+
+def _calibrated(total: int) -> Fraction:
+    """A crossing sum (over unordered pairs) scaled to twist units."""
     cal = calibration()
-    pairs = _pairs(tiling.partner)
-    return cal.sign * 2 * cal.kappa * _crossings(tiling.region, pairs, axis)
+    return cal.kappa * (cal.sign * 2 * total)
 
 
 @lru_cache(maxsize=256)
@@ -197,8 +201,7 @@ def _weight_twist(region: Region, weight: int) -> int:
     """Integer twist of a tiling of the region whose crossing sum along z
     is `weight`: its calibrated pretwist minus the reference tiling's.
     Memoised, as a file or census of one region meets few weights."""
-    cal = calibration()
-    value = cal.sign * 2 * cal.kappa * weight - _reference_pretwist(region)
+    value = _calibrated(weight) - _reference_pretwist(region)
     if value.denominator != 1:
         raise CalibrationError(f"non-integral twist {value}")
     return int(value)
@@ -223,11 +226,9 @@ def trit_sign(region: Region, partner, removed_pairs, added_pairs) -> int:
     """
     if region.d >= 4:
         return 1
-    cal = calibration()
     before = _pairs(partner)
     after = set(before).difference(removed_pairs).union(added_pairs)
-    delta = _crossings(region, after, 2) - _crossings(region, before, 2)
-    value = cal.kappa * (cal.sign * 2 * delta)
+    value = _calibrated(_crossings(region, after, 2) - _crossings(region, before, 2))
     if value not in (1, -1):
         raise CalibrationError(f"trit changed the twist by {value}")
     return int(value)

@@ -21,12 +21,19 @@ reference makes one proposal per call, with kind-tagged windows and
 `Random.randrange`, instead of drawing raw bits in one loop; it counts
 the trits it accepts, as the chain does.  A polyomino's holes are found
 by flood-filling its complement in a bounding box, not by its Euler
-characteristic.
+characteristic.  Slab tilings are validated by building each slab's four
+cells, and inflated by deflating each slab's two surviving cells and
+checking their count and adjacency, instead of reading the window and
+inflation tables.
 """
 from collections import Counter, deque
+from functools import lru_cache
 from itertools import combinations, product
 
-from dimers.core import Domino, color_sign, tiling_from_dominoes
+from dimers.core import Domino, color_sign, make_region, tiling_from_dominoes
+from dimers.errors import InflationError, InvalidRegion
+from dimers.slab import _PAIR_AXES, enumerate_slab_tilings, four_color, horizontal_slab_tiling
+from dimers.twist import pretwist
 
 
 def _biadjacency(region):
@@ -355,3 +362,88 @@ def simply_connected_by_flood_fill(cells) -> bool:
                 outside.add(nb)
                 queue.append(nb)
     return len(outside) + len(shape) == (x1 - x0 + 1) * (y1 - y0 + 1)
+
+
+def slab_cells(slab) -> tuple:
+    """The slab's four cells: corner, +b, +a, +a+b, with a < b its plane."""
+    a, b = (axis for axis in range(3) if axis != slab.normal)
+    cells = []
+    for da, db in product((0, 1), repeat=2):
+        cell = list(slab.corner)
+        cell[a] += da
+        cell[b] += db
+        cells.append(tuple(cell))
+    return tuple(cells)
+
+
+def validate_slab_tiling_by_cells(tiling) -> str | None:
+    covered = set()
+    for slab in tiling.slabs:
+        for cell in slab_cells(slab):
+            if not tiling.region.contains(cell):
+                return f"slab {slab} leaves the region at {cell}"
+            if cell in covered:
+                return f"cell {cell} covered twice"
+            covered.add(cell)
+    if len(covered) != tiling.region.n_cells:
+        return f"{tiling.region.n_cells - len(covered)} cells uncovered"
+    return None
+
+
+def _deflate_cell(cell, axes):
+    i, j = axes
+    out = list(cell)
+    out[i] = (cell[i] + cell[j]) // 2
+    out[j] = (cell[j] - cell[i]) // 2
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _derived_region_by_cells(region, pair: frozenset):
+    axes = _PAIR_AXES[pair]
+    mapped = [_deflate_cell(cell, axes) for cell in region.cells if four_color(cell) in pair]
+    lo = tuple(min(c[a] for c in mapped) for a in range(3))
+    shifted = [tuple(x - m for x, m in zip(c, lo)) for c in mapped]
+    if len(set(shifted)) != len(shifted):
+        raise InflationError("deflation map is not injective on the survivors")
+    return make_region(shifted), lo
+
+
+def inflate_by_cells(tiling, pair):
+    """The domino tiling of the squeezed region, one domino per slab, of
+    a valid slab tiling and a known pair."""
+    pair_set = frozenset(pair)
+    axes = _PAIR_AXES[pair_set]
+    derived, lo = _derived_region_by_cells(tiling.region, pair_set)
+    dominoes = []
+    for slab in tiling.slabs:
+        survivors = [c for c in slab_cells(slab) if four_color(c) in pair_set]
+        if len(survivors) != 2:
+            raise InflationError(
+                f"slab {slab} keeps {len(survivors)} cells of pair {sorted(pair_set)}, expected 2"
+            )
+        a, b = (tuple(x - m for x, m in zip(_deflate_cell(c, axes), lo)) for c in survivors)
+        diffs = [k for k in range(3) if a[k] != b[k]]
+        if len(diffs) != 1 or abs(a[diffs[0]] - b[diffs[0]]) != 1:
+            raise InflationError(f"slab {slab} deflates to non-adjacent cells {a}, {b}")
+        dominoes.append(Domino(min(a, b), diffs[0]))
+    return tiling_from_dominoes(derived, dominoes)
+
+
+@lru_cache(maxsize=64)
+def _reference_pretwist_by_cells(region, pair: frozenset):
+    try:
+        reference = horizontal_slab_tiling(region)
+    except InvalidRegion:
+        reference = next(enumerate_slab_tilings(region, cap=None))
+    return pretwist(inflate_by_cells(reference, pair), 2)
+
+
+def pair_twist_by_cells(inflated, region, pair) -> int:
+    """Pair twist of a slab tiling of `region` from its inflation
+    `inflated`: the pretwist less the inflated reference's (horizontal
+    where the region has one, else the first enumerated)."""
+    value = pretwist(inflated, 2) - _reference_pretwist_by_cells(region, frozenset(pair))
+    if value.denominator != 1:
+        raise InflationError(f"non-integral pair twist {value}")
+    return int(value)

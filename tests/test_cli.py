@@ -163,9 +163,29 @@ def test_sample_is_reproducible(in_tmp, capsys):
 def test_slab_census(in_tmp, capsys):
     code, out = run(capsys, "slab", "census", "--box", "4,2,2")
     assert code == 0
-    assert "slab tilings: 11" in out
-    assert "flip components: 1" in out
-    assert "(0, 0, 0)" in out
+    assert out.splitlines() == ["slab tilings: 11", "flip components: 1", "triple twists: (0, 0, 0)"]
+    manifest = json.loads((in_tmp / "run_manifest.json").read_text())
+    assert manifest["twists_by_component"] == [
+        {"size": 11, "triple_twists": [[0, 0, 0]], "undefined": 0}
+    ]
+
+
+@pytest.mark.parametrize("height, total, undefined", [(2, 39, 12), (4, 2371, 996)], ids=["h2", "h4"])
+def test_slab_census_counts_the_tilings_without_a_triple_twist(in_tmp, capsys, height, total, undefined):
+    # the L disk's cylinders: some tilings have a non-integral pair twist
+    (in_tmp / "l-disk.txt").write_text("####\n####\n##..\n##..\n")
+    code, out = run(capsys, "slab", "census", "--disk", "l-disk.txt", "--height", str(height))
+    assert code == 0
+    assert out.splitlines() == [
+        f"slab tilings: {total}",
+        "flip components: 1",
+        "triple twists: (0, 0, 0)",
+        f"undefined triple twists: {undefined} tilings in 1 component",
+    ]
+    manifest = json.loads((in_tmp / "run_manifest.json").read_text())
+    assert manifest["twists_by_component"] == [
+        {"size": total, "triple_twists": [[0, 0, 0]], "undefined": undefined}
+    ]
 
 
 def test_slab_twist_file(in_tmp, capsys):
@@ -434,6 +454,11 @@ _SLAB_FILE = ["slab", "twist", "--tiling", "bad-slabs.jsonl"]
          "bad-slabs.jsonl line 3: slab [[0, 0, 0], 5] needs integer coordinates and a normal 0..2"),
         (_SLAB_FILE, '{"slabs": [[[0, 0, 0], -1], [[0, 0, 1], 2]]}',
          "bad-slabs.jsonl line 3: slab [[0, 0, 0], -1] needs integer coordinates and a normal 0..2"),
+        (_SLAB_FILE, '{"slabs": [[[0, 0, 0], 2], [[0, 1, 1], 0]]}',
+         "bad-slabs.jsonl line 3: slab Slab(corner=(0, 1, 1), normal=0) leaves the region at (0, 1, 2)\n"),
+        (_SLAB_FILE, '{"slabs": [[[0, 0, 1], 2], [[0, 0, 0], 0]]}',
+         "bad-slabs.jsonl line 3: cell (0, 0, 1) covered twice\n"),
+        (_SLAB_FILE, '{"slabs": [[[0, 0, 0], 2]]}', "bad-slabs.jsonl line 3: 4 cells uncovered\n"),
         (_DISK_RECORD, '{"kind": "cylinder"}',
          "bad-disk.json line 2: not a region record (KeyError"),
         (_DISK_RECORD, "[1,2]", "bad-disk.json line 2: not a disk row"),
@@ -441,7 +466,7 @@ _SLAB_FILE = ["slab", "twist", "--tiling", "bad-slabs.jsonl"]
     ],
     ids=["tiling-file", "disk-record", "tiling-empty", "tiling-short-domino",
          "slab-empty", "slab-float-normal", "slab-bool-coordinate", "slab-normal-5",
-         "slab-normal-minus-1", "disk-cylinder", "disk-array", "disk-grid-glyph"],
+         "slab-normal-minus-1", "slab-leaves", "slab-covered-twice", "slab-uncovered", "disk-cylinder", "disk-array", "disk-grid-glyph"],
 )
 def test_malformed_json_ends_in_one_error_line(in_tmp, capsys, argv, line, where):
     from dimers.core import base_vertical_tiling, make_box, write_tilings

@@ -1,7 +1,9 @@
 import hashlib
-from itertools import product
+import re
+from itertools import islice, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimers.core import make_box, make_cylinder, make_region, validate
 from dimers.errors import InflationError, InvalidRegion, MoveNotApplicable, RegionMismatch
@@ -20,12 +22,17 @@ from dimers.slab import (
     pair_twist,
     read_slab_tilings,
     slab_flip_components,
-    slab_cells,
     triple_twist,
     validate_slab_tiling,
     write_slab_tilings,
     TRIPLE_TWIST_PAIRS,
     _OTHER_PAIRS,
+)
+from oracles import (
+    inflate_by_cells,
+    pair_twist_by_cells,
+    slab_cells,
+    validate_slab_tiling_by_cells,
 )
 
 ALL_PAIRS = TRIPLE_TWIST_PAIRS + _OTHER_PAIRS
@@ -69,9 +76,9 @@ def test_enumerate_slab_tilings_are_valid_and_distinct():
         seen.add(tiling.slabs)
 
 
-def _triple_twist_or_error(tiling):
+def _value_or_error(f, *args):
     try:
-        return triple_twist(tiling)
+        return f(*args)
     except InflationError as exc:
         return str(exc)
 
@@ -113,9 +120,87 @@ def test_enumeration_flips_and_triple_twists_are_pinned(region, count, digests):
     values = (
         [t.slabs for t in tilings],
         [list_slab_flips(t) for t in tilings],
-        [_triple_twist_or_error(t) for t in tilings],
+        [_value_or_error(triple_twist, t) for t in tilings],
     )
     assert tuple(hashlib.sha256(repr(v).encode()).hexdigest() for v in values) == digests
+
+
+def _check_tables_against_cells(tilings):
+    for tiling in tilings:
+        for pair in ALL_PAIRS:
+            inflated = _value_or_error(inflate_by_cells, tiling, pair)
+            assert _value_or_error(inflate, tiling, pair) == inflated
+            expected = inflated if isinstance(inflated, str) else _value_or_error(
+                pair_twist_by_cells, inflated, tiling.region, pair)
+            assert _value_or_error(pair_twist, tiling, pair) == expected
+
+
+def _union_of_blocks(corners):
+    return make_region({
+        tuple(c + d for c, d in zip(corner, delta))
+        for corner in corners for delta in product((0, 1), repeat=3)
+    })
+
+
+@pytest.mark.parametrize(
+    "region",
+    [make_box((4, 4, 2)), make_box((2, 4, 4)), make_box((4, 2, 4)),
+     make_cylinder(L_DISK, 2), make_cylinder(L_DISK, 4),
+     # no horizontal tiling, and the reference crossing sums differ by
+     # pair: (R, Y) -1, (G, B) +1, else 0; and (R, G) +1, else 0
+     _union_of_blocks([(2, 0, 2), (2, 2, 2), (3, 1, 2), (3, 1, 3)]),
+     _union_of_blocks([(0, 1, 1), (1, 0, 1), (1, 1, 1)])],
+    ids=["4x4x2", "2x4x4", "4x2x4", "L-disk-x2", "L-disk-x4", "blocks-RY", "blocks-RG"],
+)
+def test_table_inflation_matches_the_cell_oracle(region):
+    # every pair's inflated tiling and pair twist, or the error text
+    _check_tables_against_cells(enumerate_slab_tilings(region))
+
+
+def _block_unions():
+    corners = st.tuples(*[st.integers(0, 3)] * 3)
+    return st.lists(corners, min_size=1, max_size=4).map(_union_of_blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_block_unions())
+def test_table_inflation_matches_the_cell_oracle_on_block_unions(region):
+    _check_tables_against_cells(islice(enumerate_slab_tilings(region, cap=None), 60))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_block_unions(), st.data())
+def test_validation_matches_the_cell_oracle(region, data):
+    # slabs placed anywhere near the region: most leave it or overlap, and
+    # the report must name the same first bad cell
+    (lo, hi) = region.bounding_box
+    corner = st.tuples(*[st.integers(a - 1, b + 1) for a, b in zip(lo, hi)])
+    slabs = data.draw(st.lists(st.builds(Slab, corner, st.integers(0, 2)), max_size=8))
+    tiling = SlabTiling(region, tuple(slabs))
+    assert validate_slab_tiling(tiling) == validate_slab_tiling_by_cells(tiling)
+    for tiling in islice(enumerate_slab_tilings(region, cap=None), 5):
+        assert validate_slab_tiling(tiling) is None
+
+
+_BOX_2 = make_box((2, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "slabs, report",
+    [
+        ([((0, 0, 0), 2), ((0, 1, 1), 0)],
+         "slab Slab(corner=(0, 1, 1), normal=0) leaves the region at (0, 1, 2)"),
+        # the second slab's corner is free and its next cell is not
+        ([((0, 0, 1), 2), ((0, 0, 0), 0)], "cell (0, 0, 1) covered twice"),
+        ([((0, 0, 0), 2)], "4 cells uncovered"),
+    ],
+    ids=["leaves", "covered-twice", "uncovered"],
+)
+def test_validation_reports(slabs, report):
+    tiling = SlabTiling(_BOX_2, tuple(Slab(*s) for s in slabs))
+    assert validate_slab_tiling(tiling) == report
+    with pytest.raises(InflationError, match=re.escape(report)):
+        pair_twist(tiling)
 
 
 def test_slab_tilings_need_3d():
