@@ -187,7 +187,7 @@ def _cmd_enumerate(args) -> dict:
 
 
 def _cmd_components(args) -> dict:
-    from .explore import census_csv, component_trit_graph, flip_components, flip_components_extended
+    from .explore import census_csv, flip_components, flip_components_extended
 
     if args.extended and args.out:
         raise DimersError("--out applies to an in-memory census, not --extended")
@@ -196,9 +196,6 @@ def _cmd_components(args) -> dict:
         raise DimersError("--out writes each component's twist, which is defined for d=3 only")
     if args.extended:
         census = flip_components_extended(region, args.scratch or ".")
-    elif args.out:
-        graph = component_trit_graph(region, args.cap)
-        census = graph.census
     else:
         census = flip_components(region, args.cap)
     sizes = census.sizes
@@ -206,7 +203,7 @@ def _cmd_components(args) -> dict:
     print(f"components: {len(sizes)}")
     print("sizes: " + ", ".join(map(str, sizes)))
     if args.out:
-        census_csv(graph, args.out)
+        census_csv(census, args.out)
     return {
         "tilings": str(census.total),
         "components": len(sizes),

@@ -123,9 +123,9 @@ class Region:
 
     @cached_property
     def pair_dominoes(self) -> dict[tuple[int, int], Domino]:
-        """(i, j) -> the domino on adjacent cells i < j, cell j one step
-        along +axis from cell i.  Built once, so per-tiling code looks a
-        domino up instead of deriving it from the cells."""
+        """(i, j) -> the domino on adjacent cells i < j, cell j the entry
+        for +axis in cell i's neighbor_table row.  Built once, so per-tiling
+        code looks a domino up instead of deriving it from the cells."""
         cells = self.cells
         return {
             (i, row[2 * axis]): Domino(cells[i], axis)
@@ -133,12 +133,6 @@ class Region:
             for axis in range(self.d)
             if row[2 * axis] >= 0
         }
-
-    @cached_property
-    def domino_pairs(self) -> dict[tuple[Cell, int], tuple[int, int]]:
-        """Inverse of pair_dominoes, keyed by (low cell, axis); a Domino
-        is such a tuple and hashes like one."""
-        return {domino: pair for pair, domino in self.pair_dominoes.items()}
 
     @cached_property
     def domino_json(self) -> dict[tuple[int, int], str]:
@@ -356,19 +350,22 @@ class Tiling:
 
 
 def tiling_from_dominoes(region: Region, dominoes: Iterable[Domino]) -> Tiling:
-    """Build and validate a tiling from (low cell, axis) pairs, each
-    looked up in the region's domino table.  The table holds adjacent
-    pairs only and an overlap is refused, so the pairing is mutual and
+    """Build and validate a tiling from (low cell, axis) pairs.  A domino
+    pairs its low cell's index with the neighbor_table entry one step
+    along +axis, and an overlap is refused, so the pairing is mutual and
     adjacent by construction; what is left to check is that it covers
     every cell (the report `validate` gives for the first one it misses)."""
     partner = [-1] * region.n_cells
-    pairs = region.domino_pairs
+    index, table = region.index, region.neighbor_table
+    # +axis's position in a row, for 0 <= axis < d only: a negative axis
+    # must not read the row from its end
+    codes = {axis: 2 * axis for axis in range(region.d)}
     for dom in dominoes:
         low, axis = dom
-        pair = pairs.get((tuple(low), axis))
-        if pair is None:
+        i, code = index.get(tuple(low), -1), codes.get(axis, -1)
+        j = table[i][code] if i >= 0 and code >= 0 else -1
+        if j < 0:
             raise InvalidTiling(f"domino {dom} is not a domino of the region")
-        i, j = pair
         if partner[i] != -1 or partner[j] != -1:
             raise InvalidTiling(f"domino {dom} overlaps another domino")
         partner[i], partner[j] = j, i
@@ -400,6 +397,13 @@ def validate(tiling: Tiling, region: Region | None = None) -> str | None:
     return None
 
 
+def ensure_valid(tiling: Tiling) -> None:
+    """Raise InvalidTiling with validate's report, if it gives one."""
+    report = validate(tiling)
+    if report is not None:
+        raise InvalidTiling(report)
+
+
 def base_vertical_tiling(region: Region) -> Tiling:
     """All-vertical tiling of a box or cylinder of even height, pairing
     floor 2k with floor 2k+1."""
@@ -407,13 +411,9 @@ def base_vertical_tiling(region: Region) -> Tiling:
         raise NoBaseTiling("all-vertical tiling needs a box or cylinder")
     if region.height % 2 != 0:
         raise NoBaseTiling(f"height {region.height} is odd")
-    idx = region.index
-    partner = [-1] * region.n_cells
-    for i, cell in enumerate(region.cells):
-        z = cell[-1]
-        mate = cell[:-1] + (z + 1 if z % 2 == 0 else z - 1,)
-        partner[i] = idx[mate]
-    return Tiling(region, tuple(partner))
+    table, up = region.neighbor_table, 2 * (region.d - 1)
+    # an even floor's partner is one step up (code up), an odd one's down
+    return Tiling(region, tuple(table[i][up + c[-1] % 2] for i, c in enumerate(region.cells)))
 
 
 def _derived(region: Region, key: tuple, build) -> Region:
@@ -436,44 +436,35 @@ def _refine_region(region: Region) -> Region:
     f = REFINE_FACTOR
     if region.kind == "box" and region.dims:
         return make_box(tuple(f * s for s in region.dims))
-    cells = [
-        (f * x + i, f * y + j, f * z + k)
-        for (x, y, z) in region.cells
-        for i in range(f)
-        for j in range(f)
-        for k in range(f)
-    ]
     if region.kind == "cylinder" and region.disk_cells and region.height:
         disk = make_region(
-            [
-                (f * x + i, f * y + j)
-                for (x, y) in region.disk_cells
-                for i in range(f)
-                for j in range(f)
-            ]
+            (f * x + i, f * y + j)
+            for (x, y) in region.disk_cells
+            for i, j in product(range(f), repeat=2)
         )
         return make_cylinder(disk, f * region.height)
-    return make_region(cells)
+    return make_region(
+        (f * x + i, f * y + j, f * z + k)
+        for (x, y, z) in region.cells
+        for i, j, k in product(range(f), repeat=3)
+    )
 
 
 def refine_tiling(tiling: Tiling) -> Tiling:
     """Split every domino into 125 parallel dominoes on the refined region."""
-    report = validate(tiling)
-    if report is not None:
-        raise InvalidTiling(report)
+    ensure_valid(tiling)
     f = REFINE_FACTOR
     refined = refine_region(tiling.region)
-    dominoes = []
-    for dom in tiling.dominoes():
-        low, axis = dom
-        base = tuple(f * x for x in low)
+    index, table = refined.index, refined.neighbor_table
+    partner = [-1] * refined.n_cells
+    for low, axis in tiling.dominoes():
         # the refined block is 2f long on `axis` and f wide on the others
-        spans = [range(f)] * 3
-        spans[axis] = range(0, 2 * f, 2)
-        for off in product(*spans):
-            cell = tuple(b + o for b, o in zip(base, off))
-            dominoes.append(Domino(cell, axis))
-    return tiling_from_dominoes(refined, dominoes)
+        spans = [range(f * x, f * x + f) for x in low]
+        spans[axis] = range(f * low[axis], f * low[axis] + 2 * f, 2)
+        for i in map(index.__getitem__, product(*spans)):
+            j = table[i][2 * axis]
+            partner[i], partner[j] = j, i
+    return Tiling(refined, tuple(partner))
 
 
 def add_vertical_floors(tiling: Tiling, extra: int) -> Tiling:
@@ -493,6 +484,7 @@ def add_vertical_floors(tiling: Tiling, extra: int) -> Tiling:
         new_region = _derived(region, ("floors", extra), lambda: make_cylinder(
             make_region(region.disk_cells, d=region.d - 1), h + extra
         ))
+    ensure_valid(tiling)
     dominoes = tiling.dominoes()
     vertical = region.d - 1
     for base in region.disk_cells:

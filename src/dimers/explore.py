@@ -244,17 +244,20 @@ def tw_max(region: Region, cap: int | None = DEFAULT_CAP) -> int:
     return max(twist_census(region, cap))
 
 
-def census_csv(graph: ComponentTritGraph, path) -> None:
-    """component_id,size,twist,representative_hex rows (3D only)."""
+def census_csv(census: ComponentCensus, path) -> None:
+    """component_id,size,twist,representative_hex rows (3D only).  Flips
+    keep the twist, so each component's is its representative's."""
     import csv
 
-    if graph.twists is None:
+    from .twist import twist
+
+    if census.region.d != 3:
         raise InvalidRegion("component twists are defined for d=3 only")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["component_id", "size", "twist", "representative_hex"])
-        for comp_id, (size, rep) in enumerate(graph.census.components):
-            writer.writerow([comp_id, size, graph.twists[comp_id], rep.hex()])
+        for comp_id, (size, rep) in enumerate(census.components):
+            writer.writerow([comp_id, size, twist(census.representative(comp_id)), rep.hex()])
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +303,9 @@ def _hole_free(shape: list[int], step: int) -> bool:
     return len(corners) - len(along_x) - len(along_y) + len(shape) == 1
 
 
-def iter_free_simply_connected_polyominoes(
-    max_cells: int, *, even_only: bool = True
-) -> Iterator[tuple]:
-    """One representative per free simply connected polyomino class.
+def iter_free_simply_connected_polyominoes(max_cells: int) -> Iterator[tuple]:
+    """One representative per free simply connected polyomino class with
+    an even number of cells, the only ones a domino tiling can cover.
 
     A fixed shape is kept only when no dihedral image of it normalises
     below it, so no dedup set is needed; the first smaller image rejects it.
@@ -313,7 +315,7 @@ def iter_free_simply_connected_polyominoes(
     """
     shift = max_cells.bit_length()
     for cells in _fixed_polyominoes(max_cells):
-        if even_only and len(cells) % 2:
+        if len(cells) % 2:
             continue
         xs = [x for x, _ in cells]
         ys = [y for _, y in cells]

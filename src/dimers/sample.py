@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 
-from .core import Region, Tiling, validate
+from .core import Region, Tiling, ensure_valid
 from .errors import InvalidRegion, InvalidTiling
 from .moves import _held
 
@@ -52,9 +52,7 @@ class _Chain:
     """
 
     def __init__(self, region: Region, start: Tiling, config: ChainConfig):
-        report = validate(start)
-        if report is not None:
-            raise InvalidTiling(report)
+        ensure_valid(start)
         if start.region != region:
             raise InvalidTiling("start tiling is not a tiling of the region")
         self.region = region

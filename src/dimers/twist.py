@@ -303,19 +303,16 @@ def kasteleyn_matrix(region: Region) -> KasteleynMatrix:
         raise UnbalancedRegion(
             f"{region.white_count} white vs {region.black_count} black cells"
         )
-    whites = tuple(c for c in region.cells if color_sign(c) == WHITE)
-    blacks = tuple(c for c in region.cells if color_sign(c) == BLACK)
-    black_index = {c: i for i, c in enumerate(blacks)}
+    cells, table, index = region.cells, region.neighbor_table, region.index
+    whites = tuple(c for c in cells if color_sign(c) == WHITE)
+    blacks = tuple(c for c in cells if color_sign(c) == BLACK)
+    column = {index[c]: k for k, c in enumerate(blacks)}
     rows = []
-    for w in whites:
+    for i in map(index.__getitem__, whites):
         row = [0] * len(blacks)
-        for axis in range(region.d):
-            for delta in (1, -1):
-                nb = w[:axis] + (w[axis] + delta,) + w[axis + 1 :]
-                j = black_index.get(nb)
-                if j is not None:
-                    low = w if delta == 1 else nb
-                    row[j] = _edge_sign(low, axis)
+        for code, j in enumerate(table[i]):
+            if j >= 0:  # the lesser endpoint sorts first; code // 2 is the axis
+                row[column[j]] = _edge_sign(cells[min(i, j)], code // 2)
         rows.append(tuple(row))
     return KasteleynMatrix(whites, blacks, tuple(rows))
 

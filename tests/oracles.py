@@ -21,7 +21,12 @@ reference makes one proposal per call, with kind-tagged windows and
 `Random.randrange`, instead of drawing raw bits in one loop; it counts
 the trits it accepts, as the chain does.  A polyomino's holes are found
 by flood-filling its complement in a bounding box, not by its Euler
-characteristic.  Slab tilings are validated by building each slab's four
+characteristic, and the polyominoes themselves are grown one cell at a
+time and deduplicated by a set of least dihedral images, not swept by
+Redelmeier's method.  A refined tiling matches each cell of a refined
+domino with the cell one coordinate step along its axis, and the
+Kasteleyn matrix finds each white cell's black neighbours by coordinate
+steps, instead of reading the region's neighbour table.  Slab tilings are validated by building each slab's four
 cells, and inflated by deflating each slab's two surviving cells and
 checking their count and adjacency, instead of reading the window and
 inflation tables.
@@ -30,10 +35,19 @@ from collections import Counter, deque
 from functools import lru_cache
 from itertools import combinations, product
 
-from dimers.core import Domino, color_sign, make_region, tiling_from_dominoes
-from dimers.errors import InflationError, InvalidRegion
+from dimers.core import (
+    REFINE_FACTOR,
+    Domino,
+    Tiling,
+    color_sign,
+    make_region,
+    refine_region,
+    tiling_from_dominoes,
+    validate,
+)
+from dimers.errors import InflationError, InvalidRegion, InvalidTiling
 from dimers.slab import _PAIR_AXES, enumerate_slab_tilings, four_color, horizontal_slab_tiling
-from dimers.twist import pretwist
+from dimers.twist import KasteleynMatrix, _edge_sign, pretwist
 
 
 def _biadjacency(region):
@@ -362,6 +376,78 @@ def simply_connected_by_flood_fill(cells) -> bool:
                 outside.add(nb)
                 queue.append(nb)
     return len(outside) + len(shape) == (x1 - x0 + 1) * (y1 - y0 + 1)
+
+
+def free_simply_connected_polyominoes_by_growth(max_cells: int) -> set[tuple]:
+    """Every free simply connected polyomino of up to max_cells cells, as
+    the least of its eight dihedral images, each moved to the origin and
+    sorted.  Each size is grown from all shapes one cell smaller, holey
+    ones included; holes are dropped at the end."""
+
+    def least_image(cells):
+        images = []
+        for sx, sy, swap in product((1, -1), (1, -1), (False, True)):
+            points = [(sy * y, sx * x) if swap else (sx * x, sy * y) for x, y in cells]
+            x0 = min(x for x, _ in points)
+            y0 = min(y for _, y in points)
+            images.append(tuple(sorted((x - x0, y - y0) for x, y in points)))
+        return min(images)
+
+    level = {((0, 0),)}
+    shapes = set(level)
+    for _ in range(max_cells - 1):
+        level = {
+            least_image(shape + (nb,))
+            for shape in level
+            for x, y in shape
+            for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+            if nb not in shape
+        }
+        shapes |= level
+    return {shape for shape in shapes if simply_connected_by_flood_fill(shape)}
+
+
+def refine_tiling_by_cells(tiling):
+    """The 125-fold refined tiling, each refined domino's cells found by
+    coordinates: its low cell in the domino's block and the cell one step
+    along the axis."""
+    report = validate(tiling)
+    if report is not None:
+        raise InvalidTiling(report)
+    f = REFINE_FACTOR
+    refined = refine_region(tiling.region)
+    index = {c: i for i, c in enumerate(refined.cells)}
+    partner = [-1] * refined.n_cells
+    for low, axis in tiling.dominoes():
+        base = tuple(f * x for x in low)
+        spans = [range(f)] * 3
+        spans[axis] = range(0, 2 * f, 2)
+        for off in product(*spans):
+            cell = tuple(b + o for b, o in zip(base, off))
+            mate = cell[:axis] + (cell[axis] + 1,) + cell[axis + 1 :]
+            i, j = index[cell], index[mate]
+            partner[i], partner[j] = j, i
+    return Tiling(refined, tuple(partner))
+
+
+def kasteleyn_matrix_by_cells(region) -> KasteleynMatrix:
+    """The signed white/black biadjacency of a balanced 2D or 3D region,
+    each white cell's neighbours found by a coordinate step either way
+    along each axis, the sign read at the lesser endpoint."""
+    whites = tuple(c for c in region.cells if color_sign(c) == 1)
+    blacks = tuple(c for c in region.cells if color_sign(c) == -1)
+    black_index = {c: i for i, c in enumerate(blacks)}
+    rows = []
+    for w in whites:
+        row = [0] * len(blacks)
+        for axis in range(region.d):
+            for delta in (1, -1):
+                nb = w[:axis] + (w[axis] + delta,) + w[axis + 1 :]
+                j = black_index.get(nb)
+                if j is not None:
+                    row[j] = _edge_sign(w if delta == 1 else nb, axis)
+        rows.append(tuple(row))
+    return KasteleynMatrix(whites, blacks, tuple(rows))
 
 
 def slab_cells(slab) -> tuple:

@@ -721,3 +721,16 @@ def test_malformed_domino_ends_in_one_error_line(in_tmp, capsys, first, message)
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: bad.jsonl line 3: {message}\n"
+
+
+def test_a_negative_axis_is_not_a_domino_of_the_region(in_tmp, capsys):
+    # axis -2 must not read the cell's neighbour row from its end, where
+    # it would find a y-domino and give this file a twist
+    (in_tmp / "neg.jsonl").write_text(
+        '{"d": 3, "kind": "box", "dims": [2, 2, 2]}\n'
+        '{"dominoes": [[[0,0,0],0], [[0,1,0],0], [[0,0,1],-2], [[1,0,1],1]]}\n'
+    )
+    assert main(["twist", "--box", "2,2,2", "--tiling", "neg.jsonl"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: neg.jsonl line 2: domino [[0, 0, 1], -2] is not a domino of the region\n"

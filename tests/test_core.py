@@ -1,8 +1,9 @@
 import json
 import re
+from itertools import islice, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dimers.core import (
     Domino,
@@ -30,6 +31,7 @@ from dimers.errors import DecodeError, InvalidRegion, InvalidTiling, NoBaseTilin
 from dimers.explore import enumerate_tilings
 from dimers.moves import apply_flip, list_flips
 
+from oracles import refine_tiling_by_cells
 from test_moves import small_regions
 
 
@@ -163,6 +165,27 @@ def test_refine_tiling_rejects_invalid():
     r = make_box((2, 2))
     with pytest.raises(InvalidTiling):
         refine_tiling(Tiling(r, (3, 2, 1, 0)))
+
+
+_DISK5 = make_region([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])
+_REFINED = {
+    "2x2x2": make_box((2, 2, 2)),
+    "3x3x2": make_box((3, 3, 2)),
+    "disk5-x2": make_cylinder(_DISK5, 2),
+    "disk5-x2-general": make_region(make_cylinder(_DISK5, 2).cells),
+}
+
+
+@pytest.mark.parametrize("region", _REFINED.values(), ids=_REFINED.keys())
+def test_refine_tiling_matches_the_coordinate_oracle(region):
+    for t in enumerate_tilings(region):
+        assert refine_tiling(t) == refine_tiling_by_cells(t)
+
+
+def test_add_vertical_floors_rejects_invalid():
+    r = make_box((2, 2))
+    with pytest.raises(InvalidTiling, match=r"^cell \(0, 0\): partner \(1, 1\) is not adjacent$"):
+        add_vertical_floors(Tiling(r, (3, 2, 1, 0)), 2)
 
 
 def test_add_vertical_floors():
@@ -360,3 +383,55 @@ def test_tiling_reader_refuses_a_non_integer_axis_or_coordinate(tmp_path, domino
     message = f"{path} line 3: domino {json.dumps(domino)} has a non-integer"
     with pytest.raises(DecodeError, match=re.escape(message)):
         read_tilings(path)
+
+
+@st.composite
+def box_unions(draw):
+    """A union of one to three small boxes in 2D or 3D."""
+    d = draw(st.sampled_from([2, 3]))
+    corner = st.tuples(*[st.integers(0, 2)] * d)
+    dims = st.tuples(*[st.integers(1, 3 if d == 2 else 2)] * d)
+    boxes = draw(st.lists(st.tuples(corner, dims), min_size=1, max_size=3))
+    return make_region(
+        {
+            tuple(c + o for c, o in zip(low, off))
+            for low, sides in boxes
+            for off in product(*map(range, sides))
+        },
+        d=d,
+    )
+
+
+def _refusal(region, dominoes) -> str:
+    with pytest.raises(InvalidTiling) as caught:
+        tiling_from_dominoes(region, dominoes)
+    return str(caught.value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(box_unions(), st.data())
+def test_tiling_from_dominoes_reads_back_and_refuses_what_is_not_a_tiling(region, data):
+    tilings = list(islice(enumerate_tilings(region, cap=None), 20)) if region.balanced() else []
+    assume(tilings)
+    t = data.draw(st.sampled_from(tilings))
+    dominoes = t.dominoes()
+    assert tiling_from_dominoes(region, dominoes) == t
+    k = data.draw(st.integers(0, len(dominoes) - 1))
+    low, axis = dominoes[k]
+    before, after = dominoes[:k], dominoes[k + 1 :]
+    # an axis outside 0..d-1, a negative one above all, is not a domino
+    for bad_axis in (-1, -2, region.d, "0"):
+        bad = Domino(low, bad_axis)
+        message = f"domino {bad} is not a domino of the region"
+        assert _refusal(region, [*before, bad, *after]) == message
+    lo, hi = region.bounding_box
+    grown = product(*[range(a - 1, b + 2) for a, b in zip(lo, hi)])
+    outside = data.draw(st.sampled_from([c for c in grown if not region.contains(c)]))
+    bad = Domino(outside, data.draw(st.integers(0, region.d - 1)))
+    message = f"domino {bad} is not a domino of the region"
+    assert _refusal(region, [*before, bad, *after]) == message
+    # every domino of the region overlaps one of a tiling
+    extra = data.draw(st.sampled_from(sorted(region.pair_dominoes.values())))
+    assert _refusal(region, [*dominoes, extra]) == f"domino {extra} overlaps another domino"
+    # the first uncovered cell is the removed domino's low cell
+    assert _refusal(region, [*before, *after]) == f"cell {low}: unmatched"

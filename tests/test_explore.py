@@ -29,6 +29,7 @@ from dimers.twist import pfaffian_alternating_sum
 
 from oracles import (
     flip_components_by_difference,
+    free_simply_connected_polyominoes_by_growth,
     simply_connected_by_flood_fill,
     twist_census_by_enumeration,
 )
@@ -215,11 +216,11 @@ def test_twist_census_matches_the_enumeration_oracle(region):
 
 
 def test_census_csv(tmp_path):
-    graph = component_trit_graph(make_box((3, 3, 2)))
+    census = flip_components(make_box((3, 3, 2)))
     path = tmp_path / "census.csv"
     from dimers.explore import census_csv
 
-    census_csv(graph, path)
+    census_csv(census, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "component_id,size,twist,representative_hex"
     assert len(lines) == 4
@@ -236,7 +237,19 @@ def test_component_trit_graph_outside_3d_has_no_twists(tmp_path, dims):
     assert graph.census.sizes == flip_components(make_box(dims)).sizes
     assert graph.twists is None
     with pytest.raises(InvalidRegion, match="d=3 only"):
-        census_csv(graph, tmp_path / "census.csv")
+        census_csv(graph.census, tmp_path / "census.csv")
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 2), (2, 3, 4)])
+def test_census_csv_twists_are_the_trit_graph_twists(tmp_path, dims):
+    # flips keep the twist, so each representative carries its component's
+    from dimers.explore import census_csv
+
+    region = make_box(dims)
+    graph = component_trit_graph(region)
+    census_csv(flip_components(region), tmp_path / "census.csv")
+    rows = (tmp_path / "census.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[2]) for row in rows] == graph.twists
 
 
 def test_disk_backed_set_insert_once(tmp_path):
@@ -295,10 +308,15 @@ def test_extended_census_refuses_an_unfinished_visited_set(tmp_path):
 
 
 def test_polyomino_counts_match_literature():
-    counts = Counter(map(len, iter_free_simply_connected_polyominoes(10, even_only=False)))
+    shapes = free_simply_connected_polyominoes_by_growth(10)
+    counts = Counter(map(len, shapes))
     # OEIS A000104, polyominoes without holes: the free counts
     # 1,1,2,5,12,35,108,369,1285,4655 less 1, 6, 37 and 195 holey shapes
     assert [counts[n] for n in range(1, 11)] == [1, 1, 2, 5, 12, 35, 107, 363, 1248, 4460]
+    # the sweep yields each even shape once, and no odd one
+    swept = list(iter_free_simply_connected_polyominoes(10))
+    assert len(swept) == len(set(swept)) == 1 + 5 + 35 + 363 + 4460
+    assert set(swept) == {shape for shape in shapes if len(shape) % 2 == 0}
 
 
 def test_euler_hole_test_agrees_with_the_flood_fill():
@@ -316,15 +334,12 @@ def test_euler_hole_test_agrees_with_the_flood_fill():
 
 
 @pytest.mark.parametrize(
-    "even_only, digest",
-    [
-        (True, "c28228200c22fb78c01433ca5a1e96054bb311cb31cb5cce74d02cf976b03372"),
-        (False, "1d74cae17880979e2e04351224845106bb542fdf9f5761581e56f606a0190213"),
-    ],
-    ids=["even", "all"],
+    "digest",
+    ["c28228200c22fb78c01433ca5a1e96054bb311cb31cb5cce74d02cf976b03372"],
+    ids=["even"],
 )
-def test_polyomino_representatives_and_their_order_are_pinned(even_only, digest):
-    shapes = list(iter_free_simply_connected_polyominoes(10, even_only=even_only))
+def test_polyomino_representatives_and_their_order_are_pinned(digest):
+    shapes = list(iter_free_simply_connected_polyominoes(10))
     assert hashlib.sha256(repr(shapes).encode()).hexdigest() == digest
 
 

@@ -157,11 +157,11 @@ def _mirror_x(tiling):
     region = tiling.region
     L = region.dims[0]
     dominoes = []
-    for d in tiling.dominoes():
-        c0, c1 = (region.cells[i] for i in region.domino_pairs[d])
-        m0 = (L - 1 - c0[0],) + c0[1:]
-        m1 = (L - 1 - c1[0],) + c1[1:]
-        dominoes.append(Domino(min(m0, m1), d.axis))
+    for low, axis in tiling.dominoes():
+        high = low[:axis] + (low[axis] + 1,) + low[axis + 1 :]
+        m0 = (L - 1 - low[0],) + low[1:]
+        m1 = (L - 1 - high[0],) + high[1:]
+        dominoes.append(Domino(min(m0, m1), axis))
     return tiling_from_dominoes(region, dominoes)
 
 

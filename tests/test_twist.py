@@ -44,6 +44,7 @@ from dimers.twist import (
 from oracles import (
     apply_trit_structural,
     crossings_by_cells,
+    kasteleyn_matrix_by_cells,
     pairwise_crossings,
     trit_step_by_column,
 )
@@ -236,6 +237,17 @@ def test_kasteleyn_2d_determinant_counts_tilings():
     assert abs(pfaffian_alternating_sum(make_box((2, 2)))) == 2
     assert abs(pfaffian_alternating_sum(make_box((2, 3)))) == 3
     assert abs(pfaffian_alternating_sum(make_box((4, 4)))) == 36
+
+
+@pytest.mark.parametrize(
+    "region",
+    [make_box((4, 4, 2)), make_box((8, 8, 4)), make_box((20, 20)), make_box((3, 2)),
+     make_region([c for c in make_box((3, 3, 2)).cells if c[:2] != (1, 1)]),
+     make_region(make_cylinder(make_region([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]), 2).cells)],
+    ids=["4x4x2", "8x8x4", "20x20", "3x2", "3x3x2-minus-a-column", "disk5-x2"],
+)
+def test_kasteleyn_matrix_matches_the_coordinate_oracle(region):
+    assert kasteleyn_matrix(region) == kasteleyn_matrix_by_cells(region)
 
 
 def test_kasteleyn_rejects_unbalanced():
