@@ -160,9 +160,8 @@ def _cmd_count(args) -> dict:
         if args.box is None or len(args.box) != 2:
             raise DimersError("--formula needs --box M,N")
         value = count_rect_2d_formula(*args.box)
-        print(round(value))
-        return {"count": round(value), "formula_value": value,
-                "region": {"d": 2, "kind": "box", "dims": list(args.box)}}
+        print(value)
+        return {"formula_value": value, "region": {"d": 2, "kind": "box", "dims": list(args.box)}}
     if args.disk and args.height is not None:
         disk = _load_disk(args.disk)
         value = count_cylinder(disk, args.height)

@@ -8,15 +8,15 @@ moves of the region's window tables; canonical encodings name component
 representatives, and key the SQLite visited set that the extended path
 for billion-tiling regions spills to disk.
 
-Two graph routines serve every census, path and connectivity question:
-components, one union-find over any state graph (flip censuses, the
-component/trit graph, slab flips, the 2D sweep, a cylinder's disk), and
-search_path, one breadth-first tree path (the twist path oracle and the
-ideal containment certificates).  Only the extended census keeps its own
-disk-backed sweep.  The 2D sweep's polyominoes search nothing for holes:
-an edge-connected shape has none exactly when its Euler characteristic
-V - E + F is 1.  The twist census enumerates nothing: it calibrates
-counting.twist_polynomial.
+Every census, path and connectivity question is a breadth-first walk.
+Two graph routines serve them: components, over any symmetric state
+graph (flip censuses, the component/trit graph, slab flips, the 2D sweep,
+a cylinder's disk), and search_path, one tree path (the twist path
+oracle and the ideal containment certificates).  Only the extended census
+keeps its own queue, over a disk-backed visited set.  The 2D sweep's
+polyominoes search nothing for holes: an edge-connected shape has none
+exactly when its Euler characteristic V - E + F is 1.  The twist census
+enumerates nothing: it calibrates counting.twist_polynomial.
 """
 from __future__ import annotations
 
@@ -56,45 +56,32 @@ def _count_within(region: Region, cap: int | None) -> int:
     return total
 
 
-class UnionFind:
-    """Array-based disjoint sets with path halving and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 def components(states, neighbors) -> list[list[int]]:
     """Connected components of the graph on `states` (hashable) whose
     edges join each state to every state in neighbors(state); those must
-    all be in `states`.  Each component lists its members' indices in
-    increasing order, and components come in order of their first member.
+    all be in `states`, and the relation must be symmetric, since each
+    component is one breadth-first walk from its first member.  Each
+    component lists its members' indices in increasing order, and
+    components come in order of their first member.
     """
     index = {state: i for i, state in enumerate(states)}
-    uf = UnionFind(len(index))
-    for i, state in enumerate(states):
-        for other in neighbors(state):
-            uf.union(i, index[other])
-    members: dict[int, list[int]] = {}
-    for i in range(len(index)):
-        members.setdefault(uf.find(i), []).append(i)
-    return list(members.values())
+    order = list(index)
+    seen = [False] * len(order)
+    found = []
+    for i in range(len(order)):
+        if seen[i]:
+            continue
+        seen[i] = True
+        # the queue is ids itself: the loop reaches what it appends
+        ids = [i]
+        for k in ids:
+            for other in neighbors(order[k]):
+                j = index[other]
+                if not seen[j]:
+                    seen[j] = True
+                    ids.append(j)
+        found.append(sorted(ids))
+    return found
 
 
 def search_path(start, target, neighbors, cap: int | None = None):
@@ -168,7 +155,7 @@ def _flip_census(region: Region, cap: int | None):
 
 
 def flip_components(region: Region, cap: int | None = DEFAULT_CAP) -> ComponentCensus:
-    """Union-find census over the flip edges of the full tiling set."""
+    """Component census over the flip edges of the full tiling set."""
     _, _, found = _flip_census(region, cap)
     return ComponentCensus(
         region=region, components=[(size, rep) for size, rep, _ in found]
@@ -201,6 +188,7 @@ class ComponentTritGraph:
         adjacency = {i: [] for i in range(len(self.census.components))}
         for a, b in self.edges:
             adjacency[a].append(b)
+            adjacency[b].append(a)
         return len(components(adjacency, adjacency.__getitem__)) <= 1
 
 
@@ -440,18 +428,15 @@ def flip_components_extended(region: Region, scratch_dir) -> ComponentCensus:
                 continue
             size = 1
             smallest = key
-            frontier = [t.partner]
-            while frontier:
-                nxt = []
-                for cur in frontier:
-                    for neighbor in flip_neighbors(region, cur):
-                        nkey = encode(Tiling(region, neighbor))
-                        if visited.add(nkey):
-                            size += 1
-                            if nkey < smallest:
-                                smallest = nkey
-                            nxt.append(neighbor)
-                frontier = nxt
+            queue = deque([t.partner])
+            while queue:
+                for neighbor in flip_neighbors(region, queue.popleft()):
+                    nkey = encode(Tiling(region, neighbor))
+                    if visited.add(nkey):
+                        size += 1
+                        if nkey < smallest:
+                            smallest = nkey
+                        queue.append(neighbor)
             found.append((size, smallest))
         found.sort(key=lambda pair: (-pair[0], pair[1]))
         visited.store_result(

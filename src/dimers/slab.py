@@ -290,7 +290,7 @@ def apply_slab_flip(tiling: SlabTiling, move: SlabFlip) -> SlabTiling:
 def slab_flip_components(
     region: Region, cap: int | None = 1_000_000
 ) -> list[list[SlabTiling]]:
-    """Union-find census over the slab flips of every slab tiling: the
+    """Component census over the slab flips of every slab tiling: the
     components, each listing its tilings in enumeration order."""
     tilings = {t.slabs: t for t in enumerate_slab_tilings(region, cap)}
 

@@ -191,17 +191,13 @@ def _reference_tiling(region: Region) -> Tiling:
         raise InvalidRegion("region has no tilings, twist is undefined")
 
 
-@lru_cache(maxsize=256)
-def _reference_pretwist(region: Region) -> Fraction:
-    return pretwist(_reference_tiling(region), 2)
-
-
 @lru_cache(maxsize=4096)
 def _weight_twist(region: Region, weight: int) -> int:
     """Integer twist of a tiling of the region whose crossing sum along z
     is `weight`: its calibrated pretwist minus the reference tiling's.
     Memoised, as a file or census of one region meets few weights."""
-    value = _calibrated(weight) - _reference_pretwist(region)
+    reference = _crossings(region, _pairs(_reference_tiling(region).partner), 2)
+    value = _calibrated(weight - reference)
     if value.denominator != 1:
         raise CalibrationError(f"non-integral twist {value}")
     return int(value)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dimers.cli import _load_disk, main
-from dimers.core import make_cylinder, region_from_record, region_to_record
+from dimers.core import make_box, make_cylinder, region_from_record, region_to_record
 from dimers.counting import count_region
 from dimers.errors import InvalidRegion
 
@@ -37,7 +37,18 @@ def test_count_box(in_tmp, capsys):
 def test_count_formula(in_tmp, capsys):
     code, out = run(capsys, "count", "--box", "4,4", "--formula")
     assert code == 0
-    assert out.strip() == "36"
+    assert out.strip() == "36.0"
+
+
+def test_count_formula_prints_the_float_not_a_rounded_integer(in_tmp, capsys):
+    # 12x12 has 17 digits, past a double's 15-16: rounding would fake them
+    code, out = run(capsys, "count", "--box", "12,12", "--formula")
+    assert code == 0
+    assert not out.strip().isdigit()
+    exact = count_region(make_box((12, 12)))
+    assert abs(float(out) - exact) <= 1e-9 * exact
+    manifest = json.loads((in_tmp / "run_manifest.json").read_text())
+    assert "count" not in manifest and manifest["formula_value"] == float(out)
 
 
 def test_count_disk_file(in_tmp, capsys):

@@ -9,6 +9,8 @@ from dimers.core import decode, encode, make_box, make_cylinder, make_region, va
 from dimers.counting import count_region
 from dimers.errors import CapExceeded, DimersError, InvalidRegion
 from dimers.explore import (
+    ComponentCensus,
+    ComponentTritGraph,
     DiskBackedSet,
     _fixed_polyominoes,
     _hole_free,
@@ -117,6 +119,20 @@ def test_component_trit_graph_332():
     assert graph.edges == {(0, 1), (0, 2)}
     for a, b in graph.edges:
         assert abs(graph.twists[a] - graph.twists[b]) == 1
+
+
+def test_trit_graph_connectivity_reads_each_stored_edge_both_ways():
+    # edges are stored as (a, b) with a < b, so 0 reaches 1 only via 2
+    census = ComponentCensus(make_box((2, 2, 2)), [(1, b""), (1, b""), (1, b"")])
+    assert ComponentTritGraph(census, None, {(0, 2), (1, 2)}).is_connected()
+    assert not ComponentTritGraph(census, None, {(0, 2)}).is_connected()
+
+
+def test_components_of_a_hand_built_symmetric_graph():
+    graph = {"a": "d", "b": "d", "e": "", "c": "f", "d": "ab", "f": "c"}
+    assert all(s in graph[t] for s in graph for t in graph[s])
+    # a's walk finds d (index 4) before b (index 1); e is isolated
+    assert components(graph, graph.__getitem__) == [[0, 1, 4], [2], [3, 5]]
 
 
 def test_twist_census_332():

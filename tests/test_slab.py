@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from dimers.core import make_box, make_cylinder, make_region, validate
 from dimers.errors import InflationError, InvalidRegion, MoveNotApplicable, RegionMismatch
-from dimers.explore import UnionFind
 from dimers.slab import (
     Slab,
     SlabFlip,
@@ -335,10 +334,13 @@ def test_slab_flip_census_matches_brute_force():
                     if cells == other and len(set(cells)) == 8:
                         brute_edges.add((i, j))
         assert bfs_edges == brute_edges
-        uf = UnionFind(len(tilings))
-        for i, j in bfs_edges:
-            uf.union(i, j)
-        assert len({uf.find(i) for i in range(len(tilings))}) == 1
+        reached = {0}
+        while True:
+            grown = reached | {j for edge in bfs_edges if reached & set(edge) for j in edge}
+            if grown == reached:
+                break
+            reached = grown
+        assert reached == set(range(len(tilings)))
 
 
 def test_stacked_slabs_flip_to_both_other_normals():
