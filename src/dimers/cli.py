@@ -25,6 +25,7 @@ from . import __version__
 from .core import (
     base_vertical_tiling,
     make_box,
+    make_cylinder,
     make_region,
     open_text,
     read_tilings,
@@ -82,11 +83,6 @@ def _load_disk(path: str):
     return make_region(cells, d=2)
 
 
-def _check_height(args) -> None:
-    if getattr(args, "box", None) and getattr(args, "height", None) is not None:
-        raise DimersError("--height applies to --disk only")
-
-
 # flags that only one mode of `sample` reads: the twist histogram
 # (--histogram, --svg) or the final state (--out)
 _HISTOGRAM_FLAGS = ("samples", "workers", "burn_in")
@@ -104,14 +100,13 @@ def _check_sample_flags(args) -> None:
 
 
 def _region_from_args(args) -> object:
-    _check_height(args)
-    if getattr(args, "box", None):
+    if args.box:
+        if args.height is not None:
+            raise DimersError("--height applies to --disk only")
         return make_box(args.box)
-    if getattr(args, "disk", None):
+    if args.disk:
         disk = _load_disk(args.disk)
-        if getattr(args, "height", None) is not None:
-            from .core import make_cylinder
-
+        if args.height is not None:
             return make_cylinder(disk, args.height)
         return disk
     raise DimersError("no region given; use --box or --disk")
@@ -134,18 +129,20 @@ def _write_manifest(args, command: str, extra: dict, started: float) -> None:
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
 
-def _read_matching(read, path, region):
-    """read(path), refused when region is given and the file's differs."""
-    file_region, items = read(path)
+def _read_matching(read, args, region):
+    """read(args.tiling), refused when region is given and the file's
+    differs; the refusal names the region flag given."""
+    file_region, items = read(args.tiling)
     if region is not None and file_region != region:
-        raise DimersError("tiling file region disagrees with --box")
+        flag = "--disk" if getattr(args, "disk", None) else "--box"
+        raise DimersError(f"tiling file region disagrees with {flag}")
     return file_region, items
 
 
 def _tilings_from_arg(args, region):
     if args.tiling == "base":
         return [base_vertical_tiling(region)]
-    return _read_matching(read_tilings, args.tiling, region)[1]
+    return _read_matching(read_tilings, args, region)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -153,23 +150,15 @@ def _tilings_from_arg(args, region):
 
 
 def _cmd_count(args) -> dict:
-    from .counting import count_cylinder, count_rect_2d_formula, count_region
+    from .counting import count_rect_2d_formula, count_region
 
-    _check_height(args)
-    if args.formula:
-        if args.box is None or len(args.box) != 2:
-            raise DimersError("--formula needs --box M,N")
-        value = count_rect_2d_formula(*args.box)
-        print(value)
-        return {"formula_value": value, "region": {"d": 2, "kind": "box", "dims": list(args.box)}}
-    if args.disk and args.height is not None:
-        disk = _load_disk(args.disk)
-        value = count_cylinder(disk, args.height)
-        print(value)
-        # make_cylinder's record, unchecked: a disconnected disk still counts
-        return {"count": str(value), "region": {"d": disk.d + 1, "kind": "cylinder",
-                "disk_cells": [list(c) for c in disk.cells], "height": args.height}}
     region = _region_from_args(args)
+    if args.formula:
+        if region.kind != "box" or region.d != 2:
+            raise DimersError("--formula needs --box M,N")
+        value = count_rect_2d_formula(*region.dims)
+        print(value)
+        return {"formula_value": value, "region": region_to_record(region)}
     value = count_region(region)
     print(value)
     return {"count": str(value), "region": region_to_record(region)}
@@ -190,6 +179,8 @@ def _cmd_components(args) -> dict:
 
     if args.extended and args.out:
         raise DimersError("--out applies to an in-memory census, not --extended")
+    if args.scratch is not None and not args.extended:
+        raise DimersError("--scratch applies to --extended only")
     region = _region_from_args(args)
     if args.out and region.d != 3:
         raise DimersError("--out writes each component's twist, which is defined for d=3 only")
@@ -330,8 +321,8 @@ def _cmd_slab(args) -> dict:
             "region": region_to_record(region),
         }
     # slab twist --tiling FILE
-    region = _region_from_args(args) if (args.box or args.disk) else None
-    file_region, slab_tilings = _read_matching(read_slab_tilings, args.tiling, region)
+    region = make_box(args.box) if args.box else None
+    file_region, slab_tilings = _read_matching(read_slab_tilings, args, region)
     values = [triple_twist(t) for t in slab_tilings]
     for v in values:
         print(",".join(map(str, v)))
@@ -359,11 +350,10 @@ def _cmd_render(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _add_region_flags(parser, with_height=True):
+def _add_region_flags(parser):
     parser.add_argument("--box", type=_parse_dims, help="box dims, e.g. 3,3,2")
     parser.add_argument("--disk", help="disk file (#/. grid or JSON record)")
-    if with_height:
-        parser.add_argument("--height", type=int, help="cylinder height over --disk")
+    parser.add_argument("--height", type=int, help="cylinder height over --disk")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = slab_sub.add_parser("twist", help="triple twist of slab tilings from a file")
     q.add_argument("--tiling", required=True, help="slab JSONL file")
     q.add_argument("--box", type=_parse_dims)
-    q.add_argument("--disk")
 
     p = sub.add_parser("ideals", help="export flip/tiling ideal generators")
     ideals_sub = p.add_subparsers(dest="ideals_command", required=True)

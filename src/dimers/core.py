@@ -306,14 +306,9 @@ def _make_box(dims: tuple[int, ...]) -> Region:
 
 
 def make_cylinder(disk: Region, height: int) -> Region:
-    """Product region disk x [0, height); the disk must be connected."""
+    """Product region disk x [0, height)."""
     if height < 1:
         raise InvalidRegion(f"cylinder height must be >= 1, got {height}")
-    from .explore import components
-
-    table = disk.neighbor_table
-    if len(components(range(disk.n_cells), lambda i: [j for j in table[i] if j >= 0])) > 1:
-        raise InvalidRegion("cylinder disk must be connected")
     cells = tuple(sorted(c + (z,) for c in disk.cells for z in range(height)))
     dims = disk.dims + (height,) if disk.kind == "box" and disk.dims else None
     return Region(

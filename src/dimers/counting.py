@@ -11,9 +11,9 @@ Every exact count goes through one path:
   general regions; a prism, one cross-section over a run of layers along
   the sweep, is swept over half of its layers and the halves are paired
   at the middle layer by reflection.
-* count_cylinder: the profile DP on disk x [0, height).  When it sweeps
-  floor by floor, its profile is the plug of the transfer automaton, so it
-  computes (T^N)[empty, empty] without building T.
+* count_cylinder: count_region on make_cylinder(disk, height).  When it
+  sweeps floor by floor, its profile is the plug of the transfer
+  automaton, so it computes (T^N)[empty, empty] without building T.
 
 The automaton's floor fills, core.matchings (the search enumeration
 runs too) with the plug in covered, have a second job, the twist transfer:
@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 
-from .core import Cell, Region, make_region, matchings
+from .core import Cell, Region, make_cylinder, make_region, matchings
 from .errors import InvalidRegion, WidthGuardExceeded
 
 WIDTH_GUARD = 24  # 2^24 profile states worst case; refuse rather than thrash
@@ -194,10 +194,7 @@ def build_automaton(disk: Region) -> PlugAutomaton:
 def count_cylinder(disk: Region, height: int) -> int:
     """Tilings of disk x [0, height) by the profile DP; its width guard
     applies to the sweep count_region chooses."""
-    if height < 1:
-        raise InvalidRegion(f"cylinder height must be >= 1, got {height}")
-    cells = [c + (z,) for z in range(height) for c in disk.cells]
-    return count_region(make_region(cells, d=disk.d + 1))
+    return count_region(make_cylinder(disk, height))
 
 
 # ---------------------------------------------------------------------------

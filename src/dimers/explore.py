@@ -10,12 +10,12 @@ for billion-tiling regions spills to disk.
 
 Every census, path and connectivity question is a breadth-first walk.
 Two graph routines serve them: components, over any symmetric state
-graph (flip censuses, the component/trit graph, slab flips, the 2D sweep,
-a cylinder's disk), and search_path, one tree path (the twist path
-oracle and the ideal containment certificates).  Only the extended census
-keeps its own queue, over a disk-backed visited set.  The 2D sweep's
-polyominoes search nothing for holes: an edge-connected shape has none
-exactly when its Euler characteristic V - E + F is 1.  The twist census
+graph (flip censuses, the component/trit graph, slab flips, the 2D
+sweep), and search_path, one tree path (the twist path oracle and the
+ideal containment certificates).  Only the extended census keeps its own
+queue, over a disk-backed visited set.  The 2D sweep's polyominoes
+search nothing for holes: an edge-connected shape has none exactly when
+its Euler characteristic V - E + F is 1.  The twist census
 enumerates nothing: it calibrates counting.twist_polynomial.
 """
 from __future__ import annotations

@@ -312,6 +312,8 @@ def slab_tiling_json(tiling: SlabTiling) -> str:
 
 
 def slab_tiling_from_record(rec: dict, region: Region) -> SlabTiling:
+    if region.d != 3:
+        raise InvalidRegion("slab tilings are defined for d=3")
     with decoding("slab tiling"):
         slabs = tuple(Slab(tuple(corner), normal) for corner, normal in rec["slabs"])
         for corner, normal in slabs:

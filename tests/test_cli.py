@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from dimers.cli import _load_disk, main
 from dimers.core import make_box, make_cylinder, region_from_record, region_to_record
 from dimers.counting import count_region
-from dimers.errors import InvalidRegion
 
 
 @pytest.fixture()
@@ -75,17 +74,39 @@ def test_count_disk_manifest_reads_back_to_its_region(in_tmp, capsys, grid, heig
     assert count_region(region) == count
 
 
-def test_count_over_a_disconnected_disk_records_it_unchecked(in_tmp, capsys):
-    # make_cylinder refuses the disk, so the record does not read back,
-    # but the count is printed and the record names the disk's cells
+def test_count_over_a_disconnected_disk_records_a_region_that_reads_back(in_tmp, capsys):
     (in_tmp / "disk.txt").write_text("##.##\n")
     code, out = run(capsys, "count", "--disk", "disk.txt", "--height", "2")
     assert code == 0 and out.strip() == "4"
     record = json.loads((in_tmp / "run_manifest.json").read_text())["region"]
     assert record == {"d": 3, "kind": "cylinder", "disk_cells": [[0, 0], [1, 0], [3, 0], [4, 0]],
                       "height": 2}
-    with pytest.raises(InvalidRegion, match="connected"):
-        region_from_record(record)
+    assert count_region(region_from_record(record)) == 4
+
+
+_READ_BACK_ARGV = {
+    "count": ["count"],
+    "enumerate": ["enumerate", "--out", "t.jsonl"],
+    "components": ["components"],
+    "flipfree": ["flipfree"],
+    "census": ["census"],
+    "twist": ["twist", "--tiling", "base"],
+    "pfaffian": ["pfaffian"],
+    "sample": ["sample", "--steps", "10", "--out", "f.jsonl"],
+    "slab-census": ["slab", "census"],
+    "ideals-export": ["ideals", "export", "--out", "i.txt"],
+    "render": ["render"],
+}
+
+
+@pytest.mark.parametrize("grid", ["##\n##\n", "##.##\n"], ids=["connected", "disconnected"])
+@pytest.mark.parametrize("argv", list(_READ_BACK_ARGV.values()), ids=list(_READ_BACK_ARGV))
+def test_every_manifest_region_reads_back(in_tmp, capsys, argv, grid):
+    (in_tmp / "disk.txt").write_text(grid)
+    code, _ = run(capsys, *argv, "--disk", "disk.txt", "--height", "2")
+    assert code == 0
+    record = json.loads((in_tmp / "run_manifest.json").read_text())["region"]
+    assert region_from_record(record) == make_cylinder(_load_disk("disk.txt"), 2)
 
 
 def test_count_box_and_formula_manifest_regions(in_tmp, capsys):
@@ -257,6 +278,12 @@ def test_components_out_outside_3d_is_refused(in_tmp, capsys):
     assert out == ""
     assert err == "error: --out writes each component's twist, which is defined for d=3 only\n"
     assert not (in_tmp / "census.csv").exists()
+
+
+def test_components_scratch_without_extended_is_refused_before_any_work(in_tmp, capsys):
+    assert main(["components", "--box", "2,2,2", "--scratch", "missing-dir"]) == 2
+    assert capsys.readouterr() == ("", "error: --scratch applies to --extended only\n")
+    assert not list(in_tmp.iterdir())
 
 
 def test_components_extended_out_is_refused_before_any_work(in_tmp, capsys):
@@ -533,6 +560,38 @@ def test_height_beside_box_is_refused(in_tmp, capsys, argv):
     assert captured.err == "error: --height applies to --disk only\n"
 
 
+@pytest.mark.parametrize(
+    "header, corner",
+    [('{"d": 2, "kind": "box", "dims": [2, 2]}', [0, 0]),
+     ('{"d": 4, "kind": "box", "dims": [2, 2, 2, 2]}', [0, 0, 0, 0])],
+    ids=["2d", "4d"],
+)
+def test_slab_twist_refuses_a_slab_file_that_is_not_3d(in_tmp, capsys, header, corner):
+    (in_tmp / "s.jsonl").write_text(header + "\n" + json.dumps({"slabs": [[corner, 2]]}) + "\n")
+    assert main(["slab", "twist", "--tiling", "s.jsonl"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: s.jsonl line 2: slab tilings are defined for d=3\n"
+    )
+
+
+def test_slab_twist_takes_no_disk(in_tmp, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["slab", "twist", "--tiling", "s.jsonl", "--disk", "disk.txt"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --disk" in capsys.readouterr().err
+
+
+def test_twist_refuses_a_file_of_another_region(in_tmp, capsys):
+    from dimers.core import base_vertical_tiling, write_tilings
+
+    region = make_box((2, 2, 2))
+    write_tilings("t.jsonl", region, [base_vertical_tiling(region)])
+    (in_tmp / "disk.txt").write_text("###\n###\n")
+    for argv in (["--box", "2,2,4"], ["--disk", "disk.txt", "--height", "2"]):
+        assert main(["twist", "--tiling", "t.jsonl", *argv]) == 2
+        assert capsys.readouterr().err == f"error: tiling file region disagrees with {argv[0]}\n"
+
+
 def test_slab_twist_refuses_a_file_of_another_region(in_tmp, capsys):
     from dimers.core import make_box
     from dimers.slab import horizontal_slab_tiling, write_slab_tilings
@@ -607,7 +666,7 @@ _FUZZ_FLAGS = {
     ("sample",): (*_REGION_FLAGS, "--moves", "--steps", "--seed", "--burn-in", "--samples",
                   "--workers", "--histogram", "--svg", "--out"),
     ("slab", "census"): (*_REGION_FLAGS, "--cap"),
-    ("slab", "twist"): ("--tiling", "--box", "--disk"),
+    ("slab", "twist"): ("--tiling", "--box"),
     ("ideals", "export"): (*_REGION_FLAGS, "--out", "--with-tiling-ideal", "--cap"),
     ("render",): (*_REGION_FLAGS, "--tiling"),
 }
@@ -646,7 +705,8 @@ def _fuzz_argv():
         flags = _FUZZ_FLAGS[words]
         head = [st.just([*words])]
         if "--box" in flags:
-            head.append(st.sampled_from(["--box", "--disk"]).flatmap(pair))
+            region = [flag for flag in ("--box", "--disk") if flag in flags]
+            head.append(st.sampled_from(region).flatmap(pair))
         if words == ("sample",):
             head.append(st.one_of(
                 pair("--steps"),

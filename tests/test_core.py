@@ -20,6 +20,7 @@ from dimers.core import (
     refine_region,
     refine_tiling,
     add_vertical_floors,
+    region_from_record,
     region_to_record,
     render_floors,
     tiling_from_dominoes,
@@ -85,12 +86,23 @@ def test_make_cylinder_unbalanced_is_constructible():
 
 def test_make_cylinder_rejects_bad_input():
     disk = make_box((2, 2))
-    with pytest.raises(InvalidRegion):
-        make_cylinder(disk, 0)
-    for cells in ([(0, 0), (2, 0)], [(0, 0), (1, 1)], [(0, 0), (1, 0), (0, 1), (2, 1)]):
-        with pytest.raises(InvalidRegion, match="^cylinder disk must be connected$"):
-            make_cylinder(make_region(cells), 2)
-    assert make_cylinder(make_region([(0, 0), (1, 0), (1, 1), (2, 1)]), 2).n_cells == 8
+    for height in (0, -1):
+        with pytest.raises(InvalidRegion, match=f"^cylinder height must be >= 1, got {height}$"):
+            make_cylinder(disk, height)
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [[(0, 0), (2, 0)], [(0, 0), (1, 1)], [(0, 0), (1, 0), (0, 1), (2, 1)],
+     [(0, 0), (1, 0), (1, 1), (2, 1)]],
+    ids=["gap", "corner", "split-l", "connected"],
+)
+def test_make_cylinder_takes_any_disk(cells):
+    disk = make_region(cells)
+    cylinder = make_cylinder(disk, 2)
+    assert cylinder.kind == "cylinder" and cylinder.disk_cells == disk.cells
+    assert cylinder.cells == tuple(sorted(c + (z,) for c in cells for z in range(2)))
+    assert region_from_record(region_to_record(cylinder)) == cylinder
 
 
 def test_base_vertical_tiling():

@@ -6,7 +6,14 @@ from math import prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dimers.core import make_box, make_cylinder, make_region, matchings
+from dimers.core import (
+    make_box,
+    make_cylinder,
+    make_region,
+    matchings,
+    region_from_record,
+    region_to_record,
+)
 from dimers.counting import (
     build_automaton,
     count_cylinder,
@@ -16,7 +23,7 @@ from dimers.counting import (
     twist_polynomial,
 )
 from dimers.errors import InvalidRegion, WidthGuardExceeded
-from dimers.explore import enumerate_tilings
+from dimers.explore import components, enumerate_tilings
 
 from oracles import automaton_cylinder_count, naive_tilings, permanent_count
 from test_explore import DISK6
@@ -262,6 +269,27 @@ def disks(draw):
 @example(make_box((2, 3)), 9)
 def test_cylinder_counts_match_the_automaton_walk_at_every_height(disk, height):
     assert count_cylinder(disk, height) == automaton_cylinder_count(disk, height)
+
+
+@settings(max_examples=60, deadline=None)
+@given(disks(), st.integers(1, 4))
+@example(make_region([(0, 0), (1, 0), (3, 0), (4, 0)]), 2)
+@example(make_region([(0, 0), (2, 0), (0, 2), (2, 2)]), 1)
+def test_a_cylinder_over_any_disk_counts_as_the_product_over_its_pieces(disk, height):
+    """Connected or not: count_cylinder is count_region of make_cylinder,
+    the product of the automaton walks over the disk's pieces, and the
+    cylinder's record reads back."""
+    cylinder = make_cylinder(disk, height)
+    table = disk.neighbor_table
+    pieces = components(range(disk.n_cells), lambda i: [j for j in table[i] if j >= 0])
+    expected = prod(
+        automaton_cylinder_count(make_region([disk.cells[i] for i in piece]), height)
+        for piece in pieces
+    )
+    assert count_cylinder(disk, height) == count_region(cylinder) == expected
+    record = region_to_record(cylinder)
+    assert region_from_record(record) == cylinder
+    assert region_to_record(region_from_record(record)) == record
 
 
 @settings(max_examples=80, deadline=None)
