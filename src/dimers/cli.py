@@ -112,11 +112,24 @@ def _region_from_args(args) -> object:
     raise DimersError("no region given; use --box or --disk")
 
 
-def _write_manifest(args, command: str, extra: dict, started: float) -> None:
+def _manifest_path(value: str | None) -> Path:
+    """The manifest's path, refused before any work when it names no file
+    that can be written."""
+    if value == "":
+        raise DimersError("--manifest needs a file path")
+    path = Path(value or "run_manifest.json")
+    if path.is_dir():
+        raise DimersError(f"--manifest {path}: is a directory")
+    if not path.parent.is_dir():
+        raise DimersError(f"--manifest {path}: {path.parent} is not a directory")
+    return path
+
+
+def _write_manifest(path: Path, args, extra: dict, started: float) -> None:
     from .twist import calibration
 
     record = {
-        "command": command,
+        "command": args.command,
         "argv": sys.argv[1:],
         "version": __version__,
         "region": extra.pop("region", None),
@@ -125,7 +138,6 @@ def _write_manifest(args, command: str, extra: dict, started: float) -> None:
         "wall_time_s": round(time.time() - started, 3),
     }
     record.update(extra)
-    path = Path(getattr(args, "manifest", None) or "run_manifest.json")
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
 
@@ -488,9 +500,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(_apply_config(argv))
+        manifest = _manifest_path(args.manifest)
         started = time.time()
         extra = _HANDLERS[args.command](args)
-        _write_manifest(args, args.command, extra, started)
+        _write_manifest(manifest, args, extra, started)
     except (CapExceeded, WidthGuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

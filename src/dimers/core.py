@@ -712,14 +712,19 @@ def open_text(path):
         raise DecodeError(f"{path}: not UTF-8 text") from None
 
 
+def _read_header(fh, path) -> Region:
+    """The region of the header line of the file open as fh."""
+    header = fh.readline()
+    if not header:
+        raise DecodeError(f"{path}: empty tiling file")
+    return json_record(header, path, 1, region_from_record)
+
+
 def read_records(path, decode) -> tuple[Region, list]:
     """A JSON-lines file: a region header, then decode(record, region) of
     each non-blank line after it."""
     with open_text(path) as fh:
-        header = fh.readline()
-        if not header:
-            raise DecodeError(f"{path}: empty tiling file")
-        region = json_record(header, path, 1, region_from_record)
+        region = _read_header(fh, path)
         items = [
             json_record(line, path, lineno, lambda rec: decode(rec, region))
             for lineno, line in enumerate(fh, 2)
@@ -728,5 +733,46 @@ def read_records(path, decode) -> tuple[Region, list]:
     return region, items
 
 
+# tiling_json's line with its newline is _LINE_HEAD, the domino texts
+# without their first two and last characters joined by _DOMINO_SEP, and
+# _LINE_TAIL
+_LINE_HEAD, _DOMINO_SEP, _LINE_TAIL = '{"dominoes": [[[', "], [[", "]]}\n"
+
+
+def _tiling_by_lookup(line: str, region: Region, pair_of) -> Tiling | None:
+    """The tiling on a line spelled exactly as write_tilings writes it,
+    each domino text's pair read by pair_of; None for any other line, and
+    for one whose dominoes overlap or leave a cell uncovered."""
+    if not (line.startswith(_LINE_HEAD) and line.endswith(_LINE_TAIL)):
+        return None
+    partner = [-1] * region.n_cells
+    try:
+        for i, j in map(pair_of, line[len(_LINE_HEAD) : -len(_LINE_TAIL)].split(_DOMINO_SEP)):
+            if partner[i] >= 0 or partner[j] >= 0:
+                return None
+            partner[i], partner[j] = j, i
+    except KeyError:
+        return None
+    return None if -1 in partner else Tiling(region, tuple(partner))
+
+
 def read_tilings(path) -> tuple[Region, list[Tiling]]:
-    return read_records(path, tiling_from_record)
+    """A tiling file's region and tilings.
+
+    The writer's own lines are read by inverting region.domino_json: each
+    domino text is looked up, then the overlap and cover checks of
+    tiling_from_dominoes run.  The table holds only the writer's texts,
+    all integers, so a line read this way is one the JSON route accepts
+    with the same partners.  Any other line, and one whose lookup or
+    checks fail, goes through json_record and tiling_from_record, which
+    give every error report."""
+    with open_text(path) as fh:
+        region = _read_header(fh, path)
+        pair_of = {text[2:-1]: pair for pair, text in region.domino_json.items()}.__getitem__
+        tilings = [
+            _tiling_by_lookup(line, region, pair_of)
+            or json_record(line, path, lineno, lambda rec: tiling_from_record(rec, region))
+            for lineno, line in enumerate(fh, 2)
+            if line.strip()
+        ]
+    return region, tilings

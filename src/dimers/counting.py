@@ -5,8 +5,9 @@ Every exact count goes through one path:
 * count_region: broken-profile DP over the cells in lexicographic order,
   along the narrowest order of the axes.  The profile spans one
   cross-section of the most significant axis plus a partial row, and its
-  cost grows as 2^width, so every axis order is tried and the one with the
-  smallest width is swept; on a tie the last axis stays most significant.
+  cost grows as 2^width, so every axis order is tried (on a box, one per
+  sequence of sides) and the one with the smallest width is swept; on a
+  tie the last axis stays most significant.
   The width guard applies to that sweep.  Works in any dimension and for
   general regions; a prism, one cross-section over a run of layers along
   the sweep, is swept over half of its layers and the halves are paired
@@ -56,12 +57,19 @@ def _dp_plan(region: Region) -> tuple[list[list[int]], int]:
     tried (at most 24 for d <= 4) and the narrowest sweep is kept; on a
     tie the earlier order in permutations(d-1, ..., 0) wins, so the
     default sweep, last axis most significant, is kept unless another
-    order is strictly narrower.
+    order is strictly narrower.  On a region with dims, a full box, two
+    orders that read the same sides give the same plan, so only the
+    first order of each side sequence is swept.
     """
     cells = region.cells
     forward = region.forward
     best = None
+    seen = set()
     for axes in permutations(reversed(range(region.d))):
+        sides = tuple(region.dims[a] for a in axes) if region.dims else axes
+        if sides in seen:
+            continue
+        seen.add(sides)
         keys = [[cell[a] for a in axes] for cell in cells]
         order = sorted(range(region.n_cells), key=keys.__getitem__)
         pos = [0] * region.n_cells

@@ -29,11 +29,13 @@ Kasteleyn matrix finds each white cell's black neighbours by coordinate
 steps, instead of reading the region's neighbour table.  Slab tilings are validated by building each slab's four
 cells, and inflated by deflating each slab's two surviving cells and
 checking their count and adjacency, instead of reading the window and
-inflation tables.
+inflation tables.  The profile DP's plan has a reference that sweeps
+every order of the axes, without skipping orders that read a box's
+sides in the same sequence.
 """
 from collections import Counter, deque
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from dimers.core import (
     REFINE_FACTOR,
@@ -222,6 +224,20 @@ def flip_components_by_difference(region) -> list[int]:
             stack.extend(joined)
         sizes.append(size)
     return sorted(sizes, reverse=True)
+
+
+def dp_plan_by_every_order(region) -> tuple[list[list[int]], int]:
+    """counting._dp_plan's plan and most significant axis, from a sweep
+    of every order of the axes; the first narrowest order wins."""
+    best = None
+    for axes in permutations(reversed(range(region.d))):
+        order = sorted(range(region.n_cells), key=lambda i: [region.cells[i][a] for a in axes])
+        pos = {ci: p for p, ci in enumerate(order)}
+        plan = [sorted(pos[nb] - p for nb in region.forward[ci]) for p, ci in enumerate(order)]
+        width = max((offs[-1] for offs in plan if offs), default=0)
+        if best is None or width < best[0]:
+            best = (width, plan, axes[0])
+    return best[1], best[2]
 
 
 def automaton_cylinder_count(disk, height: int) -> int:

@@ -323,6 +323,11 @@ def test_ideals_export(in_tmp, capsys):
 def test_exit_code_guard(in_tmp, capsys):
     # every axis order of 5x5x5 has profile width 25, over the guard of 24
     assert main(["count", "--box", "5,5,5"]) == 3
+    # all 40,320 axis orders of the 8D box read the same sides, so one
+    # sweep is planned before the guard refuses it
+    capsys.readouterr()
+    assert main(["count", "--box", "2,2,2,2,2,2,2,2"]) == 3
+    assert capsys.readouterr() == ("", "error: profile width 128 exceeds guard 24\n")
     (in_tmp / "square5.txt").write_text("#####\n" * 5)
     assert main(["count", "--disk", "square5.txt", "--height", "5"]) == 3
     assert main(["enumerate", "--box", "3,3,2", "--cap", "10"]) == 3
@@ -537,6 +542,25 @@ def test_manifest_path_flag(in_tmp, capsys):
     assert json.loads((in_tmp / "custom.json").read_text())["command"] == "count"
 
 
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        ("", "--manifest needs a file path"),
+        (".", "--manifest .: is a directory"),
+        ("missing-dir/m.json", "--manifest missing-dir/m.json: missing-dir is not a directory"),
+        ("disk.txt/m.json", "--manifest disk.txt/m.json: disk.txt is not a directory"),
+    ],
+    ids=["empty", "directory", "missing-directory", "under-a-file"],
+)
+def test_a_manifest_path_that_cannot_be_written_is_refused_before_any_work(
+    in_tmp, capsys, path, message
+):
+    (in_tmp / "disk.txt").write_text("##\n")
+    assert main(["--manifest", path, "enumerate", "--box", "2,2", "--out", "o.jsonl"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(p.name for p in in_tmp.iterdir()) == ["disk.txt"]
+
+
 @pytest.mark.parametrize("command", ["count", "census"])
 def test_height_zero_is_a_height(in_tmp, capsys, command):
     (in_tmp / "disk.txt").write_text("###\n###\n")
@@ -673,6 +697,9 @@ _FUZZ_FLAGS = {
 _SWITCHES = {"--formula", "--extended", "--with-tiling-ideal"}
 
 
+_BAD_MANIFESTS = ("", ".", "missing-dir/m.json")
+
+
 def _fuzz_argv():
     """A subcommand, a region flag, the required --tiling of the twist
     commands, for the sampler either an explicit small --steps or a
@@ -680,8 +707,9 @@ def _fuzz_argv():
     steps and 10,000 samples, and each mode refuses the other's flags),
     then up to four of the subcommand's flags; numbers include 0,
     negatives and non-numeric text, and files include missing ones and
-    ones that are not UTF-8.  A --config file (valid, missing or not
-    UTF-8) may come first."""
+    ones that are not UTF-8.  A --manifest path (a file, empty, a
+    directory or under a missing one) and a --config file (valid,
+    missing or not UTF-8) may come first."""
     number = st.sampled_from(["-3", "-1", "0", "1", "2", "3", "5", "x"])
     steps = st.one_of(st.integers(-5, 1000).map(str), number)
     values = {
@@ -719,16 +747,19 @@ def _fuzz_argv():
         ).map(lambda pairs: [token for p in pairs for token in p])
         return st.tuples(*head, tail).map(lambda parts: [t for part in parts for t in part])
 
+    manifest_path = st.sampled_from(["m.json", *_BAD_MANIFESTS])
+    manifest = st.one_of(st.just([]), manifest_path.map(lambda path: ["--manifest", path]))
     config_file = st.sampled_from(["conf.txt", "missing.conf", "bad.bin"])
     config = st.one_of(st.just([]), config_file.map(lambda path: ["--config", path]))
-    return st.tuples(config, st.sampled_from(sorted(_FUZZ_FLAGS)).flatmap(command)).map(
-        lambda parts: parts[0] + parts[1]
+    return st.tuples(manifest, config, st.sampled_from(sorted(_FUZZ_FLAGS)).flatmap(command)).map(
+        lambda parts: parts[0] + parts[1] + parts[2]
     )
 
 
 def test_argv_fuzz_ends_in_an_exit_code(in_tmp, capsys):
     """Whatever the argv, main returns 0, 2, 3 or 4, or argparse exits 2;
-    no other exception escapes."""
+    no other exception escapes.  A --manifest path that cannot be written
+    ends in exit 2, from main with one error line."""
     from dimers.core import base_vertical_tiling, make_box, write_tilings
     from dimers.slab import horizontal_slab_tiling, write_slab_tilings
 
@@ -750,13 +781,18 @@ def test_argv_fuzz_ends_in_an_exit_code(in_tmp, capsys):
               "--histogram", "h.csv"])
     @example(["slab", "census"])
     @example(["components", "--box", "2,2,2", "--extended", "--scratch", "missing-dir"])
+    @example(["--manifest", "", "count", "--box", "2,2"])
+    @example(["--manifest", ".", "count", "--box", "5,5,5"])
     def check(argv):
+        bad_manifest = argv[0] == "--manifest" and argv[1] in _BAD_MANIFESTS
         try:
             code = main(argv)
         except SystemExit as exc:
             assert exc.code == 2, argv
         else:
-            assert code in (0, 2, 3, 4), argv
+            assert code in ((2,) if bad_manifest else (0, 2, 3, 4)), argv
+            err = capsys.readouterr().err
+            assert not bad_manifest or (err.startswith("error: ") and err.count("\n") == 1), argv
         capsys.readouterr()
 
     check()

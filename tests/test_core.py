@@ -28,7 +28,7 @@ from dimers.core import (
     validate,
     write_tilings,
 )
-from dimers.errors import DecodeError, InvalidRegion, InvalidTiling, NoBaseTiling
+from dimers.errors import DecodeError, DimersError, InvalidRegion, InvalidTiling, NoBaseTiling
 from dimers.explore import enumerate_tilings
 from dimers.moves import apply_flip, list_flips
 
@@ -344,6 +344,25 @@ def _record_line(tiling) -> str:
     return json.dumps({"dominoes": dominoes})
 
 
+def _respelled(text: str, spelling: str) -> str:
+    """The tiling file text with its tiling lines spelled another way
+    that json.loads reads the same, up to an extra key."""
+    if spelling == "no-final-newline":
+        return text.rstrip("\n")
+    header, *lines = text.splitlines()
+    if spelling == "compact":
+        lines = [json.dumps(json.loads(line), separators=(",", ":")) for line in lines]
+    else:
+        # keeps the writer's first and last characters, so only the
+        # lookup of the last domino's text sends the line to JSON
+        assert spelling == "extra-key"
+        lines = [line[:-1] + ', "note": [[0]]}' for line in lines]
+    return "".join(f"{line}\n" for line in [header, *lines])
+
+
+_SPELLINGS = ["compact", "extra-key", "no-final-newline"]
+
+
 _CODEC_REGIONS = {
     "box": make_box((2, 3, 4)),
     "cylinder": make_cylinder(make_region([(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]), 2),
@@ -364,15 +383,21 @@ def test_tiling_file_lines_are_json_dumps_of_the_records(tmp_path, region):
     assert lines[0] == json.dumps(region_to_record(region))
     assert lines[1:] == [_record_line(t) for t in tilings] + [""]
     assert read_tilings(path) == (region, tilings)
+    for spelling in _SPELLINGS:
+        path.write_text(_respelled("\n".join(lines), spelling), encoding="utf-8")
+        assert read_tilings(path) == (region, tilings), spelling
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([2, 3]).flatmap(small_regions))
-def test_tiling_file_round_trip(tmp_path_factory, region):
+@given(st.sampled_from([2, 3]).flatmap(small_regions), st.data())
+def test_tiling_file_round_trip(tmp_path_factory, region, data):
     tilings = list(enumerate_tilings(region))
     path = tmp_path_factory.mktemp("codec") / "tilings.jsonl"
     write_tilings(path, region, tilings)
-    assert path.read_text(encoding="utf-8").splitlines()[1:] == [_record_line(t) for t in tilings]
+    text = path.read_text(encoding="utf-8")
+    assert text.splitlines()[1:] == [_record_line(t) for t in tilings]
+    assert read_tilings(path) == (region, tilings)
+    path.write_text(_respelled(text, data.draw(st.sampled_from(_SPELLINGS))), encoding="utf-8")
     assert read_tilings(path) == (region, tilings)
 
 
@@ -397,6 +422,34 @@ def test_tiling_reader_refuses_a_non_integer_axis_or_coordinate(tmp_path, domino
         read_tilings(path)
 
 
+_VERTICAL_2X2X2 = [[[0, 0, 0], 2], [[0, 1, 0], 2], [[1, 0, 0], 2], [[1, 1, 0], 2]]
+
+
+@pytest.mark.parametrize(
+    "k, domino, message",
+    [
+        (1, [[0, 0, 0], 1], "domino [[0, 0, 0], 1] overlaps another domino"),
+        (3, None, "cell (1, 1, 0): unmatched"),
+        (3, [[2, 1, 0], 2], "domino [[2, 1, 0], 2] is not a domino of the region"),
+        (3, [[1, 1, -1], 2], "domino [[1, 1, -1], 2] is not a domino of the region"),
+        (3, [[1, 1, 0], 3], "domino [[1, 1, 0], 3] is not a domino of the region"),
+    ],
+    ids=["overlap", "missing-domino", "outside", "negative-coordinate", "axis-d"],
+)
+def test_a_fault_on_a_line_spelled_as_the_writer_spells_it_is_reported(tmp_path, k, domino, message):
+    box = make_box((2, 2, 2))
+    path = tmp_path / "tilings.jsonl"
+    write_tilings(path, box, [base_vertical_tiling(box)])
+    dominoes = _VERTICAL_2X2X2[:k] + [domino] * (domino is not None) + _VERTICAL_2X2X2[k + 1 :]
+    line = json.dumps({"dominoes": dominoes})
+    assert line.startswith('{"dominoes": [[[') and line.endswith("]]}")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(InvalidTiling) as caught:
+        read_tilings(path)
+    assert str(caught.value) == f"{path} line 3: {message}"
+
+
 @st.composite
 def box_unions(draw):
     """A union of one to three small boxes in 2D or 3D."""
@@ -414,7 +467,19 @@ def box_unions(draw):
     )
 
 
-def _refusal(region, dominoes) -> str:
+def _refusal(region, dominoes, path) -> str:
+    """tiling_from_dominoes' refusal of the dominoes, after checking that
+    read_tilings of a file holding them on one line spelled as the writer
+    spells it reports what tiling_from_record does, with file and line."""
+    line = json.dumps({"dominoes": dominoes})
+    with pytest.raises(DimersError) as by_record:
+        tiling_from_record(json.loads(line), region)
+    write_tilings(path, region, [])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(DimersError) as by_file:
+        read_tilings(path)
+    assert str(by_file.value) == f"{path} line 2: {by_record.value}"
     with pytest.raises(InvalidTiling) as caught:
         tiling_from_dominoes(region, dominoes)
     return str(caught.value)
@@ -422,9 +487,12 @@ def _refusal(region, dominoes) -> str:
 
 @settings(max_examples=80, deadline=None)
 @given(box_unions(), st.data())
-def test_tiling_from_dominoes_reads_back_and_refuses_what_is_not_a_tiling(region, data):
+def test_tiling_from_dominoes_reads_back_and_refuses_what_is_not_a_tiling(
+    tmp_path_factory, region, data
+):
     tilings = list(islice(enumerate_tilings(region, cap=None), 20)) if region.balanced() else []
     assume(tilings)
+    path = tmp_path_factory.mktemp("refusal") / "tilings.jsonl"
     t = data.draw(st.sampled_from(tilings))
     dominoes = t.dominoes()
     assert tiling_from_dominoes(region, dominoes) == t
@@ -435,15 +503,15 @@ def test_tiling_from_dominoes_reads_back_and_refuses_what_is_not_a_tiling(region
     for bad_axis in (-1, -2, region.d, "0"):
         bad = Domino(low, bad_axis)
         message = f"domino {bad} is not a domino of the region"
-        assert _refusal(region, [*before, bad, *after]) == message
+        assert _refusal(region, [*before, bad, *after], path) == message
     lo, hi = region.bounding_box
     grown = product(*[range(a - 1, b + 2) for a, b in zip(lo, hi)])
     outside = data.draw(st.sampled_from([c for c in grown if not region.contains(c)]))
     bad = Domino(outside, data.draw(st.integers(0, region.d - 1)))
     message = f"domino {bad} is not a domino of the region"
-    assert _refusal(region, [*before, bad, *after]) == message
+    assert _refusal(region, [*before, bad, *after], path) == message
     # every domino of the region overlaps one of a tiling
     extra = data.draw(st.sampled_from(sorted(region.pair_dominoes.values())))
-    assert _refusal(region, [*dominoes, extra]) == f"domino {extra} overlaps another domino"
+    assert _refusal(region, [*dominoes, extra], path) == f"domino {extra} overlaps another domino"
     # the first uncovered cell is the removed domino's low cell
-    assert _refusal(region, [*before, *after]) == f"cell {low}: unmatched"
+    assert _refusal(region, [*before, *after], path) == f"cell {low}: unmatched"

@@ -15,6 +15,7 @@ from dimers.core import (
     region_to_record,
 )
 from dimers.counting import (
+    _dp_plan,
     build_automaton,
     count_cylinder,
     count_rect_2d_formula,
@@ -25,7 +26,7 @@ from dimers.counting import (
 from dimers.errors import InvalidRegion, WidthGuardExceeded
 from dimers.explore import components, enumerate_tilings
 
-from oracles import automaton_cylinder_count, naive_tilings, permanent_count
+from oracles import automaton_cylinder_count, dp_plan_by_every_order, naive_tilings, permanent_count
 from test_explore import DISK6
 from test_moves import small_regions
 
@@ -67,6 +68,23 @@ def test_count_region_width_guard():
     # the guard applies to that sweep
     assert count_region(make_box((5, 5, 2))) == 19114420
     assert count_region(make_box((5, 5, 2))) == count_region(make_box((5, 2, 5)))
+
+
+_SQUARE_3 = [(x, y) for x in range(3) for y in range(3)]
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        *map(make_box, [(4, 4, 8), (3, 4, 6), (6, 3, 4), (12, 12), (2, 2, 2, 6), (3, 3, 2), (4, 4, 4)]),
+        make_cylinder(make_box((3, 3)), 4),
+        make_cylinder(make_region(_SQUARE_3), 4),
+    ],
+    ids=["4x4x8", "3x4x6", "6x3x4", "12x12", "2x2x2x6", "3x3x2", "4x4x4",
+         "box-disk-cylinder", "general-disk-cylinder"],
+)
+def test_dp_plan_sweeping_one_order_per_side_sequence_is_the_plan_of_every_order(region):
+    assert _dp_plan(region) == dp_plan_by_every_order(region)
 
 
 def test_profile_width_is_cross_section():
