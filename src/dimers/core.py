@@ -152,38 +152,6 @@ class Region:
         )
 
     @cached_property
-    def shadows(self) -> tuple[dict[tuple[int, int], tuple | None], ...]:
-        """shadows[k][(i, j)] for each adjacent pair i < j of a 3D region:
-        None when its domino runs along k, else (slot, (height, colour),
-        squares).  With a < b the other two axes, slot is 0 for a domino
-        along a and 1 along b; height is its coordinate along k; colour
-        is +1 when its low cell is white; squares number the two unit
-        squares its cells project to on the plane perpendicular to k."""
-        if self.d != 3:
-            raise InvalidRegion("shadow tables are defined for d=3 only")
-        cells = self.cells
-        # entries repeat few marks and square pairs; one object each keeps
-        # the table a third of the size
-        shared: dict[tuple, tuple] = {}
-        out = []
-        for k in range(3):
-            a, b = [x for x in range(3) if x != k]
-            numbers: dict[tuple[int, int], int] = {}
-            table: dict[tuple[int, int], tuple | None] = {}
-            for pair, (low, axis) in self.pair_dominoes.items():
-                if axis == k:
-                    table[pair] = None
-                    continue
-                high = cells[pair[1]]
-                square = numbers.setdefault((low[a], low[b]), len(numbers))
-                other = numbers.setdefault((high[a], high[b]), len(numbers))
-                mark, squares = (low[k], color_sign(low)), (square, other)
-                mark, squares = shared.setdefault(mark, mark), shared.setdefault(squares, squares)
-                table[pair] = (0 if axis == a else 1, mark, squares)
-            out.append(table)
-        return tuple(out)
-
-    @cached_property
     def derived(self) -> dict[tuple, Region]:
         """Regions built from this one by refine_region and
         add_vertical_floors, by (operation, argument), so that repeated
@@ -342,6 +310,14 @@ class Tiling:
     @property
     def n_dominoes(self) -> int:
         return len(self.partner) // 2
+
+
+def matched(partner, pairs) -> tuple[int, ...]:
+    """partner with the cells of each index pair (i, j) matched together."""
+    new = list(partner)
+    for i, j in pairs:
+        new[i], new[j] = j, i
+    return tuple(new)
 
 
 def tiling_from_dominoes(region: Region, dominoes: Iterable[Domino]) -> Tiling:

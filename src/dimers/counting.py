@@ -23,7 +23,7 @@ runs too) with the plug in covered, have a second job, the twist transfer:
   count DP over slices perpendicular to x or y that carries {crossing
   sum: ways} per plug.  A slice's fills are core.matchings with the
   cells that go on to the next slice open, and its weight is the twist
-  module's crossing kernel over the dominoes touching it.
+  module's crossing kernel over a partner of the dominoes touching it.
   explore.twist_census calibrates it.
 
 Two objects stand beside these as checks:
@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 
-from .core import Cell, Region, make_cylinder, make_region, matchings
+from .core import Cell, Region, make_cylinder, make_region, matched, matchings
 from .errors import InvalidRegion, WidthGuardExceeded
 
 WIDTH_GUARD = 24  # 2^24 profile states worst case; refuse rather than thrash
@@ -225,19 +225,20 @@ def _slices(region: Region) -> dict[int, dict[Cell, int]]:
 
 def twist_polynomial(region: Region) -> dict[int, int]:
     """Tilings per value of the twist's crossing sum along z, sum_T q^W(T)
-    with W = _crossings over all of T's dominoes, exactly.
+    with W = twist._crossings(region, T's partner, 2), exactly.
 
     Only an x-domino and a y-domino on the same (x, y) column cross, so W
     is a sum over columns.  Sweeping slices perpendicular to x (or y), a
     slice holds whole columns, and its fill, with the plug in from the
     slice before and the plug out to the slice after, fixes every domino
-    touching them.  The slice's weight is the kernel over those dominoes;
-    the columns of the neighbouring slices get dominoes of one axis only
-    from them and add 0.  The count DP then carries {W: ways} per plug.
+    touching them.  The slice's weight is the kernel over a partner that
+    holds those dominoes, -1 elsewhere; the columns of the neighbouring
+    slices get dominoes of one axis only from them and add 0.  The count
+    DP then carries {W: ways} per plug.
     The plug masks live on the union of the slices' projections, and the
     slice's cell count is guarded like the profile width.
     """
-    from .twist import _crossings
+    from .twist import _crossings_through
 
     if region.d != 3:
         raise InvalidRegion("pretwist is defined for d=3 only")
@@ -268,11 +269,9 @@ def twist_polynomial(region: Region) -> dict[int, int]:
         key = (side, mask, across)
         value = halves.get(key)
         if value is None:
-            value = halves[key] = _crossings(
-                region,
-                [*(plug_pairs[p] for p in _bits(mask)), *((here[p], here[q]) for p, q in across)],
-                2,
-            )
+            pairs = [*(plug_pairs[p] for p in _bits(mask)), *((here[p], here[q]) for p, q in across)]
+            partner = matched([-1] * region.n_cells, pairs)
+            value = halves[key] = _crossings_through(region, partner, here.values())
         return value
 
     vector: dict[int, dict[int, int]] = {0: {0: 1}}

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Cell, Domino, Region, Tiling, decoding, json_record, open_text
+from .core import Cell, Domino, Region, Tiling, decoding, json_record, matched, open_text
 from .errors import MoveNotApplicable, RegionMismatch
 from .twist import trit_sign
 
@@ -63,20 +63,13 @@ def _parallel_side(partner, window) -> int | None:
 def _flipped(partner, window, side: int) -> tuple[int, ...]:
     """partner with the window's parallel pair, along axis `side`, rotated."""
     i00, i10, i01, i11 = window
-    return _swapped(partner, ((i00, i01), (i10, i11)) if side == 0 else ((i00, i10), (i01, i11)))
+    return matched(partner, ((i00, i01), (i10, i11)) if side == 0 else ((i00, i10), (i01, i11)))
 
 
 def _held(partner, ids) -> tuple[tuple[int, int], ...]:
     """Index pairs of the dominoes inside a trit window, sorted like the
     keys of its swap map because the window's ids are sorted."""
     return tuple((i, partner[i]) for i in ids if i < partner[i] and partner[i] in ids)
-
-
-def _swapped(partner, added) -> tuple[int, ...]:
-    new = list(partner)
-    for i, j in added:
-        new[i], new[j] = j, i
-    return tuple(new)
 
 
 def flip_neighbors(region: Region, partner) -> list[tuple[int, ...]]:
@@ -97,7 +90,7 @@ def trit_neighbors(region: Region, partner) -> list[tuple]:
         removed = _held(partner, ids)
         added = swaps.get(removed)
         if added is not None:
-            out.append((_swapped(partner, added), removed, added))
+            out.append((matched(partner, added), removed, added))
     return out
 
 
@@ -162,7 +155,7 @@ def apply_trit(tiling: Tiling, move: TritMove) -> tuple[Tiling, int]:
     trit flips it, and the sign is reported as +1.
     """
     removed, added = _trit_pairs(tiling, move)
-    after = Tiling(tiling.region, _swapped(tiling.partner, added))
+    after = Tiling(tiling.region, matched(tiling.partner, added))
     return after, trit_sign(tiling.region, tiling.partner, removed, added)
 
 

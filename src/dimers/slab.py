@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
-from .core import Cell, Region, Tiling, decoding, make_region, read_records, write_records
+from .core import Cell, Region, Tiling, decoding, make_region, matched, read_records, write_records
 from .errors import CapExceeded, DecodeError, InflationError, InvalidRegion, MoveNotApplicable
 from .explore import components
 from .twist import _calibrated, _crossings
@@ -186,7 +186,12 @@ def _inflation(region: Region, pair: frozenset) -> tuple[Region, dict[Slab, tupl
     except InvalidRegion:
         # callers hold a valid tiling of the region, so it has a first one
         reference = next(enumerate_slab_tilings(region, cap=None))
-    return derived, table, _crossings(derived, map(table.__getitem__, reference.slabs), 2)
+    return derived, table, _crossings(derived, _slab_partner(derived, table, reference.slabs), 2)
+
+
+def _slab_partner(derived: Region, table: dict, slabs: Iterable[Slab]) -> tuple[int, ...]:
+    """The derived region's partner of the dominoes the slabs inflate to."""
+    return matched([-1] * derived.n_cells, map(table.__getitem__, slabs))
 
 
 def _inflation_of(tiling: SlabTiling, pair: Iterable[str]):
@@ -203,17 +208,14 @@ def _inflation_of(tiling: SlabTiling, pair: Iterable[str]):
 def inflate(tiling: SlabTiling, pair: Iterable[str] = ("R", "G")) -> Tiling:
     """Domino tiling of the squeezed region; one domino per slab."""
     derived, table, _ = _inflation_of(tiling, pair)
-    partner = [0] * derived.n_cells
-    for i, j in map(table.__getitem__, tiling.slabs):
-        partner[i], partner[j] = j, i
-    return Tiling(derived, tuple(partner))
+    return Tiling(derived, _slab_partner(derived, table, tiling.slabs))
 
 
 def pair_twist(tiling: SlabTiling, pair: Iterable[str] = ("R", "G")) -> int:
     """Twist of the inflated tiling, relative to the inflated reference
     slab tiling (horizontal where the region has one), which scores 0."""
     derived, table, reference = _inflation_of(tiling, pair)
-    crossings = _crossings(derived, map(table.__getitem__, tiling.slabs), 2)
+    crossings = _crossings(derived, _slab_partner(derived, table, tiling.slabs), 2)
     value = _calibrated(crossings - reference)
     if value.denominator != 1:
         raise InflationError(f"non-integral pair twist {value}")

@@ -5,15 +5,15 @@
   the plane perpendicular to k cross in one unit square contribute the
   sign of the crossing (the Levi-Civita sign of the two domino axes and
   k times each domino's orientation, +1 when its white cell is the lower
-  one) times the sign of their separation along k.  One kernel,
-  `_crossings`, forms these products over index pairs; pretwist, twist,
-  the calibration, trit_sign and the slice weights of
-  counting.twist_polynomial all call it, and twist and the census share
-  one shift by the reference tiling.  The kernel reads each domino's
-  slot, height, orientation and shadow squares from the region's shadow
-  table (`Region.shadows`), built once per region, instead of from its
-  cells.  A trit's step is the kernel's sum over the tiling after the
-  trit minus its sum before.
+  one) times the sign of their separation along k.  Such a pair shares a
+  line of cells along k, so one walk, `_line_sums`, goes up each line
+  once with running sums of the marks below.  It reads a partner
+  sequence (-1 on an uncovered cell) and a line table built once per
+  region and axis from Region.neighbor_table.  pretwist, twist, the
+  calibration and the slab pair twists walk every line (`_crossings`);
+  trit_sign and the slice weights of counting.twist_polynomial walk only
+  the z-lines they change (`_crossings_through`).  twist and the census
+  share one shift by the reference tiling.
   The normalization kappa and the global sign are pinned once by
   self-calibration on the 3x3x2 box, never adjusted silently.
 * twist_by_path: signed trit count along a flip/trit path from the base
@@ -38,6 +38,7 @@ from .core import (
     WHITE,
     base_vertical_tiling,
     color_sign,
+    matched,
 )
 from .errors import (
     CalibrationError,
@@ -50,17 +51,6 @@ from .errors import (
 KASTELEYN_RULE_ID = "x:+1 y:(-1)^x z:(-1)^(x+y)"
 
 _PATH_CAP = 1_000_000
-
-# Levi-Civita signs for permutations of (0, 1, 2)
-_EPS = {
-    (0, 1, 2): 1,
-    (1, 2, 0): 1,
-    (2, 0, 1): 1,
-    (0, 2, 1): -1,
-    (2, 1, 0): -1,
-    (1, 0, 2): -1,
-}
-
 
 @dataclass(frozen=True)
 class Calibration:
@@ -76,40 +66,60 @@ class Calibration:
         }
 
 
-def _crossings(region: Region, pairs, k: int) -> int:
-    """Sum of crossing signs along axis k over unordered pairs of the
-    dominoes on index pairs (i, j), i < j, read from Region.shadows[k].
-
-    Only dominoes sharing a shadow square cross, so they are bucketed by
-    square, and each bucket pairs its slot-0 with its slot-1 marks: a pair
-    at heights h0 and h1 adds the product of the two colours times the
-    sign of h1 - h0.  An unsorted or non-adjacent pair raises KeyError.
-    """
-    shadow = region.shadows[k]
-    buckets: dict[int, tuple[list, list]] = {}
-    for pair in pairs:
-        entry = shadow[pair]
-        if entry is not None:
-            slot, mark, squares = entry
-            for square in squares:
-                bucket = buckets.get(square)
-                if bucket is None:
-                    bucket = buckets[square] = ([], [])
-                bucket[slot].append(mark)
-    total = 0
-    for firsts, seconds in buckets.values():
-        for h0, c0 in firsts:
-            for h1, c1 in seconds:
-                if h1 > h0:
-                    total += c0 * c1
-                elif h1 < h0:
-                    total -= c0 * c1
+@lru_cache(maxsize=256)
+def _line_table(region: Region, k: int) -> tuple[tuple, tuple[int, ...], tuple[dict, ...]]:
+    """The 3D region's lines along axis k, each its cells in increasing k;
+    each cell's line number; and each cell's marks, partner -> (a-mark,
+    b-mark).  With a < b the other two axes and c the colour of the
+    domino's low cell (this cell for a step along +axis, an even code), a
+    partner along a marks (s*c, 0), s = (-1)^k the Levi-Civita sign of
+    (a, b, k), and one along b (0, c); one along k, and -1 for an
+    uncovered cell, (0, 0)."""
     a, b = [x for x in range(3) if x != k]
-    return _EPS[(a, b, k)] * total
+    factors = {a: ((-1) ** k, 0), b: (0, 1), k: (0, 0)}
+    numbers: dict[Cell, int] = {}
+    line_of = [numbers.setdefault(cell[:k] + cell[k + 1 :], len(numbers)) for cell in region.cells]
+    lines: list[list[int]] = [[] for _ in numbers]
+    for i, n in enumerate(line_of):
+        lines[n].append(i)  # in increasing k, as the cells sort
+    marks = []
+    for cell, row in zip(region.cells, region.neighbor_table):
+        mark = {-1: (0, 0)}
+        for code, j in enumerate(row):
+            if j >= 0:
+                c = (-1) ** code * color_sign(cell)
+                mark[j] = tuple(f * c for f in factors[code // 2])
+        marks.append(mark)
+    return tuple(map(tuple, lines)), tuple(line_of), tuple(marks)
 
 
-def _pairs(partner) -> list[tuple[int, int]]:
-    return [(i, j) for i, j in enumerate(partner) if i < j]
+def _line_sums(lines, marks, partner) -> int:
+    """Crossing sum of the partner's dominoes over the given lines, each
+    walked upward with the sums A and B of the a- and b-marks below: an
+    a-mark c adds -c*B, a b-mark c adds c*A.  A partner that is not a
+    neighbour raises KeyError."""
+    total = 0
+    for line in lines:
+        below_a = below_b = 0
+        for i in line:
+            ca, cb = marks[i][partner[i]]
+            total += cb * below_a - ca * below_b
+            below_a += ca
+            below_b += cb
+    return total
+
+
+def _crossings(region: Region, partner, k: int) -> int:
+    """Sum of crossing signs along axis k over unordered pairs of the
+    partner's dominoes, -1 marking an uncovered cell."""
+    lines, _, marks = _line_table(region, k)
+    return _line_sums(lines, marks, partner)
+
+
+def _crossings_through(region: Region, partner, cells) -> int:
+    """The crossing sum along z over the z-lines through the given cells."""
+    lines, line_of, marks = _line_table(region, 2)
+    return _line_sums([lines[n] for n in {line_of[i] for i in cells}], marks, partner)
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +146,13 @@ def calibration() -> Calibration:
     from .moves import trit_neighbors
 
     region = make_box((3, 3, 2))
-    base = _crossings(region, _pairs(base_vertical_tiling(region).partner), 2)
+    base = _crossings(region, base_vertical_tiling(region).partner, 2)
     # per tiling: its three integer axis sums, and the z sum of each
     # tiling one trit away; every candidate is tested on these integers
     sums = []
     for t in enumerate_tilings(region, cap=None):
-        pairs = _pairs(t.partner)
-        axis_sums = [_crossings(region, pairs, k) for k in range(3)]
-        after = [_crossings(region, _pairs(a), 2) for a, _, _ in trit_neighbors(region, t.partner)]
+        axis_sums = [_crossings(region, t.partner, k) for k in range(3)]
+        after = [_crossings(region, a, 2) for a, _, _ in trit_neighbors(region, t.partner)]
         sums.append((axis_sums, after))
     for kappa in _KAPPA_CANDIDATES:
         # a twist is 2 kappa = p/q times an unordered-pair sum, as kappa
@@ -168,7 +177,7 @@ def pretwist(tiling: Tiling, axis: int) -> Fraction:
         raise InvalidRegion("pretwist is defined for d=3 only")
     if axis not in (0, 1, 2):
         raise InvalidRegion(f"axis must be 0, 1 or 2, got {axis}")
-    return _calibrated(_crossings(tiling.region, _pairs(tiling.partner), axis))
+    return _calibrated(_crossings(tiling.region, tiling.partner, axis))
 
 
 def _calibrated(total: int) -> Fraction:
@@ -196,7 +205,7 @@ def _weight_twist(region: Region, weight: int) -> int:
     """Integer twist of a tiling of the region whose crossing sum along z
     is `weight`: its calibrated pretwist minus the reference tiling's.
     Memoised, as a file or census of one region meets few weights."""
-    reference = _crossings(region, _pairs(_reference_tiling(region).partner), 2)
+    reference = _crossings(region, _reference_tiling(region).partner, 2)
     value = _calibrated(weight - reference)
     if value.denominator != 1:
         raise CalibrationError(f"non-integral twist {value}")
@@ -208,23 +217,23 @@ def twist(tiling: Tiling) -> int:
     region = tiling.region
     if region.d != 3:
         raise InvalidRegion("pretwist is defined for d=3 only")
-    return _weight_twist(region, _crossings(region, _pairs(tiling.partner), 2))
+    return _weight_twist(region, _crossings(region, tiling.partner, 2))
 
 
 def trit_sign(region: Region, partner, removed_pairs, added_pairs) -> int:
     """Twist step of a trit that replaces the dominoes on removed_pairs
     (index pairs of the tiling `partner`) by those on added_pairs.
 
-    In 3D it is the kernel's sum over the tiling after the trit minus its
-    sum before, calibrated, and must be +1 or -1.  In dimension 4 and up
-    the twist lives in Z/2, every trit flips it, and the step is reported
-    as +1.
+    In 3D the step is the kernel's sum over the z-lines of the trit's
+    cells, the only ones it changes, after the trit minus before,
+    calibrated, and must be +1 or -1.  In dimension 4 and up the twist
+    lives in Z/2, every trit flips it, and the step is reported as +1.
     """
     if region.d >= 4:
         return 1
-    before = _pairs(partner)
-    after = set(before).difference(removed_pairs).union(added_pairs)
-    value = _calibrated(_crossings(region, after, 2) - _crossings(region, before, 2))
+    cells = [i for pair in removed_pairs for i in pair]
+    after = _crossings_through(region, matched(partner, added_pairs), cells)
+    value = _calibrated(after - _crossings_through(region, partner, cells))
     if value not in (1, -1):
         raise CalibrationError(f"trit changed the twist by {value}")
     return int(value)

@@ -12,11 +12,10 @@ the plug automaton's transfer matrix floor by floor instead of the
 profile DP.  The twist's crossing sum compares every pair of dominoes
 instead of bucketing them by shadow square, and the twist census tallies
 the twist of every enumerated tiling instead of counting through the
-slice transfer.  The bucketed crossing sum also has a reference that
-reads each domino's coordinates, colour and shadow squares from its
-cells instead of from the region's shadow table, and the trit step one
-that recomputes that sum over the dominoes touching the trit's column
-before and after, instead of over the whole tiling.  The sampler's
+slice transfer.  The line-walking crossing sum also has a reference that
+buckets index pairs by shadow square and reads each domino's height,
+colour and squares from its cells, and the trit step one that recomputes
+that sum over the dominoes touching the trit's column before and after.  The sampler's
 reference makes one proposal per call, with kind-tagged windows and
 `Random.randrange`, instead of drawing raw bits in one loop; it counts
 the trits it accepts, as the chain does.  A polyomino's holes are found

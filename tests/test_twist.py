@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from dimers.core import (
     make_box,
     make_cylinder,
     make_region,
+    matched,
     refine_region,
     refine_tiling,
     tiling_from_dominoes,
@@ -330,16 +332,24 @@ def test_trit_signs_match_the_pairwise_oracle_on_general_regions(missing):
     assert _check_against_pairwise_oracle(region, tilings, axes=()) == {"3/4", "5/4"}
 
 
-def test_shadow_table_kernel_matches_the_cell_reading_kernel():
-    region = make_box((2, 3, 4))
-    for t in enumerate_tilings(region):
-        pairs = [(i, j) for i, j in enumerate(t.partner) if i < j]
-        for k in range(3):
-            assert _crossings(region, pairs, k) == crossings_by_cells(region, pairs, k)
+def test_line_kernel_matches_the_cell_reading_kernel():
+    # all three axes on a box and on a region whose lines have gaps, over
+    # whole tilings and random subsets of their dominoes with the other
+    # cells uncovered (-1), as counting.twist_polynomial passes
+    rng = random.Random(5)
+    box = make_box((2, 3, 4))
+    for region in (box, make_region(set(box.cells) - {(1, 1, 1), (1, 1, 2)})):
+        for t in enumerate_tilings(region):
+            pairs = [(i, j) for i, j in enumerate(t.partner) if i < j]
+            subset = [pair for pair in pairs if rng.random() < 0.5]
+            partial = matched([-1] * region.n_cells, subset)
+            for k in range(3):
+                assert _crossings(region, t.partner, k) == crossings_by_cells(region, pairs, k)
+                assert _crossings(region, partial, k) == crossings_by_cells(region, subset, k)
 
 
-def test_shadow_table_refuses_an_unsorted_or_non_adjacent_pair():
+def test_line_kernel_refuses_a_partner_that_is_not_a_neighbour():
     region = make_box((2, 2, 2))
-    for pair in [(1, 0), (0, 3), (0, 0)]:
+    for pair in [(0, 3), (0, 0), (0, 7)]:
         with pytest.raises(KeyError):
-            _crossings(region, [pair], 2)
+            _crossings(region, matched([-1] * region.n_cells, [pair]), 2)
