@@ -9,9 +9,9 @@ reproduced bit for bit.  Exit codes: 2 usage, 3 caps and guards,
 The module itself imports only what every run uses: argparse, json, the
 region builders of `core` and the errors.  Each handler imports the
 modules it runs, so a launch loads only its subcommand's: a `count` loads
-the profile DP, and the twist, moves and enumeration modules that the
-manifest's calibration needs, but never the sampler, slabs, ideals, csv
-or sqlite3.
+the profile DP, and the twist and moves modules that the manifest's
+calibration needs, but never the enumeration module, the sampler, slabs,
+ideals, csv or sqlite3.
 """
 from __future__ import annotations
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, product
 from operator import getitem, itemgetter
@@ -41,21 +40,54 @@ def color_sign(cell: Cell) -> int:
     return WHITE if sum(cell) % 2 == 0 else BLACK
 
 
-@dataclass(frozen=True)
+_REGION_FIELDS = ("d", "cells", "kind", "dims", "height", "disk_cells")
+
+
 class Region:
     """Immutable finite set of unit cells in Z^d.
 
     kind is "box", "cylinder" (disk x [0, height)) or "general".  Box and
     cylinder regions keep enough structure to build the all-vertical base
     tiling; general regions are plain sorted cell lists.
+
+    Two regions are equal when their six fields are.  The hash of the
+    fields is taken once, since every table cache is keyed by a region;
+    the tables themselves are built on first use.
     """
 
-    d: int
-    cells: tuple[Cell, ...]
-    kind: str = "general"
-    dims: tuple[int, ...] | None = None
-    height: int | None = None
-    disk_cells: tuple[Cell, ...] | None = None
+    def __init__(
+        self,
+        d: int,
+        cells: tuple[Cell, ...],
+        kind: str = "general",
+        dims: tuple[int, ...] | None = None,
+        height: int | None = None,
+        disk_cells: tuple[Cell, ...] | None = None,
+    ):
+        fields = (d, cells, kind, dims, height, disk_cells)
+        self.__dict__.update(zip(_REGION_FIELDS, fields), _key=fields, _hash=hash(fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(_REGION_FIELDS, self._key))
+        return f"Region({fields})"
+
+    def __reduce__(self):
+        # rebuilt from the fields, so a copy hashes in its own process
+        return Region, self._key
 
     @cached_property
     def index(self) -> dict[Cell, int]:
@@ -296,8 +328,7 @@ class Domino(NamedTuple):
     axis: int
 
 
-@dataclass(frozen=True)
-class Tiling:
+class Tiling(NamedTuple):
     """Perfect matching of a region, as an involution on cell indices."""
 
     region: Region

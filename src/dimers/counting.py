@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 from .core import Cell, Region, make_cylinder, make_region, matched, matchings
 from .errors import InvalidRegion, WidthGuardExceeded
@@ -157,8 +157,7 @@ def count_rect_2d_formula(m: int, n: int) -> float:
 # plug automaton
 
 
-@dataclass(frozen=True)
-class PlugAutomaton:
+class PlugAutomaton(NamedTuple):
     """Transfer automaton of a disk.
 
     plugs[i] is a bitmask over the disk's sorted cells marking the cells

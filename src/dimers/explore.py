@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import Region, Tiling, decode, encode, make_region, matchings, region_to_record
 from .counting import count_region, twist_polynomial
@@ -115,8 +114,7 @@ def search_path(start, target, neighbors, cap: int | None = None):
     return None
 
 
-@dataclass
-class ComponentCensus:
+class ComponentCensus(NamedTuple):
     """Flip components: per-component size and a canonical representative
     (the smallest encoding), plus the size multiset."""
 
@@ -174,8 +172,7 @@ def flip_connected(region: Region, cap: int | None = DEFAULT_CAP) -> bool:
     return len(components(partners, lambda p: flip_neighbors(region, p))) <= 1
 
 
-@dataclass
-class ComponentTritGraph:
+class ComponentTritGraph(NamedTuple):
     """Flip components as vertices, trit connections as edges, one twist
     level per vertex in 3D (None in other dimensions, where the twist is
     not an integer)."""

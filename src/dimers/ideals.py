@@ -9,8 +9,8 @@ generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .core import Region, Tiling, open_text
 from .errors import DecodeError, IdenticalTilings, RegionMismatch
@@ -28,16 +28,20 @@ def edge_index(region: Region) -> dict[Edge, int]:
     return {e: k for k, e in enumerate(edges(region))}
 
 
-@dataclass(frozen=True)
-class Binomial:
-    """pos - neg, each a sorted tuple of edge ids (a monomial)."""
-
+class _Monomials(NamedTuple):
     pos: tuple[int, ...]
     neg: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.pos == self.neg:
+
+class Binomial(_Monomials):
+    """pos - neg, each a sorted tuple of edge ids (a monomial)."""
+
+    __slots__ = ()
+
+    def __new__(cls, pos: tuple[int, ...], neg: tuple[int, ...]):
+        if pos == neg:
             raise IdenticalTilings("binomial monomials must differ")
+        return super().__new__(cls, pos, neg)
 
 
 def flip_ideal_generators(region: Region) -> list[Binomial]:

@@ -10,16 +10,14 @@ axes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import Cell, Domino, Region, Tiling, decoding, json_record, matched, open_text
 from .errors import MoveNotApplicable, RegionMismatch
 from .twist import trit_sign
 
 
-@dataclass(frozen=True)
-class FlipMove:
+class FlipMove(NamedTuple):
     """2x2 window in the (axes[0], axes[1]) plane at `corner`; the two
     parallel dominoes currently run along before_axis."""
 
@@ -33,8 +31,7 @@ class FlipMove:
         return b if self.before_axis == a else a
 
 
-@dataclass(frozen=True)
-class TritMove:
+class TritMove(NamedTuple):
     """2x2x2 window spanning `axes` at `corner`, holding one domino per
     axis; applying it swaps in the only other such configuration."""
 
@@ -69,7 +66,12 @@ def _flipped(partner, window, side: int) -> tuple[int, ...]:
 def _held(partner, ids) -> tuple[tuple[int, int], ...]:
     """Index pairs of the dominoes inside a trit window, sorted like the
     keys of its swap map because the window's ids are sorted."""
-    return tuple((i, partner[i]) for i in ids if i < partner[i] and partner[i] in ids)
+    held = []
+    for i in ids:
+        j = partner[i]
+        if i < j and j in ids:
+            held.append((i, j))
+    return tuple(held)
 
 
 def flip_neighbors(region: Region, partner) -> list[tuple[int, ...]]:

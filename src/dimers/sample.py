@@ -13,7 +13,7 @@ pairwise formula, `twist.twist`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .core import Region, Tiling, ensure_valid
 from .errors import InvalidRegion, InvalidTiling
@@ -27,20 +27,28 @@ ERGODICITY_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class ChainConfig:
+class _ChainFields(NamedTuple):
     moves: str = "flips"  # "flips" or "flips+trits"
     steps: int = 0
     seed: int = 0
     burn_in: int | None = None  # None: 100 x the cell count
 
-    def __post_init__(self):
+
+class ChainConfig(_ChainFields):
+    """A chain's move set, step count, seed and burn-in, checked when
+    built.  _replace would skip the checks, so build a changed copy anew."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.moves not in ("flips", "flips+trits"):
             raise InvalidRegion(f"unknown move set {self.moves!r}")
         if self.steps < 0:
             raise InvalidRegion(f"steps must be >= 0, got {self.steps}")
         if self.burn_in is not None and self.burn_in < 0:
             raise InvalidRegion(f"burn-in must be >= 0, got {self.burn_in}")
+        return self
 
 
 class _Chain:
@@ -117,10 +125,12 @@ def mcmc_run(region: Region, start: Tiling, config: ChainConfig) -> Tiling:
     return chain.tiling()
 
 
-@dataclass
 class TwistHistogram:
-    counts: dict[int, int]
-    meta: dict = field(default_factory=dict)
+    """Samples per twist value, and the run's settings in meta."""
+
+    def __init__(self, counts: dict[int, int], meta: dict | None = None):
+        self.counts = counts
+        self.meta = {} if meta is None else meta
 
     @property
     def n_samples(self) -> int:
@@ -195,7 +205,8 @@ def twist_distribution(
     for chain_id, chain_samples in enumerate(per_chain):
         if chain_samples == 0:
             continue
-        chain = _Chain(region, start, replace(config, seed=config.seed + chain_id))
+        seeded = ChainConfig(config.moves, config.steps, config.seed + chain_id, config.burn_in)
+        chain = _Chain(region, start, seeded)
         chain.advance(burn_in)
         value = _twist_of(chain.tiling())
         for _ in range(chain_samples):

@@ -19,7 +19,6 @@ the index pair of its two survivors in the squeezed region.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
@@ -59,8 +58,7 @@ class Slab(NamedTuple):
     normal: int
 
 
-@dataclass(frozen=True)
-class SlabTiling:
+class SlabTiling(NamedTuple):
     region: Region
     slabs: tuple[Slab, ...]
 

@@ -26,9 +26,9 @@ twist is an integer in 3D and a mod-2 residue in dimension 4 and up.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import (
     BLACK,
@@ -38,7 +38,9 @@ from .core import (
     WHITE,
     base_vertical_tiling,
     color_sign,
+    make_box,
     matched,
+    matchings,
 )
 from .errors import (
     CalibrationError,
@@ -52,8 +54,7 @@ KASTELEYN_RULE_ID = "x:+1 y:(-1)^x z:(-1)^(x+y)"
 
 _PATH_CAP = 1_000_000
 
-@dataclass(frozen=True)
-class Calibration:
+class Calibration(NamedTuple):
     kappa: Fraction
     sign: int
     kasteleyn_rule: str
@@ -141,8 +142,10 @@ _KAPPA_CANDIDATES = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))
 
 @lru_cache(maxsize=1)
 def calibration() -> Calibration:
-    from .core import make_box
-    from .explore import enumerate_tilings
+    """The first candidate kappa that passes the invariants on 3x3x2.
+    Every manifest write calls this, so it walks the tilings with
+    core.matchings, in enumeration order, and a count launch needs no
+    enumeration module."""
     from .moves import trit_neighbors
 
     region = make_box((3, 3, 2))
@@ -150,9 +153,10 @@ def calibration() -> Calibration:
     # per tiling: its three integer axis sums, and the z sum of each
     # tiling one trit away; every candidate is tested on these integers
     sums = []
-    for t in enumerate_tilings(region, cap=None):
-        axis_sums = [_crossings(region, t.partner, k) for k in range(3)]
-        after = [_crossings(region, a, 2) for a, _, _ in trit_neighbors(region, t.partner)]
+    partner = [-1] * region.n_cells
+    for _ in matchings(region.forward, partner):
+        axis_sums = [_crossings(region, partner, k) for k in range(3)]
+        after = [_crossings(region, a, 2) for a, _, _ in trit_neighbors(region, partner)]
         sums.append((axis_sums, after))
     for kappa in _KAPPA_CANDIDATES:
         # a twist is 2 kappa = p/q times an unordered-pair sum, as kappa
@@ -284,8 +288,7 @@ def twist_mod2(tiling: Tiling, *, cap: int = _PATH_CAP) -> int:
 # Kasteleyn matrix and the alternating-sum determinant
 
 
-@dataclass(frozen=True)
-class KasteleynMatrix:
+class KasteleynMatrix(NamedTuple):
     whites: tuple[Cell, ...]
     blacks: tuple[Cell, ...]
     entries: tuple[tuple[int, ...], ...]

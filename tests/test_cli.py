@@ -378,7 +378,13 @@ def test_a_launch_loads_only_the_modules_its_subcommand_runs(tmp_path):
     loaded = _modules_after(f"from dimers.cli import main\nassert main({argv!r}) == 0", tmp_path)
     assert {"dimers.counting", "dimers.twist"} <= loaded
     assert not loaded & {"dimers.sample", "dimers.slab", "dimers.ideals", "sqlite3", "csv"}
+    # records are plain classes and the calibration walks core.matchings
+    assert not loaded & {"dataclasses", "inspect", "dimers.explore"}
     assert json.loads(manifest.read_text())["calibration"]["kappa"] == "1/8"
+    argv = ["sample", "--box", "4,4,4", "--steps", "100", "--out", "o.jsonl"]
+    loaded = _modules_after(f"from dimers.cli import main\nassert main({argv!r}) == 0", tmp_path)
+    assert "dimers.sample" in loaded
+    assert not loaded & {"dataclasses", "dimers.explore"}
     assert not [name for name in _modules_after("import dimers", tmp_path)
                 if name.startswith("dimers.")]
 

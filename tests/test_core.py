@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 from itertools import islice, product
 
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dimers.core import (
     Domino,
+    Region,
     Tiling,
     base_vertical_tiling,
     color_sign,
@@ -103,6 +105,39 @@ def test_make_cylinder_takes_any_disk(cells):
     assert cylinder.kind == "cylinder" and cylinder.disk_cells == disk.cells
     assert cylinder.cells == tuple(sorted(c + (z,) for c in cells for z in range(2)))
     assert region_from_record(region_to_record(cylinder)) == cylinder
+
+
+def test_regions_and_tilings_are_records_of_their_fields():
+    disk = [(0, 0), (1, 0), (0, 1)]
+    builders = (
+        lambda: make_box((2, 3, 2)),
+        lambda: make_cylinder(make_region(disk), 2),
+        lambda: make_region(disk),
+    )
+    for build in builders:
+        region = build()
+        fields = (region.d, region.cells, region.kind, region.dims, region.height, region.disk_cells)
+        assert hash(region) == hash(fields)
+        copies = (build(), Region(*fields), pickle.loads(pickle.dumps(region)))
+        for again in copies:
+            assert again == region and hash(again) == hash(region)
+        assert copies[1] is not region
+        assert region != fields and region != object()
+        with pytest.raises(AttributeError):
+            region.kind = "box"
+        with pytest.raises(AttributeError):
+            del region.cells
+        assert region.kind == fields[2]
+    # every field takes part: the box's cells alone make a general region
+    box = make_box((2, 3, 2))
+    assert Region(box.d, box.cells) != box
+    tiling = base_vertical_tiling(box)
+    assert hash(tiling) == hash((tiling.region, tiling.partner))
+    with pytest.raises(AttributeError):
+        tiling.partner = ()
+    assert repr(make_box((1, 2))) == (
+        "Region(d=2, cells=((0, 0), (0, 1)), kind='box', dims=(1, 2), height=2, disk_cells=((0,),))"
+    )
 
 
 def test_base_vertical_tiling():

@@ -44,6 +44,10 @@ def test_chain_config_validation():
         ChainConfig(moves="flips", steps=5, burn_in=-1)
     # burn-in and steps are separate lengths, so burn-in may exceed steps
     assert ChainConfig(moves="flips", steps=5, burn_in=6).burn_in == 6
+    # _replace skips the checks; the copy each histogram chain runs makes them
+    unchecked = ChainConfig(moves="flips", seed=1)._replace(moves="jumps")
+    with pytest.raises(InvalidRegion, match="unknown move set 'jumps'"):
+        twist_distribution(make_box((2, 2, 2)), unchecked, samples=2)
 
 
 def test_zero_burn_in_is_recorded_and_none_means_the_default():
