@@ -15,16 +15,12 @@ Every exact count goes through one path:
 * count_cylinder: count_region on make_cylinder(disk, height).  When it
   sweeps floor by floor, its profile is the plug of the transfer
   automaton, so it computes (T^N)[empty, empty] without building T.
-
-The automaton's floor fills, core.matchings (the search enumeration
-runs too) with the plug in covered, have a second job, the twist transfer:
-
-* twist_polynomial: tilings per value of the twist's crossing sum, by a
-  count DP over slices perpendicular to x or y that carries {crossing
-  sum: ways} per plug.  A slice's fills are core.matchings with the
-  cells that go on to the next slice open, and its weight is the twist
-  module's crossing kernel over a partner of the dominoes touching it.
-  explore.twist_census calibrates it.
+* twist_polynomial: tilings per value of the twist's crossing sum, by
+  the same profile DP swept with z fastest, so that each z-line is swept
+  in one piece and the twist module's line walk runs inside the sweep:
+  a state carries the walk's running mark sums of its line and
+  {crossing sum: ways}.  explore.twist_census turns its crossing sums
+  into twists.
 
 Two objects stand beside these as checks:
 
@@ -40,37 +36,34 @@ from collections import Counter
 from itertools import permutations
 from typing import NamedTuple
 
-from .core import Cell, Region, make_cylinder, make_region, matched, matchings
+from .core import Region, make_cylinder, matchings
 from .errors import InvalidRegion, WidthGuardExceeded
 
 WIDTH_GUARD = 24  # 2^24 profile states worst case; refuse rather than thrash
 
 
-def _dp_plan(region: Region) -> tuple[list[list[int]], int]:
-    """Forward-neighbor offsets per cell in profile order, and the sweep's
-    most significant axis.
+def _narrowest(region: Region, orders) -> tuple[int, list[int], list[int], tuple[int, ...]]:
+    """The narrowest of the sweeps along the given orders of the axes:
+    its width, the cell indices in sweep order, each cell's position in
+    it, and the order.
 
     Cells are swept in lexicographic order of their coordinates, read in
-    some order of the axes.  Every +axis neighbor then lies strictly
+    the order of the axes.  Every +axis neighbor then lies strictly
     ahead; its distance in the sweep is the profile offset, and the
-    largest offset is the profile width.  Every order of the axes is
-    tried (at most 24 for d <= 4) and the narrowest sweep is kept; on a
-    tie the earlier order in permutations(d-1, ..., 0) wins, so the
-    default sweep, last axis most significant, is kept unless another
-    order is strictly narrower.  On a region with dims, a full box, two
-    orders that read the same sides give the same plan, so only the
-    first order of each side sequence is swept.
+    largest offset is the profile width.  On a tie the earlier order
+    wins.  On a region with dims, a full box, two orders that read the
+    same sides give the same sweep, so only the first order of each side
+    sequence is swept.
     """
-    cells = region.cells
     forward = region.forward
     best = None
     seen = set()
-    for axes in permutations(reversed(range(region.d))):
+    for axes in orders:
         sides = tuple(region.dims[a] for a in axes) if region.dims else axes
         if sides in seen:
             continue
         seen.add(sides)
-        keys = [[cell[a] for a in axes] for cell in cells]
+        keys = [[cell[a] for a in axes] for cell in region.cells]
         order = sorted(range(region.n_cells), key=keys.__getitem__)
         pos = [0] * region.n_cells
         for p, ci in enumerate(order):
@@ -78,9 +71,26 @@ def _dp_plan(region: Region) -> tuple[list[list[int]], int]:
         width = max((pos[nb] - p for p, ci in enumerate(order) for nb in forward[ci]),
                     default=0)
         if best is None or width < best[0]:
-            best = (width, order, pos, axes[0])
-    _, order, pos, axis = best
-    return [sorted(pos[nb] - p for nb in forward[ci]) for p, ci in enumerate(order)], axis
+            best = (width, order, pos, axes)
+    return best
+
+
+def _guard(width: int) -> None:
+    if width > WIDTH_GUARD:
+        raise WidthGuardExceeded(f"profile width {width} exceeds guard {WIDTH_GUARD}")
+
+
+def _dp_plan(region: Region) -> tuple[list[list[int]], int]:
+    """Forward-neighbor offsets per cell in profile order, and the sweep's
+    most significant axis.
+
+    Every order of the axes is tried (at most 24 for d <= 4) in
+    permutations(d-1, ..., 0), so the default sweep, last axis most
+    significant, is kept unless another order is strictly narrower.
+    """
+    _, order, pos, axes = _narrowest(region, permutations(reversed(range(region.d))))
+    forward = region.forward
+    return [sorted(pos[nb] - p for nb in forward[ci]) for p, ci in enumerate(order)], axes[0]
 
 
 def profile_width(region: Region) -> int:
@@ -125,11 +135,7 @@ def count_region(region: Region) -> int:
     for odd n f_k times the states one layer further.
     """
     plan, axis = _dp_plan(region)
-    width = max((offs[-1] for offs in plan if offs), default=0)
-    if width > WIDTH_GUARD:
-        raise WidthGuardExceeded(
-            f"profile width {width} exceeds guard {WIDTH_GUARD}"
-        )
+    _guard(max((offs[-1] for offs in plan if offs), default=0))
     layers = {cell[axis] for cell in region.cells}
     size = len({cell[:axis] + cell[axis + 1 :] for cell in region.cells})
     if layers and len(layers) * size == region.n_cells and max(layers) - min(layers) < len(layers):
@@ -205,102 +211,55 @@ def count_cylinder(disk: Region, height: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the twist transfer
-
-
-def _slices(region: Region) -> dict[int, dict[Cell, int]]:
-    """Slices perpendicular to x or y, whichever has the smaller largest
-    slice (x on a tie): coordinate -> {cell without it: cell index}."""
-    best = None
-    for axis in (0, 1):
-        slices: dict[int, dict[Cell, int]] = {}
-        for i, cell in enumerate(region.cells):
-            slices.setdefault(cell[axis], {})[cell[:axis] + cell[axis + 1 :]] = i
-        largest = max(map(len, slices.values()), default=0)
-        if best is None or largest < best[0]:
-            best = (largest, slices)
-    return best[1]
+# the twist law
 
 
 def twist_polynomial(region: Region) -> dict[int, int]:
     """Tilings per value of the twist's crossing sum along z, sum_T q^W(T)
     with W = twist._crossings(region, T's partner, 2), exactly.
 
-    Only an x-domino and a y-domino on the same (x, y) column cross, so W
-    is a sum over columns.  Sweeping slices perpendicular to x (or y), a
-    slice holds whole columns, and its fill, with the plug in from the
-    slice before and the plug out to the slice after, fixes every domino
-    touching them.  The slice's weight is the kernel over a partner that
-    holds those dominoes, -1 elsewhere; the columns of the neighbouring
-    slices get dominoes of one axis only from them and add 0.  The count
-    DP then carries {W: ways} per plug.
-    The plug masks live on the union of the slices' projections, and the
-    slice's cell count is guarded like the profile width.
+    The profile DP of count_region, swept with z fastest, x or y most
+    significant (whichever is narrower, x on a tie), so that each z-line
+    is swept in one piece, and W is the line walk's sum over those lines.
+    A profile digit is 0 for a free cell and axis + 1 for a cell that a
+    domino from behind covers, which fixes the mark the cell carries as
+    its high end; a cell whose domino reaches ahead carries the mark of
+    its low end.  Beside the profile each state keeps the walk's running
+    mark sums A and B of its line, reset where a line starts, and carries
+    {W: ways}.  The width guard applies to this sweep.
     """
-    from .twist import _crossings_through
+    from .twist import _line_table
 
     if region.d != 3:
         raise InvalidRegion("pretwist is defined for d=3 only")
-    slices = _slices(region)
-    largest = max(map(len, slices.values()), default=0)
-    if largest > WIDTH_GUARD:
-        raise WidthGuardExceeded(f"slice has {largest} cells, guard is {WIDTH_GUARD}")
-    disk = make_region({p for cells in slices.values() for p in cells}, d=2)
-    n = disk.n_cells
-    everywhere = (1 << n) - 1
-    # in-slice dominoes along the disk's first axis, sorted; z-dominoes cross nothing
-    crossing = [(p, row[0]) for p, row in enumerate(disk.neighbor_table) if row[0] >= 0]
-    positions = {
-        s: {disk.index[p]: i for p, i in cells.items()} for s, cells in slices.items()
-    }
-
-    # Plug dominoes all run along the sweep, so they cross only in-slice
-    # ones, and the slice's weight is the kernel over the plug in and the
-    # crossing in-slice dominoes plus the kernel over those and the plug
-    # out.  Moving a slice one step along the sweep flips every orientation
-    # sign and each crossing is a product of two, so both halves depend only
-    # on their plug and in-slice dominoes, and the transitions only on the
-    # slice's shape: the cells it lacks and the cells that may pierce.
-    halves: dict[tuple, int] = {}
-    memo: dict[tuple[int, int, int], Counter] = {}
-
-    def half(side: int, mask: int, across: tuple, plug_pairs: dict, here: dict) -> int:
-        key = (side, mask, across)
-        value = halves.get(key)
-        if value is None:
-            pairs = [*(plug_pairs[p] for p in _bits(mask)), *((here[p], here[q]) for p, q in across)]
-            partner = matched([-1] * region.n_cells, pairs)
-            value = halves[key] = _crossings_through(region, partner, here.values())
-        return value
-
-    vector: dict[int, dict[int, int]] = {0: {0: 1}}
-    here: dict[int, int] = {}
-    for s in range(min(slices, default=0), max(slices, default=-1) + 1):
-        before, here, after = here, positions.get(s, {}), positions.get(s + 1, {})
-        entering = {p: (before[p], i) for p, i in here.items() if p in before}
-        leaving = {p: (i, after[p]) for p, i in here.items() if p in after}
-        absent = everywhere & ~sum(1 << p for p in here)
-        open_cells = sum(1 << p for p in leaving)
-        nxt: dict[int, dict[int, int]] = {}
-        for plug, weights in vector.items():
-            key = (plug, absent, open_cells)
-            steps = memo.get(key)
-            if steps is None:
-                steps = memo[key] = Counter()
-                partner = [n if (plug | absent) >> p & 1 else -1 for p in range(n)]
-                for up in matchings(disk.forward, partner, open_cells):
-                    across = tuple([(p, q) for p, q in crossing if partner[p] == q])
-                    w = half(0, plug, across, entering, here) + half(1, up, across, leaving, here)
-                    steps[up, w] += 1
-            for (up, w), ways in steps.items():
-                target = nxt.setdefault(up, {})
-                for value, count in weights.items():
-                    target[value + w] = target.get(value + w, 0) + count * ways
-        vector = nxt
-        if not vector:
-            return {}
-    return dict(sorted(vector.get(0, {}).items()))
-
-
-def _bits(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    width, order, pos, _ = _narrowest(region, [(0, 1, 2), (1, 0, 2)])
+    _guard(width)
+    _, line_of, marks = _line_table(region, 2)
+    table = region.neighbor_table
+    states: dict[tuple[int, int, int], dict[int, int]] = {(0, 0, 0): {0: 1}}
+    line = None
+    for p, ci in enumerate(order):
+        row, mark = table[ci], marks[ci]
+        high = {a + 1: mark[row[2 * a + 1]] for a in range(3) if row[2 * a + 1] >= 0}
+        low = [(3 << 2 * (pos[j] - p), (a + 1) << 2 * (pos[j] - p), mark[j])
+               for a, j in enumerate(row[::2]) if j >= 0]
+        fresh, line = line_of[ci] != line, line_of[ci]
+        nxt: dict[tuple[int, int, int], dict[int, int]] = {}
+        for (profile, below_a, below_b), law in states.items():
+            if fresh:
+                below_a = below_b = 0
+            digit = profile & 3
+            if digit:
+                steps = [(profile, high[digit])]
+            else:
+                steps = [(profile | fill, m) for taken, fill, m in low if not profile & taken]
+            for after, (ca, cb) in steps:
+                shift = cb * below_a - ca * below_b
+                key = (after >> 2, below_a + ca, below_b + cb)
+                target = nxt.setdefault(key, {})
+                for w, ways in law.items():
+                    target[w + shift] = target.get(w + shift, 0) + ways
+        states = nxt
+    # every profile is empty now; the last line was never reset, so its
+    # mark sums A and B need not be 0
+    return dict(sorted(sum(map(Counter, states.values()), Counter()).items()))

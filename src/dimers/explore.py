@@ -16,7 +16,9 @@ ideal containment certificates).  Only the extended census keeps its own
 queue, over a disk-backed visited set.  The 2D sweep's polyominoes
 search nothing for holes: an edge-connected shape has none exactly when
 its Euler characteristic V - E + F is 1.  The twist census
-enumerates nothing: it calibrates counting.twist_polynomial.
+enumerates nothing: it reads the law of crossing sums that
+counting.twist_polynomial counts by the profile DP, and turns each sum
+into a twist.
 """
 from __future__ import annotations
 
@@ -212,10 +214,11 @@ def component_trit_graph(region: Region, cap: int | None = DEFAULT_CAP) -> Compo
 
 
 def twist_census(region: Region, cap: int | None = DEFAULT_CAP) -> dict[int, int]:
-    """Exact tiling count per twist value, counted by the slice transfer
-    (counting.twist_polynomial) without enumerating a tiling.  The cap is
-    checked against the exact count up front, as enumeration checks it.  A
-    region with no tiling has no twist to be undefined, in any dimension."""
+    """Exact tiling count per twist value, counted by the profile DP swept
+    with z fastest (counting.twist_polynomial) without enumerating a
+    tiling; that sweep's width guard applies.  The cap is checked against
+    the exact count up front, as enumeration checks it.  A region with no
+    tiling has no twist to be undefined, in any dimension."""
     from .twist import _weight_twist
 
     if (cap is not None or region.d != 3) and not _count_within(region, cap):
@@ -339,12 +342,13 @@ class DiskBackedSet:
     reopened.  The keys alone cannot resume a run that was cut off; a
     second table holds named results, so a finished run can be read back.
     A SQLite error (a file that cannot be opened or is not a database)
-    is raised as a DimersError with SQLite's message.
+    is raised as a DimersError with the file's path and SQLite's message.
     """
 
     def __init__(self, path):
         import sqlite3
 
+        self._path = path
         self._sqlite_error = sqlite3.Error
         self._conn = self._call(sqlite3.connect, str(path))
         self._sql("PRAGMA journal_mode=OFF")
@@ -357,7 +361,7 @@ class DiskBackedSet:
         try:
             return method(*args)
         except self._sqlite_error as exc:
-            raise DimersError(str(exc)) from exc
+            raise DimersError(f"{self._path}: {exc}") from exc
 
     def _sql(self, statement: str, *params):
         return self._call(self._conn.execute, statement, params)

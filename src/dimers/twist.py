@@ -11,9 +11,10 @@
   sequence (-1 on an uncovered cell) and a line table built once per
   region and axis from Region.neighbor_table.  pretwist, twist, the
   calibration and the slab pair twists walk every line (`_crossings`);
-  trit_sign and the slice weights of counting.twist_polynomial walk only
-  the z-lines they change (`_crossings_through`).  twist and the census
-  share one shift by the reference tiling.
+  trit_sign walks only the z-lines a trit changes
+  (`_crossings_through`); counting.twist_polynomial runs the same walk
+  inside its profile sweep, reading the marks from the line table.  twist
+  and the census share one shift by the reference tiling.
   The normalization kappa and the global sign are pinned once by
   self-calibration on the 3x3x2 box, never adjusted silently.
 * twist_by_path: signed trit count along a flip/trit path from the base
@@ -118,7 +119,8 @@ def _crossings(region: Region, partner, k: int) -> int:
 
 
 def _crossings_through(region: Region, partner, cells) -> int:
-    """The crossing sum along z over the z-lines through the given cells."""
+    """The crossing sum along z over the z-lines through the given cells,
+    the part of the sum a trit on those cells changes (trit_sign)."""
     lines, line_of, marks = _line_table(region, 2)
     return _line_sums([lines[n] for n in {line_of[i] for i in cells}], marks, partner)
 

@@ -12,7 +12,10 @@ the plug automaton's transfer matrix floor by floor instead of the
 profile DP.  The twist's crossing sum compares every pair of dominoes
 instead of bucketing them by shadow square, and the twist census tallies
 the twist of every enumerated tiling instead of counting through the
-slice transfer.  The line-walking crossing sum also has a reference that
+profile DP.  For regions too large to enumerate, the twist law has a
+reference that transfers over whole slices perpendicular to x or y,
+filling each with core.matchings and weighing it by the line walk over
+its columns, instead of sweeping cells with z fastest.  The line-walking crossing sum also has a reference that
 buckets index pairs by shadow square and reads each domino's height,
 colour and squares from its cells, and the trit step one that recomputes
 that sum over the dominoes touching the trit's column before and after.  The sampler's
@@ -42,13 +45,16 @@ from dimers.core import (
     Tiling,
     color_sign,
     make_region,
+    matched,
+    matchings,
     refine_region,
     tiling_from_dominoes,
     validate,
 )
-from dimers.errors import InflationError, InvalidRegion, InvalidTiling
+from dimers.counting import WIDTH_GUARD
+from dimers.errors import InflationError, InvalidRegion, InvalidTiling, WidthGuardExceeded
 from dimers.slab import _PAIR_AXES, enumerate_slab_tilings, four_color, horizontal_slab_tiling
-from dimers.twist import KasteleynMatrix, _edge_sign, pretwist
+from dimers.twist import KasteleynMatrix, _crossings_through, _edge_sign, pretwist
 
 
 def _biadjacency(region):
@@ -336,6 +342,102 @@ def twist_census_by_enumeration(region, cap=10_000_000) -> dict[int, int]:
     for t in enumerate_tilings(region, cap):
         counts[twist(t)] += 1
     return dict(sorted(counts.items()))
+
+
+def _slices(region):
+    """Slices perpendicular to x or y, whichever has the smaller largest
+    slice (x on a tie): coordinate -> {cell without it: cell index}."""
+    best = None
+    for axis in (0, 1):
+        slices = {}
+        for i, cell in enumerate(region.cells):
+            slices.setdefault(cell[axis], {})[cell[:axis] + cell[axis + 1 :]] = i
+        largest = max(map(len, slices.values()), default=0)
+        if best is None or largest < best[0]:
+            best = (largest, slices)
+    return best[1]
+
+
+def twist_polynomial_by_slices(region) -> dict[int, int]:
+    """counting.twist_polynomial by a transfer over slices instead of the
+    profile DP, for regions too large to enumerate.
+
+    Only an x-domino and a y-domino on the same (x, y) column cross, so W
+    is a sum over columns.  Sweeping slices perpendicular to x (or y), a
+    slice holds whole columns, and its fill, with the plug in from the
+    slice before and the plug out to the slice after, fixes every domino
+    touching them.  The slice's weight is the kernel over a partner that
+    holds those dominoes, -1 elsewhere; the columns of the neighbouring
+    slices get dominoes of one axis only from them and add 0.  The count
+    DP then carries {W: ways} per plug.
+    The plug masks live on the union of the slices' projections, and the
+    slice's cell count is guarded like the profile width.
+    """
+    if region.d != 3:
+        raise InvalidRegion("pretwist is defined for d=3 only")
+    slices = _slices(region)
+    largest = max(map(len, slices.values()), default=0)
+    if largest > WIDTH_GUARD:
+        raise WidthGuardExceeded(f"slice has {largest} cells, guard is {WIDTH_GUARD}")
+    disk = make_region({p for cells in slices.values() for p in cells}, d=2)
+    n = disk.n_cells
+    everywhere = (1 << n) - 1
+    # in-slice dominoes along the disk's first axis, sorted; z-dominoes cross nothing
+    crossing = [(p, row[0]) for p, row in enumerate(disk.neighbor_table) if row[0] >= 0]
+    positions = {
+        s: {disk.index[p]: i for p, i in cells.items()} for s, cells in slices.items()
+    }
+
+    # Plug dominoes all run along the sweep, so they cross only in-slice
+    # ones, and the slice's weight is the kernel over the plug in and the
+    # crossing in-slice dominoes plus the kernel over those and the plug
+    # out.  Moving a slice one step along the sweep flips every orientation
+    # sign and each crossing is a product of two, so both halves depend only
+    # on their plug and in-slice dominoes, and the transitions only on the
+    # slice's shape: the cells it lacks and the cells that may pierce.
+    halves = {}
+    memo = {}
+
+    def half(side: int, mask: int, across: tuple, plug_pairs: dict, here: dict) -> int:
+        key = (side, mask, across)
+        value = halves.get(key)
+        if value is None:
+            pairs = [*(plug_pairs[p] for p in _bits(mask)), *((here[p], here[q]) for p, q in across)]
+            partner = matched([-1] * region.n_cells, pairs)
+            value = halves[key] = _crossings_through(region, partner, here.values())
+        return value
+
+    vector = {0: {0: 1}}
+    here = {}
+    for s in range(min(slices, default=0), max(slices, default=-1) + 1):
+        before, here, after = here, positions.get(s, {}), positions.get(s + 1, {})
+        entering = {p: (before[p], i) for p, i in here.items() if p in before}
+        leaving = {p: (i, after[p]) for p, i in here.items() if p in after}
+        absent = everywhere & ~sum(1 << p for p in here)
+        open_cells = sum(1 << p for p in leaving)
+        nxt = {}
+        for plug, weights in vector.items():
+            key = (plug, absent, open_cells)
+            steps = memo.get(key)
+            if steps is None:
+                steps = memo[key] = Counter()
+                partner = [n if (plug | absent) >> p & 1 else -1 for p in range(n)]
+                for up in matchings(disk.forward, partner, open_cells):
+                    across = tuple([(p, q) for p, q in crossing if partner[p] == q])
+                    w = half(0, plug, across, entering, here) + half(1, up, across, leaving, here)
+                    steps[up, w] += 1
+            for (up, w), ways in steps.items():
+                target = nxt.setdefault(up, {})
+                for value, count in weights.items():
+                    target[value + w] = target.get(value + w, 0) + count * ways
+        vector = nxt
+        if not vector:
+            return {}
+    return dict(sorted(vector.get(0, {}).items()))
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def chain_by_steps(region, start, config, steps: int) -> tuple[list[int], int]:

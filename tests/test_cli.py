@@ -262,7 +262,7 @@ def test_components_extended_reports_a_sqlite_error_in_one_line(in_tmp, capsys, 
     (in_tmp / "bad").mkdir()
     (in_tmp / "bad" / "visited.sqlite").write_text("not a database, " * 8)
     assert main(["components", "--box", "2,2,2", "--extended", "--scratch", scratch]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {scratch}/visited.sqlite: {message}\n"
 
 
 @pytest.mark.parametrize("box", ["2,3", "2,2,2,2"])
@@ -331,6 +331,10 @@ def test_exit_code_guard(in_tmp, capsys):
     (in_tmp / "square5.txt").write_text("#####\n" * 5)
     assert main(["count", "--disk", "square5.txt", "--height", "5"]) == 3
     assert main(["enumerate", "--box", "3,3,2", "--cap", "10"]) == 3
+    # the twist law's sweep runs z fastest, with width 30 on 1x2x30
+    capsys.readouterr()
+    assert main(["census", "--box", "1,2,30"]) == 3
+    assert capsys.readouterr() == ("", "error: profile width 30 exceeds guard 24\n")
 
 
 def test_exit_code_usage_errors(in_tmp, capsys):

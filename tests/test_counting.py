@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 from math import prod
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dimers.core import (
     make_box,
@@ -26,7 +26,13 @@ from dimers.counting import (
 from dimers.errors import InvalidRegion, WidthGuardExceeded
 from dimers.explore import components, enumerate_tilings
 
-from oracles import automaton_cylinder_count, dp_plan_by_every_order, naive_tilings, permanent_count
+from oracles import (
+    automaton_cylinder_count,
+    dp_plan_by_every_order,
+    naive_tilings,
+    permanent_count,
+    twist_polynomial_by_slices,
+)
 from test_explore import DISK6
 from test_moves import small_regions
 
@@ -228,8 +234,13 @@ def test_twist_polynomial_weights_and_guard():
     # crossing sums are four times the twist (kappa 1/8 over ordered pairs)
     assert twist_polynomial(make_box((2, 3, 4))) == {-4: 10, 0: 1825, 4: 10}
     assert twist_polynomial(make_box((3, 3, 3))) == {}
-    with pytest.raises(WidthGuardExceeded):
-        twist_polynomial(make_box((5, 5, 6)))  # 30-cell slices both ways
+    with pytest.raises(WidthGuardExceeded, match="^profile width 30 exceeds guard 24$"):
+        twist_polynomial(make_box((5, 5, 6)))  # z fastest: width 30 with x or y first
+    # z fastest, 1x2x30 has width 30 either way, where count_region sweeps
+    # along z with width 2
+    with pytest.raises(WidthGuardExceeded, match="^profile width 30 exceeds guard 24$"):
+        twist_polynomial(make_box((1, 2, 30)))
+    assert count_region(make_box((1, 2, 30))) == 1346269
     with pytest.raises(InvalidRegion):
         twist_polynomial(make_box((2, 2)))
 
@@ -248,6 +259,37 @@ def test_twist_polynomial_weights_and_guard():
 )
 def test_twist_polynomial_values_are_pinned(region, law):
     assert twist_polynomial(region) == law
+
+
+@st.composite
+def twist_regions(draw):
+    """A box of 2x2x2 up to 4x3x4 or 3x4x4 minus up to 4 cells, or a
+    cylinder of height 2-4 over disks(); balanced, so that most have
+    tilings."""
+    if draw(st.booleans()):
+        region = make_cylinder(draw(disks()), draw(st.integers(2, 4)))
+    else:
+        sides = st.tuples(*[st.integers(2, 4)] * 3)
+        cells = make_box(draw(sides.filter(lambda dims: dims[0] * dims[1] <= 12))).cells
+        missing = draw(st.sets(st.sampled_from(cells), max_size=4))
+        region = make_region([c for c in cells if c not in missing], d=3)
+    assume(region.balanced())
+    return region
+
+
+# 2x3x4 and the region from 2x4x3 are swept y first, narrower than x
+# first; every tiling of 2x1x1 ends its last z-line with an x-domino's
+# mark, so the mark sums there are not 0; on the region from 2x2x2, mark
+# sums carried from one z-line into the next would change W
+@settings(max_examples=100, deadline=None)
+@given(twist_regions())
+@example(make_box((2, 3, 4)))
+@example(make_region(set(make_box((2, 4, 3)).cells) - {(0, 0, 0), (1, 3, 2)}))
+@example(make_box((2, 1, 1)))
+@example(make_region(set(make_box((2, 2, 2)).cells) - {(0, 0, 0), (0, 1, 0)}))
+@example(make_box((3, 3, 4)))
+def test_twist_polynomial_matches_the_slice_transfer(region):
+    assert twist_polynomial(region) == twist_polynomial_by_slices(region)
 
 
 @pytest.mark.parametrize(

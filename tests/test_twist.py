@@ -335,7 +335,7 @@ def test_trit_signs_match_the_pairwise_oracle_on_general_regions(missing):
 def test_line_kernel_matches_the_cell_reading_kernel():
     # all three axes on a box and on a region whose lines have gaps, over
     # whole tilings and random subsets of their dominoes with the other
-    # cells uncovered (-1), as counting.twist_polynomial passes
+    # cells uncovered (-1), as the slice-transfer oracle passes
     rng = random.Random(5)
     box = make_box((2, 3, 4))
     for region in (box, make_region(set(box.cells) - {(1, 1, 1), (1, 1, 2)})):
