@@ -231,7 +231,7 @@ def _cmd_census(args) -> dict:
     from .explore import twist_census
 
     region = _region_from_args(args)
-    counts = twist_census(region, args.cap)
+    counts = twist_census(region)
     for value, count in counts.items():
         print(f"{value},{count}")
     if args.out:
@@ -400,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="tiling count per twist value")
     _add_region_flags(p)
-    p.add_argument("--cap", type=int, default=10_000_000)
     p.add_argument("--out", help="CSV path")
 
     p = sub.add_parser("twist", help="twist of tilings from a file")

@@ -642,15 +642,25 @@ def decoding(kind: str):
         raise DecodeError(f"not a {kind} record ({type(exc).__name__}: {exc})") from None
 
 
+def _integer(value, field: str):
+    """The record's value, refused unless it is a JSON integer: int()
+    would truncate 2.7, and 2.0 and true compare equal to 2 and 1."""
+    if type(value) is not int:
+        raise DecodeError(f"region {field} {json.dumps(value)} is not an integer")
+    return value
+
+
 def region_from_record(rec: dict) -> Region:
     with decoding("region"):
         kind = rec.get("kind", "general")
+        d = _integer(rec["d"], "d")
         if kind == "box":
-            return make_box(rec["dims"])
+            return make_box([_integer(side, "dims entry") for side in rec["dims"]])
+        cells = rec["disk_cells" if kind == "cylinder" else "cells"]
+        cells = [tuple(_integer(x, "coordinate") for x in cell) for cell in cells]
         if kind == "cylinder":
-            disk = make_region([tuple(c) for c in rec["disk_cells"]], d=rec["d"] - 1)
-            return make_cylinder(disk, rec["height"])
-        return make_region([tuple(c) for c in rec["cells"]], d=rec["d"])
+            return make_cylinder(make_region(cells, d=d - 1), _integer(rec["height"], "height"))
+        return make_region(cells, d=d)
 
 
 def tiling_json(tiling: Tiling) -> str:

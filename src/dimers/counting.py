@@ -16,11 +16,11 @@ Every exact count goes through one path:
   sweeps floor by floor, its profile is the plug of the transfer
   automaton, so it computes (T^N)[empty, empty] without building T.
 * twist_polynomial: tilings per value of the twist's crossing sum, by
-  the same profile DP swept with z fastest, so that each z-line is swept
-  in one piece and the twist module's line walk runs inside the sweep:
-  a state carries the walk's running mark sums of its line and
-  {crossing sum: ways}.  explore.twist_census turns its crossing sums
-  into twists.
+  the same profile DP swept with a projection axis fastest (on a box,
+  count_region's sweep), so that each line along it is swept in one
+  piece and the twist module's line walk runs inside the sweep: a state
+  carries the walk's running mark sums of its line and {crossing sum:
+  ways}.  explore.twist_census turns its crossing sums into twists.
 
 Two objects stand beside these as checks:
 
@@ -80,24 +80,23 @@ def _guard(width: int) -> None:
         raise WidthGuardExceeded(f"profile width {width} exceeds guard {WIDTH_GUARD}")
 
 
-def _dp_plan(region: Region) -> tuple[list[list[int]], int]:
-    """Forward-neighbor offsets per cell in profile order, and the sweep's
-    most significant axis.
+def _dp_plan(region: Region) -> tuple[int, list[list[int]], int]:
+    """The profile width, the forward-neighbor offsets per cell in profile
+    order, and the most significant axis of the narrowest sweep.
 
     Every order of the axes is tried (at most 24 for d <= 4) in
     permutations(d-1, ..., 0), so the default sweep, last axis most
     significant, is kept unless another order is strictly narrower.
     """
-    _, order, pos, axes = _narrowest(region, permutations(reversed(range(region.d))))
+    width, order, pos, axes = _narrowest(region, permutations(reversed(range(region.d))))
     forward = region.forward
-    return [sorted(pos[nb] - p for nb in forward[ci]) for p, ci in enumerate(order)], axes[0]
+    return width, [sorted(pos[nb] - p for nb in forward[ci]) for p, ci in enumerate(order)], axes[0]
 
 
 def profile_width(region: Region) -> int:
     """Largest forward offset the profile DP must remember, in the
     narrowest sweep, the one count_region runs."""
-    plan, _ = _dp_plan(region)
-    return max((offs[-1] for offs in plan if offs), default=0)
+    return _dp_plan(region)[0]
 
 
 def _sweep(plan: list[list[int]], states: dict[int, int]) -> dict[int, int]:
@@ -134,8 +133,8 @@ def count_region(region: Region) -> int:
     count is the sum of f_k(P) f_{n-k}(P): f_k squared for even n, and
     for odd n f_k times the states one layer further.
     """
-    plan, axis = _dp_plan(region)
-    _guard(max((offs[-1] for offs in plan if offs), default=0))
+    width, plan, axis = _dp_plan(region)
+    _guard(width)
     layers = {cell[axis] for cell in region.cells}
     size = len({cell[:axis] + cell[axis + 1 :] for cell in region.cells})
     if layers and len(layers) * size == region.n_cells and max(layers) - min(layers) < len(layers):
@@ -218,9 +217,12 @@ def twist_polynomial(region: Region) -> dict[int, int]:
     """Tilings per value of the twist's crossing sum along z, sum_T q^W(T)
     with W = twist._crossings(region, T's partner, 2), exactly.
 
-    The profile DP of count_region, swept with z fastest, x or y most
-    significant (whichever is narrower, x on a tie), so that each z-line
-    is swept in one piece, and W is the line walk's sum over those lines.
+    The profile DP of count_region, swept with an axis k fastest, so that
+    each line along k is swept in one piece, and W is the line walk's sum
+    over those lines.  A box (a region with dims) is swept in
+    count_region's own order, k its fastest axis, since every tiling of a
+    box has one crossing sum along every axis (axis agreement); any other
+    region with k = z, x or y most significant (the narrower, x on a tie).
     A profile digit is 0 for a free cell and axis + 1 for a cell that a
     domino from behind covers, which fixes the mark the cell carries as
     its high end; a cell whose domino reaches ahead carries the mark of
@@ -232,9 +234,10 @@ def twist_polynomial(region: Region) -> dict[int, int]:
 
     if region.d != 3:
         raise InvalidRegion("pretwist is defined for d=3 only")
-    width, order, pos, _ = _narrowest(region, [(0, 1, 2), (1, 0, 2)])
+    orders = permutations(reversed(range(3))) if region.dims else [(0, 1, 2), (1, 0, 2)]
+    width, order, pos, axes = _narrowest(region, orders)
     _guard(width)
-    _, line_of, marks = _line_table(region, 2)
+    _, line_of, marks = _line_table(region, axes[-1])
     table = region.neighbor_table
     states: dict[tuple[int, int, int], dict[int, int]] = {(0, 0, 0): {0: 1}}
     line = None

@@ -41,20 +41,14 @@ def enumerate_tilings(region: Region, cap: int | None = DEFAULT_CAP) -> Iterator
     extended runs.
     """
     if cap is not None:
-        _count_within(region, cap)
+        total = count_region(region)
+        if total > cap:
+            raise CapExceeded(f"{total} tilings exceed the cap of {cap}")
     if region.n_cells % 2:
         return
     partner = [-1] * region.n_cells
     for _ in matchings(region.forward, partner):
         yield Tiling(region, tuple(partner))
-
-
-def _count_within(region: Region, cap: int | None) -> int:
-    """The exact tiling count; CapExceeded when it is over the cap."""
-    total = count_region(region)
-    if cap is not None and total > cap:
-        raise CapExceeded(f"{total} tilings exceed the cap of {cap}")
-    return total
 
 
 def components(states, neighbors) -> list[list[int]]:
@@ -213,23 +207,22 @@ def component_trit_graph(region: Region, cap: int | None = DEFAULT_CAP) -> Compo
     return ComponentTritGraph(census=census, twists=twists, edges=edges)
 
 
-def twist_census(region: Region, cap: int | None = DEFAULT_CAP) -> dict[int, int]:
-    """Exact tiling count per twist value, counted by the profile DP swept
-    with z fastest (counting.twist_polynomial) without enumerating a
-    tiling; that sweep's width guard applies.  The cap is checked against
-    the exact count up front, as enumeration checks it.  A region with no
-    tiling has no twist to be undefined, in any dimension."""
+def twist_census(region: Region) -> dict[int, int]:
+    """Exact tiling count per twist value, counted by the profile DP of
+    counting.twist_polynomial without enumerating a tiling; that sweep's
+    width guard applies.  A region with no tiling has no twist to be
+    undefined, in any dimension."""
     from .twist import _weight_twist
 
-    if (cap is not None or region.d != 3) and not _count_within(region, cap):
+    if region.d != 3 and not count_region(region):
         return {}
     weights = twist_polynomial(region)
     return dict(sorted((_weight_twist(region, w), count) for w, count in weights.items()))
 
 
-def tw_max(region: Region, cap: int | None = DEFAULT_CAP) -> int:
+def tw_max(region: Region) -> int:
     """Maximum twist over all tilings."""
-    return max(twist_census(region, cap))
+    return max(twist_census(region))
 
 
 def census_csv(census: ComponentCensus, path) -> None:

@@ -119,7 +119,12 @@ class _Chain:
 
 
 def mcmc_run(region: Region, start: Tiling, config: ChainConfig) -> Tiling:
-    """Final state after config.steps window proposals."""
+    """Final state after config.steps window proposals.  Burn-in sizes a
+    histogram's chains only, so config.burn_in must be unset or 0."""
+    if config.burn_in:
+        raise InvalidRegion(
+            f"a final state is sized by steps; burn-in must be 0, got {config.burn_in}"
+        )
     chain = _Chain(region, start, config)
     chain.advance(config.steps)
     return chain.tiling()

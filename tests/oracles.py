@@ -231,9 +231,9 @@ def flip_components_by_difference(region) -> list[int]:
     return sorted(sizes, reverse=True)
 
 
-def dp_plan_by_every_order(region) -> tuple[list[list[int]], int]:
-    """counting._dp_plan's plan and most significant axis, from a sweep
-    of every order of the axes; the first narrowest order wins."""
+def dp_plan_by_every_order(region) -> tuple[int, list[list[int]], int]:
+    """counting._dp_plan's width, plan and most significant axis, from a
+    sweep of every order of the axes; the first narrowest order wins."""
     best = None
     for axes in permutations(reversed(range(region.d))):
         order = sorted(range(region.n_cells), key=lambda i: [region.cells[i][a] for a in axes])
@@ -242,7 +242,7 @@ def dp_plan_by_every_order(region) -> tuple[list[list[int]], int]:
         width = max((offs[-1] for offs in plan if offs), default=0)
         if best is None or width < best[0]:
             best = (width, plan, axes[0])
-    return best[1], best[2]
+    return best
 
 
 def automaton_cylinder_count(disk, height: int) -> int:

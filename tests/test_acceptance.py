@@ -205,7 +205,7 @@ def test_criterion_07_twist_upper_bound():
         peaks = {(3, 4, 4): 2, (2, 4, 6): 2}
         for dims in [(2, 2, 2), (3, 3, 2), (2, 2, 4), (2, 2, 6), (3, 3, 4), *peaks]:
             l, m, n = dims
-            peak = tw_max(make_box(dims), cap=None)
+            peak = tw_max(make_box(dims))
             assert peak / (l * m * n * min(dims)) <= 1 / 16
             if dims in peaks:
                 assert peak == peaks[dims]

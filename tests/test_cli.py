@@ -331,10 +331,14 @@ def test_exit_code_guard(in_tmp, capsys):
     (in_tmp / "square5.txt").write_text("#####\n" * 5)
     assert main(["count", "--disk", "square5.txt", "--height", "5"]) == 3
     assert main(["enumerate", "--box", "3,3,2", "--cap", "10"]) == 3
-    # the twist law's sweep runs z fastest, with width 30 on 1x2x30
+    # on a box the twist law is swept in count's order, so census refuses
+    # the boxes count refuses, with the same line
     capsys.readouterr()
-    assert main(["census", "--box", "1,2,30"]) == 3
-    assert capsys.readouterr() == ("", "error: profile width 30 exceeds guard 24\n")
+    assert main(["census", "--box", "1,2,30"]) == 0
+    assert capsys.readouterr() == ("0,1346269\n", "")
+    for command in ("count", "census"):
+        assert main([command, "--box", "5,5,6"]) == 3
+        assert capsys.readouterr() == ("", "error: profile width 25 exceeds guard 24\n")
 
 
 def test_exit_code_usage_errors(in_tmp, capsys):
@@ -485,6 +489,18 @@ def test_config_file(in_tmp, capsys):
     assert main(["--config=", "count"]) == 2
 
 
+_REGION_RECORDS = [
+    ('{"d": 2.0, "kind": "general", "cells": [[0, 0], [1, 0]]}', "region d 2.0"),
+    ('{"d": 2, "kind": "general", "cells": [[0.5, 0], [1, 0]]}', "region coordinate 0.5"),
+    ('{"d": 2, "kind": "general", "cells": [[true, 0], [0, 0]]}', "region coordinate true"),
+    ('{"d": true, "kind": "box", "dims": [2, 2]}', "region d true"),
+    ('{"d": 2, "kind": "box", "dims": [2.7, 2]}', "region dims entry 2.7"),
+    ('{"d": 3, "kind": "cylinder", "disk_cells": [[0, 0], [1, 0]], "height": 2.0}',
+     "region height 2.0"),
+]
+_RECORD_IDS = ["d-float", "coordinate-float", "coordinate-bool", "box-d-bool", "dims-float",
+               "height-float"]
+
 _TWIST_FILE = ["twist", "--box", "2,2,2", "--tiling", "bad.jsonl"]
 _DISK_RECORD = ["count", "--disk", "bad-disk.json", "--height", "2"]
 _SLAB_FILE = ["slab", "twist", "--tiling", "bad-slabs.jsonl"]
@@ -516,10 +532,14 @@ _SLAB_FILE = ["slab", "twist", "--tiling", "bad-slabs.jsonl"]
          "bad-disk.json line 2: not a region record (KeyError"),
         (_DISK_RECORD, "[1,2]", "bad-disk.json line 2: not a disk row"),
         (_DISK_RECORD, "##x#", "bad-disk.json line 2: not a disk row"),
+        # int() would read 2.0, 0.5 and true as 2, 0 and 1, and 2.7 as 2
+        *[(_DISK_RECORD, record, f"bad-disk.json line 2: {message} is not an integer\n")
+          for record, message in _REGION_RECORDS],
     ],
     ids=["tiling-file", "disk-record", "tiling-empty", "tiling-short-domino",
          "slab-empty", "slab-float-normal", "slab-bool-coordinate", "slab-normal-5",
-         "slab-normal-minus-1", "slab-leaves", "slab-covered-twice", "slab-uncovered", "disk-cylinder", "disk-array", "disk-grid-glyph"],
+         "slab-normal-minus-1", "slab-leaves", "slab-covered-twice", "slab-uncovered", "disk-cylinder", "disk-array", "disk-grid-glyph",
+         *("disk-" + name for name in _RECORD_IDS)],
 )
 def test_malformed_json_ends_in_one_error_line(in_tmp, capsys, argv, line, where):
     from dimers.core import base_vertical_tiling, make_box, write_tilings
@@ -535,6 +555,13 @@ def test_malformed_json_ends_in_one_error_line(in_tmp, capsys, argv, line, where
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("record, message", _REGION_RECORDS, ids=_RECORD_IDS)
+def test_a_tiling_file_header_takes_integers_only(in_tmp, capsys, record, message):
+    (in_tmp / "t.jsonl").write_text(record + "\n")
+    assert main(["twist", "--box", "2,2,2", "--tiling", "t.jsonl"]) == 2
+    assert capsys.readouterr() == ("", f"error: t.jsonl line 1: {message} is not an integer\n")
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n\n", "...\n..\n"], ids=["empty", "blank", "dots"])
@@ -694,7 +721,7 @@ _FUZZ_FLAGS = {
     ("enumerate",): (*_REGION_FLAGS, "--cap", "--out"),
     ("components",): (*_REGION_FLAGS, "--cap", "--extended", "--scratch", "--out"),
     ("flipfree",): (*_REGION_FLAGS, "--cap", "--out"),
-    ("census",): (*_REGION_FLAGS, "--cap", "--out"),
+    ("census",): (*_REGION_FLAGS, "--out"),
     ("twist",): (*_REGION_FLAGS, "--tiling"),
     ("pfaffian",): _REGION_FLAGS,
     ("sample",): (*_REGION_FLAGS, "--moves", "--steps", "--seed", "--burn-in", "--samples",

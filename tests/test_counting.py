@@ -234,13 +234,15 @@ def test_twist_polynomial_weights_and_guard():
     # crossing sums are four times the twist (kappa 1/8 over ordered pairs)
     assert twist_polynomial(make_box((2, 3, 4))) == {-4: 10, 0: 1825, 4: 10}
     assert twist_polynomial(make_box((3, 3, 3))) == {}
+    # a box is swept in count_region's order: 1x2x30 with width 2, 5x5x6
+    # with width 25, x fastest
+    assert twist_polynomial(make_box((1, 2, 30))) == {0: 1346269}
+    with pytest.raises(WidthGuardExceeded, match="^profile width 25 exceeds guard 24$"):
+        twist_polynomial(make_box((5, 5, 6)))
+    # any other region is swept z fastest: width 30 with x or y first
+    cells = set(make_box((5, 5, 6)).cells) - {(0, 0, 0), (1, 0, 0)}
     with pytest.raises(WidthGuardExceeded, match="^profile width 30 exceeds guard 24$"):
-        twist_polynomial(make_box((5, 5, 6)))  # z fastest: width 30 with x or y first
-    # z fastest, 1x2x30 has width 30 either way, where count_region sweeps
-    # along z with width 2
-    with pytest.raises(WidthGuardExceeded, match="^profile width 30 exceeds guard 24$"):
-        twist_polynomial(make_box((1, 2, 30)))
-    assert count_region(make_box((1, 2, 30))) == 1346269
+        twist_polynomial(make_region(cells))
     with pytest.raises(InvalidRegion):
         twist_polynomial(make_box((2, 2)))
 
@@ -264,15 +266,23 @@ def test_twist_polynomial_values_are_pinned(region, law):
 @st.composite
 def twist_regions(draw):
     """A box of 2x2x2 up to 4x3x4 or 3x4x4 minus up to 4 cells, or a
-    cylinder of height 2-4 over disks(); balanced, so that most have
-    tilings."""
-    if draw(st.booleans()):
+    cylinder of height 2-4 over disks(), both swept z fastest; or a box of
+    up to 48 cells, or a cylinder over a box disk, both swept in
+    count_region's order.  Balanced, so that most have tilings."""
+    kind = draw(st.sampled_from(["box minus cells", "cylinder", "box", "box cylinder"]))
+    if kind == "cylinder":
         region = make_cylinder(draw(disks()), draw(st.integers(2, 4)))
-    else:
+    elif kind == "box minus cells":
         sides = st.tuples(*[st.integers(2, 4)] * 3)
         cells = make_box(draw(sides.filter(lambda dims: dims[0] * dims[1] <= 12))).cells
         missing = draw(st.sets(st.sampled_from(cells), max_size=4))
         region = make_region([c for c in cells if c not in missing], d=3)
+    else:
+        dims = draw(st.tuples(*[st.integers(1, 6)] * 3).filter(lambda dims: prod(dims) <= 48))
+        if kind == "box":
+            region = make_box(dims)
+        else:
+            region = make_cylinder(make_box(dims[:2]), dims[2])
     assume(region.balanced())
     return region
 
@@ -280,7 +290,9 @@ def twist_regions(draw):
 # 2x3x4 and the region from 2x4x3 are swept y first, narrower than x
 # first; every tiling of 2x1x1 ends its last z-line with an x-domino's
 # mark, so the mark sums there are not 0; on the region from 2x2x2, mark
-# sums carried from one z-line into the next would change W
+# sums carried from one z-line into the next would change W.  2x3x5 is
+# swept x fastest, 3x2x6 y fastest, and 2x2x8 and 1x2x30 with z most
+# significant.
 @settings(max_examples=100, deadline=None)
 @given(twist_regions())
 @example(make_box((2, 3, 4)))
@@ -288,8 +300,20 @@ def twist_regions(draw):
 @example(make_box((2, 1, 1)))
 @example(make_region(set(make_box((2, 2, 2)).cells) - {(0, 0, 0), (0, 1, 0)}))
 @example(make_box((3, 3, 4)))
+@example(make_box((1, 2, 30)))
+@example(make_box((2, 2, 8)))
+@example(make_box((3, 2, 6)))
+@example(make_box((2, 3, 5)))
 def test_twist_polynomial_matches_the_slice_transfer(region):
-    assert twist_polynomial(region) == twist_polynomial_by_slices(region)
+    law = twist_polynomial(region)
+    if region.dims:
+        # a cyclic shift of a box's axes is a rotation, and keeps every
+        # tiling's crossing sum (axis agreement); the transfer sweeps the
+        # shift whose slices, min(L, M) * N cells, are smallest (1x2x30's
+        # own have 30 cells, past the guard)
+        shifts = [region.dims[s:] + region.dims[:s] for s in range(3)]
+        region = make_box(min(shifts, key=lambda dims: min(dims[:2]) * dims[2]))
+    assert law == twist_polynomial_by_slices(region)
 
 
 @pytest.mark.parametrize(

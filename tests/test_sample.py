@@ -64,6 +64,17 @@ def test_zero_steps_returns_start():
     assert mcmc_run(region, start, ChainConfig(moves="flips", steps=0)) == start
 
 
+def test_a_final_state_run_refuses_a_burn_in():
+    # it would be ignored: the chain makes config.steps proposals, no more
+    region = make_box((3, 3, 2))
+    start = base_vertical_tiling(region)
+    with pytest.raises(InvalidRegion, match="^a final state is sized by steps; burn-in must be 0, got 1000$"):
+        mcmc_run(region, start, ChainConfig(moves="flips", steps=50, seed=3, burn_in=1000))
+    config = ChainConfig(moves="flips", steps=50, seed=3)
+    final = mcmc_run(region, start, config)
+    assert mcmc_run(region, start, config._replace(burn_in=0)) == final
+
+
 def test_mcmc_rejects_invalid_start():
     region = make_box((2, 2, 2))
     other = base_vertical_tiling(make_box((2, 2, 4)))
