@@ -4,14 +4,14 @@ Subcommands: count, enumerate, components, flipfree, census, twist,
 pfaffian, sample, slab, ideals, render.  Every run writes a JSON manifest
 (command, region, seeds, calibration ids, wall time) so outputs can be
 reproduced bit for bit.  Exit codes: 2 usage, 3 caps and guards,
-4 calibration failure.
+4 a twist that is not an integer or a trit step other than +-1.
 
 The module itself imports only what every run uses: argparse, json, the
 region builders of `core` and the errors.  Each handler imports the
 modules it runs, so a launch loads only its subcommand's: a `count` loads
-the profile DP, and the twist and moves modules that the manifest's
-calibration needs, but never the enumeration module, the sampler, slabs,
-ideals, csv or sqlite3.
+the profile DP, and the twist module for the manifest's calibration
+constants, but never the moves or enumeration modules, the sampler,
+slabs, ideals, csv or sqlite3.
 """
 from __future__ import annotations
 

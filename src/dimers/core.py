@@ -655,7 +655,10 @@ def region_from_record(rec: dict) -> Region:
         kind = rec.get("kind", "general")
         d = _integer(rec["d"], "d")
         if kind == "box":
-            return make_box([_integer(side, "dims entry") for side in rec["dims"]])
+            dims = [_integer(side, "dims entry") for side in rec["dims"]]
+            if len(dims) != d:
+                raise DecodeError(f"region d {d} does not match {len(dims)} dims {dims}")
+            return make_box(dims)
         cells = rec["disk_cells" if kind == "cylinder" else "cells"]
         cells = [tuple(_integer(x, "coordinate") for x in cell) for cell in cells]
         if kind == "cylinder":

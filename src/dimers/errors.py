@@ -42,7 +42,8 @@ class NotReachable(DimersError):
 
 
 class CalibrationError(DimersError):
-    """The twist formula failed its self-calibration invariants."""
+    """A twist came out non-integral, or a trit stepped it by other than
+    +-1, under the declared normalization."""
 
 
 class UnbalancedRegion(DimersError):

@@ -151,29 +151,24 @@ def export_ideals(
 
     edge_list = edges(region)
     flips = flip_ideal_generators(region)
-    lines = [
-        f"# region kind={region.kind} d={region.d} "
-        + (
-            "dims=" + "x".join(map(str, region.dims))
-            if region.dims
-            else f"cells={region.n_cells}"
-        ),
-        f"# edges {len(edge_list)}",
-    ]
-    for k, (cell, axis) in enumerate(edge_list):
-        coords = ",".join(map(str, cell))
-        lines.append(f"var e{k} = cell ({coords}) axis {axis}")
-    lines.append(f"# flip generators {len(flips)}")
-    lines.extend(binomial_str(g) for g in flips)
+    texts = []
     if with_tiling_ideal:
-        tilings = list(enumerate_tilings(region, cap))
-        index = edge_index(region)
+        # enumerated before the file opens, so a cap leaves no file behind;
         # distinct tilings have distinct monomials, so every pair is a binomial
-        texts = [_monomial_str(_tiling_monomial(t, index)) for t in tilings]
-        lines.append(f"# tiling binomials {len(texts) * (len(texts) - 1) // 2}")
-        lines.extend(f"+{pos} -{neg}" for pos, neg in combinations(texts, 2))
+        index = edge_index(region)
+        texts = [_monomial_str(_tiling_monomial(t, index)) for t in enumerate_tilings(region, cap)]
+    shape = "dims=" + "x".join(map(str, region.dims)) if region.dims else f"cells={region.n_cells}"
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# region kind={region.kind} d={region.d} {shape}\n# edges {len(edge_list)}\n")
+        for k, (cell, axis) in enumerate(edge_list):
+            fh.write(f"var e{k} = cell ({','.join(map(str, cell))}) axis {axis}\n")
+        fh.write(f"# flip generators {len(flips)}\n")
+        for g in flips:
+            fh.write(binomial_str(g) + "\n")
+        if with_tiling_ideal:
+            fh.write(f"# tiling binomials {len(texts) * (len(texts) - 1) // 2}\n")
+            for pos, neg in combinations(texts, 2):
+                fh.write(f"+{pos} -{neg}\n")
 
 
 def parse_ideals(path) -> dict:

@@ -192,15 +192,19 @@ def _slab_partner(derived: Region, table: dict, slabs: Iterable[Slab]) -> tuple[
     return matched([-1] * derived.n_cells, map(table.__getitem__, slabs))
 
 
+def _validated(tiling: SlabTiling) -> SlabTiling:
+    report = validate_slab_tiling(tiling)
+    if report is not None:
+        raise InflationError(report)
+    return tiling
+
+
 def _inflation_of(tiling: SlabTiling, pair: Iterable[str]):
     """The inflation table of a valid slab tiling's region for a pair."""
     pair_set = frozenset(pair)
     if pair_set not in _PAIR_AXES:
         raise InflationError(f"unknown color pair {sorted(pair_set)}")
-    report = validate_slab_tiling(tiling)
-    if report is not None:
-        raise InflationError(report)
-    return _inflation(tiling.region, pair_set)
+    return _inflation(_validated(tiling).region, pair_set)
 
 
 def inflate(tiling: SlabTiling, pair: Iterable[str] = ("R", "G")) -> Tiling:
@@ -209,10 +213,8 @@ def inflate(tiling: SlabTiling, pair: Iterable[str] = ("R", "G")) -> Tiling:
     return Tiling(derived, _slab_partner(derived, table, tiling.slabs))
 
 
-def pair_twist(tiling: SlabTiling, pair: Iterable[str] = ("R", "G")) -> int:
-    """Twist of the inflated tiling, relative to the inflated reference
-    slab tiling (horizontal where the region has one), which scores 0."""
-    derived, table, reference = _inflation_of(tiling, pair)
+def _twist_in(tiling: SlabTiling, derived: Region, table: dict, reference: int) -> int:
+    """Twist of the valid tiling inflated by one pair's table."""
     crossings = _crossings(derived, _slab_partner(derived, table, tiling.slabs), 2)
     value = _calibrated(crossings - reference)
     if value.denominator != 1:
@@ -220,11 +222,19 @@ def pair_twist(tiling: SlabTiling, pair: Iterable[str] = ("R", "G")) -> int:
     return int(value)
 
 
+def pair_twist(tiling: SlabTiling, pair: Iterable[str] = ("R", "G")) -> int:
+    """Twist of the inflated tiling, relative to the inflated reference
+    slab tiling (horizontal where the region has one), which scores 0."""
+    return _twist_in(tiling, *_inflation_of(tiling, pair))
+
+
 def all_pair_twists(tiling: SlabTiling) -> dict[tuple[str, str], int]:
-    values = {}
-    for pair in TRIPLE_TWIST_PAIRS + _OTHER_PAIRS:
-        values[pair] = pair_twist(tiling, pair)
-    return values
+    """pair_twist of all six color pairs, validating the tiling once."""
+    region = _validated(tiling).region
+    return {
+        pair: _twist_in(tiling, *_inflation(region, frozenset(pair)))
+        for pair in TRIPLE_TWIST_PAIRS + _OTHER_PAIRS
+    }
 
 
 def triple_twist(tiling: SlabTiling) -> tuple[int, int, int]:

@@ -9,14 +9,15 @@
   line of cells along k, so one walk, `_line_sums`, goes up each line
   once with running sums of the marks below.  It reads a partner
   sequence (-1 on an uncovered cell) and a line table built once per
-  region and axis from Region.neighbor_table.  pretwist, twist, the
-  calibration and the slab pair twists walk every line (`_crossings`);
-  trit_sign walks only the z-lines a trit changes
-  (`_crossings_through`); counting.twist_polynomial runs the same walk
-  inside its profile sweep, reading the marks from the line table.  twist
-  and the census share one shift by the reference tiling.
-  The normalization kappa and the global sign are pinned once by
-  self-calibration on the 3x3x2 box, never adjusted silently.
+  region and axis from Region.neighbor_table.  pretwist, twist and the
+  slab pair twists walk every line (`_crossings`); trit_sign walks only
+  the z-lines a trit changes (`_crossings_through`);
+  counting.twist_polynomial runs the same walk inside its profile sweep,
+  reading the marks from the line table.  twist and the census share one
+  shift by the reference tiling.
+  The normalization kappa = 1/8 and the global sign +1 are declared
+  constants (`calibration`); a twist that is not an integer, or a trit
+  step other than +-1, raises CalibrationError instead of rescaling.
 * twist_by_path: signed trit count along a flip/trit path from the base
   tiling; telescopes to the formula value and cross-checks it.
 * pfaffian_alternating_sum: determinant of the signed white/black
@@ -39,9 +40,7 @@ from .core import (
     WHITE,
     base_vertical_tiling,
     color_sign,
-    make_box,
     matched,
-    matchings,
 )
 from .errors import (
     CalibrationError,
@@ -128,53 +127,22 @@ def _crossings_through(region: Region, partner, cells) -> int:
 # ---------------------------------------------------------------------------
 # calibration
 #
-# The pairwise formula is fixed up to a normalization kappa (over ordered
-# pairs) and a global sign.  Candidates are tried against three invariants
-# on the 3x3x2 box: twist values must be integers, every trit must step the
-# twist by exactly one, and the three axis pretwists must agree.  The first
-# candidate passing all three is frozen; the global sign is declared +1, so
-# a positive trit is by definition one the formula scores +1.
-#
-# 1/8 is the value the invariants select: on the 3x3x2 box the ordered sum
-# is 0 on the large flip component and -8/+8 on the two flip-free tilings,
-# and every trit steps it by exactly 8.
+# The pairwise formula fixes the twist up to a normalization kappa (over
+# ordered pairs) and a global sign.  kappa = 1/8 is the one that makes the
+# twist an integer that every trit steps by exactly one: on the 3x3x2 box
+# the ordered sum is 0 on the large flip component and -8/+8 on the two
+# flip-free tilings, and every trit steps it by 8.  The sign is declared
+# +1, so a positive trit is by definition one the formula scores +1.  The
+# test suite checks these invariants, and the agreement of the three axis
+# pretwists, on every tiling of 3x3x2, 2x2x2 and 2x2x4.
 
-_KAPPA_CANDIDATES = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))
+_CALIBRATION = Calibration(kappa=Fraction(1, 8), sign=1, kasteleyn_rule=KASTELEYN_RULE_ID)
 
 
-@lru_cache(maxsize=1)
 def calibration() -> Calibration:
-    """The first candidate kappa that passes the invariants on 3x3x2.
-    Every manifest write calls this, so it walks the tilings with
-    core.matchings, in enumeration order, and a count launch needs no
-    enumeration module."""
-    from .moves import trit_neighbors
-
-    region = make_box((3, 3, 2))
-    base = _crossings(region, base_vertical_tiling(region).partner, 2)
-    # per tiling: its three integer axis sums, and the z sum of each
-    # tiling one trit away; every candidate is tested on these integers
-    sums = []
-    partner = [-1] * region.n_cells
-    for _ in matchings(region.forward, partner):
-        axis_sums = [_crossings(region, partner, k) for k in range(3)]
-        after = [_crossings(region, a, 2) for a, _, _ in trit_neighbors(region, partner)]
-        sums.append((axis_sums, after))
-    for kappa in _KAPPA_CANDIDATES:
-        # a twist is 2 kappa = p/q times an unordered-pair sum, as kappa
-        # weighs ordered pairs
-        p, q = (2 * kappa).as_integer_ratio()
-        if all(
-            len(set(axis_sums)) == 1
-            and (axis_sums[2] - base) * p % q == 0
-            and all(abs(z - axis_sums[2]) * p == q for z in after)
-            for axis_sums, after in sums
-        ):
-            return Calibration(kappa=kappa, sign=1, kasteleyn_rule=KASTELEYN_RULE_ID)
-    candidates = ", ".join(map(str, _KAPPA_CANDIDATES))
-    raise CalibrationError(
-        f"no normalization in {{{candidates}}} satisfies the twist invariants"
-    )
+    """The twist normalization kappa = 1/8, the global sign +1 and the
+    Kasteleyn sign rule, as every manifest records them."""
+    return _CALIBRATION
 
 
 def pretwist(tiling: Tiling, axis: int) -> Fraction:

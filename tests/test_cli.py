@@ -386,8 +386,8 @@ def test_a_launch_loads_only_the_modules_its_subcommand_runs(tmp_path):
     loaded = _modules_after(f"from dimers.cli import main\nassert main({argv!r}) == 0", tmp_path)
     assert {"dimers.counting", "dimers.twist"} <= loaded
     assert not loaded & {"dimers.sample", "dimers.slab", "dimers.ideals", "sqlite3", "csv"}
-    # records are plain classes and the calibration walks core.matchings
-    assert not loaded & {"dataclasses", "inspect", "dimers.explore"}
+    # records are plain classes and the calibration is a declared constant
+    assert not loaded & {"dataclasses", "inspect", "dimers.explore", "dimers.moves"}
     assert json.loads(manifest.read_text())["calibration"]["kappa"] == "1/8"
     argv = ["sample", "--box", "4,4,4", "--steps", "100", "--out", "o.jsonl"]
     loaded = _modules_after(f"from dimers.cli import main\nassert main({argv!r}) == 0", tmp_path)
@@ -414,7 +414,7 @@ def test_every_public_name_resolves_to_the_object_in_its_home_module():
 
 def test_exit_code_calibration(in_tmp, capsys, monkeypatch):
     import importlib
-    from fractions import Fraction
+    from itertools import product
 
     twist_module = importlib.import_module("dimers.twist")
     from dimers.errors import CalibrationError
@@ -422,21 +422,18 @@ def test_exit_code_calibration(in_tmp, capsys, monkeypatch):
     def boom():
         raise CalibrationError("forced failure")
 
-    monkeypatch.setattr(twist_module, "calibration", boom)
-    assert main(["count", "--box", "2,2"]) == 4
-    monkeypatch.undo()
-
-    # a real calibration failure names every candidate it tried
-    candidates = (Fraction(1, 3), Fraction(1, 5))
-    monkeypatch.setattr(twist_module, "_KAPPA_CANDIDATES", candidates)
-    twist_module.calibration.cache_clear()
-    try:
-        capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr(twist_module, "calibration", boom)
         assert main(["count", "--box", "2,2"]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("error: no normalization in {1/3, 1/5} satisfies")
-    finally:
-        twist_module.calibration.cache_clear()
+
+    # 3x3x4 without two cells of its top layer: the declared normalization
+    # gives this region a half-integer twist, which is refused, not rescaled
+    cut = {(2, 1, 3), (2, 2, 3)}
+    cells = [list(c) for c in product(range(3), range(3), range(4)) if c not in cut]
+    (in_tmp / "cut.json").write_text(json.dumps({"d": 3, "kind": "general", "cells": cells}))
+    capsys.readouterr()
+    assert main(["census", "--disk", "cut.json"]) == 4
+    assert capsys.readouterr() == ("", "error: non-integral twist -3/2\n")
 
 
 @pytest.mark.parametrize(
@@ -489,17 +486,24 @@ def test_config_file(in_tmp, capsys):
     assert main(["--config=", "count"]) == 2
 
 
+# int() would read 2.0, 0.5 and true as 2, 0 and 1, and 2.7 as 2; a box's
+# d must be its number of sides, or d 5 reads as the 2x2x2 box and d 2 with
+# --height 2 as a 4D cylinder
 _REGION_RECORDS = [
-    ('{"d": 2.0, "kind": "general", "cells": [[0, 0], [1, 0]]}', "region d 2.0"),
-    ('{"d": 2, "kind": "general", "cells": [[0.5, 0], [1, 0]]}', "region coordinate 0.5"),
-    ('{"d": 2, "kind": "general", "cells": [[true, 0], [0, 0]]}', "region coordinate true"),
-    ('{"d": true, "kind": "box", "dims": [2, 2]}', "region d true"),
-    ('{"d": 2, "kind": "box", "dims": [2.7, 2]}', "region dims entry 2.7"),
+    ('{"d": 2.0, "kind": "general", "cells": [[0, 0], [1, 0]]}', "region d 2.0 is not an integer"),
+    ('{"d": 2, "kind": "general", "cells": [[0.5, 0], [1, 0]]}',
+     "region coordinate 0.5 is not an integer"),
+    ('{"d": 2, "kind": "general", "cells": [[true, 0], [0, 0]]}',
+     "region coordinate true is not an integer"),
+    ('{"d": true, "kind": "box", "dims": [2, 2]}', "region d true is not an integer"),
+    ('{"d": 2, "kind": "box", "dims": [2.7, 2]}', "region dims entry 2.7 is not an integer"),
     ('{"d": 3, "kind": "cylinder", "disk_cells": [[0, 0], [1, 0]], "height": 2.0}',
-     "region height 2.0"),
+     "region height 2.0 is not an integer"),
+    ('{"d": 5, "kind": "box", "dims": [2, 2, 2]}', "region d 5 does not match 3 dims [2, 2, 2]"),
+    ('{"d": 2, "kind": "box", "dims": [2, 2, 2]}', "region d 2 does not match 3 dims [2, 2, 2]"),
 ]
 _RECORD_IDS = ["d-float", "coordinate-float", "coordinate-bool", "box-d-bool", "dims-float",
-               "height-float"]
+               "height-float", "box-d-5", "box-d-2"]
 
 _TWIST_FILE = ["twist", "--box", "2,2,2", "--tiling", "bad.jsonl"]
 _DISK_RECORD = ["count", "--disk", "bad-disk.json", "--height", "2"]
@@ -532,8 +536,7 @@ _SLAB_FILE = ["slab", "twist", "--tiling", "bad-slabs.jsonl"]
          "bad-disk.json line 2: not a region record (KeyError"),
         (_DISK_RECORD, "[1,2]", "bad-disk.json line 2: not a disk row"),
         (_DISK_RECORD, "##x#", "bad-disk.json line 2: not a disk row"),
-        # int() would read 2.0, 0.5 and true as 2, 0 and 1, and 2.7 as 2
-        *[(_DISK_RECORD, record, f"bad-disk.json line 2: {message} is not an integer\n")
+        *[(_DISK_RECORD, record, f"bad-disk.json line 2: {message}\n")
           for record, message in _REGION_RECORDS],
     ],
     ids=["tiling-file", "disk-record", "tiling-empty", "tiling-short-domino",
@@ -561,7 +564,7 @@ def test_malformed_json_ends_in_one_error_line(in_tmp, capsys, argv, line, where
 def test_a_tiling_file_header_takes_integers_only(in_tmp, capsys, record, message):
     (in_tmp / "t.jsonl").write_text(record + "\n")
     assert main(["twist", "--box", "2,2,2", "--tiling", "t.jsonl"]) == 2
-    assert capsys.readouterr() == ("", f"error: t.jsonl line 1: {message} is not an integer\n")
+    assert capsys.readouterr() == ("", f"error: t.jsonl line 1: {message}\n")
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n\n", "...\n..\n"], ids=["empty", "blank", "dots"])

@@ -198,8 +198,9 @@ _BOX_2 = make_box((2, 2, 2))
 def test_validation_reports(slabs, report):
     tiling = SlabTiling(_BOX_2, tuple(Slab(*s) for s in slabs))
     assert validate_slab_tiling(tiling) == report
-    with pytest.raises(InflationError, match=re.escape(report)):
-        pair_twist(tiling)
+    for twists in (pair_twist, triple_twist, all_pair_twists):
+        with pytest.raises(InflationError, match=re.escape(report)):
+            twists(tiling)
 
 
 def test_slab_tilings_need_3d():
