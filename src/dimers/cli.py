@@ -12,6 +12,13 @@ modules it runs, so a launch loads only its subcommand's: a `count` loads
 the profile DP, and the twist module for the manifest's calibration
 constants, but never the moves or enumeration modules, the sampler,
 slabs, ideals, csv or sqlite3.
+
+`twist`, `render` and `slab twist` read their --tiling file one line at a
+time: the header's region is checked against --box/--disk first, and
+each tiling is twisted or rendered as it is read.  Only the per-line
+results are kept, and printed once every line has been read, so a bad
+line leaves stdout empty; the first failing line in file order is the
+one reported.
 """
 from __future__ import annotations
 
@@ -19,6 +26,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -27,8 +35,8 @@ from .core import (
     make_box,
     make_cylinder,
     make_region,
+    open_records,
     open_text,
-    read_tilings,
     region_to_record,
     render_floors,
     write_tilings,
@@ -141,20 +149,26 @@ def _write_manifest(path: Path, args, extra: dict, started: float) -> None:
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
 
-def _read_matching(read, args, region):
-    """read(args.tiling), refused when region is given and the file's
-    differs; the refusal names the region flag given."""
-    file_region, items = read(args.tiling)
-    if region is not None and file_region != region:
-        flag = "--disk" if getattr(args, "disk", None) else "--box"
-        raise DimersError(f"tiling file region disagrees with {flag}")
-    return file_region, items
+@contextmanager
+def _open_matching(args, region, decode=None):
+    """open_records(args.tiling, decode), refused before any line is read
+    when region is given and the file's differs; the refusal names the
+    region flag given."""
+    with open_records(args.tiling, decode) as (file_region, items):
+        if region is not None and file_region != region:
+            flag = "--disk" if getattr(args, "disk", None) else "--box"
+            raise DimersError(f"tiling file region disagrees with {flag}")
+        yield file_region, items
 
 
 def _tilings_from_arg(args, region):
+    """The tilings --tiling names, one at a time: the base tiling, or
+    each line of the file as it is read."""
     if args.tiling == "base":
-        return [base_vertical_tiling(region)]
-    return _read_matching(read_tilings, args, region)[1]
+        yield base_vertical_tiling(region)
+        return
+    with _open_matching(args, region) as (_, tilings):
+        yield from tilings
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +315,7 @@ def _cmd_sample(args) -> dict:
 
 
 def _cmd_slab(args) -> dict:
-    from .slab import read_slab_tilings, slab_flip_components, triple_twist
+    from .slab import slab_flip_components, slab_tiling_from_record, triple_twist
 
     if args.slab_command == "census":
         region = _region_from_args(args)
@@ -334,8 +348,8 @@ def _cmd_slab(args) -> dict:
         }
     # slab twist --tiling FILE
     region = make_box(args.box) if args.box else None
-    file_region, slab_tilings = _read_matching(read_slab_tilings, args, region)
-    values = [triple_twist(t) for t in slab_tilings]
+    with _open_matching(args, region, slab_tiling_from_record) as (file_region, slab_tilings):
+        values = [triple_twist(t) for t in slab_tilings]
     for v in values:
         print(",".join(map(str, v)))
     return {"triple_twists": [list(v) for v in values],
@@ -355,7 +369,7 @@ def _cmd_ideals(args) -> dict:
 def _cmd_render(args) -> dict:
     region = _region_from_args(args)
     blocks = [render_floors(t) for t in _tilings_from_arg(args, region)]
-    print("\n===\n".join(blocks), end="")
+    print(*blocks, sep="\n===\n", end="")
     return {"rendered": len(blocks), "region": region_to_record(region)}
 
 

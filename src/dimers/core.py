@@ -6,8 +6,9 @@ stored as a fixed-point-free involution on cell indices.  Everything
 downstream (moves, counting, twist, sampling) works on these two values,
 so both are safe to share between workers.
 
-`matchings` is the one search over domino matchings: enumeration and
-the counting module's floor fills both run it.
+`matchings` is the one search over domino matchings: enumeration, the
+counting module's floor fills and the twist's reference tiling all run
+it.  `open_records` reads a tiling or slab file one line at a time.
 """
 from __future__ import annotations
 
@@ -711,12 +712,16 @@ def write_tilings(path, region: Region, tilings: Iterable[Tiling]) -> int:
 
 def json_record(line: str, path, lineno: int, decode):
     """decode(the JSON value on line `lineno` of `path`).  When the line
-    is not JSON, or decode raises a package error, the error names the
-    file and line."""
+    is not JSON, is nested too deeply for the parser, or decode raises a
+    package error, the error names the file and line."""
     try:
-        return decode(json.loads(line))
+        rec = json.loads(line)
     except json.JSONDecodeError as exc:
         raise DecodeError(f"{path} line {lineno}: bad JSON ({exc.msg})") from None
+    except RecursionError:
+        raise DecodeError(f"{path} line {lineno}: bad JSON (nested too deeply)") from None
+    try:
+        return decode(rec)
     except DimersError as exc:
         raise type(exc)(f"{path} line {lineno}: {exc}") from None
 
@@ -738,19 +743,6 @@ def _read_header(fh, path) -> Region:
     if not header:
         raise DecodeError(f"{path}: empty tiling file")
     return json_record(header, path, 1, region_from_record)
-
-
-def read_records(path, decode) -> tuple[Region, list]:
-    """A JSON-lines file: a region header, then decode(record, region) of
-    each non-blank line after it."""
-    with open_text(path) as fh:
-        region = _read_header(fh, path)
-        items = [
-            json_record(line, path, lineno, lambda rec: decode(rec, region))
-            for lineno, line in enumerate(fh, 2)
-            if line.strip()
-        ]
-    return region, items
 
 
 # tiling_json's line with its newline is _LINE_HEAD, the domino texts
@@ -776,23 +768,47 @@ def _tiling_by_lookup(line: str, region: Region, pair_of) -> Tiling | None:
     return None if -1 in partner else Tiling(region, tuple(partner))
 
 
-def read_tilings(path) -> tuple[Region, list[Tiling]]:
-    """A tiling file's region and tilings.
+@contextmanager
+def open_records(path, decode=None):
+    """A JSON-lines file read one line at a time: yields (region,
+    items), the header's region and an iterator over decode(record,
+    region) of each non-blank line after it, each line read as the
+    iterator is advanced.  The file stays open inside the with block.
 
-    The writer's own lines are read by inverting region.domino_json: each
-    domino text is looked up, then the overlap and cover checks of
-    tiling_from_dominoes run.  The table holds only the writer's texts,
-    all integers, so a line read this way is one the JSON route accepts
-    with the same partners.  Any other line, and one whose lookup or
-    checks fail, goes through json_record and tiling_from_record, which
-    give every error report."""
+    decode None reads a tiling file.  The writer's own lines are read by
+    inverting region.domino_json: each domino text is looked up, then the
+    overlap and cover checks of tiling_from_dominoes run.  The table holds
+    only the writer's texts, all integers, so a line read this way is one
+    the JSON route accepts with the same partners.  Any other line, and
+    one whose lookup or checks fail, goes through json_record and
+    tiling_from_record, which give every error report."""
     with open_text(path) as fh:
         region = _read_header(fh, path)
+        yield region, _items(fh, path, region, decode)
+
+
+def _items(fh, path, region: Region, decode) -> Iterator:
+    """open_records' iterator over the lines of fh after the header."""
+    lookup = None
+    if decode is None:
+        decode = tiling_from_record
         pair_of = {text[2:-1]: pair for pair, text in region.domino_json.items()}.__getitem__
-        tilings = [
-            _tiling_by_lookup(line, region, pair_of)
-            or json_record(line, path, lineno, lambda rec: tiling_from_record(rec, region))
-            for lineno, line in enumerate(fh, 2)
-            if line.strip()
-        ]
-    return region, tilings
+        lookup = lambda line: _tiling_by_lookup(line, region, pair_of)
+    for lineno, line in enumerate(fh, 2):
+        if line.strip():
+            yield (lookup and lookup(line)) or json_record(
+                line, path, lineno, lambda rec: decode(rec, region)
+            )
+
+
+def read_records(path, decode) -> tuple[Region, list]:
+    """A JSON-lines file: a region header, then decode(record, region) of
+    each non-blank line after it."""
+    with open_records(path, decode) as (region, items):
+        return region, list(items)
+
+
+def read_tilings(path) -> tuple[Region, list[Tiling]]:
+    """A tiling file's region and tilings, read as open_records reads them."""
+    with open_records(path) as (region, tilings):
+        return region, list(tilings)

@@ -41,6 +41,7 @@ from .core import (
     base_vertical_tiling,
     color_sign,
     matched,
+    matchings,
 )
 from .errors import (
     CalibrationError,
@@ -163,14 +164,14 @@ def _calibrated(total: int) -> Fraction:
 @lru_cache(maxsize=256)
 def _reference_tiling(region: Region) -> Tiling:
     """Base of the twist: the all-vertical tiling when it exists, else the
-    first tiling in enumeration order."""
+    first tiling in enumeration order, core.matchings' first."""
     try:
         return base_vertical_tiling(region)
     except NoBaseTiling:
-        from .explore import enumerate_tilings
-
-        for t in enumerate_tilings(region, cap=None):
-            return t
+        partner = [-1] * region.n_cells
+        if region.n_cells % 2 == 0:
+            for _ in matchings(region.forward, partner):
+                return Tiling(region, tuple(partner))
         raise InvalidRegion("region has no tilings, twist is undefined")
 
 

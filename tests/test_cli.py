@@ -1,7 +1,9 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -395,6 +397,22 @@ def test_a_launch_loads_only_the_modules_its_subcommand_runs(tmp_path):
     assert not loaded & {"dataclasses", "dimers.explore"}
     assert not [name for name in _modules_after("import dimers", tmp_path)
                 if name.startswith("dimers.")]
+    # 2x3x5 has no all-vertical tiling: the twist's reference is the first
+    # tiling core.matchings finds, so reading and twisting a file enumerates
+    # nothing
+    from dimers.core import write_tilings
+    from dimers.explore import enumerate_tilings
+
+    box = make_box((2, 3, 5))
+    write_tilings(tmp_path / "F.jsonl", box, enumerate_tilings(box))
+    argv = ["--manifest", str(manifest), "twist", "--box", "2,3,5", "--tiling", "F.jsonl"]
+    loaded = _modules_after(
+        "import contextlib, io\nfrom dimers.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0",
+        tmp_path,
+    )
+    assert "dimers.twist" in loaded
+    assert not loaded & {"dimers.explore", "dimers.counting", "dimers.moves"}
 
 
 def test_every_public_name_resolves_to_the_object_in_its_home_module():
@@ -486,6 +504,9 @@ def test_config_file(in_tmp, capsys):
     assert main(["--config=", "count"]) == 2
 
 
+# a line nested deeper than json.loads recurses, which is bad JSON too
+_DEEP_LINE = '{"d": ' + "[" * 200_000
+
 # int() would read 2.0, 0.5 and true as 2, 0 and 1, and 2.7 as 2; a box's
 # d must be its number of sides, or d 5 reads as the 2x2x2 box and d 2 with
 # --height 2 as a 4D cylinder
@@ -501,21 +522,27 @@ _REGION_RECORDS = [
      "region height 2.0 is not an integer"),
     ('{"d": 5, "kind": "box", "dims": [2, 2, 2]}', "region d 5 does not match 3 dims [2, 2, 2]"),
     ('{"d": 2, "kind": "box", "dims": [2, 2, 2]}', "region d 2 does not match 3 dims [2, 2, 2]"),
+    (_DEEP_LINE, "bad JSON (nested too deeply)"),
 ]
 _RECORD_IDS = ["d-float", "coordinate-float", "coordinate-bool", "box-d-bool", "dims-float",
-               "height-float", "box-d-5", "box-d-2"]
+               "height-float", "box-d-5", "box-d-2", "deep"]
 
 _TWIST_FILE = ["twist", "--box", "2,2,2", "--tiling", "bad.jsonl"]
 _DISK_RECORD = ["count", "--disk", "bad-disk.json", "--height", "2"]
 _SLAB_FILE = ["slab", "twist", "--tiling", "bad-slabs.jsonl"]
+_RENDER_FILE = ["render", "--box", "2,2,2", "--tiling", "bad.jsonl"]
 
 
 @pytest.mark.parametrize(
     "argv, line, where",
     [
         (_TWIST_FILE, '{"dominoes": [[0, 0', "bad.jsonl line 3: bad JSON"),
+        (_TWIST_FILE, _DEEP_LINE, "bad.jsonl line 3: bad JSON (nested too deeply)\n"),
+        (_RENDER_FILE, _DEEP_LINE, "bad.jsonl line 3: bad JSON (nested too deeply)\n"),
+        (_SLAB_FILE, _DEEP_LINE, "bad-slabs.jsonl line 3: bad JSON (nested too deeply)\n"),
         (_DISK_RECORD, '{"d": 2, "kind": ', "bad-disk.json line 2: bad JSON"),
         (_TWIST_FILE, "{}", "bad.jsonl line 3: not a tiling record (KeyError"),
+        (_RENDER_FILE, "{}", "bad.jsonl line 3: not a tiling record (KeyError"),
         (_TWIST_FILE, '{"dominoes": [[[0, 0, 0]]]}',
          "bad.jsonl line 3: not a tiling record (ValueError"),
         (_SLAB_FILE, "{}", "bad-slabs.jsonl line 3: not a slab tiling record (KeyError"),
@@ -539,7 +566,8 @@ _SLAB_FILE = ["slab", "twist", "--tiling", "bad-slabs.jsonl"]
         *[(_DISK_RECORD, record, f"bad-disk.json line 2: {message}\n")
           for record, message in _REGION_RECORDS],
     ],
-    ids=["tiling-file", "disk-record", "tiling-empty", "tiling-short-domino",
+    ids=["tiling-file", "tiling-deep", "render-deep", "slab-deep", "disk-record", "tiling-empty",
+         "render-empty", "tiling-short-domino",
          "slab-empty", "slab-float-normal", "slab-bool-coordinate", "slab-normal-5",
          "slab-normal-minus-1", "slab-leaves", "slab-covered-twice", "slab-uncovered", "disk-cylinder", "disk-array", "disk-grid-glyph",
          *("disk-" + name for name in _RECORD_IDS)],
@@ -556,7 +584,9 @@ def test_malformed_json_ends_in_one_error_line(in_tmp, capsys, argv, line, where
             fh.write(line + "\n")
     (in_tmp / "bad-disk.json").write_text("\n" + line + "\n")
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    # a file command buffers its valid line 2's result, so stdout stays empty
+    assert out == ""
     assert err.startswith(f"error: {where}") and err.count("\n") == 1
 
 
@@ -864,10 +894,11 @@ def test_malformed_domino_ends_in_one_error_line(in_tmp, capsys, first, message)
     with open("bad.jsonl", "a", encoding="utf-8") as fh:
         rest = [[[0, 1, 0], 2], [[1, 0, 0], 2], [[1, 1, 0], 2]]
         fh.write(json.dumps({"dominoes": [first, *rest]}) + "\n")
-    assert main(_TWIST_FILE) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: bad.jsonl line 3: {message}\n"
+    for argv in (_TWIST_FILE, _RENDER_FILE):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: bad.jsonl line 3: {message}\n"
 
 
 def test_a_negative_axis_is_not_a_domino_of_the_region(in_tmp, capsys):
@@ -881,3 +912,83 @@ def test_a_negative_axis_is_not_a_domino_of_the_region(in_tmp, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: neg.jsonl line 2: domino [[0, 0, 1], -2] is not a domino of the region\n"
+
+
+def test_a_file_command_reports_its_first_failing_line(in_tmp, capsys):
+    # lines are twisted as they are read, so a non-integral twist on line 2
+    # (exit 4) is reported before the malformed line 3 is read
+    from itertools import product
+
+    from dimers.core import make_region, tiling_json
+    from dimers.errors import CalibrationError
+    from dimers.explore import enumerate_tilings
+    from dimers.twist import twist
+
+    cut = {(2, 1, 3), (2, 2, 3)}
+    region = make_region([c for c in product(range(3), range(3), range(4)) if c not in cut], d=3)
+    record = {"d": 3, "kind": "general", "cells": [list(c) for c in region.cells]}
+    (in_tmp / "cut.json").write_text(json.dumps(record))
+
+    def non_integral(tiling):
+        try:
+            twist(tiling)
+        except CalibrationError:
+            return True
+        return False
+
+    bad = next(t for t in enumerate_tilings(region) if non_integral(t))
+    (in_tmp / "cut.jsonl").write_text(
+        f"{json.dumps(record)}\n{tiling_json(bad)}\n" + '{"dominoes": [[0, 0\n'
+    )
+    assert main(["twist", "--disk", "cut.json", "--tiling", "cut.jsonl"]) == 4
+    assert capsys.readouterr() == ("", "error: non-integral twist 1/4\n")
+    # a region that disagrees is refused from the header, before any line
+    assert main(["twist", "--box", "3,3,4", "--tiling", "cut.jsonl"]) == 2
+    assert capsys.readouterr() == ("", "error: tiling file region disagrees with --box\n")
+
+
+def _traced_peak(argv) -> int:
+    """The peak of the memory traced while main(argv) runs with stdout
+    sent to the null device, in bytes."""
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "argv, lines, bound",
+    [
+        (["twist", "--box", "2,3,5", "--tiling"], None, 160),
+        (["render", "--box", "2,3,5", "--tiling"], 1000, 300),
+        (["slab", "twist", "--tiling"], None, 800),
+    ],
+    ids=["twist", "render", "slab-twist"],
+)
+def test_a_file_command_holds_one_tiling_at_a_time(in_tmp, capsys, argv, lines, bound):
+    """Repeating a file's lines 4x grows the peak by what the command
+    buffers per line (an int, rendered text or a triple, and the manifest's
+    list), not by the tilings read: these measure about 80, 170 and 650
+    bytes per line, and holding every tiling read in a list adds about 300
+    per 2x3x5 tiling and 500 per 4x4x2 slab tiling."""
+    from dimers.core import write_tilings
+    from dimers.explore import enumerate_tilings
+    from dimers.slab import enumerate_slab_tilings, write_slab_tilings
+
+    if argv[0] == "slab":
+        box = make_box((4, 4, 2))
+        write_slab_tilings("file.jsonl", box, enumerate_slab_tilings(box))
+    else:
+        box = make_box((2, 3, 5))
+        write_tilings("file.jsonl", box, enumerate_tilings(box))
+    header, *body = (in_tmp / "file.jsonl").read_text().splitlines(True)
+    body = body[:lines]
+    for name, copy in (("warm", body[:1]), ("once", body), ("four", body * 4)):
+        (in_tmp / f"{name}.jsonl").write_text(header + "".join(copy))
+    assert main([*argv, "warm.jsonl"]) == 0  # fills the per-region caches untraced
+    once = _traced_peak([*argv, "once.jsonl"])
+    four = _traced_peak([*argv, "four.jsonl"])
+    assert (four - once) / (3 * len(body)) < bound

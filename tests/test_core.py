@@ -17,6 +17,7 @@ from dimers.core import (
     make_box,
     make_cylinder,
     make_region,
+    open_records,
     parse_floors,
     read_tilings,
     refine_region,
@@ -342,6 +343,19 @@ def test_tilings_file_roundtrip(tmp_path):
     back_region, back = read_tilings(path)
     assert back_region == r
     assert back == tilings
+
+
+def test_open_records_reads_a_line_when_its_item_is_asked_for(tmp_path):
+    r = make_box((2, 2, 2))
+    path = tmp_path / "tilings.jsonl"
+    write_tilings(path, r, [base_vertical_tiling(r)])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n{}\n")
+    with open_records(path) as (region, tilings):
+        assert region == r
+        assert next(tilings) == base_vertical_tiling(r)
+        with pytest.raises(DecodeError, match="tilings.jsonl line 4: not a tiling record"):
+            next(tilings)
 
 
 @pytest.mark.parametrize("line", [0, 2], ids=["header", "third-line"])
