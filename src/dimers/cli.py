@@ -9,9 +9,11 @@ reproduced bit for bit.  Exit codes: 2 usage, 3 caps and guards,
 The module itself imports only what every run uses: argparse, json, the
 region builders of `core` and the errors.  Each handler imports the
 modules it runs, so a launch loads only its subcommand's: a `count` loads
-the profile DP, and the twist module for the manifest's calibration
-constants, but never the moves or enumeration modules, the sampler,
-slabs, ideals, csv or sqlite3.
+the profile DP but never the twist, moves or enumeration modules, the
+sampler, slabs, ideals, fractions, csv or sqlite3; the manifest's
+calibration constants are a literal here.  Every subcommand is registered
+by name and help, but its parser and arguments are built only when it
+runs (or prints its help).
 
 `twist`, `render` and `slab twist` read their --tiling file one line at a
 time: the header's region is checked against --box/--disk first, and
@@ -26,6 +28,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -133,20 +136,29 @@ def _manifest_path(value: str | None) -> Path:
     return path
 
 
-def _write_manifest(path: Path, args, extra: dict, started: float) -> None:
-    from .twist import calibration
+# twist.calibration().as_dict(), written out so that writing a manifest
+# loads no twist module (a test pins the two equal)
+_CALIBRATION = {"kappa": "1/8", "sign": 1, "kasteleyn_rule": "x:+1 y:(-1)^x z:(-1)^(x+y)"}
 
+
+def _write_manifest(path: Path, args, extra: dict, started: float) -> None:
     record = {
         "command": args.command,
         "argv": sys.argv[1:],
         "version": __version__,
         "region": extra.pop("region", None),
         "seed": getattr(args, "seed", None),
-        "calibration": calibration().as_dict(),
+        "calibration": _CALIBRATION,
         "wall_time_s": round(time.time() - started, 3),
     }
     record.update(extra)
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+
+
+def _tally(values, key=str) -> dict:
+    """{key(value): how many values equal it}, in increasing value: what
+    a manifest records of a file's per-tiling results."""
+    return {key(value): n for value, n in sorted(Counter(values).items())}
 
 
 @contextmanager
@@ -264,7 +276,7 @@ def _cmd_twist(args) -> dict:
     region = _region_from_args(args)
     values = [twist(t) for t in _tilings_from_arg(args, region)]
     sys.stdout.write("".join(f"{value}\n" for value in values))
-    return {"twists": values, "region": region_to_record(region)}
+    return {"twists": _tally(values), "region": region_to_record(region)}
 
 
 def _cmd_pfaffian(args) -> dict:
@@ -314,6 +326,10 @@ def _cmd_sample(args) -> dict:
     return {"out": str(out), "region": region_to_record(region)}
 
 
+def _triple_text(triple) -> str:
+    return ",".join(map(str, triple))
+
+
 def _cmd_slab(args) -> dict:
     from .slab import slab_flip_components, slab_tiling_from_record, triple_twist
 
@@ -351,8 +367,8 @@ def _cmd_slab(args) -> dict:
     with _open_matching(args, region, slab_tiling_from_record) as (file_region, slab_tilings):
         values = [triple_twist(t) for t in slab_tilings]
     for v in values:
-        print(",".join(map(str, v)))
-    return {"triple_twists": [list(v) for v in values],
+        print(_triple_text(v))
+    return {"triple_twists": _tally(values, _triple_text),
             "region": region_to_record(file_region)}
 
 
@@ -376,54 +392,61 @@ def _cmd_render(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+class _Subcommand:
+    """A subcommand's parser, built with its arguments the first time it
+    parses (or prints its help), so that a launch builds only the parser
+    of the subcommand that runs.  `add_subparsers(parser_class=...)`
+    creates one per subcommand name; argparse calls nothing of it but
+    parse_known_args."""
+
+    def __init__(self, add_arguments, **kwargs):
+        self._add_arguments = add_arguments
+        self._kwargs = kwargs
+        self._parser = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._parser is None:
+            self._parser = argparse.ArgumentParser(**self._kwargs)
+            self._add_arguments(self._parser)
+        return self._parser.parse_known_args(args, namespace)
+
+
 def _add_region_flags(parser):
     parser.add_argument("--box", type=_parse_dims, help="box dims, e.g. 3,3,2")
     parser.add_argument("--disk", help="disk file (#/. grid or JSON record)")
     parser.add_argument("--height", type=int, help="cylinder height over --disk")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dimers",
-        description="domino tilings of boxes: exact counts, moves, twist",
-    )
-    parser.add_argument("--manifest", help="manifest path (default run_manifest.json)")
-    parser.add_argument("--config", help="key=value config file; flags win")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="exact tiling count")
+def _count_arguments(p):
     _add_region_flags(p)
     p.add_argument("--formula", action="store_true", help="2D product formula")
 
-    p = sub.add_parser("enumerate", help="write every tiling to a JSONL file")
+
+def _cap_and_out_arguments(p):
     _add_region_flags(p)
     p.add_argument("--cap", type=int, default=10_000_000)
     p.add_argument("--out")
 
-    p = sub.add_parser("components", help="flip component census")
+
+def _components_arguments(p):
     _add_region_flags(p)
     p.add_argument("--cap", type=int, default=10_000_000)
     p.add_argument("--extended", action="store_true", help="disk-backed visited set")
     p.add_argument("--scratch", help="scratch dir for --extended")
     p.add_argument("--out", help="census CSV path")
 
-    p = sub.add_parser("flipfree", help="tilings with no flips")
-    _add_region_flags(p)
-    p.add_argument("--cap", type=int, default=10_000_000)
-    p.add_argument("--out")
 
-    p = sub.add_parser("census", help="tiling count per twist value")
+def _census_arguments(p):
     _add_region_flags(p)
     p.add_argument("--out", help="CSV path")
 
-    p = sub.add_parser("twist", help="twist of tilings from a file")
+
+def _twist_arguments(p):
     _add_region_flags(p)
     p.add_argument("--tiling", required=True, help="JSONL file or 'base'")
 
-    p = sub.add_parser("pfaffian", help="Kasteleyn alternating-sum determinant")
-    _add_region_flags(p)
 
-    p = sub.add_parser("sample", help="MCMC sampling")
+def _sample_arguments(p):
     _add_region_flags(p)
     p.add_argument("--moves", default="flips", choices=["flips", "flips+trits"])
     p.add_argument("--steps", type=int, help="proposals of a final-state run (default 100000)")
@@ -436,27 +459,68 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", help="write static SVG bar plot")
     p.add_argument("--out", help="final-state JSONL path (default sampled.jsonl)")
 
-    p = sub.add_parser("slab", help="slab tilings and the triple twist")
-    slab_sub = p.add_subparsers(dest="slab_command", required=True)
-    q = slab_sub.add_parser("census", help="slab flip components + triple twists")
-    _add_region_flags(q)
-    q.add_argument("--cap", type=int, default=1_000_000)
-    q = slab_sub.add_parser("twist", help="triple twist of slab tilings from a file")
-    q.add_argument("--tiling", required=True, help="slab JSONL file")
-    q.add_argument("--box", type=_parse_dims)
 
-    p = sub.add_parser("ideals", help="export flip/tiling ideal generators")
-    ideals_sub = p.add_subparsers(dest="ideals_command", required=True)
-    q = ideals_sub.add_parser("export")
-    _add_region_flags(q)
-    q.add_argument("--out")
-    q.add_argument("--with-tiling-ideal", action="store_true")
-    q.add_argument("--cap", type=int, default=100_000)
+def _slab_census_arguments(p):
+    _add_region_flags(p)
+    p.add_argument("--cap", type=int, default=1_000_000)
 
-    p = sub.add_parser("render", help="floor diagram of tilings")
+
+def _slab_twist_arguments(p):
+    p.add_argument("--tiling", required=True, help="slab JSONL file")
+    p.add_argument("--box", type=_parse_dims)
+
+
+def _slab_arguments(p):
+    sub = p.add_subparsers(dest="slab_command", required=True, parser_class=_Subcommand)
+    sub.add_parser("census", help="slab flip components + triple twists",
+                   add_arguments=_slab_census_arguments)
+    sub.add_parser("twist", help="triple twist of slab tilings from a file",
+                   add_arguments=_slab_twist_arguments)
+
+
+def _ideals_export_arguments(p):
+    _add_region_flags(p)
+    p.add_argument("--out")
+    p.add_argument("--with-tiling-ideal", action="store_true")
+    p.add_argument("--cap", type=int, default=100_000)
+
+
+def _ideals_arguments(p):
+    sub = p.add_subparsers(dest="ideals_command", required=True, parser_class=_Subcommand)
+    sub.add_parser("export", add_arguments=_ideals_export_arguments)
+
+
+def _render_arguments(p):
     _add_region_flags(p)
     p.add_argument("--tiling", default="base", help="JSONL file or 'base'")
 
+
+# name, help and argument builder of each subcommand, in usage order
+_SUBCOMMANDS = (
+    ("count", "exact tiling count", _count_arguments),
+    ("enumerate", "write every tiling to a JSONL file", _cap_and_out_arguments),
+    ("components", "flip component census", _components_arguments),
+    ("flipfree", "tilings with no flips", _cap_and_out_arguments),
+    ("census", "tiling count per twist value", _census_arguments),
+    ("twist", "twist of tilings from a file", _twist_arguments),
+    ("pfaffian", "Kasteleyn alternating-sum determinant", _add_region_flags),
+    ("sample", "MCMC sampling", _sample_arguments),
+    ("slab", "slab tilings and the triple twist", _slab_arguments),
+    ("ideals", "export flip/tiling ideal generators", _ideals_arguments),
+    ("render", "floor diagram of tilings", _render_arguments),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="dimers",
+        description="domino tilings of boxes: exact counts, moves, twist",
+    )
+    parser.add_argument("--manifest", help="manifest path (default run_manifest.json)")
+    parser.add_argument("--config", help="key=value config file; flags win")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, help_text, add_arguments in _SUBCOMMANDS:
+        sub.add_parser(name, help=help_text, add_arguments=add_arguments)
     return parser
 
 

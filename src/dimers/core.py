@@ -558,62 +558,48 @@ def _tiling_from_codes(region: Region, codes: list[int]) -> Tiling:
 _GLYPHS = "><^vUD"
 
 
+@lru_cache(maxsize=16)
+def _floor_layout(region: Region) -> tuple:
+    """render_floors' picture of a region, built once: each cell's glyph
+    by partner, the fixed pieces of the diagram ('.', newlines, floor
+    headers), and a getter that picks the diagram's characters, in order,
+    from the cells' glyphs followed by the fixed pieces."""
+    lo, hi = region.bounding_box
+    idx = region.index
+    fixed: dict[str, int] = {}
+    order: list[int] = []
+
+    def put(text: str) -> None:
+        order.append(fixed.setdefault(text, region.n_cells + len(fixed)))
+
+    floors = range(lo[2], hi[2] + 1) if region.d == 3 else range(0, 1)
+    for z in floors:
+        if z != floors[0]:
+            put("\n")  # a blank line between floors
+        if region.d == 3:
+            put(f"floor {z}\n")
+        for y in range(hi[1], lo[1] - 1, -1):
+            for x in range(lo[0], hi[0] + 1):
+                i = idx.get((x, y, z)[: region.d])
+                if i is None:
+                    put(".")
+                else:
+                    order.append(i)
+            put("\n")
+    glyphs = tuple({j: _GLYPHS[int(code)] for j, code in codes.items()}
+                   for codes in region.direction_codes)
+    return glyphs, tuple(fixed), itemgetter(*order)
+
+
 def render_floors(tiling: Tiling) -> str:
     """Text diagram of a 2D or 3D tiling, floor by floor."""
     region = tiling.region
     if region.d not in (2, 3):
         raise InvalidRegion("floor rendering supports d=2 and d=3")
-    lo, hi = region.bounding_box
-    idx = region.index
-    z_range = range(lo[2], hi[2] + 1) if region.d == 3 else range(0, 1)
-    lines = []
-    for z in z_range:
-        if region.d == 3:
-            lines.append(f"floor {z}")
-        for y in range(hi[1], lo[1] - 1, -1):
-            row = []
-            for x in range(lo[0], hi[0] + 1):
-                cell = (x, y, z)[: region.d]
-                if cell in idx:
-                    i = idx[cell]
-                    code = region.direction_codes[i][tiling.partner[i]]
-                    row.append(_GLYPHS[int(code)])
-                else:
-                    row.append(".")
-            lines.append("".join(row))
-        lines.append("")
-    return "\n".join(lines).rstrip("\n") + "\n"
-
-
-def parse_floors(text: str, region: Region) -> Tiling:
-    """Inverse of render_floors for the given region."""
-    lo, hi = region.bounding_box
-    z_range = range(lo[2], hi[2] + 1) if region.d == 3 else range(0, 1)
-    rows_per_floor = hi[1] - lo[1] + 1
-    lines = [ln for ln in text.splitlines()]
-    glyph_at = {}
-    pos = 0
-    for z in z_range:
-        if region.d == 3:
-            if pos >= len(lines) or not lines[pos].startswith("floor"):
-                raise DecodeError(f"missing floor header before floor {z}")
-            pos += 1
-        for r in range(rows_per_floor):
-            if pos >= len(lines):
-                raise DecodeError(f"diagram ends inside floor {z}")
-            y = hi[1] - r
-            row = lines[pos]
-            pos += 1
-            for k, ch in enumerate(row):
-                if ch != ".":
-                    glyph_at[(lo[0] + k, y, z)[: region.d]] = ch
-        while pos < len(lines) and lines[pos] == "":
-            pos += 1
-    for cell in region.cells:
-        if cell not in glyph_at:
-            raise DecodeError(f"cell {cell}: no glyph in diagram")
-    # an unknown glyph is code -1, which the range check rejects
-    return _tiling_from_codes(region, [_GLYPHS.find(glyph_at[c]) for c in region.cells])
+    glyphs, fixed, pick = _floor_layout(region)
+    chars = list(map(getitem, glyphs, tiling.partner))
+    chars += fixed
+    return "".join(pick(chars))
 
 
 # ---------------------------------------------------------------------------

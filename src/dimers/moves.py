@@ -9,12 +9,10 @@ axes.
 """
 from __future__ import annotations
 
-import json
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .core import Cell, Domino, Region, Tiling, decoding, json_record, matched, open_text
+from .core import Cell, Domino, Region, Tiling, matched
 from .errors import MoveNotApplicable, RegionMismatch
-from .twist import trit_sign
 
 
 class FlipMove(NamedTuple):
@@ -154,8 +152,12 @@ def apply_trit(tiling: Tiling, move: TritMove) -> tuple[Tiling, int]:
 
     In 3D the sign is the calibrated twist step, +1 or -1, negated by the
     inverse move.  In dimension 4 and up the twist lives in Z/2, every
-    trit flips it, and the sign is reported as +1.
+    trit flips it, and the sign is reported as +1.  The twist module is
+    loaded here, on the first trit applied, so that listing moves and
+    walking flips load none of it.
     """
+    from .twist import trit_sign
+
     removed, added = _trit_pairs(tiling, move)
     after = Tiling(tiling.region, matched(tiling.partner, added))
     return after, trit_sign(tiling.region, tiling.partner, removed, added)
@@ -186,65 +188,3 @@ def difference_cycles(t0: Tiling, t1: Tiling) -> list[list[Cell]]:
             take_t0 = not take_t0
         cycles.append(cycle)
     return cycles
-
-
-# ---------------------------------------------------------------------------
-# JSON-lines move log, for replay and audit
-
-
-def move_to_record(move: FlipMove | TritMove, sign: int = 0) -> dict:
-    if isinstance(move, FlipMove):
-        return {
-            "kind": "flip",
-            "block": list(move.corner),
-            "axes": [move.axes[0], move.axes[1], move.before_axis],
-            "sign": 0,
-        }
-    return {
-        "kind": "trit",
-        "block": list(move.corner),
-        "axes": list(move.axes),
-        "sign": sign,
-    }
-
-
-def move_from_record(rec: dict, tiling: Tiling) -> FlipMove | TritMove:
-    with decoding("move"):
-        corner = tuple(rec["block"])
-        if rec["kind"] == "flip":
-            a, b, before = rec["axes"]
-            return FlipMove(corner, (a, b), before)
-        axes = tuple(rec["axes"])
-        region = tiling.region
-        window = _window(region.trit_windows, region, corner, axes)
-        if window is None:
-            raise MoveNotApplicable(f"trit window {corner} leaves the region")
-        return TritMove(corner, axes, _dominoes(region, _held(tiling.partner, window[0])))
-
-
-def write_move_log(path, records: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
-
-
-def read_move_log(path) -> list[dict]:
-    with open_text(path) as fh:
-        lines = enumerate(fh, 1)
-        return [json_record(line, path, n, lambda rec: rec) for n, line in lines if line.strip()]
-
-
-def replay(tiling: Tiling, records: Iterable[dict]) -> Tiling:
-    """Apply a logged move sequence; signs in the log are re-checked."""
-    current = tiling
-    for rec in records:
-        move = move_from_record(rec, current)
-        if isinstance(move, FlipMove):
-            current = apply_flip(current, move)
-        else:
-            current, sign = apply_trit(current, move)
-            if rec.get("sign") and rec["sign"] != sign:
-                raise MoveNotApplicable(
-                    f"logged trit sign {rec['sign']} disagrees with {sign}"
-                )
-    return current

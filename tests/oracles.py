@@ -33,13 +33,17 @@ cells, and inflated by deflating each slab's two surviving cells and
 checking their count and adjacency, instead of reading the window and
 inflation tables.  The profile DP's plan has a reference that sweeps
 every order of the axes, without skipping orders that read a box's
-sides in the same sequence.
+sides in the same sequence.  A floor diagram has a reference that
+looks every cell of the bounding box up in the region's index, tiling by
+tiling, instead of reading a layout built once per region, and a parser
+that inverts it.
 """
 from collections import Counter, deque
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from dimers.core import (
+    _GLYPHS,
     REFINE_FACTOR,
     Domino,
     Tiling,
@@ -47,12 +51,13 @@ from dimers.core import (
     make_region,
     matched,
     matchings,
+    _tiling_from_codes,
     refine_region,
     tiling_from_dominoes,
     validate,
 )
 from dimers.counting import WIDTH_GUARD
-from dimers.errors import InflationError, InvalidRegion, InvalidTiling, WidthGuardExceeded
+from dimers.errors import DecodeError, InflationError, InvalidRegion, InvalidTiling, WidthGuardExceeded
 from dimers.slab import _PAIR_AXES, enumerate_slab_tilings, four_color, horizontal_slab_tiling
 from dimers.twist import KasteleynMatrix, _crossings_through, _edge_sign, pretwist
 
@@ -650,3 +655,60 @@ def pair_twist_by_cells(inflated, region, pair) -> int:
     if value.denominator != 1:
         raise InflationError(f"non-integral pair twist {value}")
     return int(value)
+
+
+def render_floors_by_cell(tiling) -> str:
+    """render_floors, reading each cell of the bounding box from the
+    region's index for every tiling."""
+    region = tiling.region
+    lo, hi = region.bounding_box
+    idx = region.index
+    z_range = range(lo[2], hi[2] + 1) if region.d == 3 else range(0, 1)
+    lines = []
+    for z in z_range:
+        if region.d == 3:
+            lines.append(f"floor {z}")
+        for y in range(hi[1], lo[1] - 1, -1):
+            row = []
+            for x in range(lo[0], hi[0] + 1):
+                cell = (x, y, z)[: region.d]
+                if cell in idx:
+                    i = idx[cell]
+                    code = region.direction_codes[i][tiling.partner[i]]
+                    row.append(_GLYPHS[int(code)])
+                else:
+                    row.append(".")
+            lines.append("".join(row))
+        lines.append("")
+    return "\n".join(lines).rstrip("\n") + "\n"
+
+
+def parse_floors(text: str, region) -> Tiling:
+    """Inverse of render_floors for the given region."""
+    lo, hi = region.bounding_box
+    z_range = range(lo[2], hi[2] + 1) if region.d == 3 else range(0, 1)
+    rows_per_floor = hi[1] - lo[1] + 1
+    lines = text.splitlines()
+    glyph_at = {}
+    pos = 0
+    for z in z_range:
+        if region.d == 3:
+            if pos >= len(lines) or not lines[pos].startswith("floor"):
+                raise DecodeError(f"missing floor header before floor {z}")
+            pos += 1
+        for r in range(rows_per_floor):
+            if pos >= len(lines):
+                raise DecodeError(f"diagram ends inside floor {z}")
+            y = hi[1] - r
+            row = lines[pos]
+            pos += 1
+            for k, ch in enumerate(row):
+                if ch != ".":
+                    glyph_at[(lo[0] + k, y, z)[: region.d]] = ch
+        while pos < len(lines) and lines[pos] == "":
+            pos += 1
+    for cell in region.cells:
+        if cell not in glyph_at:
+            raise DecodeError(f"cell {cell}: no glyph in diagram")
+    # an unknown glyph is code -1, which the range check rejects
+    return _tiling_from_codes(region, [_GLYPHS.find(glyph_at[c]) for c in region.cells])

@@ -386,15 +386,36 @@ def test_a_launch_loads_only_the_modules_its_subcommand_runs(tmp_path):
     manifest = tmp_path / "m.json"
     argv = ["--manifest", str(manifest), "count", "--box", "2,2"]
     loaded = _modules_after(f"from dimers.cli import main\nassert main({argv!r}) == 0", tmp_path)
-    assert {"dimers.counting", "dimers.twist"} <= loaded
+    assert "dimers.counting" in loaded
     assert not loaded & {"dimers.sample", "dimers.slab", "dimers.ideals", "sqlite3", "csv"}
-    # records are plain classes and the calibration is a declared constant
+    # records are plain classes, and the manifest's calibration constants
+    # are a literal of the cli: no twist module, and no fractions for it
     assert not loaded & {"dataclasses", "inspect", "dimers.explore", "dimers.moves"}
+    assert not loaded & {"dimers.twist", "fractions", "decimal"}
     assert json.loads(manifest.read_text())["calibration"]["kappa"] == "1/8"
-    argv = ["sample", "--box", "4,4,4", "--steps", "100", "--out", "o.jsonl"]
-    loaded = _modules_after(f"from dimers.cli import main\nassert main({argv!r}) == 0", tmp_path)
-    assert "dimers.sample" in loaded
-    assert not loaded & {"dataclasses", "dimers.explore"}
+    # listing and applying moves loads the twist module only to sign a
+    # trit, and writing a final state reads no twist
+    for argv in (["enumerate", "--box", "2,2,2", "--out", "e.jsonl"],
+                 ["components", "--box", "2,2,2"],
+                 ["flipfree", "--box", "2,2,2"],
+                 ["sample", "--box", "4,4,4", "--moves", "flips+trits", "--steps", "100",
+                  "--out", "o.jsonl"]):
+        loaded = _modules_after(
+            "import contextlib, io\nfrom dimers.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0",
+            tmp_path,
+        )
+        assert not loaded & {"dimers.twist", "fractions", "decimal"}, argv
+        if argv[0] == "sample":
+            assert "dimers.sample" in loaded
+            assert not loaded & {"dataclasses", "dimers.explore"}
+    argv = ["census", "--box", "2,2,2"]
+    loaded = _modules_after(
+        "import contextlib, io\nfrom dimers.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0",
+        tmp_path,
+    )
+    assert "dimers.twist" in loaded
     assert not [name for name in _modules_after("import dimers", tmp_path)
                 if name.startswith("dimers.")]
     # 2x3x5 has no all-vertical tiling: the twist's reference is the first
@@ -413,6 +434,56 @@ def test_a_launch_loads_only_the_modules_its_subcommand_runs(tmp_path):
     )
     assert "dimers.twist" in loaded
     assert not loaded & {"dimers.explore", "dimers.counting", "dimers.moves"}
+
+
+def test_the_manifest_records_the_declared_calibration(in_tmp, capsys):
+    from dimers.cli import _CALIBRATION
+    from dimers.twist import calibration
+
+    assert _CALIBRATION == calibration().as_dict()
+    assert run(capsys, "count", "--box", "2,2") == (0, "2\n")
+    manifest = json.loads((in_tmp / "run_manifest.json").read_text())
+    assert manifest["calibration"] == calibration().as_dict()
+
+
+# every flag of every subcommand, as its --help lists it
+_FLAGS = {
+    ("count",): {"--box", "--disk", "--height", "--formula"},
+    ("enumerate",): {"--box", "--disk", "--height", "--cap", "--out"},
+    ("components",): {"--box", "--disk", "--height", "--cap", "--extended", "--scratch", "--out"},
+    ("flipfree",): {"--box", "--disk", "--height", "--cap", "--out"},
+    ("census",): {"--box", "--disk", "--height", "--out"},
+    ("twist",): {"--box", "--disk", "--height", "--tiling"},
+    ("pfaffian",): {"--box", "--disk", "--height"},
+    ("sample",): {"--box", "--disk", "--height", "--moves", "--steps", "--seed", "--burn-in",
+                  "--samples", "--workers", "--histogram", "--svg", "--out"},
+    ("slab",): set(),
+    ("slab", "census"): {"--box", "--disk", "--height", "--cap"},
+    ("slab", "twist"): {"--tiling", "--box"},
+    ("ideals",): set(),
+    ("ideals", "export"): {"--box", "--disk", "--height", "--out", "--with-tiling-ideal", "--cap"},
+    ("render",): {"--box", "--disk", "--height", "--tiling"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS), ids=" ".join)
+def test_every_subcommand_help_lists_every_flag(capsys, command):
+    import re
+
+    with pytest.raises(SystemExit) as stop:
+        main([*command, "--help"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: dimers {' '.join(command)} [-h]")
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) == _FLAGS[command] | {"--help"}
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert "{count,enumerate,components,flipfree,census,twist,pfaffian,sample,slab,ideals,render}" in out
+    assert "exact tiling count" in out and "floor diagram of tilings" in out
 
 
 def test_every_public_name_resolves_to_the_object_in_its_home_module():
@@ -434,15 +505,16 @@ def test_exit_code_calibration(in_tmp, capsys, monkeypatch):
     import importlib
     from itertools import product
 
-    twist_module = importlib.import_module("dimers.twist")
+    counting = importlib.import_module("dimers.counting")
     from dimers.errors import CalibrationError
 
-    def boom():
+    def boom(region):
         raise CalibrationError("forced failure")
 
     with monkeypatch.context() as patch:
-        patch.setattr(twist_module, "calibration", boom)
+        patch.setattr(counting, "count_region", boom)
         assert main(["count", "--box", "2,2"]) == 4
+    assert capsys.readouterr().err == "error: forced failure\n"
 
     # 3x3x4 without two cells of its top layer: the declared normalization
     # gives this region a half-integer twist, which is refused, not rescaled
@@ -866,6 +938,26 @@ def test_argv_fuzz_ends_in_an_exit_code(in_tmp, capsys):
         capsys.readouterr()
 
     check()
+
+
+def test_file_manifests_tally_the_printed_values(in_tmp, capsys):
+    from dimers.core import make_box, write_tilings
+    from dimers.explore import enumerate_tilings
+    from dimers.slab import enumerate_slab_tilings, write_slab_tilings
+
+    box = make_box((2, 3, 4))
+    write_tilings("F.jsonl", box, enumerate_tilings(box))
+    code, out = run(capsys, "twist", "--box", "2,3,4", "--tiling", "F.jsonl")
+    assert code == 0 and len(out.splitlines()) == 1845
+    manifest = json.loads((in_tmp / "run_manifest.json").read_text())
+    assert manifest["twists"] == {"-1": 10, "0": 1825, "1": 10}
+    assert list(manifest["twists"]) == ["-1", "0", "1"]
+    slab_box = make_box((4, 4, 2))
+    write_slab_tilings("S.jsonl", slab_box, enumerate_slab_tilings(slab_box))
+    code, out = run(capsys, "slab", "twist", "--tiling", "S.jsonl")
+    assert code == 0 and out.splitlines() == ["0,0,0"] * 165
+    manifest = json.loads((in_tmp / "run_manifest.json").read_text())
+    assert manifest["triple_twists"] == {"0,0,0": 165}
 
 
 def test_twist_of_a_file_without_tilings_prints_nothing(in_tmp, capsys):

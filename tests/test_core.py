@@ -18,7 +18,6 @@ from dimers.core import (
     make_cylinder,
     make_region,
     open_records,
-    parse_floors,
     read_tilings,
     refine_region,
     refine_tiling,
@@ -35,7 +34,7 @@ from dimers.errors import DecodeError, DimersError, InvalidRegion, InvalidTiling
 from dimers.explore import enumerate_tilings
 from dimers.moves import apply_flip, list_flips
 
-from oracles import refine_tiling_by_cells
+from oracles import parse_floors, refine_tiling_by_cells, render_floors_by_cell
 from test_moves import small_regions
 
 
@@ -333,6 +332,24 @@ def test_render_general_region_uses_dots():
         holey, [Domino((0, 0), 0), Domino((0, 1), 0), Domino((3, 0), 1)]
     )
     assert "." in render_floors(t2)
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        [(x, y) for x in range(4) for y in range(3)],
+        [(x, y, z) for x in range(2) for y in range(3) for z in range(4)],
+        # a 4x4x2 box without its centre column, and a 2D region with a gap
+        [(x, y, z) for x in range(4) for y in range(4) for z in range(2)
+         if not (x in (1, 2) and y in (1, 2))],
+        [(0, 0), (1, 0), (0, 1), (1, 1), (3, 0), (3, 1), (3, 2), (3, 3)],
+    ],
+    ids=["4x3", "2x3x4", "4x4x2-ring", "2D-gap"],
+)
+def test_render_floors_matches_the_cell_by_cell_diagram(cells):
+    region = make_region(cells)
+    for t in enumerate_tilings(region):
+        assert render_floors(t) == render_floors_by_cell(t)
 
 
 def test_tilings_file_roundtrip(tmp_path):

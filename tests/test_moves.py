@@ -16,7 +16,7 @@ from dimers.core import (
     tiling_from_dominoes,
     validate,
 )
-from dimers.errors import CalibrationError, DecodeError, MoveNotApplicable, RegionMismatch
+from dimers.errors import CalibrationError, MoveNotApplicable, RegionMismatch
 from dimers.explore import enumerate_tilings, flip_free_tilings
 from dimers.moves import (
     FlipMove,
@@ -25,12 +25,7 @@ from dimers.moves import (
     difference_cycles,
     list_flips,
     list_trits,
-    move_from_record,
-    move_to_record,
-    read_move_log,
-    replay,
     trit_neighbors,
-    write_move_log,
 )
 from dimers.twist import twist
 
@@ -212,65 +207,6 @@ def test_difference_cycles_region_mismatch():
     b = base_vertical_tiling(make_box((2, 2, 4)))
     with pytest.raises(RegionMismatch):
         difference_cycles(a, b)
-
-
-def test_move_log_roundtrip_and_replay(tmp_path):
-    region = make_box((3, 3, 2))
-    t = base_vertical_tiling(region)
-    records = []
-    current = t
-    for _ in range(3):
-        move = list_flips(current)[0]
-        records.append(move_to_record(move))
-        current = apply_flip(current, move)
-    # reach a trit through the flip-free tiling and log it too
-    free = flip_free_tilings(region)[0]
-    trit = list_trits(free)[0]
-    after, sign = apply_trit(free, trit)
-    trit_record = move_to_record(trit, sign)
-    assert trit_record["kind"] == "trit" and trit_record["sign"] == sign
-
-    path = tmp_path / "moves.jsonl"
-    write_move_log(path, records)
-    back = read_move_log(path)
-    assert back == records
-    assert replay(t, back) == current
-
-
-def test_replay_rejects_wrong_sign(tmp_path):
-    region = make_box((3, 3, 2))
-    free = flip_free_tilings(region)[0]
-    trit = list_trits(free)[0]
-    _, sign = apply_trit(free, trit)
-    bad = move_to_record(trit, -sign)
-    with pytest.raises(MoveNotApplicable):
-        replay(free, [bad])
-
-
-def test_a_move_log_line_that_is_not_json_names_the_file_and_line(tmp_path):
-    path = tmp_path / "moves.jsonl"
-    path.write_text('{"kind": "flip", "block": [0, 0, 0], "axes": [0, 1, 0]}\n\n{"kind": "flip"\n')
-    with pytest.raises(DecodeError, match=r"moves\.jsonl line 3: bad JSON"):
-        read_move_log(path)
-
-
-@pytest.mark.parametrize(
-    "record, missing",
-    [({"kind": "flip"}, "KeyError: 'block'"), ({"block": [0, 0, 0]}, "KeyError: 'kind'"),
-     ({"kind": "trit", "block": [0, 0, 0]}, "KeyError: 'axes'"), ([0, 0, 0], "TypeError")],
-)
-def test_replaying_a_record_without_its_fields_is_a_decode_error(record, missing):
-    t = base_vertical_tiling(make_box((3, 3, 2)))
-    with pytest.raises(DecodeError, match=rf"not a move record \({missing}"):
-        replay(t, [record])
-
-
-def test_move_from_record_reconstructs_trit():
-    region = make_box((3, 3, 2))
-    free = flip_free_tilings(region)[0]
-    trit = list_trits(free)[0]
-    rec = move_to_record(trit, 1)
-    assert move_from_record(rec, free) == trit
 
 
 def test_enumeration_matches_naive_oracle_on_small_regions():
