@@ -169,10 +169,14 @@ class Region:
 
     @cached_property
     def domino_json(self) -> dict[tuple[int, int], str]:
-        """(i, j) -> the JSON text [[x, y, ...], axis] of its domino."""
+        """(i, j) -> the JSON text [[x, y, ...], axis] of its domino, as
+        json.dumps writes it, for the pairs of pair_dominoes."""
+        lows = [", ".join(map(str, cell)) for cell in self.cells]
         return {
-            pair: json.dumps([list(low), axis])
-            for pair, (low, axis) in self.pair_dominoes.items()
+            (i, row[2 * axis]): f"[[{lows[i]}], {axis}]"
+            for i, row in enumerate(self.neighbor_table)
+            for axis in range(self.d)
+            if row[2 * axis] >= 0
         }
 
     @cached_property

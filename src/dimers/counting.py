@@ -8,10 +8,13 @@ Every exact count goes through one path:
   cost grows as 2^width, so every axis order is tried (on a box, one per
   sequence of sides) and the one with the smallest width is swept; on a
   tie the last axis stays most significant.
-  The width guard applies to that sweep.  Works in any dimension and for
-  general regions; a prism, one cross-section over a run of layers along
-  the sweep, is swept over half of its layers and the halves are paired
-  at the middle layer by reflection.
+  The width guard applies to that sweep.  Each dict pass moves the
+  profile over a block of BLOCK consecutive cells, through a table of
+  the block's fills per pattern of its covered cells, kept across calls
+  for each distinct block.  Works in any dimension and for general
+  regions; a prism, one cross-section over a run of layers along the
+  sweep, is swept over half of its layers and the halves are paired at
+  the middle layer by reflection.
 * count_cylinder: count_region on make_cylinder(disk, height).  When it
   sweeps floor by floor, its profile is the plug of the transfer
   automaton, so it computes (T^N)[empty, empty] without building T.
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
@@ -40,6 +44,7 @@ from .core import Region, make_cylinder, matchings
 from .errors import InvalidRegion, WidthGuardExceeded
 
 WIDTH_GUARD = 24  # 2^24 profile states worst case; refuse rather than thrash
+BLOCK = 4  # cells per dict pass of the profile DP
 
 
 def _narrowest(region: Region, orders) -> tuple[int, list[int], list[int], tuple[int, ...]]:
@@ -99,23 +104,68 @@ def profile_width(region: Region) -> int:
     return _dp_plan(region)[0]
 
 
+@lru_cache(maxsize=1024)
+def _block_table(block: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The fills of a block of consecutive cells, given their forward
+    offsets: entry low, for the block's cells already covered as the bits
+    of low, is the tuple of masks past the block that the fills of its
+    free cells cover, one per fill (a mask repeats when two fills cover
+    the same cells).
+
+    A depth-first search takes the block's cells in order.  A covered
+    cell is skipped; a free one is filled along each offset whose target
+    is free: inside the block, a target not yet covered, and past the
+    block, one that no other fill of this block reaches.  Whether a
+    target past the block was covered before the block is the run-time
+    check in _sweep.
+    """
+    g = len(block)
+    table = []
+    for low in range(1 << g):
+        adds = []
+        stack = [(0, low, 0)]
+        while stack:
+            i, covered, add = stack.pop()
+            while i < g and covered >> i & 1:
+                i += 1
+            if i == g:
+                adds.append(add)
+                continue
+            for off in block[i]:
+                target = i + off
+                if target < g:
+                    if not covered >> target & 1:
+                        stack.append((i + 1, covered | 1 << target, add))
+                elif not add >> (target - g) & 1:
+                    stack.append((i + 1, covered, add | 1 << (target - g)))
+        table.append(tuple(adds))
+    return tuple(table)
+
+
 def _sweep(plan: list[list[int]], states: dict[int, int]) -> dict[int, int]:
     """The profile DP over the cells of `plan`: {mask: ways} before them
     to {mask: ways} after them, where bit j of a mask marks the j-th cell
-    ahead as already covered."""
-    for offsets in plan:
+    ahead as already covered.
+
+    Each dict pass moves over a block of BLOCK consecutive cells (the
+    last block may be shorter): a state's low bits, the block's covered
+    cells, pick the block's fills from _block_table, and a fill whose
+    cells past the block are free moves its ways to the mask of the rest
+    with them covered.  Between blocks the states are those of a sweep
+    that moves one cell per pass.
+    """
+    for start in range(0, len(plan), BLOCK):
+        block = tuple(map(tuple, plan[start : start + BLOCK]))
+        table, g = _block_table(block), len(block)
+        low = (1 << g) - 1
         nxt: dict[int, int] = {}
         get = nxt.get
         for mask, ways in states.items():
-            if mask & 1:
-                key = mask >> 1
-                nxt[key] = get(key, 0) + ways
-            else:
-                for off in offsets:
-                    bit = 1 << off
-                    if not mask & bit:
-                        key = (mask | bit) >> 1
-                        nxt[key] = get(key, 0) + ways
+            rest = mask >> g
+            for add in table[mask & low]:
+                if not rest & add:
+                    key = rest | add
+                    nxt[key] = get(key, 0) + ways
         states = nxt
         if not states:
             break

@@ -33,10 +33,11 @@ cells, and inflated by deflating each slab's two surviving cells and
 checking their count and adjacency, instead of reading the window and
 inflation tables.  The profile DP's plan has a reference that sweeps
 every order of the axes, without skipping orders that read a box's
-sides in the same sequence.  A floor diagram has a reference that
-looks every cell of the bounding box up in the region's index, tiling by
-tiling, instead of reading a layout built once per region, and a parser
-that inverts it.
+sides in the same sequence, and its sweep one that moves the profile
+one cell per pass instead of a block of cells through a table.  A
+floor diagram has a reference that looks every cell of the bounding box
+up in the region's index, tiling by tiling, instead of reading a layout
+built once per region, and a parser that inverts it.
 """
 from collections import Counter, deque
 from functools import lru_cache
@@ -248,6 +249,29 @@ def dp_plan_by_every_order(region) -> tuple[int, list[list[int]], int]:
         if best is None or width < best[0]:
             best = (width, plan, axes[0])
     return best
+
+
+def sweep_by_cells(plan, states: dict[int, int]) -> dict[int, int]:
+    """counting._sweep one cell per pass: a covered cell shifts out of
+    the mask, a free one is filled along each offset whose target is
+    free."""
+    for offsets in plan:
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for mask, ways in states.items():
+            if mask & 1:
+                key = mask >> 1
+                nxt[key] = get(key, 0) + ways
+            else:
+                for off in offsets:
+                    bit = 1 << off
+                    if not mask & bit:
+                        key = (mask | bit) >> 1
+                        nxt[key] = get(key, 0) + ways
+        states = nxt
+        if not states:
+            break
+    return states
 
 
 def automaton_cylinder_count(disk, height: int) -> int:

@@ -16,6 +16,7 @@ from dimers.core import (
 )
 from dimers.counting import (
     _dp_plan,
+    _sweep,
     build_automaton,
     count_cylinder,
     count_rect_2d_formula,
@@ -31,6 +32,7 @@ from oracles import (
     dp_plan_by_every_order,
     naive_tilings,
     permanent_count,
+    sweep_by_cells,
     twist_polynomial_by_slices,
 )
 from test_explore import DISK6
@@ -91,6 +93,43 @@ _SQUARE_3 = [(x, y) for x in range(3) for y in range(3)]
 )
 def test_dp_plan_sweeping_one_order_per_side_sequence_is_the_plan_of_every_order(region):
     assert _dp_plan(region) == dp_plan_by_every_order(region)
+
+
+@st.composite
+def plan_slices(draw):
+    """A slice of the _dp_plan plan of a 2D, 3D or 4D box of up to 36
+    cells minus up to a third of them, and the states before it: the
+    states a sweep of the plan reaches there, or random masks and ways."""
+    d = draw(st.integers(2, 4))
+    side = {2: 6, 3: 4, 4: 3}[d]
+    cells = make_box(draw(st.tuples(*[st.integers(1, side)] * d).filter(
+        lambda dims: prod(dims) <= 36))).cells
+    missing = draw(st.sets(st.sampled_from(cells), max_size=len(cells) // 3))
+    width, plan, _ = _dp_plan(make_region([c for c in cells if c not in missing], d=d))
+    start = draw(st.integers(0, len(plan)))
+    stop = draw(st.integers(start, len(plan)))
+    if draw(st.booleans()):
+        states = sweep_by_cells(plan[:start], {0: 1})
+    else:
+        states = draw(st.dictionaries(
+            st.integers(0, (2 << width) - 1), st.integers(1, 2**70), min_size=1, max_size=20))
+    return plan[start:stop], states
+
+
+_PLAN_333 = _dp_plan(make_box((3, 3, 3)))[1]
+_PLAN_4422 = _dp_plan(make_box((4, 4, 2, 2)))[1]
+
+
+# count_region's odd-layer step on 3x3x3, from the prism's half (cells
+# 9-17, both ends inside a block of 4), and a 4D slice from mid-block to
+# mid-block
+@settings(max_examples=100, deadline=None)
+@given(plan_slices())
+@example((_PLAN_333[9:18], sweep_by_cells(_PLAN_333[:9], {0: 1})))
+@example((_PLAN_4422[6:27], sweep_by_cells(_PLAN_4422[:6], {0: 1})))
+def test_the_block_sweep_reaches_the_states_of_the_cell_by_cell_sweep(plan_and_states):
+    plan, states = plan_and_states
+    assert _sweep(plan, dict(states)) == sweep_by_cells(plan, dict(states))
 
 
 def test_profile_width_is_cross_section():
