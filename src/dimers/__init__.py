@@ -13,18 +13,20 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _HOMES = {
-    "core": (
+    "regions": (
         "Cell",
         "Domino",
         "Region",
-        "Tiling",
-        "base_vertical_tiling",
         "color_sign",
-        "decode",
-        "encode",
         "make_box",
         "make_cylinder",
         "make_region",
+    ),
+    "core": (
+        "Tiling",
+        "base_vertical_tiling",
+        "decode",
+        "encode",
         "read_tilings",
         "refine_region",
         "refine_tiling",

@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
-from .core import Region, make_cylinder, matchings
+from .regions import Region, make_cylinder, matchings
 from .errors import InvalidRegion, WidthGuardExceeded
 
 WIDTH_GUARD = 24  # 2^24 profile states worst case; refuse rather than thrash

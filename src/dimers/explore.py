@@ -1,6 +1,6 @@
 """Exhaustive enumeration and censuses of the move graph.
 
-Enumeration runs core.matchings, the search that fills the counting
+Enumeration runs regions.matchings, the search that fills the counting
 module's floors too: it backtracks on the first uncovered cell, trying
 +axis partners in axis order, so runs are deterministic and restartable.
 In-memory censuses key tilings by their partner tuples and walk the
@@ -35,7 +35,7 @@ DEFAULT_CAP = 10_000_000
 
 
 def enumerate_tilings(region: Region, cap: int | None = DEFAULT_CAP) -> Iterator[Tiling]:
-    """Yield every tiling exactly once, in core.matchings' order.
+    """Yield every tiling exactly once, in regions.matchings' order.
 
     The cap is checked against the exact count up front; pass cap=None for
     extended runs.

@@ -164,7 +164,7 @@ def _calibrated(total: int) -> Fraction:
 @lru_cache(maxsize=256)
 def _reference_tiling(region: Region) -> Tiling:
     """Base of the twist: the all-vertical tiling when it exists, else the
-    first tiling in enumeration order, core.matchings' first."""
+    first tiling in enumeration order, regions.matchings' first."""
     try:
         return base_vertical_tiling(region)
     except NoBaseTiling:

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from dimers.cli import _load_disk, main
+from dimers.cli import main
+from dimers.commands import load_disk
 from dimers.core import make_box, make_cylinder, region_from_record, region_to_record
 from dimers.counting import count_region
 
@@ -71,7 +72,7 @@ def test_count_disk_manifest_reads_back_to_its_region(in_tmp, capsys, grid, heig
     assert code == 0 and out.strip() == str(count)
     record = json.loads((in_tmp / "run_manifest.json").read_text())["region"]
     region = region_from_record(record)
-    assert region == make_cylinder(_load_disk("disk.txt"), height)
+    assert region == make_cylinder(load_disk("disk.txt"), height)
     assert record == region_to_record(region)
     assert count_region(region) == count
 
@@ -108,7 +109,7 @@ def test_every_manifest_region_reads_back(in_tmp, capsys, argv, grid):
     code, _ = run(capsys, *argv, "--disk", "disk.txt", "--height", "2")
     assert code == 0
     record = json.loads((in_tmp / "run_manifest.json").read_text())["region"]
-    assert region_from_record(record) == make_cylinder(_load_disk("disk.txt"), 2)
+    assert region_from_record(record) == make_cylinder(load_disk("disk.txt"), 2)
 
 
 def test_count_box_and_formula_manifest_regions(in_tmp, capsys):
@@ -382,17 +383,58 @@ def _modules_after(code: str, cwd) -> set[str]:
     return set(result.stdout.split())
 
 
+def _launch(argv: list[str], cwd) -> set[str]:
+    """The modules loaded when a `python -m dimers.cli` launch with argv
+    has ended, its stdout dropped.  The cli runs as __main__, so
+    "dimers.cli" among them means some module imported it a second time."""
+    return _modules_after(
+        "import contextlib, io, runpy, sys\n"
+        f"sys.argv = ['dimers', *{argv!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('dimers.cli', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as stop:\n"
+        "        assert stop.code == 0, stop.code",
+        cwd,
+    )
+
+
+def _commands(loaded: set[str]) -> set[str]:
+    return {name for name in loaded if name.startswith("dimers.commands.")}
+
+
+def _source_lines(loaded: set[str]) -> int:
+    """The lines of the package's source files among the loaded modules,
+    cli.py included, which a launch runs as __main__."""
+    import dimers
+
+    root = Path(dimers.__file__).parent
+    total = 0
+    for name in loaded | {"dimers.cli"}:
+        if name == "dimers" or name.startswith("dimers."):
+            path = root.joinpath(*name.split(".")[1:])
+            path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+            total += len(path.read_text(encoding="utf-8").splitlines())
+    return total
+
+
 def test_a_launch_loads_only_the_modules_its_subcommand_runs(tmp_path):
     manifest = tmp_path / "m.json"
-    argv = ["--manifest", str(manifest), "count", "--box", "2,2"]
-    loaded = _modules_after(f"from dimers.cli import main\nassert main({argv!r}) == 0", tmp_path)
+    loaded = _launch(["--manifest", str(manifest), "count", "--box", "2,2"], tmp_path)
     assert "dimers.counting" in loaded
+    assert _commands(loaded) == {"dimers.commands.count"} and "dimers.cli" not in loaded
+    # a count reads regions only: no tiling layer
+    assert "dimers.regions" in loaded and "dimers.core" not in loaded
     assert not loaded & {"dimers.sample", "dimers.slab", "dimers.ideals", "sqlite3", "csv"}
     # records are plain classes, and the manifest's calibration constants
     # are a literal of the cli: no twist module, and no fractions for it
     assert not loaded & {"dataclasses", "inspect", "dimers.explore", "dimers.moves"}
     assert not loaded & {"dimers.twist", "fractions", "decimal"}
     assert json.loads(manifest.read_text())["calibration"]["kappa"] == "1/8"
+    # without a bytecode cache a launch compiles every line it loads: 1,206
+    # lines here, 1,870 when cli.py held every subcommand and core.py the
+    # region layer too
+    assert _source_lines(loaded) < 1_250
     # listing and applying moves loads the twist module only to sign a
     # trit, and writing a final state reads no twist
     for argv in (["enumerate", "--box", "2,2,2", "--out", "e.jsonl"],
@@ -400,39 +442,38 @@ def test_a_launch_loads_only_the_modules_its_subcommand_runs(tmp_path):
                  ["flipfree", "--box", "2,2,2"],
                  ["sample", "--box", "4,4,4", "--moves", "flips+trits", "--steps", "100",
                   "--out", "o.jsonl"]):
-        loaded = _modules_after(
-            "import contextlib, io\nfrom dimers.cli import main\n"
-            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0",
-            tmp_path,
-        )
+        loaded = _launch(argv, tmp_path)
         assert not loaded & {"dimers.twist", "fractions", "decimal"}, argv
+        module = "sample" if argv[0] == "sample" else "explore"
+        assert _commands(loaded) == {f"dimers.commands.{module}"}, argv
+        assert "dimers.cli" not in loaded, argv
         if argv[0] == "sample":
             assert "dimers.sample" in loaded
             assert not loaded & {"dataclasses", "dimers.explore"}
-    argv = ["census", "--box", "2,2,2"]
-    loaded = _modules_after(
-        "import contextlib, io\nfrom dimers.cli import main\n"
-        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0",
-        tmp_path,
-    )
+    loaded = _launch(["census", "--box", "2,2,2"], tmp_path)
     assert "dimers.twist" in loaded
+    assert _commands(loaded) == {"dimers.commands.explore"} and "dimers.cli" not in loaded
+    for argv, module in ((["pfaffian", "--box", "2,2,2"], "twist"),
+                         (["render", "--box", "2,2,2"], "render"),
+                         (["slab", "census", "--box", "2,2,2"], "slab"),
+                         (["ideals", "export", "--box", "2,2,2"], "ideals")):
+        loaded = _launch(argv, tmp_path)
+        assert _commands(loaded) == {f"dimers.commands.{module}"}, argv
+        assert "dimers.cli" not in loaded, argv
     assert not [name for name in _modules_after("import dimers", tmp_path)
                 if name.startswith("dimers.")]
     # 2x3x5 has no all-vertical tiling: the twist's reference is the first
-    # tiling core.matchings finds, so reading and twisting a file enumerates
-    # nothing
+    # tiling regions.matchings finds, so reading and twisting a file
+    # enumerates nothing
     from dimers.core import write_tilings
     from dimers.explore import enumerate_tilings
 
     box = make_box((2, 3, 5))
     write_tilings(tmp_path / "F.jsonl", box, enumerate_tilings(box))
     argv = ["--manifest", str(manifest), "twist", "--box", "2,3,5", "--tiling", "F.jsonl"]
-    loaded = _modules_after(
-        "import contextlib, io\nfrom dimers.cli import main\n"
-        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0",
-        tmp_path,
-    )
+    loaded = _launch(argv, tmp_path)
     assert "dimers.twist" in loaded
+    assert _commands(loaded) == {"dimers.commands.twist"} and "dimers.cli" not in loaded
     assert not loaded & {"dimers.explore", "dimers.counting", "dimers.moves"}
 
 
@@ -499,6 +540,27 @@ def test_every_public_name_resolves_to_the_object_in_its_home_module():
     assert dimers.twist is importlib.import_module("dimers.twist").twist
     with pytest.raises(AttributeError, match="no_such_name"):
         dimers.no_such_name
+
+
+def test_every_name_the_bench_reads_resolves_in_its_module():
+    """perfbench/tracer.py wraps each TRACED name of perfbench/layers.py
+    as an attribute of its module, and perfbench/checks.py imports names
+    from their modules: each must stay where the bench looks for it."""
+    import ast
+    import importlib
+
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    layers = ast.parse((bench / "layers.py").read_text(encoding="utf-8"))
+    traced = next(node.value for node in layers.body
+                  if isinstance(node, ast.AnnAssign) and node.target.id == "TRACED")
+    names = [tuple(key.value.split(".")) for key in traced.keys]
+    checks = ast.parse((bench / "checks.py").read_text(encoding="utf-8"))
+    names += [(node.module.removeprefix("dimers."), alias.name) for node in ast.walk(checks)
+              if isinstance(node, ast.ImportFrom) and node.module.startswith("dimers.")
+              for alias in node.names]
+    assert ("core", "make_box") in names and ("counting", "build_automaton") in names
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"dimers.{module}"), name), f"{module}.{name}"
 
 
 def test_exit_code_calibration(in_tmp, capsys, monkeypatch):
@@ -724,6 +786,40 @@ def test_height_beside_box_is_refused(in_tmp, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --height applies to --disk only\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--box", "2,2", "--disk", "missing.txt"),
+        ("twist", "--box", "2,2,2", "--disk", "missing.txt", "--tiling", "base"),
+        ("sample", "--box", "2,2,2", "--disk", "missing.txt", "--steps", "10", "--out", "o.jsonl"),
+    ],
+    ids=["count", "twist", "sample"],
+)
+def test_disk_beside_box_is_refused(in_tmp, capsys, argv):
+    assert main(list(argv)) == 2
+    assert capsys.readouterr() == ("", "error: give --box or --disk, not both\n")
+    assert not (in_tmp / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("components", "--box", "2,2,2", "--out"),
+        ("flipfree", "--box", "2,2,2", "--out"),
+        ("census", "--box", "2,2,2", "--out"),
+        ("enumerate", "--box", "2,2,2", "--out"),
+        ("sample", "--box", "2,2,2", "--samples", "5", "--histogram"),
+        ("ideals", "export", "--box", "2,2,2", "--out"),
+    ],
+    ids=["components", "flipfree", "census", "enumerate", "sample", "ideals"],
+)
+def test_an_out_file_that_cannot_be_written_leaves_stdout_empty(in_tmp, capsys, argv):
+    assert main([*argv, "missing/out.txt"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import json
 import pickle
 import re
 from itertools import islice, product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -581,3 +582,21 @@ def test_tiling_from_dominoes_reads_back_and_refuses_what_is_not_a_tiling(
     assert _refusal(region, [*dominoes, extra], path) == f"domino {extra} overlaps another domino"
     # the first uncovered cell is the removed domino's low cell
     assert _refusal(region, [*before, *after], path) == f"cell {low}: unmatched"
+
+
+def test_core_reexports_every_name_of_the_region_layer_as_the_same_object():
+    import ast
+
+    import dimers.core
+    import dimers.regions
+
+    tree = ast.parse(Path(dimers.regions.__file__).read_text(encoding="utf-8"))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    assert {"Region", "Cell", "make_box", "region_from_record", "_integer", "open_text"} <= defined
+    for name in defined:
+        assert getattr(dimers.core, name) is getattr(dimers.regions, name), name
