@@ -17,7 +17,9 @@ def _cap_and_out_arguments(p):
 
 def _components_arguments(p):
     add_region_flags(p)
-    p.add_argument("--cap", type=int, default=10_000_000)
+    # None so that --cap beside --extended is refused; the in-memory
+    # census still caps at explore.DEFAULT_CAP
+    p.add_argument("--cap", type=int)
     p.add_argument("--extended", action="store_true", help="disk-backed visited set")
     p.add_argument("--scratch", help="scratch dir for --extended")
     p.add_argument("--out", help="census CSV path")
@@ -40,10 +42,12 @@ def _cmd_enumerate(args) -> dict:
 
 
 def _cmd_components(args) -> dict:
-    from ..explore import census_csv, flip_components, flip_components_extended
+    from ..explore import DEFAULT_CAP, census_csv, flip_components, flip_components_extended
 
     if args.extended and args.out:
         raise DimersError("--out applies to an in-memory census, not --extended")
+    if args.extended and args.cap is not None:
+        raise DimersError("--cap applies to an in-memory census, not --extended")
     if args.scratch is not None and not args.extended:
         raise DimersError("--scratch applies to --extended only")
     region = region_from_args(args)
@@ -52,7 +56,7 @@ def _cmd_components(args) -> dict:
     if args.extended:
         census = flip_components_extended(region, args.scratch or ".")
     else:
-        census = flip_components(region, args.cap)
+        census = flip_components(region, DEFAULT_CAP if args.cap is None else args.cap)
     if args.out:
         census_csv(census, args.out)
     sizes = census.sizes

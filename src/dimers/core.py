@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, islice, product
 from operator import getitem, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -243,6 +243,27 @@ def encode(tiling: Tiling) -> bytes:
     return int(digits[::-1] or "0", 8).to_bytes((3 * region.n_cells + 7) // 8, "little")
 
 
+@lru_cache(maxsize=16)
+def flip_steps(region: Region) -> tuple[tuple[int, int], ...]:
+    """For each window of region.flip_windows, in order, the change of
+    int.from_bytes(encode(t), "little") when t's flip there rotates a
+    parallel pair along the window's first (side 0) or second (side 1)
+    axis.  A flip rewrites the codes of the window's four cells only, so
+    a neighbour's key is its tiling's key plus the step of that side."""
+    if region.d > _MAX_ENCODE_D:
+        raise InvalidRegion("canonical encoding supports d <= 4")
+    table = region.neighbor_table
+
+    def pair_key(i: int, j: int) -> int:
+        return table[i].index(j) << 3 * i | table[j].index(i) << 3 * j
+
+    steps = []
+    for i00, i10, i01, i11 in region.flip_windows.values():
+        step = pair_key(i00, i01) + pair_key(i10, i11) - pair_key(i00, i10) - pair_key(i01, i11)
+        steps.append((step, -step))
+    return tuple(steps)
+
+
 def decode(data: bytes, region: Region) -> Tiling:
     if region.d > _MAX_ENCODE_D:
         raise InvalidRegion("canonical encoding supports d <= 4")
@@ -361,11 +382,15 @@ def tiling_from_record(rec: dict, region: Region) -> Tiling:
 def write_records(path, region: Region, items: Iterable, encode) -> int:
     """Write a JSON-lines file: a region header, then the JSON text
     encode(item) of each item, which must live on that region.  Returns
-    the number of items."""
+    the number of items.  The first item is drawn before the file is
+    opened, so a generator that refuses its work (a cap) creates no file
+    and leaves one already there as it was."""
     count = 0
+    items = iter(items)
+    first = list(islice(items, 1))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(region_to_record(region)) + "\n")
-        for item in items:
+        for item in chain(first, items):
             if item.region != region:
                 raise RegionMismatch("tiling does not live on the header region")
             fh.write(encode(item) + "\n")

@@ -6,14 +6,18 @@ module's floors too: it backtracks on the first uncovered cell, trying
 In-memory censuses key tilings by their partner tuples and walk the
 moves of the region's window tables; canonical encodings name component
 representatives, and key the SQLite visited set that the extended path
-for billion-tiling regions spills to disk.
+for billion-tiling regions spills to disk.  That path encodes only the
+tilings it enumerates: a flip changes a key by a fixed step per window
+and side (core.flip_steps), so each neighbour's key is an addition, and
+the visited set is asked about a batch of neighbours at a time.
 
 Every census, path and connectivity question is a breadth-first walk.
 Two graph routines serve them: components, over any symmetric state
 graph (flip censuses, the component/trit graph, slab flips, the 2D
 sweep), and search_path, one tree path (the twist path oracle and the
 ideal containment certificates).  Only the extended census keeps its own
-queue, over a disk-backed visited set.  The 2D sweep's polyominoes
+queue, over a disk-backed visited set, and finds flips with the moves
+kernel that flip_neighbors uses.  The 2D sweep's polyominoes
 search nothing for holes: an edge-connected shape has none exactly when
 its Euler characteristic V - E + F is 1.  The twist census
 enumerates nothing: it reads the law of crossing sums that
@@ -24,12 +28,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
+from itertools import chain, islice
 from typing import Iterator, NamedTuple
 
-from .core import Region, Tiling, decode, encode, make_region, matchings, region_to_record
+from .core import Region, Tiling, decode, encode, flip_steps, make_region, matchings, region_to_record
 from .counting import count_region, twist_polynomial
 from .errors import CapExceeded, DimersError, InvalidRegion, NotReachable
-from .moves import flip_neighbors, list_flips, trit_neighbors
+from .moves import _flipped, _parallel_side, flip_neighbors, list_flips, trit_neighbors
 
 DEFAULT_CAP = 10_000_000
 
@@ -327,13 +332,21 @@ def flip_connected_2d(cells: tuple) -> bool:
 # extended-scale machinery: a disk-backed visited set so the census of
 # billion-tiling regions is bounded by scratch space, not RAM
 
+_COMMIT_EVERY = 10_000  # inserts between commits of the visited set
+_IN_LENGTH = 64  # keys per membership query, padded with NULL
+_SELECT_IN = "SELECT key FROM seen WHERE key IN (" + ", ".join("?" * _IN_LENGTH) + ")"
+_SEED_CHUNK = 100  # enumerated tilings per membership query of the seeds
+_WALK_CHUNK = 64  # queued tilings whose flips are looked up together
+
 
 class DiskBackedSet:
     """Insert-once byte-string set backed by SQLite.
 
     add() returns True exactly once per key, also after the file is
-    reopened.  The keys alone cannot resume a run that was cut off; a
-    second table holds named results, so a finished run can be read back.
+    reopened; add_new() adds a batch and returns the keys that were new,
+    with one membership query per _IN_LENGTH keys and one insert.  The
+    keys alone cannot resume a run that was cut off; a second table holds
+    named results, so a finished run can be read back.
     A SQLite error (a file that cannot be opened or is not a database)
     is raised as a DimersError with the file's path and SQLite's message.
     """
@@ -361,11 +374,36 @@ class DiskBackedSet:
 
     def add(self, key: bytes) -> bool:
         cur = self._sql("INSERT OR IGNORE INTO seen (key) VALUES (?)", key)
-        self._pending += 1
-        if self._pending >= 10_000:
+        self._count(1)
+        return cur.rowcount == 1
+
+    def known(self, keys: list[bytes]) -> set[bytes]:
+        """The keys among `keys` that the set holds: one query per
+        _IN_LENGTH keys, the list padded with NULL to that length so
+        that SQLite caches one statement for every call."""
+        found = set()
+        for start in range(0, len(keys), _IN_LENGTH):
+            chunk = keys[start : start + _IN_LENGTH]
+            chunk += [None] * (_IN_LENGTH - len(chunk))
+            found.update(chain.from_iterable(self._sql(_SELECT_IN, *chunk)))
+        return found
+
+    def add_new(self, keys: list[bytes]) -> list[bytes]:
+        """Add distinct keys; returns, in input order, the ones that
+        were not in the set before."""
+        known = self.known(keys)
+        new = [key for key in keys if key not in known]
+        self._call(self._conn.executemany, "INSERT INTO seen (key) VALUES (?)",
+                   [(key,) for key in new])
+        self._count(len(new))
+        return new
+
+    def _count(self, inserts: int) -> None:
+        """Commit once every _COMMIT_EVERY inserts."""
+        self._pending += inserts
+        if self._pending >= _COMMIT_EVERY:
             self._call(self._conn.commit)
             self._pending = 0
-        return cur.rowcount == 1
 
     def __contains__(self, key: bytes) -> bool:
         return self._sql("SELECT 1 FROM seen WHERE key = ?", key).fetchone() is not None
@@ -389,11 +427,46 @@ class DiskBackedSet:
         self._conn.close()
 
 
+def _flip_component(visited: DiskBackedSet, seed: Tiling, key: bytes) -> tuple[int, bytes]:
+    """(size, smallest encoding) of the flip component of a seed just
+    added to the visited set, found by a breadth-first walk that adds the
+    rest.  Each tiling is queued with its key as an integer; a neighbour's
+    key is that plus core.flip_steps' step, and its partner tuple is built
+    only once add_new finds the key new.  The walk pops up to _WALK_CHUNK
+    tilings at a time and looks their neighbours up in one add_new call."""
+    region = seed.region
+    nbytes = len(key)
+    moves = list(zip(region.flip_windows.values(), flip_steps(region)))
+    size, smallest = 1, key
+    queue = deque([(seed.partner, int.from_bytes(key, "little"))])
+    while queue:
+        reached = {}
+        for _ in range(min(_WALK_CHUNK, len(queue))):
+            partner, value = queue.popleft()
+            for window, steps in moves:
+                side = _parallel_side(partner, window)
+                if side is not None:
+                    reached.setdefault(value + steps[side], (partner, window, side))
+        blobs = {value.to_bytes(nbytes, "little"): value for value in reached}
+        new = visited.add_new(list(blobs))
+        for blob in new:
+            value = blobs[blob]
+            partner, window, side = reached[value]
+            queue.append((_flipped(partner, window, side), value))
+        if new:
+            size += len(new)
+            smallest = min(smallest, min(new))
+    return size, smallest
+
+
 def flip_components_extended(region: Region, scratch_dir) -> ComponentCensus:
     """Streaming flip census with a disk-backed visited set.
 
-    Tilings are enumerated in deterministic order; each unvisited one
-    seeds a breadth-first sweep of its whole flip component.  Intended for
+    Tilings are enumerated in deterministic order, _SEED_CHUNK at a time
+    with one membership query per chunk; each unvisited one seeds a
+    breadth-first walk of its whole flip component (_flip_component),
+    which keys neighbours by arithmetic on the seed's encoding and looks
+    them up in batches.  Only the seeds are encoded.  Intended for
     opt-in runs where the tiling count exceeds RAM: runtime is hours and
     scratch is of the order of the state space.  The finished census is
     stored in the visited set's file, and a rerun on the same scratch dir
@@ -416,22 +489,14 @@ def flip_components_extended(region: Region, scratch_dir) -> ComponentCensus:
                 f"{path} holds the visited set of an unfinished or different "
                 "census; remove it or use an empty scratch dir"
             )
-        for t in enumerate_tilings(region, cap=None):
-            key = encode(t)
-            if not visited.add(key):
-                continue
-            size = 1
-            smallest = key
-            queue = deque([t.partner])
-            while queue:
-                for neighbor in flip_neighbors(region, queue.popleft()):
-                    nkey = encode(Tiling(region, neighbor))
-                    if visited.add(nkey):
-                        size += 1
-                        if nkey < smallest:
-                            smallest = nkey
-                        queue.append(neighbor)
-            found.append((size, smallest))
+        seeds = enumerate_tilings(region, cap=None)
+        while chunk := list(islice(seeds, _SEED_CHUNK)):
+            keys = [encode(t) for t in chunk]
+            known = visited.known(keys)
+            for t, key in zip(chunk, keys):
+                # an earlier seed's walk may have reached this one
+                if key not in known and visited.add(key):
+                    found.append(_flip_component(visited, t, key))
         found.sort(key=lambda pair: (-pair[0], pair[1]))
         visited.store_result(
             name, json.dumps([[size, rep.hex()] for size, rep in found])

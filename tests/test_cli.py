@@ -289,6 +289,22 @@ def test_components_scratch_without_extended_is_refused_before_any_work(in_tmp, 
     assert not list(in_tmp.iterdir())
 
 
+@pytest.mark.parametrize("cap", ["5", "10000000"])
+def test_components_extended_cap_is_refused_before_any_work(in_tmp, capsys, monkeypatch, cap):
+    import dimers.explore
+
+    argv = ["components", "--box", "2,3,4", "--extended", "--scratch", str(in_tmp)]
+    assert main([*argv, "--cap", cap]) == 2
+    assert capsys.readouterr() == ("", "error: --cap applies to an in-memory census, not --extended\n")
+    assert not list(in_tmp.iterdir())
+    # without --extended the cap applies, and without --cap it is DEFAULT_CAP
+    assert main(["components", "--box", "2,3,4", "--cap", cap]) == (3 if cap == "5" else 0)
+    monkeypatch.setattr(dimers.explore, "DEFAULT_CAP", 1000)
+    capsys.readouterr()
+    assert main(["components", "--box", "2,3,4"]) == 3
+    assert capsys.readouterr().err == "error: 1845 tilings exceed the cap of 1000\n"
+
+
 def test_components_extended_out_is_refused_before_any_work(in_tmp, capsys):
     argv = ["components", "--box", "3,3,2", "--extended", "--scratch", str(in_tmp)]
     assert main([*argv, "--out", "c.csv"]) == 2
@@ -321,6 +337,20 @@ def test_ideals_export(in_tmp, capsys):
     text = (in_tmp / "ideals.txt").read_text()
     assert "+e2*e4 -e3*e6" in text
     assert "+e0*e2*e4 -e0*e3*e6" in text
+
+
+def test_enumerate_refused_at_its_cap_leaves_its_out_file_alone(in_tmp, capsys):
+    argv = ["enumerate", "--box", "2,3,4", "--cap", "5", "--out", "x.jsonl"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "error: 1845 tilings exceed the cap of 5\n")
+    assert not (in_tmp / "x.jsonl").exists()
+    (in_tmp / "x.jsonl").write_bytes(b"an earlier file\n")
+    assert main(argv) == 3
+    assert capsys.readouterr().err.count("\n") == 1
+    assert (in_tmp / "x.jsonl").read_bytes() == b"an earlier file\n"
+    # a region with no tiling still gets its header
+    assert run(capsys, "enumerate", "--box", "3,3", "--out", "z.jsonl") == (0, "0 tilings -> z.jsonl\n")
+    assert (in_tmp / "z.jsonl").read_text() == '{"d": 2, "kind": "box", "dims": [3, 3]}\n'
 
 
 def test_exit_code_guard(in_tmp, capsys):

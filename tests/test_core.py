@@ -15,6 +15,7 @@ from dimers.core import (
     color_sign,
     decode,
     encode,
+    flip_steps,
     make_box,
     make_cylinder,
     make_region,
@@ -262,6 +263,34 @@ def test_encode_roundtrip_and_injectivity():
         assert decode(blob, r) == t
         seen.add(blob)
     assert len(seen) == 229
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        make_box((3, 3, 2)),
+        make_box((2, 3, 4)),
+        make_box((2, 2, 2, 2)),
+        make_cylinder(make_region([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)]), 2),
+        make_region([*make_box((3, 3, 2)).cells, (3, 0, 0), (3, 0, 1)]),
+    ],
+    ids=["3x3x2", "2x3x4", "2x2x2x2", "cylinder", "general"],
+)
+def test_flip_steps_take_a_key_to_each_flip_neighbours_key(region):
+    steps = flip_steps(region)
+    assert len(steps) == len(region.flip_windows)
+    position = {window: n for n, window in enumerate(region.flip_windows)}
+    flips = 0
+    for t in enumerate_tilings(region):
+        blob = encode(t)
+        key = int.from_bytes(blob, "little")
+        for move in list_flips(t):
+            side = move.axes.index(move.before_axis)
+            step = steps[position[region.index[move.corner], move.axes]][side]
+            after = (key + step).to_bytes(len(blob), "little")
+            assert after == encode(apply_flip(t, move))
+            flips += 1
+    assert flips
 
 
 def test_encode_distinct_on_handmade_pair():

@@ -1,9 +1,11 @@
 import hashlib
+import tempfile
 import time
 from collections import Counter
+from math import prod
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dimers.core import decode, encode, make_box, make_cylinder, make_region, validate
 from dimers.counting import count_region
@@ -283,6 +285,24 @@ def test_disk_backed_set_insert_once(tmp_path):
     s2.close()
 
 
+def test_disk_backed_set_add_new_returns_the_new_keys_in_input_order(tmp_path):
+    s = DiskBackedSet(tmp_path / "seen.sqlite")
+    assert s.add(b"b") is True
+    # more keys than one membership query takes
+    keys = [bytes([k]) for k in range(200, 0, -1)]
+    assert s.add_new(keys) == [key for key in keys if key != b"b"]
+    assert s.add_new([b"b", b"zz", b"\x05"]) == [b"zz"]
+    assert s.add_new([]) == []
+    assert len(s) == 201
+    s.close()
+    # reopening keeps the keys
+    s2 = DiskBackedSet(tmp_path / "seen.sqlite")
+    assert s2.add_new([b"zz", b"new", b"\xc8"]) == [b"new"]
+    assert s2.known([b"new", b"\xc9", b"b"]) == {b"new", b"b"}
+    assert s2.add(b"new") is False
+    s2.close()
+
+
 def test_disk_backed_set_raises_a_sqlite_error_as_a_dimers_error(tmp_path):
     with pytest.raises(DimersError, match="unable to open database file"):
         DiskBackedSet(tmp_path / "missing" / "seen.sqlite")
@@ -299,6 +319,28 @@ def test_extended_census_matches_in_memory(tmp_path):
     assert [rep for _, rep in extended.components] == [
         rep for _, rep in in_memory.components
     ]
+
+
+@st.composite
+def boxes_minus_cells(draw):
+    """A box of 2 to 4 dimensions and at most 24 cells, less up to four
+    of its cells, with as many black as white cells left."""
+    d = draw(st.integers(2, 4))
+    dims = draw(st.tuples(*[st.integers(2, 6)] * d).filter(lambda dims: prod(dims) <= 24))
+    box = make_box(dims)
+    cut = draw(st.sets(st.sampled_from(box.cells), max_size=min(4, box.n_cells - 1)))
+    region = make_region([c for c in box.cells if c not in cut], d=d) if cut else box
+    assume(region.balanced)
+    return region
+
+
+@settings(max_examples=60, deadline=None)
+@given(boxes_minus_cells())
+@example(make_box((3, 2, 2)))  # a component whose smallest key is not its seed's
+def test_extended_census_matches_in_memory_on_random_regions(region):
+    with tempfile.TemporaryDirectory() as scratch:
+        extended = flip_components_extended(region, scratch)
+    assert extended.components == flip_components(region).components
 
 
 def test_extended_census_rerun_returns_the_stored_census(tmp_path):
