@@ -16,9 +16,9 @@ def _cmd_count(args) -> dict:
 
     region = region_from_args(args)
     if args.formula:
-        if region.kind != "box" or region.d != 2:
+        if not args.box or len(args.box) != 2:
             raise DimersError("--formula needs --box M,N")
-        value = count_rect_2d_formula(*region.dims)
+        value = count_rect_2d_formula(*args.box)
         print(value)
         return {"formula_value": value, "region": region_to_record(region)}
     value = count_region(region)

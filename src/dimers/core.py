@@ -37,7 +37,6 @@ from .regions import (  # the region layer, re-exported
     Domino,
     Region,
     _HEXAGON,
-    _REGION_FIELDS,
     _integer,
     _make_box,
     _trit_swaps,
@@ -135,12 +134,13 @@ def ensure_valid(tiling: Tiling) -> None:
 
 
 def base_vertical_tiling(region: Region) -> Tiling:
-    """All-vertical tiling of a box or cylinder of even height, pairing
-    floor 2k with floor 2k+1."""
-    if region.kind not in ("box", "cylinder") or region.height is None:
+    """All-vertical tiling of a region whose cells are a prism
+    (Region.prism) of even height, pairing floor 2k with floor 2k+1."""
+    if region.prism is None:
         raise NoBaseTiling("all-vertical tiling needs a box or cylinder")
-    if region.height % 2 != 0:
-        raise NoBaseTiling(f"height {region.height} is odd")
+    height = region.prism[1]
+    if height % 2 != 0:
+        raise NoBaseTiling(f"height {height} is odd")
     table, up = region.neighbor_table, 2 * (region.d - 1)
     # an even floor's partner is one step up (code up), an odd one's down
     return Tiling(region, tuple(table[i][up + c[-1] % 2] for i, c in enumerate(region.cells)))
@@ -164,15 +164,8 @@ def _refine_region(region: Region) -> Region:
     if region.d != 3:
         raise InvalidRegion("refinement is defined for d=3 only")
     f = REFINE_FACTOR
-    if region.kind == "box" and region.dims:
+    if region.dims:
         return make_box(tuple(f * s for s in region.dims))
-    if region.kind == "cylinder" and region.disk_cells and region.height:
-        disk = make_region(
-            (f * x + i, f * y + j)
-            for (x, y) in region.disk_cells
-            for i, j in product(range(f), repeat=2)
-        )
-        return make_cylinder(disk, f * region.height)
     return make_region(
         (f * x + i, f * y + j, f * z + k)
         for (x, y, z) in region.cells
@@ -205,19 +198,16 @@ def add_vertical_floors(tiling: Tiling, extra: int) -> Tiling:
     if extra == 0:
         return tiling
     region = tiling.region
-    if region.kind not in ("box", "cylinder") or region.height is None:
+    if region.prism is None:
         raise InvalidRegion("vertical extension needs a box or cylinder")
-    h = region.height
-    if region.kind == "box" and region.dims:
-        new_region = make_box(region.dims[:-1] + (h + extra,))
-    else:
-        new_region = _derived(region, ("floors", extra), lambda: make_cylinder(
-            make_region(region.disk_cells, d=region.d - 1), h + extra
-        ))
+    disk, h = region.prism
+    new_region = _derived(
+        region, ("floors", extra), lambda: make_cylinder(Region(region.d - 1, disk), h + extra)
+    )
     ensure_valid(tiling)
     dominoes = tiling.dominoes()
     vertical = region.d - 1
-    for base in region.disk_cells:
+    for base in disk:
         for z in range(h, h + extra, 2):
             dominoes.append(Domino(base + (z,), vertical))
     return tiling_from_dominoes(new_region, dominoes)

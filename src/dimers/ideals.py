@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .core import Region, Tiling, open_text
+from .core import Region, Tiling, open_text, region_to_record
 from .errors import DecodeError, IdenticalTilings, RegionMismatch
 
 Edge = tuple[tuple[int, ...], int]  # (lesser cell, axis)
@@ -157,9 +157,10 @@ def export_ideals(
         # distinct tilings have distinct monomials, so every pair is a binomial
         index = edge_index(region)
         texts = [_monomial_str(_tiling_monomial(t, index)) for t in enumerate_tilings(region, cap)]
+    kind = region_to_record(region)["kind"]
     shape = "dims=" + "x".join(map(str, region.dims)) if region.dims else f"cells={region.n_cells}"
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(f"# region kind={region.kind} d={region.d} {shape}\n# edges {len(edge_list)}\n")
+        fh.write(f"# region kind={kind} d={region.d} {shape}\n# edges {len(edge_list)}\n")
         for k, (cell, axis) in enumerate(edge_list):
             fh.write(f"var e{k} = cell ({','.join(map(str, cell))}) axis {axis}\n")
         fh.write(f"# flip generators {len(flips)}\n")

@@ -1,10 +1,13 @@
 """The region layer: cells, regions and region records.
 
-A cell is the integer min-corner of a unit cube in Z^d.  A Region is an
-immutable collection of cells with its neighbor tables, built on first
-use; a Domino is named by its low cell and axis.  The builders make
-boxes, cylinders and general cell sets.  A region record is the JSON
-form of a region that tiling files, disk files and manifests carry.
+A cell is the integer min-corner of a unit cube in Z^d.  A Region is its
+dimension and its cells, and nothing else decides its identity: a box
+built by make_box, make_cylinder or make_region from the same cells is
+one region.  Its neighbor tables, its sides and whether it is a prism
+are derived from the cells on first use.  A Domino is named by its low
+cell and axis.  A region record is the JSON form of a region that
+tiling files, disk files and manifests carry; its kind (box, cylinder
+or general) is read from the cells.
 
 `matchings` is the one search over domino matchings: enumeration, the
 counting module's floor fills and the twist's reference tiling all run
@@ -15,6 +18,7 @@ name here.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from functools import cached_property, lru_cache
 from itertools import combinations, product
@@ -40,32 +44,21 @@ class Domino(NamedTuple):
     axis: int
 
 
-_REGION_FIELDS = ("d", "cells", "kind", "dims", "height", "disk_cells")
-
-
 class Region:
-    """Immutable finite set of unit cells in Z^d.
+    """Immutable finite set of unit cells in Z^d: its dimension and its
+    sorted cells, with nonnegative coordinates (make_region refuses
+    others), which alone decide equality, the hash, the repr and a
+    pickle, however the region was built.  The hash is taken once, since
+    every table cache is keyed by a region.
 
-    kind is "box", "cylinder" (disk x [0, height)) or "general".  Box and
-    cylinder regions keep enough structure to build the all-vertical base
-    tiling; general regions are plain sorted cell lists.
-
-    Two regions are equal when their six fields are.  The hash of the
-    fields is taken once, since every table cache is keyed by a region;
-    the tables themselves are built on first use.
+    Everything else is derived from the cells on first use: the
+    neighbor tables, `dims` (the sides, when the cells fill their bounding
+    box from the origin) and `prism` (the disk and height, when the cells
+    are disk x [0, height) along the last axis).
     """
 
-    def __init__(
-        self,
-        d: int,
-        cells: tuple[Cell, ...],
-        kind: str = "general",
-        dims: tuple[int, ...] | None = None,
-        height: int | None = None,
-        disk_cells: tuple[Cell, ...] | None = None,
-    ):
-        fields = (d, cells, kind, dims, height, disk_cells)
-        self.__dict__.update(zip(_REGION_FIELDS, fields), _key=fields, _hash=hash(fields))
+    def __init__(self, d: int, cells: tuple[Cell, ...]):
+        self.__dict__.update(d=d, cells=cells, _hash=hash((d, cells)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -76,18 +69,37 @@ class Region:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key == other._key
+        return self is other or (self.d == other.d and self.cells == other.cells)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(_REGION_FIELDS, self._key))
-        return f"Region({fields})"
+        return f"Region(d={self.d!r}, cells={self.cells!r})"
 
     def __reduce__(self):
         # rebuilt from the fields, so a copy hashes in its own process
-        return Region, self._key
+        return Region, (self.d, self.cells)
+
+    @cached_property
+    def dims(self) -> tuple[int, ...] | None:
+        """The sides of the box the cells fill from the origin, or None.
+        Cells are nonnegative, so they fill it when they are as many as
+        its volume."""
+        if not self.cells:
+            return None
+        sides = tuple(x + 1 for x in self.bounding_box[1])
+        return sides if math.prod(sides) == self.n_cells else None
+
+    @cached_property
+    def prism(self) -> tuple[tuple[Cell, ...], int] | None:
+        """(disk cells, height) when the cells are disk x [0, height) along
+        the last axis, or None; a box is one."""
+        if not self.cells:
+            return None
+        disk = tuple(sorted({c[:-1] for c in self.cells}))
+        height = max(c[-1] for c in self.cells) + 1
+        return (disk, height) if len(disk) * height == self.n_cells else None
 
     @cached_property
     def index(self) -> dict[Cell, int]:
@@ -297,32 +309,14 @@ def _make_box(dims: tuple[int, ...]) -> Region:
         raise InvalidRegion("a box needs at least two dimensions")
     if any(s < 1 for s in dims):
         raise InvalidRegion(f"box dimensions must be >= 1, got {dims}")
-    cells = tuple(sorted(product(*(range(s) for s in dims))))
-    disk = tuple(sorted(product(*(range(s) for s in dims[:-1]))))
-    return Region(
-        d=len(dims),
-        cells=cells,
-        kind="box",
-        dims=dims,
-        height=dims[-1],
-        disk_cells=disk,
-    )
+    return Region(len(dims), tuple(product(*map(range, dims))))
 
 
 def make_cylinder(disk: Region, height: int) -> Region:
     """Product region disk x [0, height)."""
     if height < 1:
         raise InvalidRegion(f"cylinder height must be >= 1, got {height}")
-    cells = tuple(sorted(c + (z,) for c in disk.cells for z in range(height)))
-    dims = disk.dims + (height,) if disk.kind == "box" and disk.dims else None
-    return Region(
-        d=disk.d + 1,
-        cells=cells,
-        kind="cylinder",
-        dims=dims,
-        height=height,
-        disk_cells=disk.cells,
-    )
+    return Region(disk.d + 1, tuple(sorted(c + (z,) for c in disk.cells for z in range(height))))
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +325,16 @@ def make_cylinder(disk: Region, height: int) -> Region:
 
 
 def region_to_record(region: Region) -> dict:
-    rec: dict = {"d": region.d, "kind": region.kind}
-    if region.kind == "box" and region.dims:
-        rec["dims"] = list(region.dims)
-    elif region.kind == "cylinder":
-        rec["disk_cells"] = [list(c) for c in region.disk_cells]
-        rec["height"] = region.height
-    else:
-        rec["cells"] = [list(c) for c in region.cells]
-    return rec
+    """The region's record, its kind read from the cells: a box when they
+    fill one from the origin, a cylinder when d >= 3 and they are a prism
+    (see Region.prism), else the cells themselves."""
+    if region.dims:
+        return {"d": region.d, "kind": "box", "dims": list(region.dims)}
+    if region.d >= 3 and region.prism:
+        disk, height = region.prism
+        disk_cells = [list(c) for c in disk]
+        return {"d": region.d, "kind": "cylinder", "disk_cells": disk_cells, "height": height}
+    return {"d": region.d, "kind": "general", "cells": [list(c) for c in region.cells]}
 
 
 @contextmanager

@@ -1,4 +1,10 @@
 import pytest
+from hypothesis import settings
+
+# Every run draws the same examples, so the suite's time and what it
+# checks repeat from run to run; each test keeps its own example count.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def pytest_addoption(parser):

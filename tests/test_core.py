@@ -5,7 +5,7 @@ from itertools import islice, product
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dimers.core import (
     Domino,
@@ -72,7 +72,7 @@ def test_make_cylinder_matches_box():
     disk = make_box((3, 3))
     cyl = make_cylinder(disk, 2)
     assert cyl.cells == make_box((3, 3, 2)).cells
-    assert cyl.kind == "cylinder"
+    assert cyl == make_box((3, 3, 2)) and cyl.dims == (3, 3, 2)
 
 
 def test_make_cylinder_l_shaped_disk():
@@ -104,7 +104,7 @@ def test_make_cylinder_rejects_bad_input():
 def test_make_cylinder_takes_any_disk(cells):
     disk = make_region(cells)
     cylinder = make_cylinder(disk, 2)
-    assert cylinder.kind == "cylinder" and cylinder.disk_cells == disk.cells
+    assert cylinder.prism == (disk.cells, 2) and cylinder.dims is None
     assert cylinder.cells == tuple(sorted(c + (z,) for c in cells for z in range(2)))
     assert region_from_record(region_to_record(cylinder)) == cylinder
 
@@ -118,7 +118,7 @@ def test_regions_and_tilings_are_records_of_their_fields():
     )
     for build in builders:
         region = build()
-        fields = (region.d, region.cells, region.kind, region.dims, region.height, region.disk_cells)
+        fields = (region.d, region.cells)
         assert hash(region) == hash(fields)
         copies = (build(), Region(*fields), pickle.loads(pickle.dumps(region)))
         for again in copies:
@@ -126,20 +126,70 @@ def test_regions_and_tilings_are_records_of_their_fields():
         assert copies[1] is not region
         assert region != fields and region != object()
         with pytest.raises(AttributeError):
-            region.kind = "box"
+            region.cells = ()
         with pytest.raises(AttributeError):
             del region.cells
-        assert region.kind == fields[2]
-    # every field takes part: the box's cells alone make a general region
+        with pytest.raises(TypeError):
+            Region(*fields, "box")
+    # the cells alone decide: a box's cells built as a general region are
+    # the box, and its sides are derived from them
     box = make_box((2, 3, 2))
-    assert Region(box.d, box.cells) != box
+    assert Region(box.d, box.cells) == box and make_region(box.cells) == box
+    assert Region(box.d, box.cells).dims == (2, 3, 2)
+    assert Region(box.d, box.cells) != Region(box.d + 1, box.cells)
     tiling = base_vertical_tiling(box)
     assert hash(tiling) == hash((tiling.region, tiling.partner))
     with pytest.raises(AttributeError):
         tiling.partner = ()
-    assert repr(make_box((1, 2))) == (
-        "Region(d=2, cells=((0, 0), (0, 1)), kind='box', dims=(1, 2), height=2, disk_cells=((0,),))"
-    )
+    assert repr(make_box((1, 2))) == "Region(d=2, cells=((0, 0), (0, 1)))"
+
+
+_BOXES = st.integers(2, 4).flatmap(
+    lambda d: st.lists(st.integers(1, 3), min_size=d, max_size=d).map(make_box)
+)
+_DISKS = st.sets(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1).map(make_region)
+_CYLINDERS = st.builds(make_cylinder, _DISKS, st.integers(1, 3))
+_GENERAL = st.integers(2, 3).flatmap(
+    lambda d: st.sets(st.tuples(*[st.integers(0, 2)] * d), min_size=1).map(make_region)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_BOXES, _CYLINDERS, _GENERAL))
+@example(make_cylinder(make_box((2, 2)), 3))
+@example(make_cylinder(make_region([(0, 0), (1, 0), (2, 0), (0, 1)]), 2))
+@example(make_cylinder(make_region([(0, 0), (2, 0), (3, 1)]), 2))
+def test_a_region_is_its_cells_and_its_record_reads_back_to_it(region):
+    record = region_to_record(region)
+    again = region_from_record(json.loads(json.dumps(record)))
+    assert again == region and hash(again) == hash(region)
+    assert region_to_record(again) == record
+    assert (record["kind"] == "box") == (region.dims is not None)
+    built = make_region(region.cells, d=region.d)
+    assert built == region and hash(built) == hash(region)
+
+
+def test_a_cylinder_over_a_box_reads_back_from_its_tiling_file(tmp_path):
+    region = make_cylinder(make_box((2, 2)), 2)
+    tilings = list(enumerate_tilings(region))
+    write_tilings(tmp_path / "t.jsonl", region, tilings)
+    back_region, back = read_tilings(tmp_path / "t.jsonl")
+    assert back_region == region == make_box((2, 2, 2))
+    assert back == tilings
+
+
+def test_a_general_region_of_prism_cells_has_the_all_vertical_base():
+    # the base is read from the cells, so an L cylinder's cells given as a
+    # general region get the cylinder's base, and equal regions one twist
+    from dimers.twist import twist
+
+    cylinder = make_cylinder(make_region([(0, 0), (1, 0), (2, 0), (0, 1)]), 2)
+    general = make_region(list(cylinder.cells), d=3)
+    base = base_vertical_tiling(general)
+    assert base == base_vertical_tiling(cylinder) and twist(base) == 0
+    assert all(d.axis == 2 for d in base.dominoes())
+    for t in enumerate_tilings(cylinder):
+        assert twist(Tiling(general, t.partner)) == twist(t)
 
 
 def test_base_vertical_tiling():
@@ -152,8 +202,8 @@ def test_base_vertical_tiling():
 
     with pytest.raises(NoBaseTiling):
         base_vertical_tiling(make_box((3, 3, 3)))
-    with pytest.raises(NoBaseTiling):
-        base_vertical_tiling(make_region([(0, 0, 0), (0, 0, 1)]))
+    with pytest.raises(NoBaseTiling, match="needs a box or cylinder"):
+        base_vertical_tiling(make_region([(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 1, 0)]))
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 2), (2, 2), (4, 1, 2)])
