@@ -54,7 +54,6 @@ _HOMES = {
         "TritMove",
         "apply_flip",
         "apply_trit",
-        "difference_cycles",
         "list_flips",
         "list_trits",
     ),

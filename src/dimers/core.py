@@ -7,7 +7,10 @@ are safe to share between workers.  This module holds the tiling layer:
 validation, the all-vertical base tiling, 5x refinement, vertical
 extension, the canonical byte encoding, floor rendering and the
 JSON-lines tiling files.  `open_records` reads a tiling or slab file one
-line at a time.
+line at a time.  The tables these read are cached functions of a region
+here: its dominoes by cell pair (`pair_dominoes`), their JSON texts
+(`domino_json`) and each cell's direction code to each neighbour
+(`direction_codes`).
 
 The region layer (cells, regions, their builders and records) lives in
 `regions`, which a count loads without this module; every name of it is
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, islice, product
 from operator import getitem, itemgetter
 from typing import Iterable, Iterator, NamedTuple
@@ -36,10 +39,8 @@ from .regions import (  # the region layer, re-exported
     Cell,
     Domino,
     Region,
-    _HEXAGON,
     _integer,
     _make_box,
-    _trit_swaps,
     color_sign,
     decoding,
     json_record,
@@ -62,12 +63,26 @@ class Tiling(NamedTuple):
     partner: tuple[int, ...]
 
     def dominoes(self) -> list[Domino]:
-        table = self.region.pair_dominoes
+        table = pair_dominoes(self.region)
         return [table[i, j] for i, j in enumerate(self.partner) if i < j]
 
     @property
     def n_dominoes(self) -> int:
         return len(self.partner) // 2
+
+
+@lru_cache(maxsize=16)
+def pair_dominoes(region: Region) -> dict[tuple[int, int], Domino]:
+    """(i, j) -> the domino on adjacent cells i < j, cell j the entry
+    for +axis in cell i's neighbor_table row.  Built once per region, so
+    per-tiling code looks a domino up instead of deriving it from cells."""
+    cells = region.cells
+    return {
+        (i, row[2 * axis]): Domino(cells[i], axis)
+        for i, row in enumerate(region.neighbor_table)
+        for axis in range(region.d)
+        if row[2 * axis] >= 0
+    }
 
 
 def matched(partner, pairs) -> tuple[int, ...]:
@@ -146,21 +161,10 @@ def base_vertical_tiling(region: Region) -> Tiling:
     return Tiling(region, tuple(table[i][up + c[-1] % 2] for i, c in enumerate(region.cells)))
 
 
-def _derived(region: Region, key: tuple, build) -> Region:
-    """build(), kept in region.derived under key."""
-    found = region.derived.get(key)
-    if found is None:
-        found = region.derived[key] = build()
-    return found
-
-
+@lru_cache(maxsize=16)
 def refine_region(region: Region) -> Region:
     """Split every cube into 5x5x5 smaller cubes (3D only).  Repeated
     calls on one region return the same refined Region."""
-    return _derived(region, ("refine",), lambda: _refine_region(region))
-
-
-def _refine_region(region: Region) -> Region:
     if region.d != 3:
         raise InvalidRegion("refinement is defined for d=3 only")
     f = REFINE_FACTOR
@@ -200,17 +204,22 @@ def add_vertical_floors(tiling: Tiling, extra: int) -> Tiling:
     region = tiling.region
     if region.prism is None:
         raise InvalidRegion("vertical extension needs a box or cylinder")
-    disk, h = region.prism
-    new_region = _derived(
-        region, ("floors", extra), lambda: make_cylinder(Region(region.d - 1, disk), h + extra)
-    )
     ensure_valid(tiling)
     dominoes = tiling.dominoes()
+    disk, h = region.prism
     vertical = region.d - 1
     for base in disk:
         for z in range(h, h + extra, 2):
             dominoes.append(Domino(base + (z,), vertical))
-    return tiling_from_dominoes(new_region, dominoes)
+    return tiling_from_dominoes(_with_floors(region, extra), dominoes)
+
+
+@lru_cache(maxsize=16)
+def _with_floors(region: Region, extra: int) -> Region:
+    """The prism region with `extra` more floors; repeated calls on one
+    region return the same Region."""
+    disk, h = region.prism
+    return make_cylinder(Region(region.d - 1, disk), h + extra)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +227,20 @@ def add_vertical_floors(tiling: Tiling, extra: int) -> Tiling:
 #
 # Three bits per cell, cells in lexicographic order, little-endian bit
 # packing.  The code of a cell is 2*axis + (0 if the partner sits at +axis
-# else 1), the partner's position in the cell's neighbor_table row, which
-# caps the supported dimension at 4.
+# else 1), the partner's position in the cell's neighbor_table row
+# (direction_codes), which caps the supported dimension at 4.
 
 _MAX_ENCODE_D = 4
+
+
+@lru_cache(maxsize=16)
+def direction_codes(region: Region) -> tuple[dict[int, str], ...]:
+    """direction_codes(region)[i][j]: the position of cell j in
+    region.neighbor_table[i], as one octal digit."""
+    return tuple(
+        {j: str(code) for code, j in enumerate(row) if j >= 0}
+        for row in region.neighbor_table
+    )
 
 
 def encode(tiling: Tiling) -> bytes:
@@ -229,26 +248,28 @@ def encode(tiling: Tiling) -> bytes:
     if region.d > _MAX_ENCODE_D:
         raise InvalidRegion("canonical encoding supports d <= 4")
     # one octal digit per cell, cell 0 the least significant
-    digits = "".join(map(getitem, region.direction_codes, tiling.partner))
+    digits = "".join(map(getitem, direction_codes(region), tiling.partner))
     return int(digits[::-1] or "0", 8).to_bytes((3 * region.n_cells + 7) // 8, "little")
 
 
 @lru_cache(maxsize=16)
 def flip_steps(region: Region) -> tuple[tuple[int, int], ...]:
-    """For each window of region.flip_windows, in order, the change of
-    int.from_bytes(encode(t), "little") when t's flip there rotates a
+    """For each window of moves.flip_windows(region), in order, the change
+    of int.from_bytes(encode(t), "little") when t's flip there rotates a
     parallel pair along the window's first (side 0) or second (side 1)
     axis.  A flip rewrites the codes of the window's four cells only, so
     a neighbour's key is its tiling's key plus the step of that side."""
+    from .moves import flip_windows  # moves imports this module
+
     if region.d > _MAX_ENCODE_D:
         raise InvalidRegion("canonical encoding supports d <= 4")
-    table = region.neighbor_table
+    codes = direction_codes(region)
 
     def pair_key(i: int, j: int) -> int:
-        return table[i].index(j) << 3 * i | table[j].index(i) << 3 * j
+        return int(codes[i][j]) << 3 * i | int(codes[j][i]) << 3 * j
 
     steps = []
-    for i00, i10, i01, i11 in region.flip_windows.values():
+    for i00, i10, i01, i11 in flip_windows(region).values():
         step = pair_key(i00, i01) + pair_key(i10, i11) - pair_key(i00, i10) - pair_key(i01, i11)
         steps.append((step, -step))
     return tuple(steps)
@@ -325,7 +346,7 @@ def _floor_layout(region: Region) -> tuple:
                     order.append(i)
             put("\n")
     glyphs = tuple({j: _GLYPHS[int(code)] for j, code in codes.items()}
-                   for codes in region.direction_codes)
+                   for codes in direction_codes(region))
     return glyphs, tuple(fixed), itemgetter(*order)
 
 
@@ -345,11 +366,22 @@ def render_floors(tiling: Tiling) -> str:
 # record per tiling listing its dominoes as [low cell, axis] pairs.
 
 
+@lru_cache(maxsize=16)
+def domino_json(region: Region) -> dict[tuple[int, int], str]:
+    """(i, j) -> the JSON text [[x, y, ...], axis] of pair_dominoes(region)
+    [i, j], as json.dumps writes it."""
+    return {
+        pair: f"[[{', '.join(map(str, low))}], {axis}]"
+        for pair, (low, axis) in pair_dominoes(region).items()
+    }
 
-def tiling_json(tiling: Tiling) -> str:
+
+def tiling_json(tiling: Tiling, text: dict | None = None) -> str:
     """The tiling's record {"dominoes": [[low cell, axis], ...]} as the
-    JSON text json.dumps gives, joined from the region's domino texts."""
-    text = tiling.region.domino_json
+    JSON text json.dumps gives, joined from text, its region's
+    domino_json, which a writer of many tilings passes in."""
+    if text is None:
+        text = domino_json(tiling.region)
     return '{"dominoes": [' + ", ".join(
         [text[i, j] for i, j in enumerate(tiling.partner) if i < j]
     ) + "]}"
@@ -390,7 +422,7 @@ def write_records(path, region: Region, items: Iterable, encode) -> int:
 
 def write_tilings(path, region: Region, tilings: Iterable[Tiling]) -> int:
     """Write a JSON-lines tiling file; returns the number of tilings."""
-    return write_records(path, region, tilings, tiling_json)
+    return write_records(path, region, tilings, partial(tiling_json, text=domino_json(region)))
 
 
 def _read_header(fh, path) -> Region:
@@ -432,7 +464,7 @@ def open_records(path, decode=None):
     iterator is advanced.  The file stays open inside the with block.
 
     decode None reads a tiling file.  The writer's own lines are read by
-    inverting region.domino_json: each domino text is looked up, then the
+    inverting domino_json(region): each domino text is looked up, then the
     overlap and cover checks of tiling_from_dominoes run.  The table holds
     only the writer's texts, all integers, so a line read this way is one
     the JSON route accepts with the same partners.  Any other line, and
@@ -448,7 +480,7 @@ def _items(fh, path, region: Region, decode) -> Iterator:
     lookup = None
     if decode is None:
         decode = tiling_from_record
-        pair_of = {text[2:-1]: pair for pair, text in region.domino_json.items()}.__getitem__
+        pair_of = {text[2:-1]: pair for pair, text in domino_json(region).items()}.__getitem__
         lookup = lambda line: _tiling_by_lookup(line, region, pair_of)
     for lineno, line in enumerate(fh, 2):
         if line.strip():

@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple
 from .core import Region, Tiling, decode, encode, flip_steps, make_region, matchings, region_to_record
 from .counting import count_region, twist_polynomial
 from .errors import CapExceeded, DimersError, InvalidRegion, NotReachable
-from .moves import _flipped, _parallel_side, flip_neighbors, list_flips, trit_neighbors
+from .moves import _flipped, _parallel_side, flip_neighbors, flip_windows, list_flips, trit_neighbors
 
 DEFAULT_CAP = 10_000_000
 
@@ -436,7 +436,7 @@ def _flip_component(visited: DiskBackedSet, seed: Tiling, key: bytes) -> tuple[i
     tilings at a time and looks their neighbours up in one add_new call."""
     region = seed.region
     nbytes = len(key)
-    moves = list(zip(region.flip_windows.values(), flip_steps(region)))
+    moves = list(zip(flip_windows(region).values(), flip_steps(region)))
     size, smallest = 1, key
     queue = deque([(seed.partner, int.from_bytes(key, "little"))])
     while queue:

@@ -12,8 +12,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .core import Region, Tiling, open_text, region_to_record
+from .core import Region, Tiling, open_text, pair_dominoes, region_to_record
 from .errors import DecodeError, IdenticalTilings, RegionMismatch
+from .moves import flip_neighbors, flip_windows
 
 Edge = tuple[tuple[int, ...], int]  # (lesser cell, axis)
 
@@ -21,7 +22,7 @@ Edge = tuple[tuple[int, ...], int]  # (lesser cell, axis)
 def edges(region: Region) -> list[Edge]:
     """All dual-graph edges in lexicographic order, which is the order of
     the region's domino table."""
-    return list(region.pair_dominoes.values())
+    return list(pair_dominoes(region).values())
 
 
 def edge_index(region: Region) -> dict[Edge, int]:
@@ -54,7 +55,7 @@ def flip_ideal_generators(region: Region) -> list[Binomial]:
     index = edge_index(region)
     cells = region.cells
     out = []
-    for (_, (a, b)), (i00, i10, i01, _) in region.flip_windows.items():
+    for (_, (a, b)), (i00, i10, i01, _) in flip_windows(region).items():
         corner, ea, eb = cells[i00], cells[i10], cells[i01]
         pos = tuple(sorted((index[(corner, a)], index[(eb, a)])))
         neg = tuple(sorted((index[(corner, b)], index[(ea, b)])))
@@ -86,7 +87,6 @@ def containment_certificate(t0: Tiling, t1: Tiling) -> list[tuple[tuple[int, ...
     sum of monomial*generator equals the tiling binomial exactly.
     """
     from .explore import search_path
-    from .moves import flip_neighbors
 
     if t0.region != t1.region:
         raise RegionMismatch("certificate needs a common region")
@@ -147,12 +147,12 @@ def export_ideals(
     Tiling binomials (optional) cover all unordered pairs of enumerated
     tilings, so the file is valid CAS input for the containment question.
     """
-    from .explore import enumerate_tilings
-
     edge_list = edges(region)
     flips = flip_ideal_generators(region)
     texts = []
     if with_tiling_ideal:
+        from .explore import enumerate_tilings
+
         # enumerated before the file opens, so a cap leaves no file behind;
         # distinct tilings have distinct monomials, so every pair is a binomial
         index = edge_index(region)

@@ -4,10 +4,11 @@ A cell is the integer min-corner of a unit cube in Z^d.  A Region is its
 dimension and its cells, and nothing else decides its identity: a box
 built by make_box, make_cylinder or make_region from the same cells is
 one region.  Its neighbor tables, its sides and whether it is a prism
-are derived from the cells on first use.  A Domino is named by its low
-cell and axis.  A region record is the JSON form of a region that
-tiling files, disk files and manifests carry; its kind (box, cylinder
-or general) is read from the cells.
+are derived from the cells on first use; the flip and trit windows live
+in `moves`, and the domino, JSON and direction-code tables in `core`.
+A Domino is named by its low cell and axis.  A region record is the
+JSON form of a region that tiling files, disk files and manifests carry;
+its kind (box, cylinder or general) is read from the cells.
 
 `matchings` is the one search over domino matchings: enumeration, the
 counting module's floor fills and the twist's reference tiling all run
@@ -21,7 +22,8 @@ import json
 import math
 from contextlib import contextmanager
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import chain, product
+from operator import lt
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DecodeError, DimersError, InvalidRegion
@@ -46,18 +48,27 @@ class Domino(NamedTuple):
 
 class Region:
     """Immutable finite set of unit cells in Z^d: its dimension and its
-    sorted cells, with nonnegative coordinates (make_region refuses
-    others), which alone decide equality, the hash, the repr and a
-    pickle, however the region was built.  The hash is taken once, since
-    every table cache is keyed by a region.
+    cells, sorted, distinct and with nonnegative coordinates (the
+    constructor refuses others; make_region sorts and deduplicates), which
+    alone decide equality, the hash, the repr and a pickle, however the
+    region was built.  The hash is taken once, since every table cache is
+    keyed by a region.
 
     Everything else is derived from the cells on first use: the
     neighbor tables, `dims` (the sides, when the cells fill their bounding
-    box from the origin) and `prism` (the disk and height, when the cells
-    are disk x [0, height) along the last axis).
+    box from the origin), `prism` (the disk and height, when the cells
+    are disk x [0, height) along the last axis), the bounding box and the
+    colour counts.  The tables of moves, dominoes and encodings are
+    cached functions of a region in the modules that read them.
     """
 
     def __init__(self, d: int, cells: tuple[Cell, ...]):
+        if min(chain.from_iterable(cells), default=0) < 0:
+            c = next(c for c in cells if min(c) < 0)
+            raise InvalidRegion(f"cell {c} has a negative coordinate")
+        if not all(map(lt, cells, cells[1:])):
+            a, b = next((a, b) for a, b in zip(cells, cells[1:]) if a >= b)
+            raise InvalidRegion(f"cells {a} and {b} are not sorted and distinct")
         self.__dict__.update(d=d, cells=cells, _hash=hash((d, cells)))
 
     def __setattr__(self, name, value):
@@ -130,82 +141,6 @@ class Region:
             for row in self.neighbor_table
         )
 
-    @cached_property
-    def flip_windows(self) -> dict[tuple[int, tuple[int, int]], tuple[int, ...]]:
-        """(corner index, (a, b)) -> cell indices (i00, i10, i01, i11) of
-        each 2x2 window inside the region, i10 one step along +a from the
-        corner and i01 one step along +b.  Ordered by corner, then axes."""
-        table = self.neighbor_table
-        out = {}
-        for i, row in enumerate(table):
-            for a, b in combinations(range(self.d), 2):
-                i10, i01 = row[2 * a], row[2 * b]
-                if i10 >= 0 and i01 >= 0 and table[i10][2 * b] >= 0:
-                    out[(i, (a, b))] = (i, i10, i01, table[i10][2 * b])
-        return out
-
-    @cached_property
-    def trit_windows(self) -> dict[tuple[int, tuple[int, int, int]], tuple]:
-        """(corner index, axes) -> (ids, swaps) for each 2x2x2 window inside
-        the region, ordered like flip_windows.  ids are the eight cell
-        indices, sorted.  swaps maps each matching of six of them with one
-        domino per axis, as sorted index pairs, to the only other one."""
-        table = self.neighbor_table
-        out = {}
-        for i in range(len(table)):
-            for axes in combinations(range(self.d), 3):
-                cube = {}
-                for deltas in product((0, 1), repeat=3):
-                    j = i
-                    for axis, delta in zip(axes, deltas):
-                        if delta and j >= 0:
-                            j = table[j][2 * axis]
-                    cube[deltas] = j
-                if min(cube.values()) >= 0:
-                    out[(i, axes)] = (tuple(sorted(cube.values())), _trit_swaps(cube))
-        return out
-
-    @cached_property
-    def pair_dominoes(self) -> dict[tuple[int, int], Domino]:
-        """(i, j) -> the domino on adjacent cells i < j, cell j the entry
-        for +axis in cell i's neighbor_table row.  Built once, so per-tiling
-        code looks a domino up instead of deriving it from the cells."""
-        cells = self.cells
-        return {
-            (i, row[2 * axis]): Domino(cells[i], axis)
-            for i, row in enumerate(self.neighbor_table)
-            for axis in range(self.d)
-            if row[2 * axis] >= 0
-        }
-
-    @cached_property
-    def domino_json(self) -> dict[tuple[int, int], str]:
-        """(i, j) -> the JSON text [[x, y, ...], axis] of its domino, as
-        json.dumps writes it, for the pairs of pair_dominoes."""
-        lows = [", ".join(map(str, cell)) for cell in self.cells]
-        return {
-            (i, row[2 * axis]): f"[[{lows[i]}], {axis}]"
-            for i, row in enumerate(self.neighbor_table)
-            for axis in range(self.d)
-            if row[2 * axis] >= 0
-        }
-
-    @cached_property
-    def direction_codes(self) -> tuple[dict[int, str], ...]:
-        """direction_codes[i][j]: the position of cell j in
-        neighbor_table[i], as one octal digit."""
-        return tuple(
-            {j: str(code) for code, j in enumerate(row) if j >= 0}
-            for row in self.neighbor_table
-        )
-
-    @cached_property
-    def derived(self) -> dict[tuple, Region]:
-        """Regions built from this one by refine_region and
-        add_vertical_floors, by (operation, argument), so that repeated
-        calls return one Region and the tables it builds serve them all."""
-        return {}
-
     @property
     def n_cells(self) -> int:
         return len(self.cells)
@@ -262,24 +197,6 @@ def matchings(forward, partner: list[int], open_cells: int = 0) -> Iterator[int]
     return rec(0, 0)
 
 
-# A 2x2x2 cube minus a cell `far` and its opposite cell is a hexagon: the
-# cells far xor _HEXAGON[k], k = 0..5, go round it, one coordinate changing
-# per step.  Its even edges and its odd edges are its two perfect matchings,
-# and each has one domino per axis.  No other six cells of the cube have
-# such a matching, so every one of them has exactly one partner.
-_HEXAGON = ((1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1), (1, 0, 1))
-
-
-def _trit_swaps(cube: dict[tuple[int, int, int], int]) -> dict[tuple, tuple]:
-    swaps = {}
-    for far in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)):
-        ring = [cube[tuple(f ^ m for f, m in zip(far, mask))] for mask in _HEXAGON]
-        edges = [tuple(sorted((ring[k], ring[(k + 1) % 6]))) for k in range(6)]
-        first, second = tuple(sorted(edges[0::2])), tuple(sorted(edges[1::2]))
-        swaps[first], swaps[second] = second, first
-    return swaps
-
-
 def make_region(cells: Iterable[Cell], d: int | None = None) -> Region:
     """General region from an iterable of cells (sorted, deduplicated)."""
     cell_list = sorted(set(tuple(int(x) for x in c) for c in cells))
@@ -292,8 +209,6 @@ def make_region(cells: Iterable[Cell], d: int | None = None) -> Region:
     for c in cell_list:
         if len(c) != d:
             raise InvalidRegion(f"cell {c} does not have {d} coordinates")
-        if any(x < 0 for x in c):
-            raise InvalidRegion(f"cell {c} has a negative coordinate")
     return Region(d=d, cells=tuple(cell_list))
 
 

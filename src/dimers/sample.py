@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .core import Region, Tiling, ensure_valid
 from .errors import InvalidRegion, InvalidTiling
-from .moves import _held
+from .moves import _held, flip_windows, trit_windows
 
 RNG_FAMILY = "mt19937"
 
@@ -66,10 +66,10 @@ class _Chain:
         self.region = region
         self.partner = list(start.partner)
         self.rng = random.Random(config.seed)
-        self.windows: list = list(region.flip_windows.values())
+        self.windows: list = list(flip_windows(region).values())
         self.n_flips = len(self.windows)
         if config.moves == "flips+trits":
-            self.windows += region.trit_windows.values()
+            self.windows += trit_windows(region).values()
         if not self.windows:
             raise InvalidRegion("region admits no move windows")
         self.trits = 0

@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .core import Cell, Region, Tiling, decoding, make_region, matched, read_records, write_records
 from .errors import CapExceeded, DecodeError, InflationError, InvalidRegion, MoveNotApplicable
 from .explore import components
+from .moves import flip_windows, trit_windows
 from .twist import _calibrated, _crossings
 
 _COLOR_OF_PARITY = {(0, 0): "R", (1, 0): "Y", (0, 1): "G", (1, 1): "B"}
@@ -68,7 +69,7 @@ def validate_slab_tiling(tiling: SlabTiling) -> str | None:
     naming the first bad cell in the order corner, +b, +a, +a+b (a < b
     the axes of the slab's plane)."""
     region = tiling.region
-    index, windows = region.index, region.flip_windows
+    index, windows = region.index, flip_windows(region)
     covered: set[int] = set()
     for slab in tiling.slabs:
         plane = ((1, 2), (0, 2), (0, 1))[slab.normal]
@@ -105,7 +106,7 @@ def enumerate_slab_tilings(
     # the window in axes (a, b) is the slab of normal 3 - a - b; reversed,
     # each cell's candidates come in ascending normal
     candidates: list[list[tuple[Slab, tuple[int, ...]]]] = [[] for _ in cells]
-    for (i, (a, b)), ids in reversed(region.flip_windows.items()):
+    for (i, (a, b)), ids in reversed(flip_windows(region).items()):
         candidates[i].append((Slab(cells[i], 3 - a - b), ids))
 
     def rec(start: int, acc: list[Slab]) -> Iterator[SlabTiling]:
@@ -169,13 +170,13 @@ def _inflation(region: Region, pair: frozenset) -> tuple[Region, dict[Slab, tupl
     derived = make_region(shifted)
     image = dict(zip(kept, map(derived.index.__getitem__, shifted)))
     table = {}
-    for (corner, (a, b)), ids in region.flip_windows.items():
+    for (corner, (a, b)), ids in flip_windows(region).items():
         slab = Slab(cells[corner], 3 - a - b)
         survivors = tuple(sorted(image[k] for k in ids if k in image))
         if len(survivors) != 2:
             raise InflationError(f"slab {slab} keeps {len(survivors)} cells of pair "
                                  f"{sorted(pair)}, expected 2")
-        if survivors not in derived.pair_dominoes:
+        if survivors[1] not in derived.neighbor_table[survivors[0]]:
             p, q = (derived.cells[k] for k in survivors)
             raise InflationError(f"slab {slab} deflates to non-adjacent cells {p}, {q}")
         table[slab] = survivors
@@ -278,7 +279,7 @@ def list_slab_flips(tiling: SlabTiling) -> list[SlabFlip]:
     present = set(tiling.slabs)  # a Slab hashes and compares as its tuple
     cells, table = tiling.region.cells, tiling.region.neighbor_table
     out = []
-    for i, _ in tiling.region.trit_windows:
+    for i, _ in trit_windows(tiling.region):
         for normal in range(3):
             if (cells[i], normal) in present and (cells[table[i][2 * normal]], normal) in present:
                 out.extend(SlabFlip(cells[i], normal, to) for to in range(3) if to != normal)

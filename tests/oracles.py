@@ -475,13 +475,13 @@ def chain_by_steps(region, start, config, steps: int) -> tuple[list[int], int]:
     `randrange`."""
     import random
 
-    from dimers.moves import _held
+    from dimers.moves import _held, flip_windows, trit_windows
 
     partner = list(start.partner)
     rng = random.Random(config.seed)
-    windows = [("flip", w) for w in region.flip_windows.values()]
+    windows = [("flip", w) for w in flip_windows(region).values()]
     if config.moves == "flips+trits":
-        windows += [("trit", w) for w in region.trit_windows.values()]
+        windows += [("trit", w) for w in trit_windows(region).values()]
     trits = 0
     for _ in range(steps):
         kind, window = windows[rng.randrange(len(windows))]
@@ -683,7 +683,8 @@ def pair_twist_by_cells(inflated, region, pair) -> int:
 
 def render_floors_by_cell(tiling) -> str:
     """render_floors, reading each cell of the bounding box from the
-    region's index for every tiling."""
+    region's index for every tiling, and each glyph from the axis and
+    direction in which the cell's partner differs from it."""
     region = tiling.region
     lo, hi = region.bounding_box
     idx = region.index
@@ -697,9 +698,9 @@ def render_floors_by_cell(tiling) -> str:
             for x in range(lo[0], hi[0] + 1):
                 cell = (x, y, z)[: region.d]
                 if cell in idx:
-                    i = idx[cell]
-                    code = region.direction_codes[i][tiling.partner[i]]
-                    row.append(_GLYPHS[int(code)])
+                    other = region.cells[tiling.partner[idx[cell]]]
+                    axis = next(a for a in range(region.d) if other[a] != cell[a])
+                    row.append(_GLYPHS[2 * axis + (other[axis] < cell[axis])])
                 else:
                     row.append(".")
             lines.append("".join(row))

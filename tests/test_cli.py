@@ -461,10 +461,11 @@ def test_a_launch_loads_only_the_modules_its_subcommand_runs(tmp_path):
     assert not loaded & {"dataclasses", "inspect", "dimers.explore", "dimers.moves"}
     assert not loaded & {"dimers.twist", "fractions", "decimal"}
     assert json.loads(manifest.read_text())["calibration"]["kappa"] == "1/8"
-    # without a bytecode cache a launch compiles every line it loads: 1,206
-    # lines here, 1,870 when cli.py held every subcommand and core.py the
+    # without a bytecode cache a launch compiles every line it loads: 1,115
+    # lines here, 1,201 when Region held the move, domino and encoding
+    # tables, and 1,870 when cli.py held every subcommand and core.py the
     # region layer too
-    assert _source_lines(loaded) < 1_250
+    assert _source_lines(loaded) < 1_120
     # listing and applying moves loads the twist module only to sign a
     # trit, and writing a final state reads no twist
     for argv in (["enumerate", "--box", "2,2,2", "--out", "e.jsonl"],
@@ -490,6 +491,9 @@ def test_a_launch_loads_only_the_modules_its_subcommand_runs(tmp_path):
         loaded = _launch(argv, tmp_path)
         assert _commands(loaded) == {f"dimers.commands.{module}"}, argv
         assert "dimers.cli" not in loaded, argv
+        if module == "ideals":
+            # without --with-tiling-ideal an export enumerates nothing
+            assert not loaded & {"dimers.explore", "dimers.counting"}
     assert not [name for name in _modules_after("import dimers", tmp_path)
                 if name.startswith("dimers.")]
     # 2x3x5 has no all-vertical tiling: the twist's reference is the first

@@ -20,6 +20,7 @@ from dimers.core import (
     make_cylinder,
     make_region,
     open_records,
+    pair_dominoes,
     read_tilings,
     refine_region,
     refine_tiling,
@@ -34,7 +35,7 @@ from dimers.core import (
 )
 from dimers.errors import DecodeError, DimersError, InvalidRegion, InvalidTiling, NoBaseTiling
 from dimers.explore import enumerate_tilings
-from dimers.moves import apply_flip, list_flips
+from dimers.moves import apply_flip, flip_windows, list_flips
 
 from oracles import parse_floors, refine_tiling_by_cells, render_floors_by_cell
 from test_moves import small_regions
@@ -107,6 +108,22 @@ def test_make_cylinder_takes_any_disk(cells):
     assert cylinder.prism == (disk.cells, 2) and cylinder.dims is None
     assert cylinder.cells == tuple(sorted(c + (z,) for c in cells for z in range(2)))
     assert region_from_record(region_to_record(cylinder)) == cylinder
+
+
+def test_a_region_refuses_cells_that_are_unsorted_repeated_or_negative():
+    # a negative cell would give its bounding box from the origin as dims,
+    # and unsorted cells a second region of the same cells
+    cases = {
+        ((-1, 0), (0, 1)): r"^cell \(-1, 0\) has a negative coordinate$",
+        ((0, 1), (0, 0)): r"^cells \(0, 1\) and \(0, 0\) are not sorted and distinct$",
+        ((0, 0), (0, 0)): r"^cells \(0, 0\) and \(0, 0\) are not sorted and distinct$",
+    }
+    for cells, message in cases.items():
+        with pytest.raises(InvalidRegion, match=message):
+            Region(2, cells)
+    with pytest.raises(InvalidRegion, match="negative"):
+        make_region([(0, 1), (0, -1)])
+    assert Region(2, ((0, 0), (0, 1))) == make_region([(0, 1), (0, 0), (0, 1)])
 
 
 def test_regions_and_tilings_are_records_of_their_fields():
@@ -328,8 +345,8 @@ def test_encode_roundtrip_and_injectivity():
 )
 def test_flip_steps_take_a_key_to_each_flip_neighbours_key(region):
     steps = flip_steps(region)
-    assert len(steps) == len(region.flip_windows)
-    position = {window: n for n, window in enumerate(region.flip_windows)}
+    assert len(steps) == len(flip_windows(region))
+    position = {window: n for n, window in enumerate(flip_windows(region))}
     flips = 0
     for t in enumerate_tilings(region):
         blob = encode(t)
@@ -657,7 +674,7 @@ def test_tiling_from_dominoes_reads_back_and_refuses_what_is_not_a_tiling(
     message = f"domino {bad} is not a domino of the region"
     assert _refusal(region, [*before, bad, *after], path) == message
     # every domino of the region overlaps one of a tiling
-    extra = data.draw(st.sampled_from(sorted(region.pair_dominoes.values())))
+    extra = data.draw(st.sampled_from(sorted(pair_dominoes(region).values())))
     assert _refusal(region, [*dominoes, extra], path) == f"domino {extra} overlaps another domino"
     # the first uncovered cell is the removed domino's low cell
     assert _refusal(region, [*before, *after], path) == f"cell {low}: unmatched"

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from dimers.core import (
     Domino,
     Tiling,
-    color_sign,
     base_vertical_tiling,
     decode,
     encode,
@@ -16,13 +15,12 @@ from dimers.core import (
     tiling_from_dominoes,
     validate,
 )
-from dimers.errors import CalibrationError, MoveNotApplicable, RegionMismatch
+from dimers.errors import CalibrationError, MoveNotApplicable
 from dimers.explore import enumerate_tilings, flip_free_tilings
 from dimers.moves import (
     FlipMove,
     apply_flip,
     apply_trit,
-    difference_cycles,
     list_flips,
     list_trits,
     trit_neighbors,
@@ -170,43 +168,6 @@ def test_trit_signs_antisymmetric_under_mirror():
         signs = sorted(apply_trit(t, m)[1] for m in trits)
         mirror_signs = sorted(apply_trit(mirrored, m)[1] for m in list_trits(mirrored))
         assert mirror_signs == sorted(-s for s in signs)
-
-
-def test_difference_cycles_identity_is_empty():
-    t = base_vertical_tiling(make_box((3, 3, 2)))
-    assert difference_cycles(t, t) == []
-
-
-def test_difference_cycles_single_flip_is_a_4_cycle():
-    t = base_vertical_tiling(make_box((3, 3, 2)))
-    flipped = apply_flip(t, list_flips(t)[0])
-    cycles = difference_cycles(t, flipped)
-    assert len(cycles) == 1
-    assert len(cycles[0]) == 4
-
-
-def test_difference_cycles_of_flip_free_pair():
-    # the two rigid tilings of the 3x3x2 box differ everywhere except the
-    # two central vertical dominoes
-    a, b = flip_free_tilings(make_box((3, 3, 2)))
-    cycles = difference_cycles(a, b)
-    disagreeing = sum(1 for x, y in zip(a.partner, b.partner) if x != y)
-    assert sum(len(c) for c in cycles) == disagreeing == 16
-    seen = set()
-    for cycle in cycles:
-        assert len(cycle) % 2 == 0
-        colors = [color_sign(c) for c in cycle]
-        assert all(u != v for u, v in zip(colors, colors[1:]))
-        for cell in cycle:
-            assert cell not in seen
-            seen.add(cell)
-
-
-def test_difference_cycles_region_mismatch():
-    a = base_vertical_tiling(make_box((2, 2, 2)))
-    b = base_vertical_tiling(make_box((2, 2, 4)))
-    with pytest.raises(RegionMismatch):
-        difference_cycles(a, b)
 
 
 def test_enumeration_matches_naive_oracle_on_small_regions():

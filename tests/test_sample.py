@@ -16,7 +16,7 @@ from dimers.core import (
 )
 from dimers.errors import InvalidRegion, InvalidTiling
 from dimers.explore import enumerate_tilings, flip_free_tilings, twist_census
-from dimers.moves import apply_trit, list_trits
+from dimers.moves import apply_trit, list_trits, trit_windows
 from dimers.sample import (
     ChainConfig,
     TwistHistogram,
@@ -231,7 +231,7 @@ def test_the_chain_moves_through_a_trit_that_does_not_step_the_twist_by_one():
     # so to the chain it is one more move
     region, start = _region_with_a_5_4_trit()
     chain = _Chain(region, start, ChainConfig(moves="flips+trits", steps=0))
-    chain.windows = [region.trit_windows[(region.index[(1, 0, 1)], (0, 1, 2))]]
+    chain.windows = [trit_windows(region)[(region.index[(1, 0, 1)], (0, 1, 2))]]
     chain.n_flips = 0
     chain.advance(1)
     assert chain.trits == 1
