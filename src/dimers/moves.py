@@ -7,11 +7,19 @@ windows, which `flip_windows` and `trit_windows` build once per region for
 every reader (the sampler, slabs, ideals, the censuses and the encoding's
 flip steps), and moves are listed in table order: window corner
 lexicographic, then axes.
+
+A trit window is keyed by its four white cells.  Each domino inside the
+cube has one white cell, and a trit's three dominoes leave one white to be
+matched outside the cube, so the partners of the four whites fix the trit:
+every reader (`list_trits`, `trit_neighbors`, `apply_trit` and the
+sampler) reads them with one `itemgetter` call and looks the tuple up in
+the window's moves map.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import Cell, Domino, Region, Tiling, matched, pair_dominoes
@@ -58,23 +66,28 @@ def flip_windows(region: Region) -> dict[tuple[int, tuple[int, int]], tuple[int,
 
 @lru_cache(maxsize=16)
 def trit_windows(region: Region) -> dict[tuple[int, tuple[int, int, int]], tuple]:
-    """(corner index, axes) -> (ids, swaps) for each 2x2x2 window inside
-    the region, ordered like flip_windows.  ids are the eight cell
-    indices, sorted.  swaps maps each matching of six of them with one
-    domino per axis, as sorted index pairs, to the only other one."""
+    """(corner index, axes) -> (held, moves) for each 2x2x2 window inside
+    the region, ordered like flip_windows.  held reads the partners of the
+    window's four white cells; moves maps each value held returns on a
+    tiling that holds a trit there to (removed, added), the index pairs of
+    the trit's three dominoes and of the only other matching of their six
+    cells with one domino per axis, each sorted."""
     table = region.neighbor_table
+    cells = region.cells
     out = {}
     for i in range(len(table)):
         for axes in combinations(range(region.d), 3):
-            cube = {}
-            for deltas in product((0, 1), repeat=3):
-                j = i
-                for axis, delta in zip(axes, deltas):
-                    if delta and j >= 0:
-                        j = table[j][2 * axis]
-                cube[deltas] = j
-            if min(cube.values()) >= 0:
-                out[(i, axes)] = (tuple(sorted(cube.values())), _trit_swaps(cube))
+            # cube[4*b0 + 2*b1 + b2] is the corner plus b along the axes;
+            # cells are sorted, so this is also the order of their indices
+            cube = [i]
+            for axis in reversed(axes):
+                cube += [table[j][2 * axis] for j in cube]
+                if -1 in cube:
+                    break
+            else:
+                whites, hexagons = _cube_trits(sum(cells[i]) % 2)
+                held = itemgetter(*[cube[p] for p in whites])
+                out[(i, axes)] = (held, _trit_moves(table, cube, hexagons))
     return out
 
 
@@ -86,14 +99,45 @@ def trit_windows(region: Region) -> dict[tuple[int, tuple[int, int, int]], tuple
 _HEXAGON = ((1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1), (1, 0, 1))
 
 
-def _trit_swaps(cube: dict[tuple[int, int, int], int]) -> dict[tuple, tuple]:
-    swaps = {}
+@lru_cache(maxsize=2)
+def _cube_trits(corner_parity: int):
+    """The cube positions of a window's white cells, and for each of the
+    four hexagons: the white left out of it, which a trit there matches
+    outside the cube, and its two matchings as sorted position pairs,
+    each with the position every white is matched to in it (None for the
+    white left out)."""
+    def pos(bits):
+        return 4 * bits[0] + 2 * bits[1] + bits[2]
+
+    whites = [p for p in range(8) if (bin(p).count("1") + corner_parity) % 2 == 0]
+    hexagons = []
     for far in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)):
-        ring = [cube[tuple(f ^ m for f, m in zip(far, mask))] for mask in _HEXAGON]
+        ring = [pos([f ^ m for f, m in zip(far, mask)]) for mask in _HEXAGON]
         edges = [tuple(sorted((ring[k], ring[(k + 1) % 6]))) for k in range(6)]
-        first, second = tuple(sorted(edges[0::2])), tuple(sorted(edges[1::2]))
-        swaps[first], swaps[second] = second, first
-    return swaps
+        lone = next(p for p in (pos(far), 7 - pos(far)) if p in whites)
+        matchings = []
+        for matching in (tuple(sorted(edges[0::2])), tuple(sorted(edges[1::2]))):
+            mate = {a: b for pair in matching for a, b in (pair, pair[::-1])}
+            matchings.append((matching, tuple(mate.get(p) for p in whites)))
+        hexagons.append((whites.index(lone), lone, matchings))
+    return whites, hexagons
+
+
+def _trit_moves(table, cube: list[int], hexagons) -> dict[tuple[int, ...], tuple]:
+    """The moves map of one window.  The key of a matching names each
+    white's partner, and the white left out of the hexagon takes each of
+    its neighbours outside the cube in turn: every domino in the cube has
+    one white cell, so this key fixes the matching."""
+    moves = {}
+    for slot, lone, matchings in hexagons:
+        outside = [j for j in table[cube[lone]] if j >= 0 and j not in cube]
+        first, second = (tuple((cube[a], cube[b]) for a, b in m) for m, _ in matchings)
+        for (_, mates), found in zip(matchings, ((first, second), (second, first))):
+            key = [None if p is None else cube[p] for p in mates]
+            for j in outside:
+                key[slot] = j
+                moves[tuple(key)] = found
+    return moves
 
 
 def _window(table: dict, region: Region, corner: Cell, axes):
@@ -119,17 +163,6 @@ def _flipped(partner, window, side: int) -> tuple[int, ...]:
     return matched(partner, ((i00, i01), (i10, i11)) if side == 0 else ((i00, i10), (i01, i11)))
 
 
-def _held(partner, ids) -> tuple[tuple[int, int], ...]:
-    """Index pairs of the dominoes inside a trit window, sorted like the
-    keys of its swap map because the window's ids are sorted."""
-    held = []
-    for i in ids:
-        j = partner[i]
-        if i < j and j in ids:
-            held.append((i, j))
-    return tuple(held)
-
-
 def flip_neighbors(region: Region, partner) -> list[tuple[int, ...]]:
     """Partner tuples one flip away, in list_flips order."""
     out = []
@@ -144,11 +177,10 @@ def trit_neighbors(region: Region, partner) -> list[tuple]:
     """(partner after, removed pairs, added pairs) for every trit, in
     list_trits order."""
     out = []
-    for ids, swaps in trit_windows(region).values():
-        removed = _held(partner, ids)
-        added = swaps.get(removed)
-        if added is not None:
-            out.append((matched(partner, added), removed, added))
+    for held, moves in trit_windows(region).values():
+        found = moves.get(held(partner))
+        if found is not None:
+            out.append((matched(partner, found[1]), *found))
     return out
 
 
@@ -185,10 +217,10 @@ def list_trits(tiling: Tiling) -> list[TritMove]:
     tiling.  Empty in 2D so generic pipelines run unchanged."""
     region = tiling.region
     out = []
-    for (corner, axes), (ids, swaps) in trit_windows(region).items():
-        held = _held(tiling.partner, ids)
-        if held in swaps:
-            out.append(TritMove(region.cells[corner], axes, _dominoes(region, held)))
+    for (corner, axes), (held, moves) in trit_windows(region).items():
+        found = moves.get(held(tiling.partner))
+        if found is not None:
+            out.append(TritMove(region.cells[corner], axes, _dominoes(region, found[0])))
     return out
 
 
@@ -198,11 +230,11 @@ def _trit_pairs(tiling: Tiling, move: TritMove):
     window = _window(trit_windows(region), region, move.corner, move.axes)
     if window is None:
         raise MoveNotApplicable(f"trit window {move.corner} leaves the region")
-    ids, swaps = window
-    removed = _held(tiling.partner, ids)
-    if removed not in swaps or _dominoes(region, removed) != move.removed:
+    held, moves = window
+    found = moves.get(held(tiling.partner))
+    if found is None or _dominoes(region, found[0]) != move.removed:
         raise MoveNotApplicable("tiling does not hold the trit's three dominoes")
-    return removed, swaps[removed]
+    return found
 
 
 def apply_trit(tiling: Tiling, move: TritMove) -> tuple[Tiling, int]:

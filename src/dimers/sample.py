@@ -5,10 +5,13 @@ trits are enabled) and applies the unique local move there if one exists,
 staying put otherwise.  The window set does not depend on the state and
 every local move is an involution, so the kernel is symmetric and the
 stationary distribution is uniform on the reachable component of the
-start.  The RNG is mt19937 (random.Random), which streams identically
-across platforms for a fixed seed.  The chain only moves and counts the
-trits it accepts; the twist histogram reads each sample's twist from the
-pairwise formula, `twist.twist`.
+start.  A flip window is tested inline on its four cells; a trit window
+reads the partners of its four white cells with one `itemgetter` call and
+looks them up in the window's moves map (`moves.trit_windows`).  The RNG
+is mt19937 (random.Random), which streams identically across platforms
+for a fixed seed.  The chain only moves and counts the trits it accepts;
+the twist histogram reads each sample's twist from the pairwise formula,
+`twist.twist`.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from typing import NamedTuple
 
 from .core import Region, Tiling, ensure_valid
 from .errors import InvalidRegion, InvalidTiling
-from .moves import _held, flip_windows, trit_windows
+from .moves import flip_windows, trit_windows
 
 RNG_FAMILY = "mt19937"
 
@@ -54,9 +57,10 @@ class ChainConfig(_ChainFields):
 class _Chain:
     """Mutable chain state.
 
-    `windows` lists the flip windows, then the trit windows; an index below
-    `n_flips` is a flip.  Proposals are made only in `advance`, and `trits`
-    counts the trits accepted so far.
+    `windows` lists the flip windows, four cell indices each, then the
+    trit windows, (held, moves) each; an index below `n_flips` is a flip.
+    Proposals are made only in `advance`, and `trits` counts the trits
+    accepted so far.
     """
 
     def __init__(self, region: Region, start: Tiling, config: ChainConfig):
@@ -104,13 +108,13 @@ class _Chain:
                         partner[i00], partner[i10] = i10, i00
                         partner[i01], partner[i11] = i11, i01
                 continue
-            ids, swaps = windows[r]
-            replacement = swaps.get(_held(partner, ids))
-            if replacement is None:
+            held, moves = windows[r]
+            found = moves.get(held(partner))
+            if found is None:
                 continue
             trits += 1
-            # the replacement covers exactly the same six cells
-            for i, j in replacement:
+            # the added pairs cover exactly the same six cells
+            for i, j in found[1]:
                 partner[i], partner[j] = j, i
         self.trits += trits
 

@@ -11,7 +11,8 @@ pairs give the triple twist.
 Slabs come from the region's window tables: the slab with normal n at a
 cell covers its flip window in the other two axes, and a flip swaps two
 stacked slabs filling a 2x2x2 (trit) window for two of another normal.
-Both pairs cover the same eight cells, so a flip needs no re-validation.
+Both pairs cover the same eight cells, so a flip needs no re-validation;
+it patches the sorted slab tuple, two slabs out and two in by bisection.
 Validation looks each slab's flip window up in the same table.  Inflation
 and pair twists read one table per region and color pair: each slab as
 the index pair of its two survivors in the squeezed region.
@@ -19,8 +20,10 @@ the index pair of its two survivors in the squeezed region.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from functools import lru_cache
 from itertools import product
+from operator import lt
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import Cell, Region, Tiling, decoding, make_region, matched, read_records, write_records
@@ -270,9 +273,8 @@ class SlabFlip(NamedTuple):
 
 
 def _stacked_pair(corner: Cell, normal: int) -> tuple[Slab, Slab]:
-    upper = list(corner)
-    upper[normal] += 1
-    return Slab(corner, normal), Slab(tuple(upper), normal)
+    upper = corner[:normal] + (corner[normal] + 1,) + corner[normal + 1 :]
+    return Slab(corner, normal), Slab(upper, normal)
 
 
 def list_slab_flips(tiling: SlabTiling) -> list[SlabFlip]:
@@ -289,13 +291,25 @@ def list_slab_flips(tiling: SlabTiling) -> list[SlabFlip]:
 def apply_slab_flip(tiling: SlabTiling, move: SlabFlip) -> SlabTiling:
     if move.to_normal not in range(3) or move.to_normal == move.from_normal:
         raise MoveNotApplicable(f"no flip from normal {move.from_normal} to {move.to_normal}")
-    old = _stacked_pair(move.corner, move.from_normal)
-    present = set(tiling.slabs)
-    if not present.issuperset(old):
+    slabs = tiling.slabs
+    if not all(map(lt, slabs, slabs[1:])):  # only a tiling read from a file may be unsorted
+        slabs = sorted(set(slabs))
+    return SlabTiling(tiling.region, _flipped(slabs, move))
+
+
+def _flipped(slabs, move: SlabFlip) -> tuple[Slab, ...]:
+    """Sorted, distinct slabs with the move's stacked pair swapped for the
+    other, by two deletions and two sorted insertions."""
+    lower, upper = _stacked_pair(move.corner, move.from_normal)
+    i, j = bisect_left(slabs, lower), bisect_left(slabs, upper)
+    if lower not in slabs[i : i + 1] or upper not in slabs[j : j + 1]:
         raise MoveNotApplicable(f"no stacked pair with normal {move.from_normal}")
-    present.difference_update(old)
-    present.update(_stacked_pair(move.corner, move.to_normal))
-    return SlabTiling(tiling.region, tuple(sorted(present)))
+    # lower sorts before upper, so deleting upper first keeps lower at i
+    patched = list(slabs)
+    del patched[j], patched[i]
+    for slab in _stacked_pair(move.corner, move.to_normal):
+        insort(patched, slab)
+    return tuple(patched)
 
 
 def slab_flip_components(
@@ -306,8 +320,8 @@ def slab_flip_components(
     tilings = {t.slabs: t for t in enumerate_slab_tilings(region, cap)}
 
     def neighbors(slabs):
-        t = tilings[slabs]
-        return (apply_slab_flip(t, move).slabs for move in list_slab_flips(t))
+        # enumerated slabs are sorted, and every move listed has a valid target
+        return (_flipped(slabs, move) for move in list_slab_flips(tilings[slabs]))
 
     found = components(tilings, neighbors)
     ordered = list(tilings.values())

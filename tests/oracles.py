@@ -160,9 +160,8 @@ def _matchings(cells: frozenset):
 
 def _block(cells) -> list:
     """All cells of the bounding box of `cells`."""
-    lo = [min(c[k] for c in cells) for k in range(len(next(iter(cells))))]
-    hi = [max(c[k] for c in cells) for k in range(len(lo))]
-    return list(product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+    coordinates = list(zip(*cells))
+    return list(product(*(range(min(xs), max(xs) + 1) for xs in coordinates)))
 
 
 def _rematched(pairset: frozenset, group, keep) -> set[frozenset]:
@@ -192,8 +191,9 @@ def naive_trit_neighbors(pairset: frozenset, region) -> set[frozenset]:
     axis."""
     out = set()
     cell_set = set(region.cells)
+    axis = {p: _axis(p) for p in pairset}
     for group in combinations(pairset, 3):
-        if len({_axis(p) for p in group}) != 3:
+        if len({axis[p] for p in group}) != 3:
             continue
         block = _block(frozenset().union(*group))
         if len(block) != 8 or not cell_set.issuperset(block):
@@ -469,19 +469,62 @@ def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def _held(partner, ids) -> tuple[tuple[int, int], ...]:
+    """Index pairs of the dominoes inside a cube, scanned cell by cell;
+    sorted, as the ids are."""
+    held = []
+    for i in ids:
+        j = partner[i]
+        if i < j and j in ids:
+            held.append((i, j))
+    return tuple(held)
+
+
+def _trit_cubes(region) -> list[tuple[tuple[int, ...], dict]]:
+    """(ids, swaps) of each 2x2x2 cube inside the region, corner by corner
+    and then by axes: ids are the cube's cell indices, sorted, and swaps
+    takes each matching of six of them with one domino per axis, as
+    sorted index pairs, to the other one of the same six cells."""
+    index = region.index
+    out = []
+    for corner in region.cells:
+        for axes in combinations(range(region.d), 3):
+            cube = []
+            for deltas in product((0, 1), repeat=3):
+                cell = list(corner)
+                for axis, delta in zip(axes, deltas):
+                    cell[axis] += delta
+                cube.append(tuple(cell))
+            if not all(c in index for c in cube):
+                continue
+            swaps = {}
+            for a, b in combinations(cube, 2):
+                if sum(x != y for x, y in zip(a, b)) < 3:
+                    continue
+                first, second = [
+                    tuple(sorted(tuple(sorted(index[c] for c in pair)) for pair in m))
+                    for m in _matchings(frozenset(cube) - {a, b})
+                    if len({_axis(pair) for pair in m}) == 3
+                ]
+                swaps[first], swaps[second] = second, first
+            out.append((tuple(sorted(index[c] for c in cube)), swaps))
+    return out
+
+
 def chain_by_steps(region, start, config, steps: int) -> tuple[list[int], int]:
     """(partner, accepted trits) after `steps` proposals of the
     flips(+trits) chain, one proposal at a time with tagged windows and
-    `randrange`."""
+    `randrange`.  Each trit cube is walked here and its dominoes found by
+    a scan of its cells."""
     import random
 
-    from dimers.moves import _held, flip_windows, trit_windows
+    from dimers.moves import flip_windows
 
     partner = list(start.partner)
     rng = random.Random(config.seed)
     windows = [("flip", w) for w in flip_windows(region).values()]
     if config.moves == "flips+trits":
-        windows += [("trit", w) for w in trit_windows(region).values()]
+        windows += [("trit", w) for w in _trit_cubes(region)]
     trits = 0
     for _ in range(steps):
         kind, window = windows[rng.randrange(len(windows))]

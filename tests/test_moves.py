@@ -184,10 +184,10 @@ def test_enumeration_matches_naive_oracle_on_small_regions():
 def small_regions(draw, d):
     """A box of at most 16 cells, or a connected set of up to 16 cells
     grown one face-neighbour at a time from one cell or from a block of
-    side 2 (in 3D, trits need such a block)."""
+    side 2, which in 4D is a 2x2x2 cube (trits need such a cube)."""
     kind = draw(st.sampled_from(["box", "cell", "block"]))
     if kind == "box":
-        side = {2: 8, 3: 4}[d]
+        side = {2: 8, 3: 4, 4: 3}[d]
         dims = draw(
             st.tuples(*[st.integers(1, side)] * d).filter(lambda dims: prod(dims) <= 16)
         )
@@ -195,7 +195,10 @@ def small_regions(draw, d):
     if kind == "cell":
         cells = [(0,) * d]
     else:
-        cells = [tuple(1 + x for x in deltas) for deltas in product((0, 1), repeat=d)]
+        cells = [
+            tuple(1 + x for x in deltas) + (1,) * (d - 3)
+            for deltas in product((0, 1), repeat=min(d, 3))
+        ]
     size = draw(st.integers(len(cells) // 2, 8)) * 2
     while len(cells) < size:
         frontier = sorted(
@@ -212,14 +215,7 @@ def small_regions(draw, d):
     return make_region(cells)
 
 
-# random regions this small rarely admit a trit, so three that do are
-# always checked: two orientations of the 3x3x2 box and a general region
-@settings(max_examples=40, deadline=None)
-@given(small_regions(3))
-@example(make_box((3, 3, 2)))
-@example(make_box((2, 3, 3)))
-@example(make_region([*make_box((3, 3, 2)).cells, (3, 0, 0), (3, 0, 1)]))
-def test_moves_match_naive_oracle_and_undo(region):
+def _check_moves_against_naive_oracle_and_undo(region):
     for t in enumerate_tilings(region):
         pairs = tiling_to_pairset(t)
         flips = list_flips(t)
@@ -242,6 +238,28 @@ def test_moves_match_naive_oracle_and_undo(region):
                 if m.corner == move.corner and m.axes == move.axes
             ]
             assert apply_trit_structural(after, back) == t
+
+
+# random regions this small rarely admit a trit, so three that do are
+# always checked: two orientations of the 3x3x2 box and a general region
+@settings(max_examples=40, deadline=None)
+@given(small_regions(3))
+@example(make_box((3, 3, 2)))
+@example(make_box((2, 3, 3)))
+@example(make_region([*make_box((3, 3, 2)).cells, (3, 0, 0), (3, 0, 1)]))
+def test_moves_match_naive_oracle_and_undo(region):
+    _check_moves_against_naive_oracle_and_undo(region)
+
+
+# in 4D the white cell a trit leaves out of its cube is matched to one of
+# up to five neighbours outside it; both boxes always run, and in 3x2x2x2
+# the middle layer's cubes have such neighbours on both sides
+@settings(max_examples=10, deadline=None)
+@given(small_regions(4))
+@example(make_box((2, 2, 2, 2)))
+@example(make_box((3, 2, 2, 2)))
+def test_moves_match_naive_oracle_and_undo_in_4d(region):
+    _check_moves_against_naive_oracle_and_undo(region)
 
 
 def test_apply_trit_rejects_a_trit_that_does_not_step_the_twist_by_one():

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +13,7 @@ from dimers.core import (
     make_box,
     make_cylinder,
     make_region,
+    matched,
     validate,
 )
 from dimers.errors import InvalidRegion, InvalidTiling
@@ -211,6 +213,14 @@ def test_seeded_twist_histograms_are_pinned():
             2,
             "12bb012c2bb15bc2b2009024",
         ),
+        # a 4D chain: each lone white has up to five neighbours outside
+        # its cube, and this run accepts 206 trits
+        (
+            make_box((2, 2, 2, 4)),
+            "flips+trits",
+            3,
+            "92effb1be117bee8abfee22f",
+        ),
     ],
 )
 def test_seeded_final_states_are_pinned(region, moves, seed, expected):
@@ -231,11 +241,14 @@ def test_the_chain_moves_through_a_trit_that_does_not_step_the_twist_by_one():
     # so to the chain it is one more move
     region, start = _region_with_a_5_4_trit()
     chain = _Chain(region, start, ChainConfig(moves="flips+trits", steps=0))
-    chain.windows = [trit_windows(region)[(region.index[(1, 0, 1)], (0, 1, 2))]]
+    held, moves = trit_windows(region)[(region.index[(1, 0, 1)], (0, 1, 2))]
+    _, added = moves[held(start.partner)]
+    chain.windows = [(held, moves)]
     chain.n_flips = 0
     chain.advance(1)
     assert chain.trits == 1
     assert chain.tiling() != start and validate(chain.tiling()) is None
+    assert chain.tiling() == Tiling(region, matched(start.partner, added))
 
     config = ChainConfig(moves="flips+trits", steps=20_000, seed=4)
     chain = _Chain(region, start, config)
@@ -274,7 +287,7 @@ def test_chunked_advance_matches_the_per_step_chain(run):
 
 
 class _DrawLog:
-    """A trit window's swap map that records the window's index on lookup."""
+    """A trit window's moves map that records the window's index on lookup."""
 
     def __init__(self, index, log):
         self.index, self.log = index, log
@@ -291,7 +304,7 @@ def test_window_draws_equal_randrange(seed):
     for n in range(1, 71):
         log = []
         chain = _Chain(region, start, ChainConfig(moves="flips", steps=0, seed=seed))
-        chain.windows = [((), _DrawLog(k, log)) for k in range(n)]
+        chain.windows = [(itemgetter(0), _DrawLog(k, log)) for k in range(n)]
         chain.n_flips = 0
         chain.advance(25)
         rng = random.Random(seed)

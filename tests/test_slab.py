@@ -357,6 +357,24 @@ def test_stacked_slabs_flip_to_both_other_normals():
         assert apply_slab_flip(flipped, back).slabs == stacked.slabs
 
 
+def test_a_slab_flip_equals_removing_and_adding_its_pairs_and_sorting():
+    def pair(corner, normal):
+        upper = tuple(x + (k == normal) for k, x in enumerate(corner))
+        return {Slab(corner, normal), Slab(upper, normal)}
+
+    region = make_box((4, 4, 2))
+    for tiling in enumerate_slab_tilings(region):
+        for move in list_slab_flips(tiling):
+            present = set(tiling.slabs)
+            present -= pair(move.corner, move.from_normal)
+            present |= pair(move.corner, move.to_normal)
+            expected = tuple(sorted(present))
+            assert apply_slab_flip(tiling, move).slabs == expected
+            # a tiling read from a file may list its slabs in any order
+            shuffled = SlabTiling(region, tiling.slabs[::-1])
+            assert apply_slab_flip(shuffled, move).slabs == expected
+
+
 def test_apply_slab_flip_rejects_missing_pair():
     region = make_box((2, 2, 2))
     stacked = SlabTiling(region, (Slab((0, 0, 0), 2), Slab((0, 0, 1), 2)))
