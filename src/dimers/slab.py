@@ -23,7 +23,6 @@ import json
 from bisect import bisect_left, insort
 from functools import lru_cache
 from itertools import product
-from operator import lt
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import Cell, Region, Tiling, decoding, make_region, matched, read_records, write_records
@@ -291,13 +290,10 @@ def list_slab_flips(tiling: SlabTiling) -> list[SlabFlip]:
 def apply_slab_flip(tiling: SlabTiling, move: SlabFlip) -> SlabTiling:
     if move.to_normal not in range(3) or move.to_normal == move.from_normal:
         raise MoveNotApplicable(f"no flip from normal {move.from_normal} to {move.to_normal}")
-    slabs = tiling.slabs
-    if not all(map(lt, slabs, slabs[1:])):  # only a tiling read from a file may be unsorted
-        slabs = sorted(set(slabs))
-    return SlabTiling(tiling.region, _flipped(slabs, move))
+    return SlabTiling(tiling.region, _patched_slabs(sorted(set(tiling.slabs)), move))
 
 
-def _flipped(slabs, move: SlabFlip) -> tuple[Slab, ...]:
+def _patched_slabs(slabs, move: SlabFlip) -> tuple[Slab, ...]:
     """Sorted, distinct slabs with the move's stacked pair swapped for the
     other, by two deletions and two sorted insertions."""
     lower, upper = _stacked_pair(move.corner, move.from_normal)
@@ -321,7 +317,7 @@ def slab_flip_components(
 
     def neighbors(slabs):
         # enumerated slabs are sorted, and every move listed has a valid target
-        return (_flipped(slabs, move) for move in list_slab_flips(tilings[slabs]))
+        return (_patched_slabs(slabs, move) for move in list_slab_flips(tilings[slabs]))
 
     found = components(tilings, neighbors)
     ordered = list(tilings.values())
