@@ -404,17 +404,21 @@ def tiling_from_record(rec: dict, region: Region) -> Tiling:
 def write_records(path, region: Region, items: Iterable, encode) -> int:
     """Write a JSON-lines file: a region header, then the JSON text
     encode(item) of each item, which must live on that region.  Returns
-    the number of items.  The first item is drawn before the file is
-    opened, so a generator that refuses its work (a cap) creates no file
-    and leaves one already there as it was."""
+    the number of items.  The first item is drawn and checked before the
+    file is opened, so a generator that refuses its work (a cap) or a
+    first item on another region creates no file and leaves one already
+    there as it was."""
+    def on_region(item):
+        if item.region != region:
+            raise RegionMismatch("tiling does not live on the header region")
+        return item
+
     count = 0
-    items = iter(items)
+    items = map(on_region, items)
     first = list(islice(items, 1))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(region_to_record(region)) + "\n")
         for item in chain(first, items):
-            if item.region != region:
-                raise RegionMismatch("tiling does not live on the header region")
             fh.write(encode(item) + "\n")
             count += 1
     return count

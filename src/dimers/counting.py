@@ -10,11 +10,11 @@ Every exact count goes through one path:
   tie the last axis stays most significant.
   The width guard applies to that sweep.  Each dict pass moves the
   profile over a block of BLOCK consecutive cells, through a table of
-  the block's fills per pattern of its covered cells, kept across calls
-  for each distinct block.  Works in any dimension and for general
-  regions; a prism, one cross-section over a run of layers along the
-  sweep, is swept over half of its layers and the halves are paired at
-  the middle layer by reflection.
+  the block's fills per pattern of its covered cells, which
+  regions.matchings lists once per distinct block.  Works in any
+  dimension and for general regions; a prism, one cross-section over a
+  run of layers along the sweep, is swept over half of its layers and
+  the halves are paired at the middle layer by reflection.
 * count_cylinder: count_region on make_cylinder(disk, height).  When it
   sweeps floor by floor, its profile is the plug of the transfer
   automaton, so it computes (T^N)[empty, empty] without building T.
@@ -29,6 +29,8 @@ Two objects stand beside these as checks:
 
 * build_automaton: the plug automaton's explicit transfer matrix, for
   inspection and as an independent route to cylinder counts in the tests.
+  Its floor fills are regions.matchings', the cell above floor cell i
+  past the end of the disk's table, at n + i, and tried first.
 * count_rect_2d_formula: the classical trigonometric double product for
   2D rectangles, as a floating-point cross-check of the DP.
 """
@@ -110,36 +112,17 @@ def _block_table(block: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], .
     offsets: entry low, for the block's cells already covered as the bits
     of low, is the tuple of masks past the block that the fills of its
     free cells cover, one per fill (a mask repeats when two fills cover
-    the same cells).
-
-    A depth-first search takes the block's cells in order.  A covered
-    cell is skipped; a free one is filled along each offset whose target
-    is free: inside the block, a target not yet covered, and past the
-    block, one that no other fill of this block reaches.  Whether a
-    target past the block was covered before the block is the run-time
-    check in _sweep.
+    the same cells).  regions.matchings fills the block, its targets past
+    the block past the end of its table; whether one was covered before
+    the block is the run-time check in _sweep.
     """
     g = len(block)
-    table = []
-    for low in range(1 << g):
-        adds = []
-        stack = [(0, low, 0)]
-        while stack:
-            i, covered, add = stack.pop()
-            while i < g and covered >> i & 1:
-                i += 1
-            if i == g:
-                adds.append(add)
-                continue
-            for off in block[i]:
-                target = i + off
-                if target < g:
-                    if not covered >> target & 1:
-                        stack.append((i + 1, covered | 1 << target, add))
-                elif not add >> (target - g) & 1:
-                    stack.append((i + 1, covered, add | 1 << (target - g)))
-        table.append(tuple(adds))
-    return tuple(table)
+    forward = [tuple(i + off for off in offs) for i, offs in enumerate(block)]
+    past = [-1] * max((off for offs in block for off in offs), default=0)
+    return tuple(
+        tuple(matchings(forward, [0 if low >> i & 1 else -1 for i in range(g)] + past))
+        for low in range(1 << g)
+    )
 
 
 def _sweep(plan: list[list[int]], states: dict[int, int]) -> dict[int, int]:
@@ -233,12 +216,13 @@ def build_automaton(disk: Region) -> PlugAutomaton:
             f"disk has {disk.n_cells} cells, guard is {WIDTH_GUARD}"
         )
     n = disk.n_cells
+    forward = [(n + i, *row) for i, row in enumerate(disk.forward)]
     plugs = [0]
     index = {0: 0}
     rows = []
     for plug in plugs:  # breadth first: plugs grows while it is walked
-        partner = [n if plug >> i & 1 else -1 for i in range(n)]
-        transitions = Counter(matchings(disk.forward, partner, (1 << n) - 1))
+        partner = [0 if plug >> i & 1 else -1 for i in range(n)] + [-1] * n
+        transitions = Counter(matchings(forward, partner))
         for q in transitions:
             if q not in index:
                 index[q] = len(plugs)

@@ -1,8 +1,9 @@
 """Exhaustive enumeration and censuses of the move graph.
 
-Enumeration runs regions.matchings, the search that fills the counting
-module's floors too: it backtracks on the first uncovered cell, trying
-+axis partners in axis order, so runs are deterministic and restartable.
+Enumeration runs regions.matchings, the search that also fills count's
+block tables, the plug automaton's floors and the trit windows'
+hexagons: it backtracks on the first uncovered cell, trying +axis
+partners in axis order, so runs are deterministic and restartable.
 In-memory censuses key tilings by their partner tuples and walk the
 moves of the region's window tables; canonical encodings name component
 representatives, and key the SQLite visited set that the extended path

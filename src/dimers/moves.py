@@ -13,7 +13,9 @@ cube has one white cell, and a trit's three dominoes leave one white to be
 matched outside the cube, so the partners of the four whites fix the trit:
 every reader (`list_trits`, `trit_neighbors`, `apply_trit` and the
 sampler) reads them with one `itemgetter` call and looks the tuple up in
-the window's moves map.
+the window's moves map.  The maps are built from the two matchings of
+each hexagon in the cube, which `regions.matchings` finds once per
+colour of the corner.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple
 
-from .core import Cell, Domino, Region, Tiling, matched, pair_dominoes
+from .core import Cell, Domino, Region, Tiling, make_box, matched, matchings, pair_dominoes
 from .errors import MoveNotApplicable
 
 
@@ -91,35 +93,31 @@ def trit_windows(region: Region) -> dict[tuple[int, tuple[int, int, int]], tuple
     return out
 
 
-# A 2x2x2 cube minus a cell `far` and its opposite cell is a hexagon: the
-# cells far xor _HEXAGON[k], k = 0..5, go round it, one coordinate changing
-# per step.  Its even edges and its odd edges are its two perfect matchings,
-# and each has one domino per axis.  No other six cells of the cube have
-# such a matching, so every one of them has exactly one partner.
-_HEXAGON = ((1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1), (1, 0, 1))
-
-
 @lru_cache(maxsize=2)
 def _cube_trits(corner_parity: int):
     """The cube positions of a window's white cells, and for each of the
     four hexagons: the white left out of it, which a trit there matches
     outside the cube, and its two matchings as sorted position pairs,
     each with the position every white is matched to in it (None for the
-    white left out)."""
-    def pos(bits):
-        return 4 * bits[0] + 2 * bits[1] + bits[2]
+    white left out).
 
+    A position is the index of a cell of the 2x2x2 box.  The cube minus
+    a position `far` and its opposite is a hexagon, whose two perfect
+    matchings regions.matchings finds over the box's +axis table; each
+    has one domino per axis, and no other six cells of the cube have
+    such a matching."""
     whites = [p for p in range(8) if (bin(p).count("1") + corner_parity) % 2 == 0]
+    cube = make_box((2, 2, 2))
     hexagons = []
-    for far in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)):
-        ring = [pos([f ^ m for f, m in zip(far, mask)]) for mask in _HEXAGON]
-        edges = [tuple(sorted((ring[k], ring[(k + 1) % 6]))) for k in range(6)]
-        lone = next(p for p in (pos(far), 7 - pos(far)) if p in whites)
-        matchings = []
-        for matching in (tuple(sorted(edges[0::2])), tuple(sorted(edges[1::2]))):
-            mate = {a: b for pair in matching for a, b in (pair, pair[::-1])}
-            matchings.append((matching, tuple(mate.get(p) for p in whites)))
-        hexagons.append((whites.index(lone), lone, matchings))
+    for far in range(4):
+        partner = [-1] * 8
+        partner[far] = partner[7 - far] = None  # covered, and no white's mate
+        pairings = []
+        for _ in matchings(cube.forward, partner):
+            pairs = tuple((p, q) for p, q in enumerate(partner) if q is not None and p < q)
+            pairings.append((pairs, tuple(partner[p] for p in whites)))
+        lone = far if far in whites else 7 - far
+        hexagons.append((whites.index(lone), lone, pairings))
     return whites, hexagons
 
 
@@ -129,10 +127,10 @@ def _trit_moves(table, cube: list[int], hexagons) -> dict[tuple[int, ...], tuple
     its neighbours outside the cube in turn: every domino in the cube has
     one white cell, so this key fixes the matching."""
     moves = {}
-    for slot, lone, matchings in hexagons:
+    for slot, lone, pairings in hexagons:
         outside = [j for j in table[cube[lone]] if j >= 0 and j not in cube]
-        first, second = (tuple((cube[a], cube[b]) for a, b in m) for m, _ in matchings)
-        for (_, mates), found in zip(matchings, ((first, second), (second, first))):
+        first, second = (tuple((cube[a], cube[b]) for a, b in m) for m, _ in pairings)
+        for (_, mates), found in zip(pairings, ((first, second), (second, first))):
             key = [None if p is None else cube[p] for p in mates]
             for j in outside:
                 key[slot] = j

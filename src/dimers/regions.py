@@ -11,10 +11,10 @@ JSON form of a region that tiling files, disk files and manifests carry;
 its kind (box, cylinder or general) is read from the cells.
 
 `matchings` is the one search over domino matchings: enumeration, the
-counting module's floor fills and the twist's reference tiling all run
-it.  A count reads nothing of the package's values but these, so this
-module holds no tiling: tilings live in `core`, which re-exports every
-name here.
+twist's reference tiling, count's block tables, the plug automaton and
+the trit hexagons all run it.  A count reads nothing of the package's
+values but these, so this module holds no tiling: tilings live in
+`core`, which re-exports every name here.
 """
 from __future__ import annotations
 
@@ -169,32 +169,31 @@ class Region:
         return lo, hi
 
 
-def matchings(forward, partner: list[int], open_cells: int = 0) -> Iterator[int]:
-    """Match the free cells (partner -1) in pairs along a Region.forward
-    or, when in open_cells, singly with the cell above.  The first free
-    cell i tries the cell above, then each free cell of forward[i] in
-    order.  partner is filled in place, a cell matched above holding
-    len(forward); each complete matching yields the mask of those cells,
-    and partner is as given when the search ends."""
+def matchings(forward, partner: list) -> Iterator[int]:
+    """Match the free cells (partner -1) in pairs along forward, a
+    Region.forward or a table like it, the first free cell i trying each
+    free cell of forward[i] in order.  An entry j >= n = len(forward) names
+    a past cell, free at partner[j]: one free cell may be matched to it,
+    and it is never filled.  partner is filled in place, and is as given
+    when the search ends.  Each matching yields the mask of the past cells
+    it matched, bit j - n (0 when partner is no longer than forward)."""
     n = len(forward)
+    past = len(partner) > n
 
-    def rec(i: int, up: int) -> Iterator[int]:
+    def rec(i: int) -> Iterator[int]:
         while i < n and partner[i] != -1:
             i += 1
         if i == n:
-            yield up
+            yield sum(1 << k for k, j in enumerate(partner[n:]) if j != -1) if past else 0
             return
-        if open_cells >> i & 1:
-            partner[i] = n
-            yield from rec(i + 1, up | 1 << i)
         for j in forward[i]:
             if partner[j] == -1:
                 partner[i], partner[j] = j, i
-                yield from rec(i + 1, up)
+                yield from rec(i + 1)
                 partner[j] = -1
         partner[i] = -1
 
-    return rec(0, 0)
+    return rec(0)
 
 
 def make_region(cells: Iterable[Cell], d: int | None = None) -> Region:

@@ -14,8 +14,10 @@ instead of bucketing them by shadow square, and the twist census tallies
 the twist of every enumerated tiling instead of counting through the
 profile DP.  For regions too large to enumerate, the twist law has a
 reference that transfers over whole slices perpendicular to x or y,
-filling each with core.matchings and weighing it by the line walk over
-its columns, instead of sweeping cells with z fastest.  The line-walking crossing sum also has a reference that
+filling each with core.matchings, the cells of the next slice past the
+end of its table, and weighing it by the line walk over its columns,
+instead of sweeping cells with z fastest.  The line-walking crossing
+sum also has a reference that
 buckets index pairs by shadow square and reads each domino's height,
 colour and squares from its cells, and the trit step one that recomputes
 that sum over the dominoes touching the trit's column before and after.  The sampler's
@@ -444,14 +446,17 @@ def twist_polynomial_by_slices(region) -> dict[int, int]:
         leaving = {p: (i, after[p]) for p, i in here.items() if p in after}
         absent = everywhere & ~sum(1 << p for p in here)
         open_cells = sum(1 << p for p in leaving)
+        # an open cell may be matched to the cell above it, past the end at n + p
+        forward = [((n + p,) if open_cells >> p & 1 else ()) + row
+                   for p, row in enumerate(disk.forward)]
         nxt = {}
         for plug, weights in vector.items():
             key = (plug, absent, open_cells)
             steps = memo.get(key)
             if steps is None:
                 steps = memo[key] = Counter()
-                partner = [n if (plug | absent) >> p & 1 else -1 for p in range(n)]
-                for up in matchings(disk.forward, partner, open_cells):
+                partner = [0 if (plug | absent) >> p & 1 else -1 for p in range(n)] + [-1] * n
+                for up in matchings(forward, partner):
                     across = tuple([(p, q) for p, q in crossing if partner[p] == q])
                     w = half(0, plug, across, entering, here) + half(1, up, across, leaving, here)
                     steps[up, w] += 1

@@ -461,11 +461,12 @@ def test_a_launch_loads_only_the_modules_its_subcommand_runs(tmp_path):
     assert not loaded & {"dataclasses", "inspect", "dimers.explore", "dimers.moves"}
     assert not loaded & {"dimers.twist", "fractions", "decimal"}
     assert json.loads(manifest.read_text())["calibration"]["kappa"] == "1/8"
-    # without a bytecode cache a launch compiles every line it loads: 1,115
-    # lines here, 1,201 when Region held the move, domino and encoding
+    # without a bytecode cache a launch compiles every line it loads: 1,098
+    # lines here, 1,115 when the count's block tables had a search of
+    # their own, 1,201 when Region held the move, domino and encoding
     # tables, and 1,870 when cli.py held every subcommand and core.py the
     # region layer too
-    assert _source_lines(loaded) < 1_120
+    assert _source_lines(loaded) < 1_100
     # listing and applying moves loads the twist module only to sign a
     # trit, and writing a final state reads no twist
     for argv in (["enumerate", "--box", "2,2,2", "--out", "e.jsonl"],

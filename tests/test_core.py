@@ -33,7 +33,14 @@ from dimers.core import (
     validate,
     write_tilings,
 )
-from dimers.errors import DecodeError, DimersError, InvalidRegion, InvalidTiling, NoBaseTiling
+from dimers.errors import (
+    DecodeError,
+    DimersError,
+    InvalidRegion,
+    InvalidTiling,
+    NoBaseTiling,
+    RegionMismatch,
+)
 from dimers.explore import enumerate_tilings
 from dimers.moves import apply_flip, flip_windows, list_flips
 
@@ -457,6 +464,15 @@ def test_tilings_file_roundtrip(tmp_path):
     back_region, back = read_tilings(path)
     assert back_region == r
     assert back == tilings
+
+
+def test_a_first_tiling_on_another_region_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "keep.jsonl"
+    write_tilings(path, make_box((2, 2)), [base_vertical_tiling(make_box((2, 2)))])
+    before = path.read_bytes()
+    with pytest.raises(RegionMismatch):
+        write_tilings(path, make_box((2, 2)), [base_vertical_tiling(make_box((2, 2, 2)))])
+    assert path.read_bytes() == before
 
 
 def test_open_records_reads_a_line_when_its_item_is_asked_for(tmp_path):

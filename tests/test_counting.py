@@ -1,6 +1,6 @@
 import hashlib
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import prod
 
 import pytest
@@ -439,30 +439,45 @@ def test_box_counts_match_the_permanent_and_the_automaton_walk(others, side, at)
 
 
 @settings(max_examples=100, deadline=None)
-@given(disks(), st.integers(0, 511), st.integers(0, 511))  # masks over up to 9 cells
-@example(make_box((3, 3)), 0, 511)
-@example(make_region([(0, 0), (1, 0), (3, 0), (3, 1)]), 0b0010, 0b1101)
-def test_matchings_are_every_fill_of_the_free_cells(disk, covered, open_cells):
-    """Each subset U of the open free cells matched above, times each
-    tiling of the free cells outside U, exactly once."""
+@given(
+    disks(),
+    st.integers(0, 511),  # a mask over up to 9 cells
+    # each cell's targets past the end, from a pool of 4 that cells share
+    st.lists(st.lists(st.integers(0, 3), max_size=2, unique=True), min_size=9, max_size=9),
+)
+@example(make_box((3, 3)), 0, [[i] for i in range(9)])  # each with the cell above
+@example(make_region([(0, 0), (1, 0), (3, 0), (3, 1)]), 0b0010, [[0], [], [2], [3]])
+def test_matchings_are_every_fill_of_the_free_cells(disk, covered, past):
+    """Each injective match of free cells U to past cells they name,
+    times each tiling of the free cells outside U, exactly once, yielding
+    the mask of the past cells matched."""
     n, cells = disk.n_cells, disk.cells
-    start = [n if covered >> i & 1 else -1 for i in range(n)]
+    past = past[:n]
+    pool = 1 + max((k for targets in past for k in targets), default=-1)
+    forward = [tuple(n + k for k in targets) + row for targets, row in zip(past, disk.forward)]
+    start = [0 if covered >> i & 1 else -1 for i in range(n)] + [-1] * pool
     partner = list(start)
     fills = Counter()
-    for up in matchings(disk.forward, partner, open_cells):
-        assert up == sum(1 << i for i in range(n) if partner[i] == n and start[i] == -1)
+    for mask in matchings(forward, partner):
+        to_past = frozenset((i, j - n) for i, j in enumerate(partner[:n]) if j >= n)
+        assert mask == sum(1 << k for _, k in to_past)
+        assert all(partner[n + k] == i for i, k in to_past)
         pairs = frozenset(
             frozenset((cells[i], cells[j])) for i, j in enumerate(partner) if i < j < n
         )
-        fills[up, pairs] += 1
+        fills[mask, to_past, pairs] += 1
     assert partner == start
     free = [i for i in range(n) if start[i] == -1]
     expected = Counter()
-    for size in range(len(free) + 1):
-        for up in combinations([i for i in free if open_cells >> i & 1], size):
-            rest = make_region([cells[i] for i in free if i not in up], d=2)
-            for tiling in naive_tilings(rest):
-                expected[sum(1 << i for i in up), tiling] += 1
+    for size in range(min(len(free), pool) + 1):
+        for up in combinations([i for i in free if past[i]], size):
+            for targets in product(*(past[i] for i in up)):
+                if len(set(targets)) < size:
+                    continue
+                mask = sum(1 << k for k in targets)
+                rest = make_region([cells[i] for i in free if i not in up], d=2)
+                for tiling in naive_tilings(rest):
+                    expected[mask, frozenset(zip(up, targets)), tiling] += 1
     assert fills == expected
 
 
