@@ -53,10 +53,10 @@ def _manifest_path(value: str | None) -> Path:
 _CALIBRATION = {"kappa": "1/8", "sign": 1, "kasteleyn_rule": "x:+1 y:(-1)^x z:(-1)^(x+y)"}
 
 
-def _write_manifest(path: Path, args, extra: dict, started: float) -> None:
+def _write_manifest(path: Path, argv: list[str], args, extra: dict, started: float) -> None:
     record = {
         "command": args.command,
-        "argv": sys.argv[1:],
+        "argv": argv,
         "version": __version__,
         "region": extra.pop("region", None),
         "seed": getattr(args, "seed", None),
@@ -162,11 +162,12 @@ def _apply_config(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_apply_config(argv))
+        argv = _apply_config(argv)
+        args = build_parser().parse_args(argv)
         manifest = _manifest_path(args.manifest)
         started = time.time()
         extra = _command(args.command)[1](args)
-        _write_manifest(manifest, args, extra, started)
+        _write_manifest(manifest, argv, args, extra, started)
     except (CapExceeded, WidthGuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -9,8 +9,9 @@ moves of the region's window tables; canonical encodings name component
 representatives, and key the SQLite visited set that the extended path
 for billion-tiling regions spills to disk.  That path encodes only the
 tilings it enumerates: a flip changes a key by a fixed step per window
-and side (core.flip_steps), so each neighbour's key is an addition, and
-the visited set is asked about a batch of neighbours at a time.
+and side (core.flip_steps), so each neighbour's key is an addition.  The
+visited set has one write, a batch of keys in and the new ones out, and
+one batch size for its queries, the seeds and the walk's neighbours.
 
 Every census, path and connectivity question is a breadth-first walk.
 Two graph routines serve them: components, over any symmetric state
@@ -334,20 +335,20 @@ def flip_connected_2d(cells: tuple) -> bool:
 # billion-tiling regions is bounded by scratch space, not RAM
 
 _COMMIT_EVERY = 10_000  # inserts between commits of the visited set
-_IN_LENGTH = 64  # keys per membership query, padded with NULL
-_SELECT_IN = "SELECT key FROM seen WHERE key IN (" + ", ".join("?" * _IN_LENGTH) + ")"
-_SEED_CHUNK = 100  # enumerated tilings per membership query of the seeds
-_WALK_CHUNK = 64  # queued tilings whose flips are looked up together
+# keys per membership query (padded with NULL), enumerated seeds per
+# query, and queued tilings whose flips are looked up together
+_BATCH = 64
+_SELECT_IN = "SELECT key FROM seen WHERE key IN (" + ", ".join("?" * _BATCH) + ")"
 
 
 class DiskBackedSet:
     """Insert-once byte-string set backed by SQLite.
 
-    add() returns True exactly once per key, also after the file is
-    reopened; add_new() adds a batch and returns the keys that were new,
-    with one membership query per _IN_LENGTH keys and one insert.  The
-    keys alone cannot resume a run that was cut off; a second table holds
-    named results, so a finished run can be read back.
+    add_new() is its one write: it adds a batch of keys and returns the
+    ones that were new, each key exactly once, also after the file is
+    reopened, with one membership query per _BATCH keys (known()) and
+    one insert.  The keys alone cannot resume a run that was cut off; a
+    second table holds named results, so a finished run can be read back.
     A SQLite error (a file that cannot be opened or is not a database)
     is raised as a DimersError with the file's path and SQLite's message.
     """
@@ -373,44 +374,30 @@ class DiskBackedSet:
     def _sql(self, statement: str, *params):
         return self._call(self._conn.execute, statement, params)
 
-    def add(self, key: bytes) -> bool:
-        cur = self._sql("INSERT OR IGNORE INTO seen (key) VALUES (?)", key)
-        self._count(1)
-        return cur.rowcount == 1
-
     def known(self, keys: list[bytes]) -> set[bytes]:
         """The keys among `keys` that the set holds: one query per
-        _IN_LENGTH keys, the list padded with NULL to that length so
-        that SQLite caches one statement for every call."""
+        _BATCH keys, the list padded with NULL to that length so that
+        SQLite caches one statement for every call."""
         found = set()
-        for start in range(0, len(keys), _IN_LENGTH):
-            chunk = keys[start : start + _IN_LENGTH]
-            chunk += [None] * (_IN_LENGTH - len(chunk))
+        for start in range(0, len(keys), _BATCH):
+            chunk = keys[start : start + _BATCH]
+            chunk += [None] * (_BATCH - len(chunk))
             found.update(chain.from_iterable(self._sql(_SELECT_IN, *chunk)))
         return found
 
     def add_new(self, keys: list[bytes]) -> list[bytes]:
         """Add distinct keys; returns, in input order, the ones that
-        were not in the set before."""
+        were not in the set before.  Commits once every _COMMIT_EVERY
+        inserts."""
         known = self.known(keys)
         new = [key for key in keys if key not in known]
         self._call(self._conn.executemany, "INSERT INTO seen (key) VALUES (?)",
                    [(key,) for key in new])
-        self._count(len(new))
-        return new
-
-    def _count(self, inserts: int) -> None:
-        """Commit once every _COMMIT_EVERY inserts."""
-        self._pending += inserts
+        self._pending += len(new)
         if self._pending >= _COMMIT_EVERY:
             self._call(self._conn.commit)
             self._pending = 0
-
-    def __contains__(self, key: bytes) -> bool:
-        return self._sql("SELECT 1 FROM seen WHERE key = ?", key).fetchone() is not None
-
-    def __len__(self) -> int:
-        return self._sql("SELECT COUNT(*) FROM seen").fetchone()[0]
+        return new
 
     def __bool__(self) -> bool:
         return self._sql("SELECT 1 FROM seen LIMIT 1").fetchone() is not None
@@ -433,7 +420,7 @@ def _flip_component(visited: DiskBackedSet, seed: Tiling, key: bytes) -> tuple[i
     added to the visited set, found by a breadth-first walk that adds the
     rest.  Each tiling is queued with its key as an integer; a neighbour's
     key is that plus core.flip_steps' step, and its partner tuple is built
-    only once add_new finds the key new.  The walk pops up to _WALK_CHUNK
+    only once add_new finds the key new.  The walk pops up to _BATCH
     tilings at a time and looks their neighbours up in one add_new call."""
     region = seed.region
     nbytes = len(key)
@@ -442,7 +429,7 @@ def _flip_component(visited: DiskBackedSet, seed: Tiling, key: bytes) -> tuple[i
     queue = deque([(seed.partner, int.from_bytes(key, "little"))])
     while queue:
         reached = {}
-        for _ in range(min(_WALK_CHUNK, len(queue))):
+        for _ in range(min(_BATCH, len(queue))):
             partner, value = queue.popleft()
             for window, steps in moves:
                 side = _parallel_side(partner, window)
@@ -463,7 +450,7 @@ def _flip_component(visited: DiskBackedSet, seed: Tiling, key: bytes) -> tuple[i
 def flip_components_extended(region: Region, scratch_dir) -> ComponentCensus:
     """Streaming flip census with a disk-backed visited set.
 
-    Tilings are enumerated in deterministic order, _SEED_CHUNK at a time
+    Tilings are enumerated in deterministic order, _BATCH at a time
     with one membership query per chunk; each unvisited one seeds a
     breadth-first walk of its whole flip component (_flip_component),
     which keys neighbours by arithmetic on the seed's encoding and looks
@@ -491,12 +478,12 @@ def flip_components_extended(region: Region, scratch_dir) -> ComponentCensus:
                 "census; remove it or use an empty scratch dir"
             )
         seeds = enumerate_tilings(region, cap=None)
-        while chunk := list(islice(seeds, _SEED_CHUNK)):
+        while chunk := list(islice(seeds, _BATCH)):
             keys = [encode(t) for t in chunk]
             known = visited.known(keys)
             for t, key in zip(chunk, keys):
                 # an earlier seed's walk may have reached this one
-                if key not in known and visited.add(key):
+                if key not in known and visited.add_new([key]):
                     found.append(_flip_component(visited, t, key))
         found.sort(key=lambda pair: (-pair[0], pair[1]))
         visited.store_result(

@@ -208,12 +208,9 @@ def twist_distribution(
     thin = region.n_cells
     burn_in = 100 * region.n_cells if config.burn_in is None else config.burn_in
     counts: dict[int, int] = {}
-    per_chain = [samples // chains] * chains
-    for k in range(samples % chains):
-        per_chain[k] += 1
-    for chain_id, chain_samples in enumerate(per_chain):
-        if chain_samples == 0:
-            continue
+    # only the first min(chains, samples) chains draw a sample
+    for chain_id in range(min(chains, samples)):
+        chain_samples = samples // chains + (chain_id < samples % chains)
         seeded = ChainConfig(config.moves, config.steps, config.seed + chain_id, config.burn_in)
         chain = _Chain(region, start, seeded)
         chain.advance(burn_in)

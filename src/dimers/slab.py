@@ -8,19 +8,18 @@ cells of the squeezed region, turning the slab tiling into a domino
 tiling whose twist is a slab-flip invariant.  Three independent color
 pairs give the triple twist.
 
-Slabs come from the region's window tables: the slab with normal n at a
-cell covers its flip window in the other two axes, and a flip swaps two
-stacked slabs filling a 2x2x2 (trit) window for two of another normal.
-Both pairs cover the same eight cells, so a flip needs no re-validation;
-it patches the sorted slab tuple, two slabs out and two in by bisection.
-Validation looks each slab's flip window up in the same table.  Inflation
-and pair twists read one table per region and color pair: each slab as
-the index pair of its two survivors in the squeezed region.
+The slab with normal n at a cell covers its flip window in the other two
+axes, which validation looks up.  Inflation and pair twists read one
+table per region and color pair: each slab as the index pair of its two
+survivors in the squeezed region.  One generator yields the flips for
+listing, applying and the census, which keys tilings by corner normals:
+per cell, 1 + the normal of the slab whose least cell it is, else 0.
+Slabs of normal n cornered at i and i+e_n are stacked, and their flip to
+normal m rewrites three bytes: i+e_n to 0, i and i+e_m to m + 1.
 """
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, insort
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
@@ -28,7 +27,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .core import Cell, Region, Tiling, decoding, make_region, matched, read_records, write_records
 from .errors import CapExceeded, DecodeError, InflationError, InvalidRegion, MoveNotApplicable
 from .explore import components
-from .moves import flip_windows, trit_windows
+from .moves import flip_windows
 from .twist import _calibrated, _crossings
 
 _COLOR_OF_PARITY = {(0, 0): "R", (1, 0): "Y", (0, 1): "G", (1, 1): "B"}
@@ -271,55 +270,56 @@ class SlabFlip(NamedTuple):
     to_normal: int
 
 
-def _stacked_pair(corner: Cell, normal: int) -> tuple[Slab, Slab]:
-    upper = corner[:normal] + (corner[normal] + 1,) + corner[normal + 1 :]
-    return Slab(corner, normal), Slab(upper, normal)
+def _corner_normals(tiling: SlabTiling) -> bytearray:
+    """Per cell, 1 + the normal of the slab cornered there, else 0."""
+    index, normals = tiling.region.index, bytearray(tiling.region.n_cells)
+    for corner, normal in tiling.slabs:
+        i = index.get(corner)
+        if i is None or normals[i] or normal not in range(3):
+            raise MoveNotApplicable(f"slab {Slab(corner, normal)} is not a slab of a tiling")
+        normals[i] = normal + 1
+    return normals
+
+
+def _slab_flips(table, normals, corners) -> Iterator[tuple[int, int, int, bytes]]:
+    """(corner, from normal, to normal, corner normals after) of each flip
+    at the corners, in their order, then by target normal."""
+    for i in corners:
+        n = normals[i] - 1
+        if n >= 0 and (j := table[i][2 * n]) >= 0 and normals[j] == n + 1:
+            for m in range(3):
+                # k lies in the lower slab: outside the region only off a tiling
+                if m != n and (k := table[i][2 * m]) >= 0:
+                    after = bytearray(normals)
+                    after[j] = 0
+                    after[i] = after[k] = m + 1
+                    yield i, n, m, bytes(after)
 
 
 def list_slab_flips(tiling: SlabTiling) -> list[SlabFlip]:
-    present = set(tiling.slabs)  # a Slab hashes and compares as its tuple
-    cells, table = tiling.region.cells, tiling.region.neighbor_table
-    out = []
-    for i, _ in trit_windows(tiling.region):
-        for normal in range(3):
-            if (cells[i], normal) in present and (cells[table[i][2 * normal]], normal) in present:
-                out.extend(SlabFlip(cells[i], normal, to) for to in range(3) if to != normal)
-    return out
+    cells, normals = tiling.region.cells, _corner_normals(tiling)
+    flips = _slab_flips(tiling.region.neighbor_table, normals, range(len(normals)))
+    return [SlabFlip(cells[i], n, m) for i, n, m, _ in flips]
 
 
 def apply_slab_flip(tiling: SlabTiling, move: SlabFlip) -> SlabTiling:
     if move.to_normal not in range(3) or move.to_normal == move.from_normal:
         raise MoveNotApplicable(f"no flip from normal {move.from_normal} to {move.to_normal}")
-    return SlabTiling(tiling.region, _patched_slabs(sorted(set(tiling.slabs)), move))
+    region, normals = tiling.region, _corner_normals(tiling)
+    at = region.index.get(move.corner)
+    for _, n, m, after in _slab_flips(region.neighbor_table, normals, () if at is None else (at,)):
+        if (n, m) == (move.from_normal, move.to_normal):
+            slabs = (Slab(region.cells[i], b - 1) for i, b in enumerate(after) if b)
+            return SlabTiling(region, tuple(slabs))
+    raise MoveNotApplicable(f"no stacked pair with normal {move.from_normal}")
 
 
-def _patched_slabs(slabs, move: SlabFlip) -> tuple[Slab, ...]:
-    """Sorted, distinct slabs with the move's stacked pair swapped for the
-    other, by two deletions and two sorted insertions."""
-    lower, upper = _stacked_pair(move.corner, move.from_normal)
-    i, j = bisect_left(slabs, lower), bisect_left(slabs, upper)
-    if lower not in slabs[i : i + 1] or upper not in slabs[j : j + 1]:
-        raise MoveNotApplicable(f"no stacked pair with normal {move.from_normal}")
-    # lower sorts before upper, so deleting upper first keeps lower at i
-    patched = list(slabs)
-    del patched[j], patched[i]
-    for slab in _stacked_pair(move.corner, move.to_normal):
-        insort(patched, slab)
-    return tuple(patched)
-
-
-def slab_flip_components(
-    region: Region, cap: int | None = 1_000_000
-) -> list[list[SlabTiling]]:
-    """Component census over the slab flips of every slab tiling: the
+def slab_flip_components(region: Region, cap: int | None = 1_000_000) -> list[list[SlabTiling]]:
+    """Component census over slab flips, keyed by corner normals: the
     components, each listing its tilings in enumeration order."""
-    tilings = {t.slabs: t for t in enumerate_slab_tilings(region, cap)}
-
-    def neighbors(slabs):
-        # enumerated slabs are sorted, and every move listed has a valid target
-        return (_patched_slabs(slabs, move) for move in list_slab_flips(tilings[slabs]))
-
-    found = components(tilings, neighbors)
+    tilings = {bytes(_corner_normals(t)): t for t in enumerate_slab_tilings(region, cap)}
+    table, corners = region.neighbor_table, range(region.n_cells)
+    found = components(tilings, lambda key: (f[3] for f in _slab_flips(table, key, corners)))
     ordered = list(tilings.values())
     return [[ordered[i] for i in ids] for ids in found]
 

@@ -7,7 +7,8 @@ explicit adjacency list with no canonical ordering tricks, and the naive
 move neighbours rematch small groups of dominoes of a cell-pair set
 instead of scanning precomputed windows; a trit is applied, its sign
 unread, by rematching its six cells the same way.  Flip components come
-from comparing every pair of tilings, and cylinder counts from walking
+from comparing every pair of tilings (slab flips too, their components
+by merging labels along those pairs), and cylinder counts from walking
 the plug automaton's transfer matrix floor by floor instead of the
 profile DP.  The twist's crossing sum compares every pair of dominoes
 instead of bucketing them by shadow square, and the twist census tallies
@@ -654,6 +655,34 @@ def slab_cells(slab) -> tuple:
         cell[b] += db
         cells.append(tuple(cell))
     return tuple(cells)
+
+
+def slab_flip_edges_by_difference(tilings) -> set[tuple[int, int]]:
+    """Index pairs i < j of slab tilings one flip apart: they differ in
+    exactly two slabs each, and both pairs cover the same eight cells."""
+    edges = set()
+    for i, j in combinations(range(len(tilings)), 2):
+        diff = set(tilings[i].slabs) ^ set(tilings[j].slabs)
+        if len(diff) == 4:
+            cells = sorted(c for s in diff if s in tilings[i].slabs for c in slab_cells(s))
+            other = sorted(c for s in diff if s in tilings[j].slabs for c in slab_cells(s))
+            if cells == other and len(set(cells)) == 8:
+                edges.add((i, j))
+    return edges
+
+
+def components_of_edges(n: int, edges) -> list[list[int]]:
+    """The connected components of the graph on range(n), each as its
+    sorted members, in order of their least member, found by merging
+    labels edge by edge."""
+    label = list(range(n))
+    for i, j in edges:
+        old, new = sorted((label[i], label[j]), reverse=True)
+        label = [new if x == old else x for x in label]
+    groups = {}
+    for i, x in enumerate(label):
+        groups.setdefault(x, []).append(i)
+    return sorted(groups.values())
 
 
 def validate_slab_tiling_by_cells(tiling) -> str | None:

@@ -248,7 +248,7 @@ def test_components_extended_refuses_an_unfinished_visited_set(in_tmp, capsys):
     from dimers.explore import DiskBackedSet
 
     visited = DiskBackedSet(in_tmp / "visited.sqlite")
-    visited.add(b"\x00")
+    visited.add_new([b"\x00"])
     visited.close()
     argv = ["components", "--box", "2,2,2", "--extended", "--scratch", str(in_tmp)]
     assert main(argv) == 2
@@ -671,6 +671,19 @@ def test_config_file(in_tmp, capsys):
     # the one-token form reads the same file
     assert run(capsys, "--config=conf.txt", "count") == (0, "229\n")
     assert main(["--config=", "count"]) == 2
+
+
+def test_manifest_argv_is_what_main_parsed(in_tmp, capsys, monkeypatch):
+    # in-process, the host program's own argv is not the run's
+    monkeypatch.setattr(sys, "argv", ["host-program", "--some", "flag"])
+    argv = ["--manifest", "m.json", "count", "--box", "2,3"]
+    assert run(capsys, *argv) == (0, "3\n")
+    assert json.loads((in_tmp / "m.json").read_text())["argv"] == argv
+    # a --config run names the flags its file inserted
+    (in_tmp / "conf.txt").write_text("box=3,3,2\n")
+    assert run(capsys, "--manifest", "m.json", "--config", "conf.txt", "count") == (0, "229\n")
+    assert json.loads((in_tmp / "m.json").read_text())["argv"] == [
+        "--manifest", "m.json", "--config", "conf.txt", "count", "--box", "3,3,2"]
 
 
 # a line nested deeper than json.loads recurses, which is bad JSON too

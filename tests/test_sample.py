@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from operator import itemgetter
 
@@ -347,6 +348,22 @@ def test_twist_distribution_multichain_merge_is_deterministic():
     again = twist_distribution(region, config, samples=90, chains=3)
     assert merged.counts == again.counts
     assert merged.n_samples == 90
+
+
+def test_twist_distribution_runs_only_the_chains_that_draw_a_sample():
+    region = make_box((2, 3, 4))
+    config = ChainConfig(moves="flips+trits", steps=0, seed=4, burn_in=10)
+    three = twist_distribution(region, config, samples=3, chains=3)
+    # a list entry per chain would peak at about 8 MB
+    tracemalloc.start()
+    try:
+        many = twist_distribution(region, config, samples=3, chains=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert many.counts == three.counts
+    assert many.meta == {**three.meta, "chains": 10**6}
 
 
 def _histogram_by_steps(region, config, samples):

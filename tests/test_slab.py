@@ -28,9 +28,11 @@ from dimers.slab import (
     _OTHER_PAIRS,
 )
 from oracles import (
+    components_of_edges,
     inflate_by_cells,
     pair_twist_by_cells,
     slab_cells,
+    slab_flip_edges_by_difference,
     validate_slab_tiling_by_cells,
 )
 
@@ -313,35 +315,32 @@ def test_triple_twist_constant_on_flip_components():
             assert len({triple_twist(t) for t in component}) == 1
 
 
+def _check_slab_flips_against_pairs(region):
+    # the moves listed and applied, and the census's components, against
+    # every pair of tilings compared
+    tilings = list(enumerate_slab_tilings(region, cap=None))
+    index = {t.slabs: i for i, t in enumerate(tilings)}
+    edges = set()
+    for i, t in enumerate(tilings):
+        for move in list_slab_flips(t):
+            j = index[apply_slab_flip(t, move).slabs]
+            edges.add((min(i, j), max(i, j)))
+    assert edges == slab_flip_edges_by_difference(tilings)
+    census = [[index[t.slabs] for t in component] for component in slab_flip_components(region)]
+    assert census == components_of_edges(len(tilings), edges)
+    return census
+
+
 def test_slab_flip_census_matches_brute_force():
-    # brute force: two slab tilings are flip-adjacent iff they differ in
-    # exactly two slabs filling a common 2x2x2 block
     for dims, count in [((4, 2, 2), 11), ((4, 4, 2), 165)]:
-        tilings = list(enumerate_slab_tilings(make_box(dims)))
-        assert len(tilings) == count
-        index = {t.slabs: i for i, t in enumerate(tilings)}
-        bfs_edges = set()
-        for i, t in enumerate(tilings):
-            for move in list_slab_flips(t):
-                j = index[apply_slab_flip(t, move).slabs]
-                bfs_edges.add((min(i, j), max(i, j)))
-        brute_edges = set()
-        for i in range(len(tilings)):
-            for j in range(i + 1, len(tilings)):
-                diff = set(tilings[i].slabs) ^ set(tilings[j].slabs)
-                if len(diff) == 4:
-                    cells = sorted(c for s in diff if s in tilings[i].slabs for c in slab_cells(s))
-                    other = sorted(c for s in diff if s in tilings[j].slabs for c in slab_cells(s))
-                    if cells == other and len(set(cells)) == 8:
-                        brute_edges.add((i, j))
-        assert bfs_edges == brute_edges
-        reached = {0}
-        while True:
-            grown = reached | {j for edge in bfs_edges if reached & set(edge) for j in edge}
-            if grown == reached:
-                break
-            reached = grown
-        assert reached == set(range(len(tilings)))
+        census = _check_slab_flips_against_pairs(make_box(dims))
+        assert census == [list(range(count))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_block_unions())
+def test_slab_flip_census_matches_brute_force_on_block_unions(region):
+    _check_slab_flips_against_pairs(region)
 
 
 def test_stacked_slabs_flip_to_both_other_normals():
@@ -380,6 +379,32 @@ def test_apply_slab_flip_rejects_missing_pair():
     stacked = SlabTiling(region, (Slab((0, 0, 0), 2), Slab((0, 0, 1), 2)))
     with pytest.raises(MoveNotApplicable):
         apply_slab_flip(stacked, SlabFlip((0, 0, 0), 0, 1))
+
+
+@pytest.mark.parametrize(
+    "slabs",
+    [[((0, 0, 0), 2), ((0, 0, 1), 2), ((0, 0, 2), 2)],
+     [((-1, 0, 0), 2), ((0, 0, 0), 2), ((0, 0, 1), 2)],
+     [((0, 0, 0), 2), ((0, 0, 0), 0), ((0, 0, 1), 2)],
+     [((0, 0, 0), 2), ((0, 0, 0), 2), ((0, 0, 1), 2)],
+     [((0, 0, 0), 2), ((0, 0, 1), 3)]],
+    ids=["corner-above", "corner-below", "two-normals-at-a-corner", "one-slab-twice",
+         "normal-three"],
+)
+def test_slab_flips_refuse_a_slab_list_that_is_not_a_tiling(slabs):
+    tiling = SlabTiling(_BOX_2, tuple(Slab(*s) for s in slabs))
+    with pytest.raises(MoveNotApplicable, match="is not a slab of a tiling"):
+        list_slab_flips(tiling)
+    with pytest.raises(MoveNotApplicable, match="is not a slab of a tiling"):
+        apply_slab_flip(tiling, SlabFlip((0, 0, 0), 2, 0))
+
+
+def test_apply_slab_flip_corners_no_slab_outside_the_region():
+    # both slabs leave the 2x1x2 box along y, and a flip to normal 1
+    # would corner its upper slab at (0, 1, 0), outside the box
+    stacked = SlabTiling(make_box((2, 1, 2)), (Slab((0, 0, 0), 2), Slab((0, 0, 1), 2)))
+    with pytest.raises(MoveNotApplicable, match="no stacked pair"):
+        apply_slab_flip(stacked, SlabFlip((0, 0, 0), 2, 1))
 
 
 @pytest.mark.parametrize("to_normal", [2, 3, -1], ids=["same", "three", "minus-one"])
