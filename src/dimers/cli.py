@@ -126,15 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Prepend key=value pairs from --config as flags; explicit flags win
-    because argparse takes the last occurrence."""
+    """Insert key=value pairs from --config as flags right after the
+    command's words (`count`, `slab census`); explicit flags win because
+    argparse takes the last occurrence."""
     for at, token in enumerate(argv):
-        if token == "--config":
-            at += 1
-            path = argv[at] if at < len(argv) else ""
-            break
-        if token.startswith("--config="):
-            path = token.partition("=")[2]
+        if token.partition("=")[0] == "--config":
+            path = token[len("--config="):] if "=" in token else "".join(argv[at + 1 : at + 2])
             break
     else:
         return argv
@@ -151,12 +148,14 @@ def _apply_config(argv: list[str]) -> list[str]:
         extra.append(f"--{key.strip()}")
         if value.strip():
             extra.append(value.strip())
-    head = argv[: at + 1]
-    tail = argv[at + 1 :]
-    if tail and not tail[0].startswith("-"):
-        # insert config flags after the subcommand word
-        return head + [tail[0]] + extra + tail[1:]
-    return head + extra + tail
+    # skip the top-level flags and their values, then the command's words:
+    # no subcommand takes a positional argument
+    at = 0
+    while at < len(argv) and argv[at].startswith("-"):
+        at += 2 if argv[at] in ("--manifest", "--config") else 1
+    while at < len(argv) and not argv[at].startswith("-"):
+        at += 1
+    return argv[:at] + extra + argv[at:]
 
 
 def main(argv: list[str] | None = None) -> int:

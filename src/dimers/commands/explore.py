@@ -71,10 +71,11 @@ def _cmd_components(args) -> dict:
 
 
 def _cmd_flipfree(args) -> dict:
-    from ..core import encode, write_tilings
+    from ..core import encode, require_encodable, write_tilings
     from ..explore import flip_free_tilings
 
     region = region_from_args(args)
+    require_encodable(region)  # each tiling prints as its encoding
     found = flip_free_tilings(region, args.cap)
     if args.out:
         write_tilings(args.out, region, found)

@@ -233,10 +233,17 @@ def _with_floors(region: Region, extra: int) -> Region:
 _MAX_ENCODE_D = 4
 
 
+def require_encodable(region: Region) -> None:
+    """Refuse a region whose direction codes need more than three bits."""
+    if region.d > _MAX_ENCODE_D:
+        raise InvalidRegion("canonical encoding supports d <= 4")
+
+
 @lru_cache(maxsize=16)
 def direction_codes(region: Region) -> tuple[dict[int, str], ...]:
     """direction_codes(region)[i][j]: the position of cell j in
-    region.neighbor_table[i], as one octal digit."""
+    region.neighbor_table[i], as one octal digit; d >= 5 is refused."""
+    require_encodable(region)
     return tuple(
         {j: str(code) for code, j in enumerate(row) if j >= 0}
         for row in region.neighbor_table
@@ -245,8 +252,6 @@ def direction_codes(region: Region) -> tuple[dict[int, str], ...]:
 
 def encode(tiling: Tiling) -> bytes:
     region = tiling.region
-    if region.d > _MAX_ENCODE_D:
-        raise InvalidRegion("canonical encoding supports d <= 4")
     # one octal digit per cell, cell 0 the least significant
     digits = "".join(map(getitem, direction_codes(region), tiling.partner))
     return int(digits[::-1] or "0", 8).to_bytes((3 * region.n_cells + 7) // 8, "little")
@@ -261,8 +266,6 @@ def flip_steps(region: Region) -> tuple[tuple[int, int], ...]:
     a neighbour's key is its tiling's key plus the step of that side."""
     from .moves import flip_windows  # moves imports this module
 
-    if region.d > _MAX_ENCODE_D:
-        raise InvalidRegion("canonical encoding supports d <= 4")
     codes = direction_codes(region)
 
     def pair_key(i: int, j: int) -> int:
@@ -276,8 +279,7 @@ def flip_steps(region: Region) -> tuple[tuple[int, int], ...]:
 
 
 def decode(data: bytes, region: Region) -> Tiling:
-    if region.d > _MAX_ENCODE_D:
-        raise InvalidRegion("canonical encoding supports d <= 4")
+    require_encodable(region)
     n = region.n_cells
     if len(data) != (3 * n + 7) // 8:
         raise DecodeError(f"expected {(3 * n + 7) // 8} bytes, got {len(data)}")

@@ -4,27 +4,28 @@ Enumeration runs regions.matchings, the search that also fills count's
 block tables, the plug automaton's floors and the trit windows'
 hexagons: it backtracks on the first uncovered cell, trying +axis
 partners in axis order, so runs are deterministic and restartable.
-In-memory censuses key tilings by their partner tuples and walk the
-moves of the region's window tables; canonical encodings name component
-representatives, and key the SQLite visited set that the extended path
-for billion-tiling regions spills to disk.  That path encodes only the
-tilings it enumerates: a flip changes a key by a fixed step per window
-and side (core.flip_steps), so each neighbour's key is an addition.  The
-visited set has one write, a batch of keys in and the new ones out, and
-one batch size for its queries, the seeds and the walk's neighbours.
 
-Every census, path and connectivity question is a breadth-first walk.
-Two graph routines serve them: components, over any symmetric state
-graph (flip censuses, the component/trit graph, slab flips, the 2D
-sweep), and search_path, one tree path (the twist path oracle and the
-ideal containment certificates).  Only the extended census keeps its own
-queue, over a disk-backed visited set, and finds flips with the moves
-kernel that flip_neighbors uses.  The 2D sweep's polyominoes
-search nothing for holes: an edge-connected shape has none exactly when
-its Euler characteristic V - E + F is 1.  The twist census
-enumerates nothing: it reads the law of crossing sums that
-counting.twist_polynomial counts by the profile DP, and turns each sum
-into a twist.
+Every flip census is one breadth-first walk (_flip_walk) from the
+enumerated tilings: flip_components, flip_connected (and the 2D sweep),
+the component/trit graph and the extended census.  A tiling's key is
+its canonical encoding; the walk encodes only the seeds, since a flip
+changes the key, read as an integer, by a fixed step per window and
+side (core.flip_steps), so each neighbour's key is an addition and its
+partner tuple is built only once the key is new.  The smallest key,
+compared as bytes, names a component's representative.  The visited set
+has two methods, known and add_new (a batch of keys in, the new ones
+out): an in-memory set, or the SQLite set that the extended census for
+billion-tiling regions spills to disk.  One batch size serves the
+membership queries, the seeds and the walk's neighbours.
+
+Two more graph routines serve the rest: components, over any symmetric
+state graph (slab flips, the component/trit graph's connectivity), and
+search_path, one tree path (the twist path oracle and the ideal
+containment certificates).  The 2D sweep's polyominoes search nothing
+for holes: an edge-connected shape has none exactly when its Euler
+characteristic V - E + F is 1.  The twist census enumerates nothing: it
+reads the law of crossing sums that counting.twist_polynomial counts by
+the profile DP, and turns each sum into a twist.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from typing import Iterator, NamedTuple
 from .core import Region, Tiling, decode, encode, flip_steps, make_region, matchings, region_to_record
 from .counting import count_region, twist_polynomial
 from .errors import CapExceeded, DimersError, InvalidRegion, NotReachable
-from .moves import _flipped, _parallel_side, flip_neighbors, flip_windows, list_flips, trit_neighbors
+from .moves import _flipped, _parallel_side, flip_windows, list_flips, trit_neighbors
 
 DEFAULT_CAP = 10_000_000
 
@@ -140,27 +141,69 @@ class ComponentCensus(NamedTuple):
         return decode(self.components[component_id][1], self.region)
 
 
-def _flip_census(region: Region, cap: int | None):
-    """Every tiling, a partner-tuple index into them, and the flip
-    components as (size, smallest encoding, member ids), largest first."""
-    tilings = list(enumerate_tilings(region, cap))
-    index = {t.partner: i for i, t in enumerate(tilings)}
-    found = sorted(
-        (
-            (len(ids), min(encode(tilings[i]) for i in ids), ids)
-            for ids in components(index, lambda p: flip_neighbors(region, p))
-        ),
-        key=lambda triple: (-triple[0], triple[1]),
-    )
-    return tilings, index, found
+# keys per membership query of the disk set (padded with NULL), seeds per
+# query, and queued tilings whose flips the walk looks up together
+_BATCH = 64
+
+
+class _KeySet(set):
+    """An in-memory visited set with DiskBackedSet's known and add_new."""
+
+    known = set.intersection
+
+    def add_new(self, keys: list[bytes]) -> list[bytes]:
+        new = [key for key in keys if key not in self]
+        self.update(new)
+        return new
+
+
+def _flip_walk(region: Region, visited, seeds) -> Iterator[tuple[int, bytes]]:
+    """(size, smallest encoding) of the flip component of each seed whose
+    encoding `visited` does not hold yet, found by a breadth-first walk
+    that adds the component's encodings to it.
+
+    Seeds are taken _BATCH at a time with one membership query per chunk.
+    Each tiling is queued with its key as an integer; a neighbour's key is
+    that plus core.flip_steps' step, and its partner tuple is built only
+    once add_new finds the key new.  The walk pops up to _BATCH tilings at
+    a time and looks their neighbours up in one add_new call."""
+    nbytes = (3 * region.n_cells + 7) // 8
+    moves = list(zip(flip_windows(region).values(), flip_steps(region)))
+    seeds = iter(seeds)
+    while chunk := list(islice(seeds, _BATCH)):
+        keys = [encode(t) for t in chunk]
+        known = visited.known(keys)
+        for seed, key in zip(chunk, keys):
+            # an earlier seed's walk may have reached this one
+            if key in known or not visited.add_new([key]):
+                continue
+            size, smallest = 1, key
+            queue = deque([(seed.partner, int.from_bytes(key, "little"))])
+            while queue:
+                reached = {}
+                for _ in range(min(_BATCH, len(queue))):
+                    partner, value = queue.popleft()
+                    for window, steps in moves:
+                        side = _parallel_side(partner, window)
+                        if side is not None:
+                            reached.setdefault(value + steps[side], (partner, window, side))
+                blobs = {value.to_bytes(nbytes, "little"): value for value in reached}
+                new = visited.add_new(list(blobs))
+                for blob in new:
+                    value = blobs[blob]
+                    partner, window, side = reached[value]
+                    queue.append((_flipped(partner, window, side), value))
+                if new:
+                    size += len(new)
+                    smallest = min(smallest, min(new))
+            yield size, smallest
 
 
 def flip_components(region: Region, cap: int | None = DEFAULT_CAP) -> ComponentCensus:
-    """Component census over the flip edges of the full tiling set."""
-    _, _, found = _flip_census(region, cap)
-    return ComponentCensus(
-        region=region, components=[(size, rep) for size, rep, _ in found]
-    )
+    """Component census over the flip edges of the full tiling set,
+    largest components first, ties by representative."""
+    found = _flip_walk(region, _KeySet(), enumerate_tilings(region, cap))
+    return ComponentCensus(region, sorted(found, key=lambda pair: (-pair[0], pair[1])))
 
 
 def flip_free_tilings(region: Region, cap: int | None = DEFAULT_CAP) -> list[Tiling]:
@@ -171,8 +214,8 @@ def flip_free_tilings(region: Region, cap: int | None = DEFAULT_CAP) -> list[Til
 def flip_connected(region: Region, cap: int | None = DEFAULT_CAP) -> bool:
     """Whether all tilings form a single flip component (vacuously true
     for regions with at most one tiling)."""
-    partners = [t.partner for t in enumerate_tilings(region, cap)]
-    return len(components(partners, lambda p: flip_neighbors(region, p))) <= 1
+    walk = _flip_walk(region, _KeySet(), enumerate_tilings(region, cap))
+    return len(list(islice(walk, 2))) <= 1
 
 
 class ComponentTritGraph(NamedTuple):
@@ -192,25 +235,28 @@ class ComponentTritGraph(NamedTuple):
         return len(components(adjacency, adjacency.__getitem__)) <= 1
 
 
+def _component_keys(tiling: Tiling) -> set[bytes]:
+    """The encodings of every tiling in tiling's flip component."""
+    members = _KeySet()
+    deque(_flip_walk(tiling.region, members, [tiling]), maxlen=0)
+    return members
+
+
 def component_trit_graph(region: Region, cap: int | None = DEFAULT_CAP) -> ComponentTritGraph:
+    """The census's components, each re-walked from its representative to
+    name its members, joined by the trits between them."""
     from .twist import twist as _twist_of
 
-    tilings, index, found = _flip_census(region, cap)
-    comp_of = [0] * len(tilings)
-    for comp_id, (_, _, ids) in enumerate(found):
-        for i in ids:
-            comp_of[i] = comp_id
+    census = flip_components(region, cap)
+    reps = [census.representative(i) for i in range(len(census.components))]
+    comp_of = {key: i for i, rep in enumerate(reps) for key in _component_keys(rep)}
     edges: set[tuple[int, int]] = set()
-    for i, t in enumerate(tilings):
-        for after, _, _ in trit_neighbors(region, t.partner):
-            a, b = comp_of[i], comp_of[index[after]]
+    for key, a in comp_of.items():
+        for after, _, _ in trit_neighbors(region, decode(key, region).partner):
+            b = comp_of[encode(Tiling(region, after))]
             if a != b:
                 edges.add((min(a, b), max(a, b)))
-    twists = [_twist_of(tilings[ids[0]]) for _, _, ids in found] if region.d == 3 else None
-    census = ComponentCensus(
-        region=region,
-        components=[(size, rep) for size, rep, _ in found],
-    )
+    twists = [_twist_of(rep) for rep in reps] if region.d == 3 else None
     return ComponentTritGraph(census=census, twists=twists, edges=edges)
 
 
@@ -335,9 +381,6 @@ def flip_connected_2d(cells: tuple) -> bool:
 # billion-tiling regions is bounded by scratch space, not RAM
 
 _COMMIT_EVERY = 10_000  # inserts between commits of the visited set
-# keys per membership query (padded with NULL), enumerated seeds per
-# query, and queued tilings whose flips are looked up together
-_BATCH = 64
 _SELECT_IN = "SELECT key FROM seen WHERE key IN (" + ", ".join("?" * _BATCH) + ")"
 
 
@@ -415,46 +458,11 @@ class DiskBackedSet:
         self._conn.close()
 
 
-def _flip_component(visited: DiskBackedSet, seed: Tiling, key: bytes) -> tuple[int, bytes]:
-    """(size, smallest encoding) of the flip component of a seed just
-    added to the visited set, found by a breadth-first walk that adds the
-    rest.  Each tiling is queued with its key as an integer; a neighbour's
-    key is that plus core.flip_steps' step, and its partner tuple is built
-    only once add_new finds the key new.  The walk pops up to _BATCH
-    tilings at a time and looks their neighbours up in one add_new call."""
-    region = seed.region
-    nbytes = len(key)
-    moves = list(zip(flip_windows(region).values(), flip_steps(region)))
-    size, smallest = 1, key
-    queue = deque([(seed.partner, int.from_bytes(key, "little"))])
-    while queue:
-        reached = {}
-        for _ in range(min(_BATCH, len(queue))):
-            partner, value = queue.popleft()
-            for window, steps in moves:
-                side = _parallel_side(partner, window)
-                if side is not None:
-                    reached.setdefault(value + steps[side], (partner, window, side))
-        blobs = {value.to_bytes(nbytes, "little"): value for value in reached}
-        new = visited.add_new(list(blobs))
-        for blob in new:
-            value = blobs[blob]
-            partner, window, side = reached[value]
-            queue.append((_flipped(partner, window, side), value))
-        if new:
-            size += len(new)
-            smallest = min(smallest, min(new))
-    return size, smallest
-
-
 def flip_components_extended(region: Region, scratch_dir) -> ComponentCensus:
     """Streaming flip census with a disk-backed visited set.
 
-    Tilings are enumerated in deterministic order, _BATCH at a time
-    with one membership query per chunk; each unvisited one seeds a
-    breadth-first walk of its whole flip component (_flip_component),
-    which keys neighbours by arithmetic on the seed's encoding and looks
-    them up in batches.  Only the seeds are encoded.  Intended for
+    The flip walk of the in-memory census over a visited set in a SQLite
+    file, which it queries in batches of _BATCH keys.  Intended for
     opt-in runs where the tiling count exceeds RAM: runtime is hours and
     scratch is of the order of the state space.  The finished census is
     stored in the visited set's file, and a rerun on the same scratch dir
@@ -466,7 +474,6 @@ def flip_components_extended(region: Region, scratch_dir) -> ComponentCensus:
     path = Path(scratch_dir) / "visited.sqlite"
     name = json.dumps(region_to_record(region), sort_keys=True)
     visited = DiskBackedSet(path)
-    found: list[tuple[int, bytes]] = []
     try:
         stored = visited.result(name)
         if stored is not None:
@@ -477,18 +484,9 @@ def flip_components_extended(region: Region, scratch_dir) -> ComponentCensus:
                 f"{path} holds the visited set of an unfinished or different "
                 "census; remove it or use an empty scratch dir"
             )
-        seeds = enumerate_tilings(region, cap=None)
-        while chunk := list(islice(seeds, _BATCH)):
-            keys = [encode(t) for t in chunk]
-            known = visited.known(keys)
-            for t, key in zip(chunk, keys):
-                # an earlier seed's walk may have reached this one
-                if key not in known and visited.add_new([key]):
-                    found.append(_flip_component(visited, t, key))
-        found.sort(key=lambda pair: (-pair[0], pair[1]))
-        visited.store_result(
-            name, json.dumps([[size, rep.hex()] for size, rep in found])
-        )
+        walk = _flip_walk(region, visited, enumerate_tilings(region, cap=None))
+        found = sorted(walk, key=lambda pair: (-pair[0], pair[1]))
+        visited.store_result(name, json.dumps([[size, rep.hex()] for size, rep in found]))
     finally:
         visited.close()
     return ComponentCensus(region=region, components=found)

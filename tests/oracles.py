@@ -179,9 +179,13 @@ def _rematched(pairset: frozenset, group, keep) -> set[frozenset]:
 
 
 def naive_flip_neighbors(pairset: frozenset) -> set[frozenset]:
-    """Tilings one flip away: two dominoes filling a unit square, rotated."""
+    """Tilings one flip away: two dominoes filling a unit square, rotated.
+    Two dominoes that fill a square are parallel."""
     out = set()
+    axis = {p: _axis(p) for p in pairset}
     for group in combinations(pairset, 2):
+        if axis[group[0]] != axis[group[1]]:
+            continue
         cells = frozenset().union(*group)
         if len(_block(cells)) == 4:
             out |= _rematched(pairset, group, lambda m: True)
@@ -238,6 +242,16 @@ def flip_components_by_difference(region) -> list[int]:
             stack.extend(joined)
         sizes.append(size)
     return sorted(sizes, reverse=True)
+
+
+def flip_component_members(region) -> list[list[frozenset]]:
+    """Each flip component's tilings as cell-pair sets: the naive
+    tilings, joined by their naive flip neighbours, merged into
+    components by components_of_edges."""
+    tilings = naive_tilings(region)
+    index = {t: i for i, t in enumerate(tilings)}
+    edges = [(i, index[u]) for i, t in enumerate(tilings) for u in naive_flip_neighbors(t)]
+    return [[tilings[i] for i in group] for group in components_of_edges(len(tilings), edges)]
 
 
 def dp_plan_by_every_order(region) -> tuple[int, list[list[int]], int]:
@@ -674,15 +688,19 @@ def slab_flip_edges_by_difference(tilings) -> set[tuple[int, int]]:
 def components_of_edges(n: int, edges) -> list[list[int]]:
     """The connected components of the graph on range(n), each as its
     sorted members, in order of their least member, found by merging
-    labels edge by edge."""
+    labels edge by edge: the smaller group takes the larger's label."""
     label = list(range(n))
+    groups = {i: [i] for i in range(n)}
     for i, j in edges:
-        old, new = sorted((label[i], label[j]), reverse=True)
-        label = [new if x == old else x for x in label]
-    groups = {}
-    for i, x in enumerate(label):
-        groups.setdefault(x, []).append(i)
-    return sorted(groups.values())
+        keep, old = label[i], label[j]
+        if keep == old:
+            continue
+        if len(groups[keep]) < len(groups[old]):
+            keep, old = old, keep
+        for k in groups[old]:
+            label[k] = keep
+        groups[keep] += groups.pop(old)
+    return sorted(map(sorted, groups.values()))
 
 
 def validate_slab_tiling_by_cells(tiling) -> str | None:

@@ -160,6 +160,20 @@ def test_flipfree(in_tmp, capsys):
     assert out.splitlines()[0] == "flip-free tilings: 2"
 
 
+@pytest.mark.parametrize("command", ["flipfree", "components"])
+def test_five_dimensions_are_refused_before_any_output(in_tmp, capsys, monkeypatch, command):
+    # an encoding has three bits a cell, too few past d = 4; the refusal
+    # comes before the cap's count, the first step of an enumeration
+    import dimers.explore
+
+    def no_count(region):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(dimers.explore, "count_region", no_count)
+    assert main([command, "--box", "2,2,2,2,2"]) == 2
+    assert capsys.readouterr() == ("", "error: canonical encoding supports d <= 4\n")
+
+
 def test_pfaffian(in_tmp, capsys):
     code, out = run(capsys, "pfaffian", "--box", "2,2,2")
     assert code == 0
@@ -671,6 +685,21 @@ def test_config_file(in_tmp, capsys):
     # the one-token form reads the same file
     assert run(capsys, "--config=conf.txt", "count") == (0, "229\n")
     assert main(["--config=", "count"]) == 2
+
+
+def test_config_flags_follow_the_command_words(in_tmp, capsys):
+    (in_tmp / "conf.txt").write_text("box=3,3,2\n")
+    for argv in (["--config", "conf.txt", "--manifest", "m.json"],
+                 ["--manifest", "m.json", "--config", "conf.txt"]):
+        assert run(capsys, *argv, "count") == (0, "229\n")
+    # slab and ideals name a command in two words
+    assert run(capsys, "--config", "conf.txt", "slab", "census") == run(
+        capsys, "slab", "census", "--box", "3,3,2")
+    (in_tmp / "conf.txt").write_text("box=4,4,2\n")
+    code, out = run(capsys, "--config", "conf.txt", "--manifest", "m.json", "slab", "census")
+    assert (code, out.splitlines()[0]) == (0, "slab tilings: 165")
+    assert run(capsys, "--config", "conf.txt", "slab", "census", "--box", "2,2,4") == run(
+        capsys, "slab", "census", "--box", "2,2,4")
 
 
 def test_manifest_argv_is_what_main_parsed(in_tmp, capsys, monkeypatch):

@@ -7,13 +7,14 @@ from math import prod
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dimers.core import decode, encode, make_box, make_cylinder, make_region, validate
+from dimers.core import Tiling, decode, encode, make_box, make_cylinder, make_region, validate
 from dimers.counting import count_region
 from dimers.errors import CapExceeded, DimersError, InvalidRegion
 from dimers.explore import (
     ComponentCensus,
     ComponentTritGraph,
     DiskBackedSet,
+    _component_keys,
     _fixed_polyominoes,
     _hole_free,
     component_trit_graph,
@@ -32,6 +33,7 @@ from dimers.moves import flip_neighbors, list_flips
 from dimers.twist import pfaffian_alternating_sum
 
 from oracles import (
+    flip_component_members,
     flip_components_by_difference,
     free_simply_connected_polyominoes_by_growth,
     simply_connected_by_flood_fill,
@@ -334,13 +336,46 @@ def boxes_minus_cells(draw):
     return region
 
 
+def _naive_flip_census(region):
+    """(size, least encoding, every encoding) of each flip component by
+    the naive oracle, largest first, ties by the least encoding.  The
+    least is taken over bytes, as flip_components names representatives."""
+    found = []
+    for group in flip_component_members(region):
+        keys = set()
+        for pairset in group:
+            partner = [0] * region.n_cells
+            for pair in pairset:
+                i, j = (region.index[cell] for cell in pair)
+                partner[i], partner[j] = j, i
+            keys.add(encode(Tiling(region, tuple(partner))))
+        found.append((len(keys), min(keys), keys))
+    return sorted(found, key=lambda component: (-component[0], component[1]))
+
+
+# on 3x2x2 a component's least encoding as bytes is neither its seed's
+# nor the least as an integer
 @settings(max_examples=60, deadline=None)
 @given(boxes_minus_cells())
-@example(make_box((3, 2, 2)))  # a component whose smallest key is not its seed's
-def test_extended_census_matches_in_memory_on_random_regions(region):
+@example(make_box((3, 2, 2)))
+def test_flip_walk_matches_the_naive_flip_graph_on_random_regions(region):
+    expected = _naive_flip_census(region)
+    census = flip_components(region)
+    assert census.components == [(size, least) for size, least, _ in expected]
+    # a walk from each representative reaches exactly its component
+    for comp_id, (_, _, keys) in enumerate(expected):
+        assert _component_keys(census.representative(comp_id)) == keys
+    assert flip_connected(region) == (len(expected) <= 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(boxes_minus_cells())
+@example(make_box((3, 2, 2)))
+def test_both_visited_sets_match_the_naive_oracle_on_random_regions(region):
+    expected = [(size, least) for size, least, _ in _naive_flip_census(region)]
     with tempfile.TemporaryDirectory() as scratch:
-        extended = flip_components_extended(region, scratch)
-    assert extended.components == flip_components(region).components
+        assert flip_components_extended(region, scratch).components == expected
+    assert flip_components(region).components == expected
 
 
 def test_extended_census_rerun_returns_the_stored_census(tmp_path):

@@ -8,6 +8,7 @@ from dimers.core import (
     Tiling,
     add_vertical_floors,
     base_vertical_tiling,
+    decode,
     make_box,
     make_cylinder,
     make_region,
@@ -22,7 +23,7 @@ from dimers.errors import (
     NotReachable,
     UnbalancedRegion,
 )
-from dimers.explore import _flip_census, enumerate_tilings, flip_free_tilings
+from dimers.explore import _component_keys, enumerate_tilings, flip_components, flip_free_tilings
 from dimers.moves import (
     apply_flip,
     apply_trit,
@@ -110,9 +111,11 @@ def test_twist_constant_on_flip_moves():
 def test_twist_is_constant_on_every_flip_component_of_a_cylinder(disk, height):
     # the sampler reads the twist only after a trit, so a flip must keep it
     region = make_cylinder(make_region(disk), height)
-    tilings, _, found = _flip_census(region, None)
-    for _, _, ids in found:
-        assert len({twist(tilings[i]) for i in ids}) == 1
+    census = flip_components(region, None)
+    for comp_id, (size, _) in enumerate(census.components):
+        keys = _component_keys(census.representative(comp_id))
+        assert len(keys) == size
+        assert len({twist(decode(key, region)) for key in keys}) == 1
 
 
 def test_twist_steps_by_trit_sign():
