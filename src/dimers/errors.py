@@ -51,8 +51,8 @@ class UnbalancedRegion(DimersError):
 
 
 class InflationError(DimersError):
-    """No pair twist: an unknown pair, an invalid slab tiling, a slab that
-    deflates to no domino, a non-integral value or a broken relation."""
+    """No pair twist: an unknown pair, an invalid slab tiling, a
+    non-integral value or a broken relation."""
 
 
 class IdenticalTilings(DimersError):

@@ -9,13 +9,16 @@ tiling whose twist is a slab-flip invariant.  Three independent color
 pairs give the triple twist.
 
 The slab with normal n at a cell covers its flip window in the other two
-axes, which validation looks up.  Inflation and pair twists read one
-table per region and color pair: each slab as the index pair of its two
-survivors in the squeezed region.  One generator yields the flips for
-listing, applying and the census, which keys tilings by corner normals:
-per cell, 1 + the normal of the slab whose least cell it is, else 0.
-Slabs of normal n cornered at i and i+e_n are stacked, and their flip to
-normal m rewrites three bytes: i+e_n to 0, i and i+e_m to m + 1.
+axes.  `validate_slab_tiling` is the one rule for whether a slab list is
+a tiling; records, inflation, pair twists and slab flips ask it once
+each, and what they read afterwards assumes a tiling.  Inflation and
+pair twists read one table per region and color pair: each slab as the
+index pair of its two survivors in the squeezed region.  One generator
+yields the flips for listing, applying and the census, which keys
+tilings by corner normals: per cell, 1 + the normal of the slab whose
+least cell it is, else 0.  Slabs of normal n cornered at i and i+e_n are
+stacked, and their flip to normal m rewrites three bytes: i+e_n to 0, i
+and i+e_m to m + 1.
 """
 from __future__ import annotations
 
@@ -66,13 +69,16 @@ class SlabTiling(NamedTuple):
 
 
 def validate_slab_tiling(tiling: SlabTiling) -> str | None:
-    """None when the slabs cover the region exactly once, else a report
-    naming the first bad cell in the order corner, +b, +a, +a+b (a < b
-    the axes of the slab's plane)."""
+    """None when the slabs cover the region exactly once, else a report:
+    the first slab whose normal is not the integer 0, 1 or 2, or the
+    first bad cell in the order corner, +b, +a, +a+b (a < b the axes of
+    the slab's plane)."""
     region = tiling.region
     index, windows = region.index, flip_windows(region)
     covered: set[int] = set()
     for slab in tiling.slabs:
+        if type(slab.normal) is not int or not 0 <= slab.normal <= 2:
+            return f"slab {slab}: the normal is not the integer 0, 1 or 2"
         plane = ((1, 2), (0, 2), (0, 1))[slab.normal]
         ids = windows.get((index.get(slab.corner), plane))
         if ids is None or not covered.isdisjoint(ids):
@@ -87,6 +93,15 @@ def validate_slab_tiling(tiling: SlabTiling) -> str | None:
     if len(covered) != region.n_cells:
         return f"{region.n_cells - len(covered)} cells uncovered"
     return None
+
+
+def _validated(tiling: SlabTiling, error=InflationError, text="{}") -> SlabTiling:
+    """The tiling, if the rule above passes it; else `error`, its text
+    the rule's report put in `text`."""
+    report = validate_slab_tiling(tiling)
+    if report is not None:
+        raise error(text.format(report))
+    return tiling
 
 
 def enumerate_slab_tilings(
@@ -142,11 +157,8 @@ def horizontal_slab_tiling(region: Region) -> SlabTiling:
         for cell in region.cells
         if cell[0] % 2 == 0 and cell[1] % 2 == 0
     ]
-    tiling = SlabTiling(region, tuple(slabs))
-    report = validate_slab_tiling(tiling)
-    if report is not None:
-        raise InvalidRegion(f"region has no horizontal slab tiling: {report}")
-    return tiling
+    return _validated(SlabTiling(region, tuple(slabs)), InvalidRegion,
+                      "region has no horizontal slab tiling: {}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +169,9 @@ def horizontal_slab_tiling(region: Region) -> SlabTiling:
 def _inflation(region: Region, pair: frozenset) -> tuple[Region, dict[Slab, tuple[int, int]], int]:
     """The squeezed region of the surviving color pair, each slab of the
     region as the sorted index pair of its two survivors there, and the
-    reference slab tiling's crossing sum along z."""
+    reference slab tiling's crossing sum along z.  Every window holds one
+    cell of each color, the deflation is one-to-one on the pair's two
+    colors, and each window's two survivors land on adjacent cells."""
     i, j = _PAIR_AXES[pair]
     cells = region.cells
     kept = [k for k, cell in enumerate(cells) if four_color(cell) in pair]
@@ -166,21 +180,12 @@ def _inflation(region: Region, pair: frozenset) -> tuple[Region, dict[Slab, tupl
         c[i], c[j] = (c[i] + c[j]) // 2, (c[j] - c[i]) // 2
     lo = [min(c[a] for c in mapped) for a in range(3)]
     shifted = [tuple(x - m for x, m in zip(c, lo)) for c in mapped]
-    if len(set(shifted)) != len(shifted):
-        raise InflationError("deflation map is not injective on the survivors")
     derived = make_region(shifted)
     image = dict(zip(kept, map(derived.index.__getitem__, shifted)))
-    table = {}
-    for (corner, (a, b)), ids in flip_windows(region).items():
-        slab = Slab(cells[corner], 3 - a - b)
-        survivors = tuple(sorted(image[k] for k in ids if k in image))
-        if len(survivors) != 2:
-            raise InflationError(f"slab {slab} keeps {len(survivors)} cells of pair "
-                                 f"{sorted(pair)}, expected 2")
-        if survivors[1] not in derived.neighbor_table[survivors[0]]:
-            p, q = (derived.cells[k] for k in survivors)
-            raise InflationError(f"slab {slab} deflates to non-adjacent cells {p}, {q}")
-        table[slab] = survivors
+    table = {
+        Slab(cells[corner], 3 - a - b): tuple(sorted(image[k] for k in ids if k in image))
+        for (corner, (a, b)), ids in flip_windows(region).items()
+    }
     try:
         reference = horizontal_slab_tiling(region)
     except InvalidRegion:
@@ -192,13 +197,6 @@ def _inflation(region: Region, pair: frozenset) -> tuple[Region, dict[Slab, tupl
 def _slab_partner(derived: Region, table: dict, slabs: Iterable[Slab]) -> tuple[int, ...]:
     """The derived region's partner of the dominoes the slabs inflate to."""
     return matched([-1] * derived.n_cells, map(table.__getitem__, slabs))
-
-
-def _validated(tiling: SlabTiling) -> SlabTiling:
-    report = validate_slab_tiling(tiling)
-    if report is not None:
-        raise InflationError(report)
-    return tiling
 
 
 def _inflation_of(tiling: SlabTiling, pair: Iterable[str]):
@@ -271,14 +269,17 @@ class SlabFlip(NamedTuple):
 
 
 def _corner_normals(tiling: SlabTiling) -> bytearray:
-    """Per cell, 1 + the normal of the slab cornered there, else 0."""
+    """Per cell of a slab tiling, 1 + the normal of the slab cornered
+    there, else 0."""
     index, normals = tiling.region.index, bytearray(tiling.region.n_cells)
     for corner, normal in tiling.slabs:
-        i = index.get(corner)
-        if i is None or normals[i] or normal not in range(3):
-            raise MoveNotApplicable(f"slab {Slab(corner, normal)} is not a slab of a tiling")
-        normals[i] = normal + 1
+        normals[index[corner]] = normal + 1
     return normals
+
+
+def _flip_normals(tiling: SlabTiling) -> bytearray:
+    return _corner_normals(_validated(tiling, MoveNotApplicable,
+                                      "{}: a slab listed is not a slab of a tiling"))
 
 
 def _slab_flips(table, normals, corners) -> Iterator[tuple[int, int, int, bytes]]:
@@ -288,16 +289,15 @@ def _slab_flips(table, normals, corners) -> Iterator[tuple[int, int, int, bytes]
         n = normals[i] - 1
         if n >= 0 and (j := table[i][2 * n]) >= 0 and normals[j] == n + 1:
             for m in range(3):
-                # k lies in the lower slab: outside the region only off a tiling
-                if m != n and (k := table[i][2 * m]) >= 0:
+                if m != n:
                     after = bytearray(normals)
                     after[j] = 0
-                    after[i] = after[k] = m + 1
+                    after[i] = after[table[i][2 * m]] = m + 1
                     yield i, n, m, bytes(after)
 
 
 def list_slab_flips(tiling: SlabTiling) -> list[SlabFlip]:
-    cells, normals = tiling.region.cells, _corner_normals(tiling)
+    cells, normals = tiling.region.cells, _flip_normals(tiling)
     flips = _slab_flips(tiling.region.neighbor_table, normals, range(len(normals)))
     return [SlabFlip(cells[i], n, m) for i, n, m, _ in flips]
 
@@ -305,7 +305,7 @@ def list_slab_flips(tiling: SlabTiling) -> list[SlabFlip]:
 def apply_slab_flip(tiling: SlabTiling, move: SlabFlip) -> SlabTiling:
     if move.to_normal not in range(3) or move.to_normal == move.from_normal:
         raise MoveNotApplicable(f"no flip from normal {move.from_normal} to {move.to_normal}")
-    region, normals = tiling.region, _corner_normals(tiling)
+    region, normals = tiling.region, _flip_normals(tiling)
     at = region.index.get(move.corner)
     for _, n, m, after in _slab_flips(region.neighbor_table, normals, () if at is None else (at,)):
         if (n, m) == (move.from_normal, move.to_normal):
@@ -342,11 +342,7 @@ def slab_tiling_from_record(rec: dict, region: Region) -> SlabTiling:
             if {type(x) for x in (*corner, normal)} != {int} or normal not in range(3):
                 bad = json.dumps([list(corner), normal])
                 raise DecodeError(f"slab {bad} needs integer coordinates and a normal 0..2")
-        tiling = SlabTiling(region, slabs)
-        report = validate_slab_tiling(tiling)
-    if report is not None:
-        raise InvalidRegion(report)
-    return tiling
+    return _validated(SlabTiling(region, slabs), InvalidRegion)
 
 
 def write_slab_tilings(path, region: Region, tilings: Iterable[SlabTiling]) -> int:

@@ -13,6 +13,7 @@ from dimers.cli import main
 from dimers.commands import load_disk
 from dimers.core import make_box, make_cylinder, region_from_record, region_to_record
 from dimers.counting import count_region
+from dimers.errors import InflationError
 
 
 @pytest.fixture()
@@ -234,6 +235,34 @@ def test_slab_census_counts_the_tilings_without_a_triple_twist(in_tmp, capsys, h
     manifest = json.loads((in_tmp / "run_manifest.json").read_text())
     assert manifest["twists_by_component"] == [
         {"size": total, "triple_twists": [[0, 0, 0]], "undefined": undefined}
+    ]
+
+
+def test_slab_census_needs_the_complement_pairs_to_find_the_undefined_tilings(in_tmp, capsys):
+    # the union of the 2x2x2 blocks cornered at (0,0,0), (0,0,1) and
+    # (0,1,1); one of its two tilings without a triple twist has (R,G),
+    # (R,B) and (R,Y) twists of 0, and only its (Y,B) twist is 1/4
+    from itertools import product
+
+    from dimers.core import make_region
+    from dimers.slab import pair_twist, slab_tiling_from_record, TRIPLE_TWIST_PAIRS
+
+    region = make_region({tuple(c + d for c, d in zip(corner, delta))
+                          for corner in [(0, 0, 0), (0, 0, 1), (0, 1, 1)]
+                          for delta in product((0, 1), repeat=3)})
+    tiling = slab_tiling_from_record(
+        {"slabs": [[[0, 0, 0], 2], [[0, 0, 1], 1], [[0, 1, 1], 0], [[1, 1, 1], 0]]}, region)
+    assert [pair_twist(tiling, pair) for pair in TRIPLE_TWIST_PAIRS] == [0, 0, 0]
+    with pytest.raises(InflationError, match="non-integral pair twist 1/4"):
+        pair_twist(tiling, ("Y", "B"))
+    (in_tmp / "blocks.json").write_text(json.dumps(region_to_record(region)) + "\n")
+    code, out = run(capsys, "slab", "census", "--disk", "blocks.json")
+    assert code == 0
+    assert out.splitlines() == [
+        "slab tilings: 7",
+        "flip components: 1",
+        "triple twists: (0, 0, 0)",
+        "undefined triple twists: 2 tilings in 1 component",
     ]
 
 

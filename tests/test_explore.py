@@ -1,4 +1,5 @@
 import hashlib
+import sqlite3
 import tempfile
 import time
 from collections import Counter
@@ -311,6 +312,33 @@ def test_disk_backed_set_raises_a_sqlite_error_as_a_dimers_error(tmp_path):
     (tmp_path / "seen.sqlite").write_text("not a database, " * 8)
     with pytest.raises(DimersError, match="file is not a database"):
         DiskBackedSet(tmp_path / "seen.sqlite")
+
+
+def test_disk_backed_set_commits_every_few_inserts(tmp_path, monkeypatch):
+    monkeypatch.setattr("dimers.explore._COMMIT_EVERY", 3)
+    s = DiskBackedSet(tmp_path / "seen.sqlite")
+    reader = sqlite3.connect(tmp_path / "seen.sqlite")
+
+    def committed():
+        return sorted(key for (key,) in reader.execute("SELECT key FROM seen"))
+
+    s.add_new([b"a", b"b"])
+    assert committed() == []
+    # the batch that brings the inserts to three commits, before close()
+    s.add_new([b"b", b"c", b"d"])
+    assert committed() == [b"a", b"b", b"c", b"d"]
+    s.add_new([b"e"])
+    assert committed() == [b"a", b"b", b"c", b"d"]
+    s.add_new([b"f", b"g"])
+    assert committed() == [b"a", b"b", b"c", b"d", b"e", b"f", b"g"]
+    s.add_new([b"h"])
+    s.close()
+    assert committed() == [b"a", b"b", b"c", b"d", b"e", b"f", b"g", b"h"]
+    reader.close()
+    # an extended census that commits many times equals the in-memory one
+    region = make_box((2, 3, 4))
+    extended = flip_components_extended(region, tmp_path)
+    assert extended.components == flip_components(region).components
 
 
 def test_extended_census_matches_in_memory(tmp_path):

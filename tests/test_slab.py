@@ -26,7 +26,9 @@ from dimers.slab import (
     write_slab_tilings,
     TRIPLE_TWIST_PAIRS,
     _OTHER_PAIRS,
+    _inflation,
 )
+from dimers.moves import flip_windows
 from oracles import (
     components_of_edges,
     inflate_by_cells,
@@ -194,15 +196,42 @@ _BOX_2 = make_box((2, 2, 2))
         # the second slab's corner is free and its next cell is not
         ([((0, 0, 1), 2), ((0, 0, 0), 0)], "cell (0, 0, 1) covered twice"),
         ([((0, 0, 0), 2)], "4 cells uncovered"),
+        # with normal 2 each list would be a tiling: -1 must not index
+        # from the end, nor 2.0 pass as 2
+        ([((0, 0, 0), -1), ((0, 0, 1), 2)],
+         "slab Slab(corner=(0, 0, 0), normal=-1): the normal is not the integer 0, 1 or 2"),
+        ([((0, 0, 0), 3), ((0, 0, 1), 2)],
+         "slab Slab(corner=(0, 0, 0), normal=3): the normal is not the integer 0, 1 or 2"),
+        ([((0, 0, 0), 2.0), ((0, 0, 1), 2)],
+         "slab Slab(corner=(0, 0, 0), normal=2.0): the normal is not the integer 0, 1 or 2"),
     ],
-    ids=["leaves", "covered-twice", "uncovered"],
+    ids=["leaves", "covered-twice", "uncovered", "normal-minus-one", "normal-three",
+         "normal-float-two"],
 )
 def test_validation_reports(slabs, report):
     tiling = SlabTiling(_BOX_2, tuple(Slab(*s) for s in slabs))
     assert validate_slab_tiling(tiling) == report
-    for twists in (pair_twist, triple_twist, all_pair_twists):
+    for twists in (inflate, pair_twist, triple_twist, all_pair_twists):
         with pytest.raises(InflationError, match=re.escape(report)):
             twists(tiling)
+
+
+def test_every_window_deflates_to_a_domino_for_every_pair():
+    # what inflation relies on without checking it, on every window of a
+    # 4x4x4 box (every parity class of corner and every plane): the window
+    # holds one cell of each color, each pair's deflation is one-to-one on
+    # the pair's cells, and the window's two survivors are adjacent there
+    region = make_box((4, 4, 4))
+    windows = flip_windows(region)
+    for ids in windows.values():
+        assert sorted(four_color(region.cells[k]) for k in ids) == ["B", "G", "R", "Y"]
+    for pair in map(frozenset, ALL_PAIRS):
+        derived, table, _ = _inflation(region, pair)
+        assert derived.n_cells == sum(four_color(cell) in pair for cell in region.cells)
+        assert len(table) == len(windows)
+        for survivors in table.values():
+            assert len(survivors) == 2
+            assert survivors[1] in derived.neighbor_table[survivors[0]]
 
 
 def test_slab_tilings_need_3d():
@@ -382,17 +411,21 @@ def test_apply_slab_flip_rejects_missing_pair():
 
 
 @pytest.mark.parametrize(
-    "slabs",
-    [[((0, 0, 0), 2), ((0, 0, 1), 2), ((0, 0, 2), 2)],
-     [((-1, 0, 0), 2), ((0, 0, 0), 2), ((0, 0, 1), 2)],
-     [((0, 0, 0), 2), ((0, 0, 0), 0), ((0, 0, 1), 2)],
-     [((0, 0, 0), 2), ((0, 0, 0), 2), ((0, 0, 1), 2)],
-     [((0, 0, 0), 2), ((0, 0, 1), 3)]],
+    "dims, slabs",
+    [((2, 2, 2), [((0, 0, 0), 2), ((0, 0, 1), 2), ((0, 0, 2), 2)]),
+     ((2, 2, 2), [((-1, 0, 0), 2), ((0, 0, 0), 2), ((0, 0, 1), 2)]),
+     ((2, 2, 2), [((0, 0, 0), 2), ((0, 0, 0), 0), ((0, 0, 1), 2)]),
+     ((2, 2, 2), [((0, 0, 0), 2), ((0, 0, 0), 2), ((0, 0, 1), 2)]),
+     ((2, 2, 2), [((0, 0, 0), 2), ((0, 0, 1), 3)]),
+     # each slab at its own corner inside the box, which is all that the
+     # corner normals show: 8 cells uncovered, or (0, 0, 1) covered twice
+     ((2, 2, 4), [((0, 0, 0), 2), ((0, 0, 1), 2)]),
+     ((2, 2, 4), [((0, 0, 0), 0), ((0, 0, 1), 2)])],
     ids=["corner-above", "corner-below", "two-normals-at-a-corner", "one-slab-twice",
-         "normal-three"],
+         "normal-three", "uncovered", "overlap"],
 )
-def test_slab_flips_refuse_a_slab_list_that_is_not_a_tiling(slabs):
-    tiling = SlabTiling(_BOX_2, tuple(Slab(*s) for s in slabs))
+def test_slab_flips_refuse_a_slab_list_that_is_not_a_tiling(dims, slabs):
+    tiling = SlabTiling(make_box(dims), tuple(Slab(*s) for s in slabs))
     with pytest.raises(MoveNotApplicable, match="is not a slab of a tiling"):
         list_slab_flips(tiling)
     with pytest.raises(MoveNotApplicable, match="is not a slab of a tiling"):
@@ -400,10 +433,13 @@ def test_slab_flips_refuse_a_slab_list_that_is_not_a_tiling(slabs):
 
 
 def test_apply_slab_flip_corners_no_slab_outside_the_region():
-    # both slabs leave the 2x1x2 box along y, and a flip to normal 1
-    # would corner its upper slab at (0, 1, 0), outside the box
+    # both slabs leave the 2x1x2 box along y, so the rule refuses the
+    # list before a flip to normal 1 could corner its upper slab at
+    # (0, 1, 0), outside the box
     stacked = SlabTiling(make_box((2, 1, 2)), (Slab((0, 0, 0), 2), Slab((0, 0, 1), 2)))
-    with pytest.raises(MoveNotApplicable, match="no stacked pair"):
+    report = "slab Slab(corner=(0, 0, 0), normal=2) leaves the region at (0, 1, 0)"
+    assert validate_slab_tiling(stacked) == report
+    with pytest.raises(MoveNotApplicable, match=re.escape(report)):
         apply_slab_flip(stacked, SlabFlip((0, 0, 0), 2, 1))
 
 
